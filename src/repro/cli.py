@@ -30,11 +30,9 @@ from typing import List, Optional
 
 from repro import GammaConfig, GammaSuite, StudyConfig, build_scenario, run_study
 from repro.artifacts import export_study
-from repro.core.analysis.frames import ANALYSIS_ENGINES
 from repro.core.geoloc.pipeline import GEOLOC_ENGINES, PipelineConfig
 from repro.exec.executor import BACKENDS
 from repro.exec.resilience import ON_ERROR_POLICIES, FaultInjector
-from repro.exec.transport import TRANSPORTS
 from repro.core.analysis.report import (
     render_fig3,
     render_fig4,
@@ -215,20 +213,6 @@ def _add_exec_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend", choices=["auto"] + list(BACKENDS), default="auto",
                         help="execution backend (default: auto — serial for "
                              "--jobs 1, process pool otherwise)")
-    parser.add_argument("--transport", choices=list(TRANSPORTS),
-                        default="columnar",
-                        help="how per-country results travel and join: "
-                             "columnar = compact interned frames + "
-                             "vectorised join/funnel (default), pickle = "
-                             "the object-graph oracle; outcomes are "
-                             "byte-identical (CI equivalence mode)")
-    parser.add_argument("--analysis-engine", choices=list(ANALYSIS_ENGINES),
-                        default="columnar",
-                        help="how the analyses answer: columnar = one "
-                             "study-wide frame + vectorised reductions "
-                             "(default), objects = the per-record object "
-                             "graph; outputs are byte-identical "
-                             "(CI equivalence mode)")
     parser.add_argument("--trace", type=Path, default=None, metavar="FILE",
                         help="write the structured run journal (JSONL) here; "
                              "summarize it with 'gamma trace FILE'")
@@ -319,8 +303,6 @@ def _run_kwargs(args: argparse.Namespace) -> dict:
         "max_retries": args.max_retries,
         "checkpoint_dir": args.checkpoint_dir,
         "resume": args.resume,
-        "transport": args.transport,
-        "analysis_engine": args.analysis_engine,
         "progress": progress,
         "profile": args.profile or args.profile_mem,
         "profile_mem": args.profile_mem,
@@ -661,10 +643,9 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         snapshot = load_snapshot(args.snapshot)
         meta = snapshot.get("meta", {})
         if meta:
-            line = (f"run: backend={meta.get('backend')} jobs={meta.get('jobs')} "
-                    f"transport={meta.get('transport')} ")
-            if meta.get("analysis_engine"):
-                line += f"analysis={meta['analysis_engine']} "
+            line = f"run: backend={meta.get('backend')} jobs={meta.get('jobs')} "
+            if meta.get("cpus"):
+                line += f"cpus={meta['cpus']} "
             print(line + f"countries={len(meta.get('countries', []))}")
         print(_render_metric_families(snapshot, include_runtime=args.runtime))
         resources = snapshot.get("resources")

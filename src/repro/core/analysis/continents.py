@@ -20,8 +20,8 @@ __all__ = ["ContinentFlowAnalysis"]
 class ContinentFlowAnalysis:
     """Continent-to-continent aggregation of the Figure-5 flow edges."""
 
-    def __init__(self, results: Sequence[CountryStudyResult], registry: GeoRegistry, frame=None):
-        self._flows = FlowAnalysis(results, frame=frame)
+    def __init__(self, results: Sequence[CountryStudyResult], registry: GeoRegistry):
+        self._flows = FlowAnalysis(results)
         self._registry = registry
 
     def matrix(self, category: Optional[str] = None) -> Dict[Tuple[str, str], int]:

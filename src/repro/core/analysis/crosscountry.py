@@ -17,11 +17,6 @@ from repro.core.gamma.output import VolunteerDataset
 from repro.core.trackers.identify import TrackerIdentifier
 from repro.core.trackers.orgs import OrganizationDirectory
 
-try:  # pragma: no cover - exercised via the objects-engine fallback
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 __all__ = ["SiteCountryView", "CrossCountryAnalysis"]
 
 
@@ -36,41 +31,20 @@ class SiteCountryView:
 
 
 class CrossCountryAnalysis:
-    """Same-site comparison across measurement countries.
-
-    With a :class:`~repro.core.analysis.frames.StudyFrame` the per-site
-    lookups run against the frame's dataset relation (site keys, loaded
-    flags, requested-host columns) — no ``VolunteerDataset``
-    materialisation; classification still batches through the
-    identifier's memoised verdict cache either way.
-    """
+    """Same-site comparison across measurement countries."""
 
     def __init__(
         self,
         datasets: Dict[str, VolunteerDataset],
         identifier: TrackerIdentifier,
         directory: Optional[OrganizationDirectory] = None,
-        frame=None,
     ):
         self._datasets = datasets
         self._identifier = identifier
         self._directory = directory or identifier.directory
-        self._frame = frame if _np is not None else None
-
-    def _measuring_rows(self, url: str) -> List[Tuple[str, int]]:
-        """(country, dataset-relation row) pairs that loaded *url*."""
-        frame = self._frame
-        _country, _key, loaded, _start, _hosts = frame.dataset_relation()
-        return [
-            (frame.countries[country_index], row)
-            for country_index, row in frame.sites_for_key(url)
-            if loaded[row]
-        ]
 
     def countries_measuring(self, url: str) -> List[str]:
         """Countries whose volunteers loaded *url* successfully."""
-        if self._frame is not None:
-            return sorted(cc for cc, _row in self._measuring_rows(url))
         return sorted(
             cc
             for cc, dataset in self._datasets.items()
@@ -78,32 +52,20 @@ class CrossCountryAnalysis:
         )
 
     def view(self, url: str, country_code: str) -> Optional[SiteCountryView]:
-        frame = self._frame
-        if frame is not None:
-            row = next(
-                (r for cc, r in self._measuring_rows(url) if cc == country_code),
-                None,
-            )
-            if row is None:
-                return None
-            requested = [
-                frame.strings[code]
-                for code in _np.unique(frame.requested_host_codes(row)).tolist()
-            ]
-        else:
-            dataset = self._datasets.get(country_code)
-            if dataset is None or url not in dataset.websites:
-                return None
-            measurement = dataset.websites[url]
-            if not measurement.loaded:
-                return None
-            requested = list(measurement.requested_hosts)
+        dataset = self._datasets.get(country_code)
+        if dataset is None or url not in dataset.websites:
+            return None
+        measurement = dataset.websites[url]
+        if not measurement.loaded:
+            return None
         hosts: List[str] = []
         orgs: Set[str] = set()
         # Batch through the identifier's memoised verdict cache: the same
         # hosts recur across the site's per-country views, so only the
         # first view pays for classification.
-        verdicts = self._identifier.classify_many(requested, country_code)
+        verdicts = self._identifier.classify_many(
+            list(measurement.requested_hosts), country_code
+        )
         for host, verdict in verdicts.items():
             if not verdict.is_tracker:
                 continue

@@ -14,11 +14,6 @@ from typing import Dict, List, Sequence
 from repro.core.analysis.records import CountryStudyResult
 from repro.core.trackers.party import PartyClassifier, PartyKind
 
-try:  # pragma: no cover - exercised via the objects-engine fallback
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 __all__ = ["FirstPartySite", "FirstPartyAnalysis"]
 
 
@@ -33,23 +28,14 @@ class FirstPartySite:
 
 
 class FirstPartyAnalysis:
-    """First/third-party breakdown over the study results.
+    """First/third-party breakdown over the study results."""
 
-    With a :class:`~repro.core.analysis.frames.StudyFrame` the walk runs
-    over tracker-row columns with a per-(site, host) classification
-    memo; without one it walks the object graph.  Per-site rows keep
-    within-site host repeats in both paths, exactly as the records do.
-    """
-
-    def __init__(self, results: Sequence[CountryStudyResult], classifier: PartyClassifier, frame=None):
-        self._frame = frame if _np is not None else None
-        self._results = results if self._frame is not None else list(results)
+    def __init__(self, results: Sequence[CountryStudyResult], classifier: PartyClassifier):
+        self._results = list(results)
         self._classifier = classifier
 
     def sites_with_nonlocal(self) -> int:
         """Paper: 575 websites with non-local trackers across all sources."""
-        if self._frame is not None:
-            return int(_np.count_nonzero(self._frame.has_tracker()))
         return sum(
             1
             for result in self._results
@@ -60,40 +46,6 @@ class FirstPartyAnalysis:
     def first_party_sites(self) -> List[FirstPartySite]:
         """Sites embedding first-party non-local trackers (paper: 23)."""
         found: List[FirstPartySite] = []
-        frame = self._frame
-        if frame is not None:
-            strings = frame.strings
-            classify = self._classifier.classify
-            starts = frame.tracker_start
-            kind_memo: dict = {}
-            for site in _np.flatnonzero(frame.has_tracker()).tolist():
-                url_code = int(frame.site_url[site])
-                url = strings[url_code]
-                hosts: List[str] = []
-                lo, hi = int(starts[site]), int(starts[site + 1])
-                for code in frame.trk_host[lo:hi].tolist():
-                    key = (url_code, code)
-                    kind = kind_memo.get(key)
-                    if kind is None:
-                        kind = classify(url, strings[code]).kind
-                        kind_memo[key] = kind
-                    if kind == PartyKind.FIRST:
-                        hosts.append(strings[code])
-                if not hosts:
-                    continue
-                first_party_hosts = tuple(sorted(hosts))
-                owner = classify(url, first_party_hosts[0]).site_org or ""
-                found.append(
-                    FirstPartySite(
-                        url=url,
-                        country_code=frame.countries[
-                            int(frame.site_country[site])
-                        ],
-                        owner_org=owner,
-                        first_party_hosts=first_party_hosts,
-                    )
-                )
-            return found
         for result in self._results:
             for site in result.sites:
                 if not site.has_nonlocal_tracker:

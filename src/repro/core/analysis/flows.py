@@ -15,11 +15,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.analysis.records import CountryStudyResult
 
-try:  # pragma: no cover - exercised via the objects-engine fallback
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 __all__ = ["FlowEdge", "FlowAnalysis"]
 
 
@@ -33,43 +28,13 @@ class FlowEdge:
 
 
 class FlowAnalysis:
-    """Country-to-country flow computations.
+    """Country-to-country flow computations."""
 
-    With a :class:`~repro.core.analysis.frames.StudyFrame` the flow
-    queries become group-bys over the frame's unique (site, destination)
-    pair table; without one they walk the object graph.  Both paths
-    return identical values in identical order — the frame path
-    reproduces the object path's dict-insertion tie-breaks exactly.
-    """
-
-    def __init__(
-        self, results: Sequence[CountryStudyResult], frame=None
-    ):
-        self._frame = frame if _np is not None else None
-        # Listing a lazy result sequence would force materialisation;
-        # only snapshot when the objects are the compute path.
-        self._results = results if self._frame is not None else list(results)
+    def __init__(self, results: Sequence[CountryStudyResult]):
+        self._results = list(results)
 
     # -- core matrices -------------------------------------------------------
     def edges(self, category: Optional[str] = None) -> List[FlowEdge]:
-        frame = self._frame
-        if frame is not None:
-            sites, ranks, ranked = frame.dest_pairs()
-            if category is not None:
-                keep = frame.site_mask(category)[sites]
-                sites, ranks = sites[keep], ranks[keep]
-            width = len(ranked) or 1
-            keys = frame.site_country[sites] * width + ranks
-            unique, counts = _np.unique(keys, return_counts=True)
-            entries = [
-                ((frame.countries[key // width], ranked[key % width]), n)
-                for key, n in zip(unique.tolist(), counts.tolist())
-            ]
-            entries.sort(key=lambda kv: (-kv[1], kv[0]))
-            return [
-                FlowEdge(source=s, destination=d, website_count=n)
-                for (s, d), n in entries
-            ]
         weights: Dict[Tuple[str, str], int] = {}
         for result in self._results:
             for site in result.sites_in(category):
@@ -83,11 +48,6 @@ class FlowAnalysis:
 
     def sites_with_nonlocal(self, category: Optional[str] = None) -> int:
         """Denominator: websites (all countries) with >= 1 non-local tracker."""
-        frame = self._frame
-        if frame is not None:
-            return int(_np.count_nonzero(
-                frame.site_mask(category) & frame.has_tracker()
-            ))
         return sum(
             1
             for result in self._results
@@ -100,25 +60,6 @@ class FlowAnalysis:
         self, category: Optional[str] = None, exclude_sources: Sequence[str] = ()
     ) -> Dict[str, float]:
         """Per destination: % of websites-with-non-local using it (>= 1 tracker)."""
-        frame = self._frame
-        if frame is not None:
-            site_ok = frame.site_mask(category, exclude_sources)
-            total = int(_np.count_nonzero(site_ok & frame.has_tracker()))
-            if total == 0:
-                return {}
-            sites, ranks, ranked = frame.dest_pairs()
-            ranks = ranks[site_ok[sites]]
-            unique, first, counts = _np.unique(
-                ranks, return_index=True, return_counts=True
-            )
-            # First-occurrence order reproduces the object path's
-            # dict-insertion order; the -count sort is stable over it.
-            entries = [
-                (ranked[int(unique[i])], int(counts[i]))
-                for i in _np.argsort(first, kind="stable").tolist()
-            ]
-            entries.sort(key=lambda kv: -kv[1])
-            return {dest: 100.0 * n / total for dest, n in entries}
         skip = set(exclude_sources)
         total = sum(
             1
@@ -153,13 +94,9 @@ class FlowAnalysis:
         removed.
         """
         effects: Dict[str, float] = {}
-        if self._frame is not None:
-            source_codes = list(self._frame.countries)
-        else:
-            source_codes = [result.country_code for result in self._results]
-        for country_code in source_codes:
-            shares = self.destination_shares(category, exclude_sources=[country_code])
-            effects[country_code] = shares.get(destination, 0.0)
+        for result in self._results:
+            shares = self.destination_shares(category, exclude_sources=[result.country_code])
+            effects[result.country_code] = shares.get(destination, 0.0)
         return effects
 
     def dominant_source(self, destination: str) -> Optional[str]:

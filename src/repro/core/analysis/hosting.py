@@ -14,40 +14,17 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.analysis.records import CountryStudyResult
 
-try:  # pragma: no cover - exercised via the objects-engine fallback
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 __all__ = ["HostingAnalysis"]
 
 
 class HostingAnalysis:
-    """Destination-country hosting statistics.
+    """Destination-country hosting statistics."""
 
-    With a :class:`~repro.core.analysis.frames.StudyFrame` the counting
-    reduces over the frame's memoised unique (country, host,
-    destination) triple table; without one it walks the object graph.
-    ``unique_domains_per_destination`` tie order is set-iteration
-    dependent on the object path; the frame path uses the deterministic
-    (-count, destination) order — values are identical either way.
-    """
-
-    def __init__(self, results: Sequence[CountryStudyResult], frame=None):
-        self._frame = frame if _np is not None else None
-        self._results = results if self._frame is not None else list(results)
+    def __init__(self, results: Sequence[CountryStudyResult]):
+        self._results = list(results)
 
     def domain_observations(self) -> Set[Tuple[str, str, str]]:
         """All distinct ``(source country, host, destination country)`` triples."""
-        frame = self._frame
-        if frame is not None:
-            countries, hosts, dests = frame.host_triples()
-            return {
-                (frame.countries[c], frame.strings[h], frame.strings[d])
-                for c, h, d in zip(
-                    countries.tolist(), hosts.tolist(), dests.tolist()
-                )
-            }
         observations: Set[Tuple[str, str, str]] = set()
         for result in self._results:
             for site in result.sites:
@@ -59,15 +36,6 @@ class HostingAnalysis:
 
     def domains_per_destination(self) -> Dict[str, int]:
         """Figure 7 totals: distinct (source, host) pairs per destination."""
-        frame = self._frame
-        if frame is not None:
-            _countries, _hosts, dests = frame.host_triples()
-            unique, counts = _np.unique(dests, return_counts=True)
-            entries = [
-                (frame.strings[code], n)
-                for code, n in zip(unique.tolist(), counts.tolist())
-            ]
-            return dict(sorted(entries, key=lambda kv: (-kv[1], kv[0])))
         counts: Dict[str, int] = {}
         for _source, _host, destination in self.domain_observations():
             counts[destination] = counts.get(destination, 0) + 1
@@ -75,17 +43,6 @@ class HostingAnalysis:
 
     def breakdown_by_source(self, destination: str) -> Dict[str, int]:
         """For one destination: distinct hosted domains per source country."""
-        frame = self._frame
-        if frame is not None:
-            countries, _hosts, dests = frame.host_triples()
-            unique, counts = _np.unique(
-                countries[dests == frame.code(destination)], return_counts=True
-            )
-            entries = [
-                (frame.countries[index], n)
-                for index, n in zip(unique.tolist(), counts.tolist())
-            ]
-            return dict(sorted(entries, key=lambda kv: (-kv[1], kv[0])))
         counts: Dict[str, int] = {}
         for source, _host, dest in self.domain_observations():
             if dest == destination:
@@ -94,23 +51,14 @@ class HostingAnalysis:
 
     def unique_domains_per_destination(self) -> Dict[str, int]:
         """Alternative metric: globally-unique hostnames per destination."""
-        frame = self._frame
-        if frame is not None:
-            _countries, hosts, dests = frame.host_triples()
-            width = len(frame.strings)
-            pairs = _np.unique(dests * width + hosts)
-            unique, counts = _np.unique(pairs // width, return_counts=True)
-            entries = [
-                (frame.strings[code], n)
-                for code, n in zip(unique.tolist(), counts.tolist())
-            ]
-            return dict(sorted(entries, key=lambda kv: (-kv[1], kv[0])))
         hosts: Dict[str, Set[str]] = {}
         for _source, host, destination in self.domain_observations():
             hosts.setdefault(destination, set()).add(host)
         return {
             dest: len(host_set)
-            for dest, host_set in sorted(hosts.items(), key=lambda kv: -len(kv[1]))
+            for dest, host_set in sorted(
+                hosts.items(), key=lambda kv: (-len(kv[1]), kv[0])
+            )
         }
 
     def top_destinations(self, n: int = 5) -> List[Tuple[str, int]]:

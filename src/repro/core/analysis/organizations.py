@@ -15,49 +15,24 @@ from repro.core.analysis.records import CountryStudyResult
 from repro.core.trackers.orgs import OrganizationDirectory
 from repro.geodb.ipinfo import IPInfoService
 
-try:  # pragma: no cover - exercised via the objects-engine fallback
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 __all__ = ["OrganizationAnalysis"]
 
 
 class OrganizationAnalysis:
-    """Organisation-level views over the study results.
-
-    With a :class:`~repro.core.analysis.frames.StudyFrame` the flow and
-    observation queries group over the frame's unique (site, org) pair
-    table; the directory/ipinfo attributions stay Python loops over the
-    (much smaller) deduplicated vocabularies.
-    """
+    """Organisation-level views over the study results."""
 
     def __init__(
         self,
         results: Sequence[CountryStudyResult],
         directory: OrganizationDirectory,
         ipinfo: Optional[IPInfoService] = None,
-        frame=None,
     ):
-        self._frame = frame if _np is not None else None
-        self._results = results if self._frame is not None else list(results)
+        self._results = list(results)
         self._directory = directory
         self._ipinfo = ipinfo
 
     def flow_edges(self) -> List[Tuple[str, str, int]]:
         """``(source country, organisation, website count)`` edges."""
-        frame = self._frame
-        if frame is not None:
-            sites, ranks, ranked = frame.org_pairs()
-            width = len(ranked) or 1
-            keys = frame.site_country[sites] * width + ranks
-            unique, counts = _np.unique(keys, return_counts=True)
-            entries = [
-                ((frame.countries[key // width], ranked[key % width]), n)
-                for key, n in zip(unique.tolist(), counts.tolist())
-            ]
-            entries.sort(key=lambda kv: (-kv[1], kv[0]))
-            return [(source, org, count) for (source, org), count in entries]
         weights: Dict[Tuple[str, str], int] = {}
         for result in self._results:
             for site in result.sites:
@@ -71,10 +46,6 @@ class OrganizationAnalysis:
 
     def observed_organizations(self) -> List[str]:
         """All organisations operating at least one observed non-local tracker."""
-        frame = self._frame
-        if frame is not None:
-            _sites, _ranks, ranked = frame.org_pairs()
-            return list(ranked)  # already sorted, already deduplicated
         orgs: Set[str] = set()
         for result in self._results:
             for site in result.sites:
@@ -132,16 +103,6 @@ class OrganizationAnalysis:
 
     def _host_address_pairs(self, destination: Optional[str] = None):
         """Distinct (host, address) tracker pairs, one ipinfo probe each."""
-        frame = self._frame
-        if frame is not None:
-            hosts, addresses = frame.trk_host, frame.trk_address
-            if destination is not None:
-                keep = frame.trk_dest_country == frame.code(destination)
-                hosts, addresses = hosts[keep], addresses[keep]
-            width = len(frame.strings)
-            for key in _np.unique(hosts * width + addresses).tolist():
-                yield frame.strings[key // width], frame.strings[key % width]
-            return
         seen: Set[Tuple[str, str]] = set()
         for result in self._results:
             for site in result.sites:

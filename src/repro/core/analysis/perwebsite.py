@@ -15,11 +15,6 @@ from typing import Dict, List, Optional, Sequence
 from repro.core.analysis.records import CountryStudyResult
 from repro.core.analysis.stats import BoxplotStats, boxplot_stats, skewness
 
-try:  # pragma: no cover - exercised via the objects-engine fallback
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 __all__ = ["CountryDistribution", "PerWebsiteAnalysis"]
 
 
@@ -39,25 +34,12 @@ class CountryDistribution:
 
 
 class PerWebsiteAnalysis:
-    """Per-site tracker-count distributions across countries.
+    """Per-site tracker-count distributions across countries."""
 
-    With a :class:`~repro.core.analysis.frames.StudyFrame` the per-site
-    distinct-host counts come from the frame's memoised unique
-    (site, host) pair table instead of per-record set builds.
-    """
-
-    def __init__(self, results: Sequence[CountryStudyResult], frame=None):
-        self._frame = frame if _np is not None else None
-        self._results = results if self._frame is not None else list(results)
+    def __init__(self, results: Sequence[CountryStudyResult]):
+        self._results = list(results)
 
     def counts_for(self, country_code: str, category: Optional[str] = None) -> List[int]:
-        frame = self._frame
-        if frame is not None:
-            mask = frame.site_country == frame.country_index(country_code)
-            if category is not None:
-                mask &= frame.site_category == frame.code(category)
-            mask &= frame.has_tracker()
-            return frame.tracker_host_counts()[mask].tolist()
         result = self._find(country_code)
         return [
             site.tracker_count
@@ -77,11 +59,6 @@ class PerWebsiteAnalysis:
         )
 
     def all_distributions(self, category: Optional[str] = None) -> List[CountryDistribution]:
-        if self._frame is not None:
-            return [
-                self.distribution(country_code, category)
-                for country_code in self._frame.countries
-            ]
         return [self.distribution(r.country_code, category) for r in self._results]
 
     def histogram(self, country_code: str, max_count: Optional[int] = None) -> Dict[int, int]:
@@ -100,16 +77,6 @@ class PerWebsiteAnalysis:
         if distribution.box is None or not distribution.box.outliers:
             return []
         outlier_values = set(distribution.box.outliers)
-        frame = self._frame
-        if frame is not None:
-            mask = frame.site_country == frame.country_index(country_code)
-            mask &= frame.has_tracker()
-            counts = frame.tracker_host_counts()
-            return sorted(
-                frame.strings[int(frame.site_url[site])]
-                for site in _np.flatnonzero(mask).tolist()
-                if float(counts[site]) in outlier_values
-            )
         result = self._find(country_code)
         return sorted(
             site.url

@@ -34,8 +34,8 @@ class PolicyRow:
 class PolicyAnalysis:
     """Policy-vs-measurement correlation."""
 
-    def __init__(self, results: Sequence[CountryStudyResult], registry: PolicyRegistry, frame=None):
-        self._prevalence = PrevalenceAnalysis(results, frame=frame)
+    def __init__(self, results: Sequence[CountryStudyResult], registry: PolicyRegistry):
+        self._prevalence = PrevalenceAnalysis(results)
         self._registry = registry
 
     def table_rows(self) -> List[PolicyRow]:

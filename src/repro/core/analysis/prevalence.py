@@ -13,12 +13,6 @@ from typing import Dict, List, Sequence
 
 from repro.core.analysis.records import CountryStudyResult, SiteTrackerRecord
 from repro.core.analysis.stats import mean, pearson, stdev
-from repro.web.website import CATEGORY_GOVERNMENT, CATEGORY_REGIONAL
-
-try:  # pragma: no cover - exercised via the objects-engine fallback
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 __all__ = ["CountryPrevalence", "PrevalenceAnalysis"]
 
@@ -27,12 +21,6 @@ def _pct_with_trackers(sites: Sequence[SiteTrackerRecord]) -> float:
     if not sites:
         return 0.0
     return 100.0 * sum(1 for s in sites if s.has_nonlocal_tracker) / len(sites)
-
-
-def _pct(hits: int, count: int) -> float:
-    if not count:
-        return 0.0
-    return 100.0 * hits / count
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,50 +36,12 @@ class CountryPrevalence:
 
 
 class PrevalenceAnalysis:
-    """Computes prevalence rows across all study countries.
+    """Computes prevalence rows across all study countries."""
 
-    With a :class:`~repro.core.analysis.frames.StudyFrame` the rows come
-    from masked reductions over per-country column slices (memoised —
-    every derived statistic reuses them); without one they walk the
-    object graph per call, as they always have.
-    """
-
-    def __init__(self, results: Sequence[CountryStudyResult], frame=None):
-        self._frame = frame if _np is not None else None
-        self._rows = None
-        self._results = results if self._frame is not None else list(results)
-
-    def _frame_rows(self) -> List[CountryPrevalence]:
-        if self._rows is not None:
-            return self._rows
-        frame = self._frame
-        regional = frame.site_category == frame.code(CATEGORY_REGIONAL)
-        government = frame.site_category == frame.code(CATEGORY_GOVERNMENT)
-        tracked = frame.has_tracker()
-        starts = frame.country_site_start
-        rows: List[CountryPrevalence] = []
-        for index, country_code in enumerate(frame.countries):
-            lo, hi = int(starts[index]), int(starts[index + 1])
-            reg, gov = regional[lo:hi], government[lo:hi]
-            hit = tracked[lo:hi]
-            n_reg = int(_np.count_nonzero(reg))
-            n_gov = int(_np.count_nonzero(gov))
-            rows.append(
-                CountryPrevalence(
-                    country_code=country_code,
-                    regional_pct=_pct(int(_np.count_nonzero(reg & hit)), n_reg),
-                    government_pct=_pct(int(_np.count_nonzero(gov & hit)), n_gov),
-                    combined_pct=_pct(int(_np.count_nonzero(hit)), hi - lo),
-                    regional_count=n_reg,
-                    government_count=n_gov,
-                )
-            )
-        self._rows = rows
-        return rows
+    def __init__(self, results: Sequence[CountryStudyResult]):
+        self._results = list(results)
 
     def per_country(self) -> List[CountryPrevalence]:
-        if self._frame is not None:
-            return self._frame_rows()
         rows: List[CountryPrevalence] = []
         for result in self._results:
             regional = result.regional_sites

@@ -20,11 +20,6 @@ from repro.core.trackers.identify import TrackerIdentifier, TrackerVerdict
 from repro.core.trackers.orgs import OrganizationDirectory
 from repro.web.website import CATEGORY_GOVERNMENT, CATEGORY_REGIONAL
 
-try:  # pragma: no cover - exercised via the scalar fallback test
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 __all__ = ["NonLocalTracker", "SiteTrackerRecord", "CountryStudyResult", "build_country_result"]
 
 
@@ -108,16 +103,6 @@ class CountryStudyResult:
     tracker_verdicts: Dict[str, TrackerVerdict] = field(default_factory=dict)
     sites: List[SiteTrackerRecord] = field(default_factory=list)
 
-    # Transient columnar twin attached by the worker join; never
-    # pickled, so checkpoints and transport bytes are frame-agnostic.
-    _frame = None
-
-    def __getstate__(self):
-        state = self.__dict__
-        if "_frame" not in state:
-            return state
-        return {k: v for k, v in state.items() if k != "_frame"}
-
     def sites_in(self, category: Optional[str] = None) -> List[SiteTrackerRecord]:
         if category is None:
             return list(self.sites)
@@ -145,183 +130,71 @@ def build_country_result(
     identifier: TrackerIdentifier,
     directory: Optional[OrganizationDirectory] = None,
     tracer=None,
-    engine: str = "scalar",
     metrics=None,
 ) -> CountryStudyResult:
     """Join dataset + geolocation + identification into analysis records.
 
-    With a :class:`repro.obs.Tracer`, one ``tracker_match`` event is
-    emitted per unique flagged host for this country (the first
-    classification; repeats across sites reuse the local verdict map).
-
-    ``engine="columnar"`` interns hosts into integer codes, performs one
-    verdict lookup and one classification per *unique* host, and
-    materialises per-site tracker rows from numpy occurrence masks.
-    The output contract is identical to the scalar loop: same verdict
-    insertion order (first sight of each verified-nonlocal host), same
-    per-site tracker rows including within-site repeats, and the same
-    ``tracker_match`` journal events.  Falls back to the scalar join
-    when numpy is unavailable.
+    Each distinct foreground host is judged once, on first sight: one
+    verdict lookup and, if verified non-local, one classification — so
+    ``tracker_verdicts`` keeps first-sight order.  Per-site rows keep
+    every occurrence, within-site repeats included.  With a
+    :class:`repro.obs.Tracer`, that first classification emits the
+    host's ``tracker_match`` event for this country.
     """
     directory = directory or identifier.directory
-    if engine == "columnar" and _np is not None:
-        return _join_columnar(
-            dataset, geolocation, identifier, directory, tracer, metrics
-        )
+    country_code = dataset.country_code
     result = CountryStudyResult(
-        country_code=dataset.country_code, dataset=dataset, geolocation=geolocation
+        country_code=country_code, dataset=dataset, geolocation=geolocation
     )
     verdicts: Dict[str, TrackerVerdict] = {}
+    # host -> (destination country, city key, org) for verified non-local
+    # trackers, None for every other judged host.
+    judged: Dict[str, Optional[tuple]] = {}
+
+    def judge(host: str) -> Optional[tuple]:
+        server = geolocation.verdict_for_host(host)
+        if server is None or not server.is_verified_nonlocal:
+            return None
+        # classify() memoises engine-wide, so hosts shared across
+        # countries are classified once and counted as cache hits.
+        verdict = identifier.classify(host, country_code, tracer=tracer, metrics=metrics)
+        verdicts[host] = verdict
+        if not verdict.is_tracker:
+            return None
+        org_name = verdict.org_name
+        if org_name is None and directory is not None:
+            entry = directory.org_for_host(host)
+            org_name = entry.name if entry else None
+        assert server.claim is not None  # verified non-local implies a claim
+        return server.claim.country_code, server.claim.city_key, org_name
 
     for measurement in dataset.websites.values():
         if not measurement.loaded:
             continue
         site = SiteTrackerRecord(
             url=measurement.url,
-            country_code=dataset.country_code,
+            country_code=country_code,
             category=measurement.category,
         )
         background = set(measurement.background_hosts)
         for host in measurement.requested_hosts:
             if host in background:
                 continue  # webdriver noise, stripped before analysis
-            server = geolocation.verdict_for_host(host)
-            if server is None or not server.is_verified_nonlocal:
+            if host not in judged:
+                judged[host] = judge(host)
+            tracker = judged[host]
+            if tracker is None:
                 continue
-            # classify() memoises engine-wide, so repeated hosts — within
-            # this country and across countries sharing no regional list —
-            # are classified once and counted as cache hits.  Attribution
-            # events fire only on the country's first sight of a host.
-            verdict = identifier.classify(
-                host, dataset.country_code,
-                tracer=tracer if host not in verdicts else None,
-                metrics=metrics,
-            )
-            verdicts[host] = verdict
-            if not verdict.is_tracker:
-                continue
-            org_name = verdict.org_name
-            if org_name is None and directory is not None:
-                entry = directory.org_for_host(host)
-                org_name = entry.name if entry else None
-            assert server.claim is not None  # verified non-local implies a claim
             site.trackers.append(
                 NonLocalTracker(
                     host=host,
                     address=measurement.dns[host],
-                    destination_country=server.claim.country_code,
-                    destination_city_key=server.claim.city_key,
-                    org_name=org_name,
+                    destination_country=tracker[0],
+                    destination_city_key=tracker[1],
+                    org_name=tracker[2],
                 )
             )
         result.sites.append(site)
 
     result.tracker_verdicts = verdicts
-    return result
-
-
-def _attach_frame(result, hosts, codes, bounds, is_tracker,
-                  dest_country, dest_city, org_names) -> None:
-    """Batch the join output into its columnar twin.
-
-    The worker hands this frame straight to the frame-backed analysis
-    layer; the object graph stays the oracle and the coordinator can
-    always rebuild a frame from it (``CountryFrame.from_result``).
-    """
-    from repro.core.analysis.frames import CountryFrame
-
-    result._frame = CountryFrame.from_join(
-        result, hosts, codes, bounds, is_tracker,
-        dest_country, dest_city, org_names,
-    )
-
-
-def _join_columnar(
-    dataset: VolunteerDataset,
-    geolocation: DatasetGeolocation,
-    identifier: TrackerIdentifier,
-    directory: Optional[OrganizationDirectory],
-    tracer,
-    metrics=None,
-) -> CountryStudyResult:
-    """Vectorised join: per-unique-host classification + masked gather."""
-    country_code = dataset.country_code
-    result = CountryStudyResult(
-        country_code=country_code, dataset=dataset, geolocation=geolocation
-    )
-
-    # Flatten every loaded site's foreground hosts into one integer code
-    # stream; ``host_index`` assigns codes in first-sight order, which is
-    # exactly the scalar loop's verdict-dict insertion order.
-    loaded = []
-    host_index: Dict[str, int] = {}
-    codes: List[int] = []
-    bounds: List[int] = [0]
-    for measurement in dataset.websites.values():
-        if not measurement.loaded:
-            continue
-        loaded.append(measurement)
-        background = set(measurement.background_hosts)
-        for host in measurement.requested_hosts:
-            if host not in background:
-                codes.append(host_index.setdefault(host, len(host_index)))
-        bounds.append(len(codes))
-
-    hosts = list(host_index)
-    count = len(hosts)
-    is_tracker = _np.zeros(count, dtype=bool)
-    dest_country: List[str] = [""] * count
-    dest_city: List[str] = [""] * count
-    org_names: List[Optional[str]] = [None] * count
-    verdicts: Dict[str, TrackerVerdict] = {}
-    for code, host in enumerate(hosts):
-        server = geolocation.verdict_for_host(host)
-        if server is None or not server.is_verified_nonlocal:
-            continue
-        # First-sight attribution events match the scalar loop because
-        # unique codes were assigned in first-sight order above.
-        verdict = identifier.classify(host, country_code, tracer=tracer, metrics=metrics)
-        verdicts[host] = verdict
-        if not verdict.is_tracker:
-            continue
-        org_name = verdict.org_name
-        if org_name is None and directory is not None:
-            entry = directory.org_for_host(host)
-            org_name = entry.name if entry else None
-        assert server.claim is not None  # verified non-local implies a claim
-        is_tracker[code] = True
-        dest_country[code] = server.claim.country_code
-        dest_city[code] = server.claim.city_key
-        org_names[code] = org_name
-
-    code_stream = _np.asarray(codes, dtype=_np.int64)
-    occurrence_mask = (
-        is_tracker[code_stream] if count else _np.zeros(0, dtype=bool)
-    )
-    for site_index, measurement in enumerate(loaded):
-        site = SiteTrackerRecord(
-            url=measurement.url,
-            country_code=country_code,
-            category=measurement.category,
-        )
-        start, end = bounds[site_index], bounds[site_index + 1]
-        for offset in _np.flatnonzero(occurrence_mask[start:end]).tolist():
-            code = codes[start + offset]
-            host = hosts[code]
-            site.trackers.append(
-                NonLocalTracker(
-                    host=host,
-                    address=measurement.dns[host],
-                    destination_country=dest_country[code],
-                    destination_city_key=dest_city[code],
-                    org_name=org_names[code],
-                )
-            )
-        result.sites.append(site)
-
-    result.tracker_verdicts = verdicts
-    _attach_frame(
-        result, hosts, codes, bounds, is_tracker,
-        dest_country, dest_city, org_names,
-    )
     return result

@@ -29,9 +29,8 @@ values.  This engine restructures the loop around that observation:
    dataclasses, funnel counters and pickled bytes are identical to the
    scalar oracle's.
 
-Numpy is gated: when it is unavailable the pipeline silently resolves
-``engine="columnar"`` to the scalar oracle (the outputs are identical
-by contract, so the fallback is unobservable in study artefacts).
+numpy is a hard dependency of the package; this is the only module
+that uses it.
 """
 
 from __future__ import annotations
@@ -39,13 +38,7 @@ from __future__ import annotations
 import statistics
 from typing import Dict, List, Optional
 
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - numpy is baked into CI images
-    np = None
-    HAVE_NUMPY = False
+import numpy as np
 
 from repro.core.geoloc.confidence import (
     CONF_BASE,
@@ -71,7 +64,7 @@ from repro.core.geoloc.verdicts import FunnelCounters, ServerStatus, ServerVerdi
 from repro.netsim.distance import city_distance_km, min_rtt_ms
 from repro.netsim.geography import City
 
-__all__ = ["HAVE_NUMPY", "ColumnarGeolocationEngine", "combine_batch"]
+__all__ = ["ColumnarGeolocationEngine", "combine_batch"]
 
 #: Source-constraint outcome codes, ordered so ``code <= _SRC_RULE80``
 #: means FAIL.  The order mirrors the scalar decision ladder exactly.
@@ -180,8 +173,6 @@ class ColumnarGeolocationEngine:
     name = "columnar"
 
     def __init__(self, ipmap, atlas, stats, latency, config):
-        if not HAVE_NUMPY:  # pragma: no cover - guarded by the pipeline
-            raise RuntimeError("the columnar engine requires numpy")
         self._ipmap = ipmap
         self._atlas = atlas
         self._stats = stats

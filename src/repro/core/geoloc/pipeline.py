@@ -24,8 +24,7 @@ Two interchangeable engines evaluate the constraint battery
   into numpy arrays, constraints evaluated as vectorised mask algebra,
   anchored on per-unique-city scalar values so every verdict, funnel
   counter and journal ``geoloc_decision`` event is identical to the
-  scalar engine's.  When numpy is unavailable the pipeline silently
-  resolves to the scalar oracle.
+  scalar engine's.
 
 Funnel accounting and journal emission are shared code below either
 engine, so the observability contract (docs/observability.md) cannot
@@ -78,8 +77,7 @@ __all__ = [
     "GeolocationPipeline",
 ]
 
-#: Selectable constraint engines; "columnar" resolves to "scalar" when
-#: numpy is unavailable (outputs are identical by contract).
+#: Selectable constraint engines (outputs are identical by contract).
 GEOLOC_ENGINES = ("scalar", "columnar")
 
 
@@ -151,12 +149,11 @@ class GeolocationPipeline:
         self._confidence_anchors: Optional[ConfidenceAnchors] = None
         self._columnar = None
         if self._config.engine == "columnar":
-            from repro.core.geoloc.columnar import HAVE_NUMPY, ColumnarGeolocationEngine
+            from repro.core.geoloc.columnar import ColumnarGeolocationEngine
 
-            if HAVE_NUMPY:
-                self._columnar = ColumnarGeolocationEngine(
-                    ipmap, atlas, stats, latency, self._config
-                )
+            self._columnar = ColumnarGeolocationEngine(
+                ipmap, atlas, stats, latency, self._config
+            )
 
     @classmethod
     def for_scenario(cls, scenario, config: Optional[PipelineConfig] = None) -> "GeolocationPipeline":
@@ -181,7 +178,7 @@ class GeolocationPipeline:
 
     @property
     def engine_name(self) -> str:
-        """The engine actually evaluating constraints (after gating)."""
+        """The engine evaluating constraints."""
         return "columnar" if self._columnar is not None else "scalar"
 
     def classify_dataset(

@@ -9,17 +9,11 @@ build them without importing the pipeline (which imports the engine).
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
 from repro.core.geoloc.constraints import ConstraintResult
 from repro.geodb.ipmap import GeoClaim
-
-try:  # pragma: no cover - exercised via the scalar fallback test
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 __all__ = [
     "ServerStatus",
@@ -100,29 +94,11 @@ class FunnelCounters:
         )
 
 
-#: Field order matters: it is both the columnar sum layout and the
-#: positional-constructor order used by the result transport codec.
-_FUNNEL_FIELDS = tuple(f.name for f in dataclasses.fields(FunnelCounters))
-
-
 def merge_funnels(funnels: Iterable[FunnelCounters]) -> FunnelCounters:
-    """Sum per-country funnels into one study-wide :class:`FunnelCounters`.
-
-    With numpy the counters are stacked into one ``(countries, 9)``
-    matrix and reduced in a single ``sum`` — the scalar
-    :meth:`FunnelCounters.merged_with` fold stays as the always-available
-    fallback and produces identical totals.
-    """
-    rows = list(funnels)
-    if _np is not None and rows:
-        matrix = _np.array(
-            [[getattr(row, name) for name in _FUNNEL_FIELDS] for row in rows],
-            dtype=_np.int64,
-        )
-        return FunnelCounters(*(int(total) for total in matrix.sum(axis=0)))
+    """Sum per-country funnels into one study-wide :class:`FunnelCounters`."""
     merged = FunnelCounters()
-    for row in rows:
-        merged = merged.merged_with(row)
+    for funnel in funnels:
+        merged = merged.merged_with(funnel)
     return merged
 
 

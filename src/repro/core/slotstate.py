@@ -2,10 +2,8 @@
 
 Moving a hot dataclass to ``slots=True`` changes its default pickle
 protocol from NEWOBJ + ``__dict__`` state to a ``(None, slots_dict)``
-2-tuple — which would both break old ``.run.pkl``/``.run.col``
-checkpoints (written before the slots rollout) and change the pickle
-bytes of fresh runs (the transport suite asserts
-``pickle.dumps(decoded) == pickle.dumps(run)``).
+2-tuple — which would both break old ``.run.pkl`` checkpoints (written
+before the slots rollout) and change the pickle bytes of fresh runs.
 
 :func:`install_slot_state` restores the historical wire format: a
 field-ordered plain dict as ``__getstate__`` (byte-identical to the

@@ -11,10 +11,10 @@ the process backend) and, when tracing is on, the country's span/event
 buffer for the run journal (:mod:`repro.obs`).  The fan-out is fault
 tolerant: per-country retry/skip policies with deterministic backoff
 (:mod:`repro.exec.resilience`) and study-level checkpoint/resume
-(:mod:`repro.exec.checkpoint`).  On the process backend, results can
-cross the pool boundary as compact columnar frames instead of deep
-object-graph pickles (:mod:`repro.exec.transport`,
-``StudyConfig.transport``).  See ``docs/parallel-execution.md``,
+(:mod:`repro.exec.checkpoint`).  On the process backend, each finished
+country crosses the pool boundary pickled once, and the coordinator
+unpickles it only when its dataset or geolocation is read
+(:mod:`repro.exec.transport`).  See ``docs/parallel-execution.md``,
 ``docs/observability.md``, ``docs/performance.md``, and
 ``docs/robustness.md``.
 """
@@ -39,28 +39,24 @@ from repro.exec.executor import (
     create_executor,
 )
 from repro.exec.metrics import CountryTimings, ExecMetrics, PhaseTimer
-from repro.exec.transport import (
-    TRANSPORTS,
-    EncodedCountryRun,
-    TransportDecodeError,
-    TransportWorker,
-    checkpoint_format,
-    decode_run,
-    encode_run,
-    resolve_transport,
-)
 
-_LAZY = {"CountryRun", "StudyWorker"}
+_LAZY = {
+    "CountryRun": "worker",
+    "StudyWorker": "worker",
+    "PickledCountryRun": "transport",
+    "TransportWorker": "transport",
+}
 
 
 def __getattr__(name: str):
-    # The worker pulls in the whole measurement stack, whose low-level
-    # modules (netsim.distance, ...) themselves import repro.exec.cache —
-    # importing it lazily keeps this package cycle-free.
+    # The worker and the transport pull in the measurement and analysis
+    # stack, whose low-level modules (netsim.distance, ...) themselves
+    # import repro.exec.cache — importing them lazily keeps this package
+    # cycle-free.
     if name in _LAZY:
-        from repro.exec import worker
+        import importlib
 
-        return getattr(worker, name)
+        return getattr(importlib.import_module(f"repro.exec.{_LAZY[name]}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
@@ -71,11 +67,11 @@ __all__ = [
     "CountryFailure",
     "CountryRun",
     "CountryTimings",
-    "EncodedCountryRun",
     "ExecMetrics",
     "FaultInjector",
     "InjectedFaultError",
     "PhaseTimer",
+    "PickledCountryRun",
     "ProcessPoolStudyExecutor",
     "ReadThroughCache",
     "ResilientWorker",
@@ -83,16 +79,10 @@ __all__ = [
     "StudyCheckpoint",
     "StudyExecutor",
     "StudyWorker",
-    "TRANSPORTS",
     "ThreadPoolStudyExecutor",
-    "TransportDecodeError",
     "TransportWorker",
     "backoff_delay",
     "cache_registry",
-    "checkpoint_format",
     "create_executor",
-    "decode_run",
-    "encode_run",
     "register_cache",
-    "resolve_transport",
 ]

@@ -1,28 +1,21 @@
 """Study-level checkpoint/resume.
 
-A :class:`StudyCheckpoint` is a directory holding one serialised
-:class:`~repro.exec.worker.CountryRun` per completed country, written
-atomically (temp file + ``os.replace``, the same pattern as the per-site
-:class:`repro.core.gamma.checkpoint.Checkpoint`) by the worker itself
-the moment the country finishes.  ``run_study(checkpoint_dir=...,
-resume=True)`` loads the persisted runs, skips their countries, and
-merges them with fresh runs in input country order — byte-identical to
-an uninterrupted study, whichever backend ran either half.
+A :class:`StudyCheckpoint` is a directory holding one pickled
+:class:`~repro.exec.worker.CountryRun` per completed country,
+``<CC>.run.pkl``, written atomically (temp file + ``os.replace``, the
+same pattern as the per-site :class:`repro.core.gamma.checkpoint.Checkpoint`)
+by the worker itself the moment the country finishes.
+``run_study(checkpoint_dir=..., resume=True)`` loads the persisted runs,
+skips their countries, and merges them with fresh runs in input country
+order — byte-identical to an uninterrupted study, whichever backend ran
+either half.
 
-Two on-disk formats share the directory, selected by the study's result
-transport (``StudyConfig.transport``, docs/performance.md):
-
-* ``<CC>.run.pkl`` — the pickled object graph (the historical format,
-  and the ``--transport pickle`` oracle).
-* ``<CC>.run.col`` — the columnar frame from
-  :mod:`repro.exec.transport`, typically ~5x smaller.
-
-Loading always accepts *both* formats regardless of the configured
-transport, so a study checkpointed under one transport resumes cleanly
-under the other (the CI fault/resume step crosses them on purpose).  A
-file that fails to load (truncated write on the old non-atomic path,
+A file that fails to load (truncated write on the old non-atomic path,
 version drift, disk corruption) is quarantined — renamed to
-``*.corrupt`` — and its country is simply re-measured.
+``*.corrupt`` — and its country is simply re-measured.  Files of any
+other name are ignored: a ``<CC>.run.col`` left by an older version
+(whose columnar format no longer exists) neither loads nor blocks a
+resume, so that country is re-measured and written as ``.run.pkl``.
 """
 
 from __future__ import annotations
@@ -31,49 +24,35 @@ import os
 import pickle
 import tempfile
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import List, Union
 
-__all__ = ["StudyCheckpoint", "CHECKPOINT_FORMATS"]
+__all__ = ["StudyCheckpoint"]
 
-#: Run-file extension per format; order is the load preference when a
-#: country was somehow persisted in both.
-CHECKPOINT_FORMATS = ("pkl", "col")
+_SUFFIX = ".run.pkl"
 
 
 class StudyCheckpoint:
     """One-file-per-country persistence for completed country runs."""
 
-    def __init__(self, directory: Union[str, Path], fmt: str = "pkl"):
-        if fmt not in CHECKPOINT_FORMATS:
-            raise ValueError(
-                f"unknown checkpoint format {fmt!r}; expected one of "
-                f"{CHECKPOINT_FORMATS}"
-            )
+    def __init__(self, directory: Union[str, Path]):
         self.directory = Path(directory)
-        self.fmt = fmt
 
-    def path_for(self, country_code: str, fmt: Optional[str] = None) -> Path:
-        return self.directory / f"{country_code}.run.{fmt or self.fmt}"
+    def path_for(self, country_code: str) -> Path:
+        return self.directory / f"{country_code}{_SUFFIX}"
 
     def completed_countries(self) -> List[str]:
-        """Country codes with a persisted run (either format), sorted."""
+        """Country codes with a persisted run, sorted."""
         if not self.directory.is_dir():
             return []
-        suffixes = tuple(f".run.{fmt}" for fmt in CHECKPOINT_FORMATS)
-        return sorted({
-            path.name[: -len(".run.xxx")]
+        return sorted(
+            path.name[: -len(_SUFFIX)]
             for path in self.directory.iterdir()
-            if path.name.endswith(suffixes)
-        })
+            if path.name.endswith(_SUFFIX)
+        )
 
     def store(self, run) -> Path:
         """Atomically persist one completed run (safe to call from workers)."""
-        if self.fmt == "col":
-            from repro.exec.transport import encode_run
-
-            payload = encode_run(run)
-        else:
-            payload = pickle.dumps(run)
+        payload = pickle.dumps(run, protocol=5)
         self.directory.mkdir(parents=True, exist_ok=True)
         target = self.path_for(run.country_code)
         fd, tmp_name = tempfile.mkstemp(
@@ -92,44 +71,27 @@ class StudyCheckpoint:
     def load(self, country_code: str):
         """The persisted run for one country, or None.
 
-        Tries the configured format first, then the other, so resumes
-        cross transports transparently.  A file that cannot be decoded —
-        or that holds something other than this country's
-        :class:`CountryRun` — is quarantined as ``<name>.corrupt`` and
-        treated as absent, so a damaged checkpoint degrades to
-        re-measuring that country instead of killing the resume.
+        A file that cannot be unpickled — or that holds something other
+        than this country's :class:`CountryRun` — is quarantined as
+        ``<name>.corrupt`` and treated as absent, so a damaged checkpoint
+        degrades to re-measuring that country instead of killing the
+        resume.
         """
-        formats = [self.fmt] + [f for f in CHECKPOINT_FORMATS if f != self.fmt]
-        for fmt in formats:
-            path = self.path_for(country_code, fmt)
-            if not path.exists():
-                continue
-            try:
-                run = self._decode(path, fmt)
-                if run.country_code != country_code:
-                    raise ValueError(
-                        f"checkpoint {path.name} does not hold a CountryRun "
-                        f"for {country_code}"
-                    )
-            except Exception:
-                self._quarantine(path)
-                continue
-            return run
-        return None
-
-    @staticmethod
-    def _decode(path: Path, fmt: str):
         from repro.exec.worker import CountryRun  # lazy: heavy import chain
 
-        data = path.read_bytes()
-        if fmt == "col":
-            from repro.exec.transport import decode_run
-
-            run = decode_run(data)
-        else:
-            run = pickle.loads(data)
-        if not isinstance(run, CountryRun):
-            raise ValueError(f"checkpoint {path.name} does not hold a CountryRun")
+        path = self.path_for(country_code)
+        if not path.exists():
+            return None
+        try:
+            run = pickle.loads(path.read_bytes())
+            if not isinstance(run, CountryRun) or run.country_code != country_code:
+                raise ValueError(
+                    f"checkpoint {path.name} does not hold a CountryRun "
+                    f"for {country_code}"
+                )
+        except Exception:
+            self._quarantine(path)
+            return None
         return run
 
     @staticmethod

@@ -150,14 +150,6 @@ def _collect_in_order(
             future.cancel()
         concurrent.futures.wait(futures.values())
         pool.shutdown(wait=True, cancel_futures=True)
-        # Completed results that will never be merged may hold OS-level
-        # resources (shared-memory frames from the columnar transport);
-        # release them before the failure propagates.
-        for future in futures.values():
-            if future.done() and not future.cancelled() and _failure(future) is None:
-                release = getattr(future.result(), "release", None)
-                if callable(release):
-                    release()
         for country_code in countries:
             error = _failure(futures[country_code])
             if error is not None:

@@ -4,9 +4,12 @@ Workers time each phase of their country (Gamma run, source-trace
 selection, geolocation, analysis join) with a :class:`PhaseTimer`; the
 executor folds the per-country timings into one :class:`ExecMetrics`
 attached to the study outcome, alongside the end-to-end wall time of the
-fan-out itself.  ``aggregate_seconds / wall_seconds`` is then the
-observed parallel speedup (1.0 for a serial run, up to ``jobs`` for a
-perfectly parallel one).
+fan-out itself.  ``cpu_seconds / wall_seconds`` — the CPU the countries
+actually got per second of fan-out — is then the observed parallel
+speedup: at most about 1.0 for a serial run, and at most
+``min(jobs, CPUs)`` for a parallel one.  (Summed per-country *wall*
+time would count a country waiting for a CPU as work, so ``--jobs 4``
+on two CPUs would report close to 4x.)
 
 Since PR 8 the numbers live in a :class:`repro.obs.metrics.MetricsRegistry`
 rather than ad-hoc dicts: every accessor below (``phase_seconds``,
@@ -44,6 +47,7 @@ PHASES = ("gamma", "source_traces", "geoloc", "join")
 # runtime-class: these describe how the run was scheduled, not the study.
 WALL_SECONDS = "exec_wall_seconds"
 AGGREGATE_SECONDS = "exec_aggregate_seconds_total"
+CPU_SECONDS = "exec_cpu_seconds_total"
 PHASE_SECONDS = "exec_phase_seconds_total"
 COUNTRY_SECONDS = "exec_country_seconds_total"
 TRANSPORT_BYTES = "exec_transport_bytes_total"
@@ -73,10 +77,12 @@ class PhaseTimer:
 
 @dataclass
 class CountryTimings:
-    """Wall-clock seconds spent on one country, split by phase."""
+    """Wall-clock seconds spent on one country, split by phase, and the
+    CPU seconds the country's worker thread used."""
 
     country_code: str
     phase_seconds: Dict[str, float] = field(default_factory=dict)
+    cpu_seconds: float = 0.0
 
     @property
     def total_seconds(self) -> float:
@@ -152,8 +158,6 @@ class ExecMetrics:
         jobs: int = 1,
         wall_seconds: float = 0.0,
         geoloc_engine: str = "",
-        transport: str = "",
-        analysis_engine: str = "",
         registry: Optional[MetricsRegistry] = None,
     ):
         self.backend = backend
@@ -161,13 +165,6 @@ class ExecMetrics:
         #: Constraint engine the geolocation phase ran with ("scalar" or
         #: "columnar"); empty until the first country lands.
         self.geoloc_engine = geoloc_engine
-        #: Result transport the fan-out ran with ("pickle" or
-        #: "columnar"); empty for pre-transport metrics objects.
-        self.transport = transport
-        #: Analysis engine the outcome's accessors run with ("objects"
-        #: or "columnar", after numpy gating); empty for pre-frame
-        #: metrics objects.
-        self.analysis_engine = analysis_engine
         self.registry = registry if registry is not None else MetricsRegistry()
         if wall_seconds:
             self.wall_seconds = wall_seconds
@@ -193,14 +190,21 @@ class ExecMetrics:
         return float(value) if value is not None else 0.0
 
     @property
+    def cpu_seconds(self) -> float:
+        """Sum of per-country CPU seconds (worker thread CPU time)."""
+        value = self.registry.value(CPU_SECONDS)
+        return float(value) if value is not None else 0.0
+
+    @property
     def transport_encode_seconds(self) -> float:
-        """Worker-side encode seconds, summed across countries."""
+        """Worker-side pickling seconds, summed across countries."""
         value = self.registry.value(TRANSPORT_ENCODE_SECONDS)
         return float(value) if value is not None else 0.0
 
     @property
     def transport_decode_seconds(self) -> float:
-        """Coordinator-side decode seconds, summed across countries."""
+        """Coordinator-side unpickling seconds so far: a pickled run is
+        unpickled only when its dataset or geolocation is first read."""
         value = self.registry.value(TRANSPORT_DECODE_SECONDS)
         return float(value) if value is not None else 0.0
 
@@ -221,15 +225,17 @@ class ExecMetrics:
 
     @property
     def transport_bytes(self) -> _SeriesView:
-        """Country code -> encoded result payload bytes (columnar
-        transport on the process backend only; empty when results never
-        crossed a process boundary as frames)."""
+        """Country code -> pickled run payload bytes (process backend
+        only; empty when results never crossed a process boundary)."""
         return _SeriesView(
-            self.registry, TRANSPORT_BYTES, "country", "encoded result payload bytes"
+            self.registry, TRANSPORT_BYTES, "country", "pickled run payload bytes"
         )
 
     # -- recording ----------------------------------------------------
-    def record_country(self, timings: CountryTimings) -> None:
+    def record_country(self, timings: CountryTimings, resumed: bool = False) -> None:
+        """Fold one country's timings in.  A *resumed* country (loaded
+        from a checkpoint) spent its CPU before this fan-out started, so
+        it adds nothing to ``cpu_seconds`` and hence to ``speedup``."""
         # Accumulate the *rounded* total so that, with series preserving
         # insertion order, ``sum(country_seconds.values())`` replays the
         # exact float additions behind ``aggregate_seconds`` — the
@@ -240,24 +246,30 @@ class ExecMetrics:
             AGGREGATE_SECONDS, help="summed per-country worker seconds",
             unit="seconds", runtime=True,
         ).inc(total)
+        self.registry.counter(
+            CPU_SECONDS, help="summed per-country CPU seconds",
+            unit="seconds", runtime=True,
+        ).inc(0.0 if resumed else timings.cpu_seconds)
         phases = self.phase_seconds
         for phase, seconds in timings.phase_seconds.items():
             phases.add(phase, seconds)
 
     def record_transport(
-        self, country_code: str, nbytes: int, encode_seconds: float,
-        decode_seconds: float,
+        self, country_code: str, nbytes: int, encode_seconds: float
     ) -> None:
-        """Fold one country's encoded-frame accounting into the metrics."""
+        """Fold one country's pickled-run accounting into the metrics."""
         self.transport_bytes[country_code] = nbytes
         self.registry.counter(
-            TRANSPORT_ENCODE_SECONDS, help="worker-side frame encode seconds",
+            TRANSPORT_ENCODE_SECONDS, help="worker-side pickling seconds",
             unit="seconds", runtime=True,
         ).inc(encode_seconds)
+
+    def record_decode(self, seconds: float) -> None:
+        """Count one on-demand unpickle of a shipped run."""
         self.registry.counter(
-            TRANSPORT_DECODE_SECONDS, help="coordinator-side frame decode seconds",
+            TRANSPORT_DECODE_SECONDS, help="coordinator-side unpickling seconds",
             unit="seconds", runtime=True,
-        ).inc(decode_seconds)
+        ).inc(seconds)
 
     def _cache_series(self, name: str, op: str):
         return self.registry.counter(
@@ -321,10 +333,10 @@ class ExecMetrics:
 
     @property
     def speedup(self) -> float:
-        """Aggregate country work divided by observed wall time."""
+        """Summed per-country CPU seconds divided by fan-out wall time."""
         if self.wall_seconds <= 0.0:
             return 1.0
-        return self.aggregate_seconds / self.wall_seconds
+        return self.cpu_seconds / self.wall_seconds
 
     def registry_snapshot(self) -> dict:
         """The underlying registry's plain-data snapshot."""
@@ -335,10 +347,9 @@ class ExecMetrics:
             "backend": self.backend,
             "jobs": self.jobs,
             "geoloc_engine": self.geoloc_engine,
-            "transport": self.transport,
-            "analysis_engine": self.analysis_engine,
             "wall_seconds": round(self.wall_seconds, 4),
             "aggregate_seconds": round(self.aggregate_seconds, 4),
+            "cpu_seconds": round(self.cpu_seconds, 4),
             "speedup": round(self.speedup, 3),
             "phase_seconds": {
                 phase: round(seconds, 4)
@@ -356,12 +367,10 @@ class ExecMetrics:
     def render(self) -> str:
         """One human-readable block for the CLI study summary."""
         engine = f" geoloc={self.geoloc_engine}" if self.geoloc_engine else ""
-        transport = f" transport={self.transport}" if self.transport else ""
-        analysis = f" analysis={self.analysis_engine}" if self.analysis_engine else ""
         lines = [
-            f"execution: backend={self.backend} jobs={self.jobs}{engine}{transport}{analysis} "
+            f"execution: backend={self.backend} jobs={self.jobs}{engine} "
             f"wall={self.wall_seconds:.2f}s aggregate={self.aggregate_seconds:.2f}s "
-            f"speedup={self.speedup:.2f}x"
+            f"cpu={self.cpu_seconds:.2f}s speedup={self.speedup:.2f}x"
         ]
         phase_seconds = dict(self.phase_seconds)
 
@@ -380,8 +389,8 @@ class ExecMetrics:
             total_bytes = sum(transport_bytes.values())
             lines.append(
                 f"  {'transport':<14} {total_bytes:8,d}B "
-                f"(encode {self.transport_encode_seconds:.3f}s, "
-                f"decode {self.transport_decode_seconds:.3f}s)"
+                f"(pickle {self.transport_encode_seconds:.3f}s, "
+                f"unpickle {self.transport_decode_seconds:.3f}s)"
             )
             for country, nbytes in sorted(transport_bytes.items()):
                 lines.append(f"    {country:<12} {nbytes:8,d}B")

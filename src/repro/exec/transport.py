@@ -1,1250 +1,123 @@
-"""Columnar result transport for the study fan-out.
+"""How a finished country crosses the process-pool boundary.
 
-The process backend historically shipped each country's entire
-:class:`~repro.exec.worker.CountryRun` across the pool boundary as one
-deep object-graph pickle — every requested host, traceroute hop and
-constraint check serialised as its own object, re-inflated one by one in
-the coordinator.  This module replaces that wall with a compact columnar
-codec: record batches are flattened into fixed-width numpy columns (one
-buffer per field, not one object graph per site) plus a value-interned
-string table, encoded once in the worker and decoded in one pass in the
-coordinator.  Value interning collapses the massive cross-site
-redundancy of web-measurement data (the same tracker hosts appear on
-most sites — the paper's central observation), which `id()`-keyed pickle
-memoisation cannot see once payloads have crossed a JSON or storage
-boundary.
+On the process backend, :class:`TransportWorker` pickles each finished
+:class:`~repro.exec.worker.CountryRun` once (protocol 5) inside the pool
+worker and returns a :class:`PickledCountryRun` instead.  That
+descriptor carries what the coordinator merges and what every figure
+reads — the accounting fields (funnel, timings, cache deltas, events,
+metrics delta, resources, site count) and the joined ``result.sites``
+and ``tracker_verdicts`` — plus the payload bytes of the whole run.
 
-Design points, mirroring the scalar/columnar-oracle pattern of
-:mod:`repro.core.geoloc.columnar` (PR 6):
-
-* The object-graph pickle path stays as the always-available oracle —
-  ``StudyConfig.transport = "pickle" | "columnar"`` /
-  ``gamma study --transport`` selects, and :func:`resolve_transport`
-  falls back to pickle silently when numpy is unavailable.
-* The decoded graph is equal to the original, including the *sharing
-  topology*: memoised traceroutes referenced by many measurements, the
-  dataset/geolocation objects referenced by both the run and its result,
-  and interned strings all decode to shared objects.  Canonical
-  property: ``encode_run(decode_run(encode_run(x))) == encode_run(x)``.
-* Payloads above ``StudyConfig.transport_shm_threshold`` cross the pool
-  boundary through :mod:`multiprocessing.shared_memory` — the pool then
-  pickles only a tiny :class:`EncodedCountryRun` descriptor instead of
-  copying the buffer a second time through the result pipe.
-
-The same codec persists checkpoints (``StudyCheckpoint`` writes
-``<CC>.run.col`` next to the legacy ``.run.pkl``; resume reads both), so
-an interrupted study written under one transport resumes under the
-other.  See ``docs/performance.md`` and ``docs/parallel-execution.md``.
+The coordinator keeps the bytes and unpickles a country only when its
+dataset or geolocation is read (``outcome.datasets[cc]``,
+``outcome.geolocations[cc]``, ``outcome.results[i].dataset``), so a
+study, its summary and its figures never rebuild the per-site
+measurement graph in the coordinator.  Serial and thread runs never
+cross a process boundary and stay plain objects.  See
+``docs/performance.md``.
 """
 
 from __future__ import annotations
 
-import gc
 import pickle
-import struct
-import sys
 import time
-import zlib
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from functools import cached_property
+from typing import Callable, Optional
 
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy is in the standard toolchain
-    _np = None
+from repro.core.analysis.records import CountryStudyResult
 
-HAVE_NUMPY = _np is not None
-
-__all__ = [
-    "HAVE_NUMPY",
-    "TRANSPORTS",
-    "EncodedCountryRun",
-    "FrameRun",
-    "TransportDecodeError",
-    "TransportWorker",
-    "checkpoint_format",
-    "decode_run",
-    "decode_run_frame",
-    "encode_run",
-    "resolve_transport",
-]
-
-#: Selectable transports, oracle first in spirit: "pickle" ships the
-#: object graph (the historical path), "columnar" ships flattened
-#: columns + interned strings.
-TRANSPORTS = ("pickle", "columnar")
-
-_MAGIC = b"CRUN"
-#: Version 2 appended the extras section (metrics delta + resource
-#: profile, PR 8); version 3 appended the per-verdict confidence
-#: sections (flags + scores).  Older payloads (pre-telemetry and
-#: pre-confidence checkpoints) still decode, with the new fields
-#: defaulting to ``None``.
-_VERSION = 3
-_SUPPORTED_VERSIONS = (1, 2, 3)
-_FLAG_ZLIB = 0x01
-#: Bodies below this stay uncompressed (zlib overhead beats the gain).
-_COMPRESS_MIN_BYTES = 4096
-#: zlib level: 6 is within a few percent of 9 on these tables at half
-#: the cost.
-_COMPRESS_LEVEL = 6
-
-#: Per-section dtype codes recorded in the frame: integer columns adapt
-#: to the narrowest width that holds their range, so tiny vocabularies
-#: cost one byte per reference and nothing overflows at scale.
-_CODE_BLOB = 0
-_INT_CODES = {1: "<u1", 2: "<u2", 3: "<u4", 4: "<u8", 5: "<i8"}
-_CODE_F8 = 6
-#: Float columns whose values are exactly representable as value*1000
-#: integers (RTT samples are milliseconds rounded to three decimals)
-#: ship as scaled integer columns: code = int code + offset.
-_SCALED_OFFSET = 8
-_F8 = "<f8"
+__all__ = ["PickledCountryRun", "TransportWorker"]
 
 
-class TransportDecodeError(ValueError):
-    """The payload is not a valid columnar ``CountryRun`` encoding."""
+class PickledCountryRun:
+    """One country's run as shipped back by a pool worker.
 
-
-def resolve_transport(name: str) -> str:
-    """The transport that will actually run (numpy gates "columnar")."""
-    if name not in TRANSPORTS:
-        raise ValueError(
-            f"unknown transport {name!r}; expected one of {TRANSPORTS}"
-        )
-    if name == "columnar" and not HAVE_NUMPY:
-        return "pickle"  # silent fallback, same contract as PipelineConfig
-    return name
-
-
-def checkpoint_format(transport: str) -> str:
-    """Checkpoint file format ("pkl"/"col") for a resolved transport."""
-    return "col" if transport == "columnar" else "pkl"
-
-
-# -- framing -----------------------------------------------------------------
-
-
-class _Writer:
-    """Accumulates typed sections; renders one length-framed body."""
-
-    def __init__(self):
-        self._sections: List[bytes] = []
-        self._codes: List[int] = []
-
-    @staticmethod
-    def _int_code(values) -> int:
-        if not values:
-            return 1
-        low, high = min(values), max(values)
-        if low < 0:
-            return 5
-        if high <= 0xFF:
-            return 1
-        if high <= 0xFFFF:
-            return 2
-        if high <= 0xFFFFFFFF:
-            return 3
-        return 4
-
-    def ints(self, values) -> None:
-        code = self._int_code(values)
-        self._codes.append(code)
-        self._sections.append(
-            _np.asarray(values, dtype=_INT_CODES[code]).tobytes()
-        )
-
-    def floats(self, values) -> None:
-        if values and self._scaled(values):
-            return
-        self._codes.append(_CODE_F8)
-        self._sections.append(_np.asarray(values, dtype=_F8).tobytes())
-
-    def _scaled(self, values) -> bool:
-        """Ship ``values`` as exact value*1000 integers when lossless."""
-        array = _np.asarray(values, dtype=_F8)
-        if not _np.all(_np.isfinite(array)):
-            return False
-        with _np.errstate(over="ignore"):  # huge doubles overflow to inf...
-            scaled = _np.round(array * 1000.0)
-        if _np.any(_np.abs(scaled) > 2.0 ** 52):  # ...and fall back to f8 here
-            return False
-        # The decoder computes int / 1000.0 in float64; only columns
-        # where that reproduces every double bit-for-bit may scale
-        # (tobytes, not ==: -0.0 equals 0.0 but has different bits, and
-        # the integer conversion below drops a negative zero's sign).
-        as_ints = scaled.astype("<i8")
-        if (as_ints / 1000.0).tobytes() != array.tobytes():
-            return False
-        ints = as_ints.tolist()
-        code = self._int_code(ints)
-        self._codes.append(code + _SCALED_OFFSET)
-        self._sections.append(
-            _np.asarray(ints, dtype=_INT_CODES[code]).tobytes()
-        )
-        return True
-
-    def blob(self, data: bytes) -> None:
-        self._codes.append(_CODE_BLOB)
-        self._sections.append(bytes(data))
-
-    def render(self) -> bytes:
-        lengths = _np.asarray(
-            [len(section) for section in self._sections], dtype="<u8"
-        ).tobytes()
-        codes = bytes(self._codes)
-        return b"".join(
-            [struct.pack("<I", len(self._sections)), lengths, codes]
-            + self._sections
-        )
-
-
-class _Reader:
-    """Iterates the sections of a :class:`_Writer` body, in order."""
-
-    def __init__(self, body: bytes):
-        view = memoryview(body)
-        if len(view) < 4:
-            raise TransportDecodeError("truncated body")
-        (count,) = struct.unpack_from("<I", view, 0)
-        head_end = 4 + 9 * count  # u8 length + u1 dtype code per section
-        if len(view) < head_end:
-            raise TransportDecodeError("truncated section table")
-        lengths = _np.frombuffer(view, dtype="<u8", count=count, offset=4)
-        self._codes = bytes(view[4 + 8 * count:head_end])
-        self._view = view
-        self._offsets = [head_end]
-        for length in lengths.tolist():
-            self._offsets.append(self._offsets[-1] + length)
-        if self._offsets[-1] != len(view):
-            raise TransportDecodeError("section table does not span the body")
-        self._next = 0
-
-    def _section(self):
-        index = self._next
-        if index + 1 >= len(self._offsets):
-            raise TransportDecodeError("ran out of sections")
-        self._next = index + 1
-        code = self._codes[index]
-        return code, self._view[self._offsets[index]:self._offsets[index + 1]]
-
-    def skip(self) -> None:
-        """Advance past a section without materialising it."""
-        self._section()
-
-    def ints(self) -> List[int]:
-        code, section = self._section()
-        dtype = _INT_CODES.get(code)
-        if dtype is None:
-            raise TransportDecodeError(f"expected an integer column, got {code}")
-        return _np.frombuffer(section, dtype=dtype).tolist()
-
-    def ints_array(self):
-        """Integer section as an int64 numpy column (frame decode path)."""
-        code, section = self._section()
-        dtype = _INT_CODES.get(code)
-        if dtype is None:
-            raise TransportDecodeError(f"expected an integer column, got {code}")
-        return _np.frombuffer(section, dtype=dtype).astype(_np.int64)
-
-    def floats(self) -> List[float]:
-        code, section = self._section()
-        if code == _CODE_F8:
-            return _np.frombuffer(section, dtype=_F8).tolist()
-        dtype = _INT_CODES.get(code - _SCALED_OFFSET)
-        if dtype is None:
-            raise TransportDecodeError(f"expected a float column, got {code}")
-        return (_np.frombuffer(section, dtype=dtype) / 1000.0).tolist()
-
-    def blob(self) -> bytes:
-        code, section = self._section()
-        if code != _CODE_BLOB:
-            raise TransportDecodeError(f"expected a blob section, got {code}")
-        return bytes(section)
-
-
-# -- encoding ----------------------------------------------------------------
-
-
-class _Encoder:
-    """One-pass flattening of a ``CountryRun`` into columns.
-
-    Strings intern by *value* (slot 0 reserved for ``None``); composite
-    vocabularies — cities, geo claims, traceroutes, datasets,
-    geolocations — dedupe by *identity*, which is exactly what preserves
-    the object graph's sharing topology through the round trip.
+    Reads like a :class:`~repro.exec.worker.CountryRun`: everything but
+    ``dataset`` and ``geolocation`` is available without touching
+    ``payload``; those two unpickle the full run on first use
+    (:meth:`load`, cached).
     """
 
-    def __init__(self):
-        self._strings: List[str] = []
-        self._string_ids: Dict[str, int] = {}
-        self._cities: List[object] = []
-        self._city_ids: Dict[int, int] = {}
-        self._claims: List[object] = []
-        self._claim_ids: Dict[int, int] = {}
-        self._traces: List[object] = []
-        self._trace_ids: Dict[int, int] = {}
-        self._datasets: List[object] = []
-        self._dataset_ids: Dict[int, int] = {}
-        self._geos: List[object] = []
-        self._geo_ids: Dict[int, int] = {}
-
-    # -- vocabularies --------------------------------------------------------
-    def sid(self, value: Optional[str]) -> int:
-        if value is None:
-            return 0
-        ids = self._string_ids
-        index = ids.get(value)
-        if index is None:
-            self._strings.append(value)
-            index = len(self._strings)  # ids are 1-based; 0 is None
-            ids[value] = index
-        return index
-
-    @staticmethod
-    def _vocab_id(obj, objects: List[object], ids: Dict[int, int]) -> int:
-        key = id(obj)
-        index = ids.get(key)
-        if index is None:
-            index = len(objects)
-            ids[key] = index
-            objects.append(obj)
-        return index
-
-    def city_id(self, city) -> int:
-        return self._vocab_id(city, self._cities, self._city_ids)
-
-    def claim_id(self, claim) -> int:
-        return self._vocab_id(claim, self._claims, self._claim_ids)
-
-    def trace_id(self, trace) -> int:
-        return self._vocab_id(trace, self._traces, self._trace_ids)
-
-    def dataset_id(self, dataset) -> int:
-        return self._vocab_id(dataset, self._datasets, self._dataset_ids)
-
-    def geo_id(self, geo) -> int:
-        return self._vocab_id(geo, self._geos, self._geo_ids)
-
-    # -- walk ----------------------------------------------------------------
-    def encode(self, run) -> bytes:
-        sid = self.sid
-        writer = _Writer()
-
-        # Discover every dataset/geolocation first (run + result usually
-        # share one of each; the vocabulary keeps either topology).
-        run_ds = self.dataset_id(run.dataset)
-        run_geo = self.geo_id(run.geolocation)
-        result = run.result
-        res_ds = self.dataset_id(result.dataset)
-        res_geo = self.geo_id(result.geolocation)
-
-        dataset_cols = self._dataset_columns()
-        geo_cols = self._geo_columns()
-        result_cols = self._result_columns(result, res_ds, res_geo)
-        trace_cols = self._trace_columns()
-        claim_cols = [
-            value
-            for claim in self._claims
-            for value in (
-                sid(claim.address), self.city_id(claim.city), sid(claim.source),
-            )
-        ]
-        city_name_ids = [sid(city.name) for city in self._cities]
-        city_cc_ids = [sid(city.country_code) for city in self._cities]
-        city_coords = [
-            value for city in self._cities for value in (city.lat, city.lon)
-        ]
-
-        timings = run.timings
-        timing_ids = [sid(timings.country_code), len(timings.phase_seconds)]
-        timing_ids.extend(sid(phase) for phase in timings.phase_seconds)
-        timing_secs = list(timings.phase_seconds.values())
-
-        cache_name_ids = [sid(name) for name in run.cache_deltas]
-        cache_ints = [
-            value
-            for counters in run.cache_deltas.values()
-            for value in (counters["hits"], counters["misses"], counters["size"])
-        ]
-
-        events = run.events
-        extras = None
-        if run.metrics_delta is not None or run.resources is not None:
-            extras = (run.metrics_delta, run.resources)
-        run_cols = [
-            sid(run.country_code), run_ds, run_geo,
-            sid(run.source_trace_origin), sid(run.geoloc_engine),
-            0 if events is None else 1,
-            0 if extras is None else 1,
-        ]
-
-        # String table and all columns are complete: render in schema
-        # order (decode reads them back positionally).
-        encoded_strings = [value.encode("utf-8") for value in self._strings]
-        writer.blob(b"".join(encoded_strings))
-        writer.ints([len(value) for value in encoded_strings])
-        writer.ints(city_name_ids)
-        writer.ints(city_cc_ids)
-        writer.floats(city_coords)
-        writer.ints(claim_cols)
-        for kind, column in trace_cols + dataset_cols + geo_cols + result_cols:
-            if kind == "f":
-                writer.floats(column)
-            else:
-                writer.ints(column)
-        writer.ints(run_cols)
-        writer.ints(timing_ids)
-        writer.floats(timing_secs)
-        writer.ints(cache_name_ids)
-        writer.ints(cache_ints)
-        writer.blob(b"" if events is None else pickle.dumps(events))
-        writer.blob(b"" if extras is None else pickle.dumps(extras))
-        return writer.render()
-
-    def _trace_columns(self):
-        sid = self.sid
-        trace_cols: List[int] = []
-        hop_cols: List[int] = []
-        rtts: List[float] = []
-        # self._traces grows while datasets are walked *before* this
-        # runs; iteration here is over the final vocabulary.
-        extend_hops = hop_cols.extend
-        extend_rtts = rtts.extend
-        for trace in self._traces:
-            hops = trace.hops
-            trace_cols.extend(
-                (sid(trace.target), 1 if trace.reached else 0,
-                 sid(trace.tool), len(hops))
-            )
-            for hop in hops:
-                # This is the single hottest loop in the encoder; with
-                # ``__slots__`` on NormalizedHop these attribute reads
-                # are direct slot loads, cheaper than the instance-dict
-                # probing the pre-slots encoder did.
-                samples = hop.rtts_ms
-                extend_hops((hop.hop, sid(hop.address), len(samples)))
-                extend_rtts(samples)
-        return [("i", trace_cols), ("i", hop_cols), ("f", rtts)]
-
-    def _dataset_columns(self):
-        sid = self.sid
-        dataset_cols: List[int] = []
-        site_cols: List[int] = []
-        req_ids: List[int] = []
-        bg_ids: List[int] = []
-        dns_ids: List[int] = []
-        rdns_ids: List[int] = []
-        tr_ids: List[int] = []
-        hard_ids: List[int] = []
-        for dataset in self._datasets:
-            websites = dataset.websites
-            dataset_cols.extend((
-                sid(dataset.country_code), sid(dataset.city_key),
-                sid(dataset.volunteer_ip), sid(dataset.os_name),
-                sid(dataset.browser), len(websites),
-            ))
-            for key, m in websites.items():
-                site_cols.extend((
-                    sid(key), sid(m.url), sid(m.category),
-                    1 if m.loaded else 0, sid(m.failure_reason),
-                    sid(m.page_html),
-                    len(m.requested_hosts), len(m.background_hosts),
-                    len(m.dns), len(m.rdns), len(m.traceroutes),
-                    len(m.hardcoded_domains),
-                ))
-                req_ids.extend(map(sid, m.requested_hosts))
-                bg_ids.extend(map(sid, m.background_hosts))
-                for host, address in m.dns.items():
-                    dns_ids.extend((sid(host), sid(address)))
-                for address, ptr in m.rdns.items():
-                    rdns_ids.extend((sid(address), sid(ptr)))
-                for address, trace in m.traceroutes.items():
-                    tr_ids.extend((sid(address), self.trace_id(trace)))
-                hard_ids.extend(map(sid, m.hardcoded_domains))
-        return [
-            ("i", dataset_cols), ("i", site_cols), ("i", req_ids),
-            ("i", bg_ids), ("i", dns_ids), ("i", rdns_ids), ("i", tr_ids),
-            ("i", hard_ids),
-        ]
-
-    def _geo_columns(self):
-        sid = self.sid
-        geo_cols: List[int] = []
-        h2a_ids: List[int] = []
-        verdict_cols: List[int] = []
-        vhost_ids: List[int] = []
-        check_cols: List[int] = []
-        check_floats: List[float] = []
-        conf_flags: List[int] = []
-        conf_vals: List[float] = []
-        for geo in self._geos:
-            funnel = geo.funnel
-            geo_cols.extend((
-                sid(geo.country_code),
-                funnel.total_hosts, funnel.unlocated, funnel.local,
-                funnel.nonlocal_candidates, funnel.discarded_source,
-                funnel.discarded_destination, funnel.discarded_rdns,
-                funnel.verified_nonlocal, funnel.destination_traceroutes,
-                len(geo.host_to_address), len(geo.verdicts),
-            ))
-            for host, address in geo.host_to_address.items():
-                h2a_ids.extend((sid(host), sid(address)))
-            for key, verdict in geo.verdicts.items():
-                claim = verdict.claim
-                # Confidence annotation (v3): flag + value per verdict,
-                # so confidence-off payloads pay one zero byte per row.
-                confidence = verdict.confidence
-                if confidence is None:
-                    conf_flags.append(0)
-                else:
-                    conf_flags.append(1)
-                    conf_vals.append(confidence)
-                verdict_cols.extend((
-                    sid(key), sid(verdict.address), sid(verdict.status),
-                    0 if claim is None else self.claim_id(claim) + 1,
-                    sid(verdict.discarded_by),
-                    len(verdict.hosts), len(verdict.checks),
-                ))
-                vhost_ids.extend(map(sid, verdict.hosts))
-                for check in verdict.checks:
-                    flags = 0
-                    if check.observed_ms is not None:
-                        flags |= 1
-                        check_floats.append(check.observed_ms)
-                    if check.expected_ms is not None:
-                        flags |= 2
-                        check_floats.append(check.expected_ms)
-                    check_cols.extend((
-                        sid(check.constraint), sid(check.status),
-                        sid(check.reason), flags,
-                    ))
-        return [
-            ("i", geo_cols), ("i", h2a_ids), ("i", verdict_cols),
-            ("i", vhost_ids), ("i", check_cols), ("f", check_floats),
-            ("i", conf_flags), ("f", conf_vals),
-        ]
-
-    def _result_columns(self, result, ds_index: int, geo_index: int):
-        sid = self.sid
-        result_cols = [
-            sid(result.country_code), ds_index, geo_index,
-            len(result.tracker_verdicts), len(result.sites),
-        ]
-        tv_cols: List[int] = []
-        for key, verdict in result.tracker_verdicts.items():
-            tv_cols.extend((
-                sid(key), sid(verdict.host), 1 if verdict.is_tracker else 0,
-                sid(verdict.method), sid(verdict.list_name),
-                sid(verdict.org_name),
-            ))
-        site_cols: List[int] = []
-        tracker_cols: List[int] = []
-        for site in result.sites:
-            site_cols.extend((
-                sid(site.url), sid(site.country_code), sid(site.category),
-                len(site.trackers),
-            ))
-            for tracker in site.trackers:
-                tracker_cols.extend((
-                    sid(tracker.host), sid(tracker.address),
-                    sid(tracker.destination_country),
-                    sid(tracker.destination_city_key), sid(tracker.org_name),
-                ))
-        return [
-            ("i", result_cols), ("i", tv_cols), ("i", site_cols),
-            ("i", tracker_cols),
-        ]
-
-
-def encode_run(run, *, compress: bool = True) -> bytes:
-    """Encode one ``CountryRun`` into the columnar wire format."""
-    if not HAVE_NUMPY:  # pragma: no cover - callers gate on resolve_transport
-        raise RuntimeError("columnar transport requires numpy")
-    body = _Encoder().encode(run)
-    flags = 0
-    if compress and len(body) >= _COMPRESS_MIN_BYTES:
-        flags |= _FLAG_ZLIB
-        body = zlib.compress(body, _COMPRESS_LEVEL)
-    return b"".join((_MAGIC, bytes((_VERSION, flags)), body))
-
-
-# -- decoding ----------------------------------------------------------------
-
-
-def _state_maker(cls):
-    """pickle-style construction for the bulk record types.
-
-    ``__new__`` plus a state fill skips the generated dataclass
-    ``__init__`` — the same shortcut ``pickle.loads`` takes — which is
-    ~3x faster across the tens of thousands of hops/measurements a
-    study-scale run decodes.  The state dict must list keys in field
-    order so a re-pickle of the decoded object is byte-identical to one
-    built through ``__init__``.  Dict-backed classes take the state dict
-    wholesale; ``__slots__``-backed ones (the hot measurement records)
-    get a per-slot fill, probed once per class here.
-    """
-    new = cls.__new__
-    if not hasattr(new(cls), "__dict__"):  # slots-backed record
-        def make(state, _new=new, _cls=cls, _set=object.__setattr__):
-            obj = _new(_cls)
-            for key, value in state.items():
-                _set(obj, key, value)
-            return obj
-
-    elif cls.__dataclass_params__.frozen:
-        set_ = object.__setattr__  # frozen __setattr__ would refuse
-
-        def make(state, _new=new, _cls=cls, _set=set_):
-            obj = _new(_cls)
-            _set(obj, "__dict__", state)
-            return obj
-
-    else:
-
-        def make(state, _new=new, _cls=cls):
-            obj = _new(_cls)
-            obj.__dict__ = state
-            return obj
-
-    return make
-
-
-def _read_string_table(reader: _Reader) -> List[Optional[str]]:
-    """Decode the interned string table (sections 1-2 of every body).
-
-    One decode of the whole blob, sliced by lengths (byte counts; only a
-    non-ASCII blob needs the per-string decode).  Entries are
-    sys.intern-ed: the table is already deduped so the cost is one dict
-    probe per unique string, and interning makes decoded
-    identifier-like strings ("local", "rdns", country codes) the same
-    objects as their compile-time-interned twins — which is what keeps
-    the round trip pickle-byte-identical on graphs whose equal strings
-    are shared by value.
-    """
-    intern = sys.intern
-    raw = reader.blob()
-    text = raw.decode("utf-8")
-    byte_lengths = reader.ints()
-    table: List[Optional[str]] = [None]
-    offset = 0
-    if len(text) == len(raw):  # pure ASCII: byte offsets == char offsets
-        for length in byte_lengths:
-            table.append(intern(text[offset:offset + length]))
-            offset += length
-    else:
-        for length in byte_lengths:
-            table.append(intern(raw[offset:offset + length].decode("utf-8")))
-            offset += length
-    return table
-
-
-def _open_body(payload: bytes):
-    """Validate framing, decompress, and position a reader at section 1."""
-    if payload[:4] != _MAGIC:
-        raise TransportDecodeError("bad magic: not a columnar CountryRun")
-    version = payload[4]
-    if version not in _SUPPORTED_VERSIONS:
-        raise TransportDecodeError(f"unsupported version {version}")
-    body = payload[6:]
-    if payload[5] & _FLAG_ZLIB:
-        try:
-            body = zlib.decompress(body)
-        except zlib.error as error:
-            raise TransportDecodeError(f"corrupt body: {error}") from error
-    return version, _Reader(body)
-
-
-def decode_run(payload: bytes):
-    """Inverse of :func:`encode_run`: rebuild the ``CountryRun`` graph.
-
-    Collection is paused for the build: decoding allocates tens of
-    thousands of fresh containers, and generation-0 sweeps roughly
-    triple the decode time even though a half-built graph holds no
-    collectable garbage.  Owning the transport layer makes the pause
-    possible — the pickle path deserializes inside the executor's
-    result machinery where no such hook exists.
-    """
-    if not HAVE_NUMPY:  # pragma: no cover - callers gate on resolve_transport
-        raise RuntimeError("columnar transport requires numpy")
-    enabled = gc.isenabled()
-    if enabled:
-        gc.disable()
-    try:
-        return _decode_graph(payload)
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _decode_graph(payload: bytes):
-    from repro.core.analysis.records import (
-        CountryStudyResult,
-        NonLocalTracker,
-        SiteTrackerRecord,
-    )
-    from repro.core.gamma.output import VolunteerDataset, WebsiteMeasurement
-    from repro.core.gamma.parsers import NormalizedHop, NormalizedTraceroute
-    from repro.core.geoloc.constraints import ConstraintResult
-    from repro.core.geoloc.verdicts import (
-        DatasetGeolocation,
-        FunnelCounters,
-        ServerVerdict,
-    )
-    from repro.core.trackers.identify import TrackerVerdict
-    from repro.exec.metrics import CountryTimings
-    from repro.exec.worker import CountryRun
-    from repro.geodb.ipmap import GeoClaim
-    from repro.netsim.geography import City
-
-    version, reader = _open_body(payload)
-    table = _read_string_table(reader)
-    s = table.__getitem__
-
-    # pickle-speed constructors for the record types decoded in bulk.
-    make_city = _state_maker(City)
-    make_claim = _state_maker(GeoClaim)
-    make_hop = _state_maker(NormalizedHop)
-    make_trace = _state_maker(NormalizedTraceroute)
-    make_measurement = _state_maker(WebsiteMeasurement)
-    make_check = _state_maker(ConstraintResult)
-    make_verdict = _state_maker(ServerVerdict)
-    make_tracker_verdict = _state_maker(TrackerVerdict)
-    make_site = _state_maker(SiteTrackerRecord)
-    make_tracker = _state_maker(NonLocalTracker)
-
-    city_name_ids = reader.ints()
-    city_cc_ids = reader.ints()
-    city_coords = reader.floats()
-    coord_it = iter(city_coords)
-    cities = [
-        make_city({"name": s(name), "country_code": s(cc),
-                   "lat": lat, "lon": lon})
-        for (name, cc), lat, lon in zip(
-            zip(city_name_ids, city_cc_ids), coord_it, coord_it)
-    ]
-
-    claim_cols = reader.ints()
-    claim_it = iter(claim_cols)
-    claims = [
-        make_claim({"address": s(address), "city": cities[city],
-                    "source": s(source)})
-        for address, city, source in zip(claim_it, claim_it, claim_it)
-    ]
-
-    trace_cols = reader.ints()
-    hop_cols = reader.ints()
-    rtts = reader.floats()
-    traces: List[NormalizedTraceroute] = []
-    hop_it = iter(hop_cols)
-    hop_triples = zip(hop_it, hop_it, hop_it)
-    trace_it = iter(trace_cols)
-    rtt_at = 0
-    for target, reached, tool, n_hops in zip(
-            trace_it, trace_it, trace_it, trace_it):
-        hops: List[NormalizedHop] = []
-        append_hop = hops.append
-        for _ in range(n_hops):
-            hop, address, n_rtts = next(hop_triples)
-            append_hop(make_hop({
-                "hop": hop, "address": s(address),
-                "rtts_ms": tuple(rtts[rtt_at:rtt_at + n_rtts]),
-            }))
-            rtt_at += n_rtts
-        traces.append(make_trace({
-            "target": s(target), "reached": bool(reached),
-            "hops": hops, "tool": s(tool),
-        }))
-
-    dataset_cols = reader.ints()
-    site_cols = reader.ints()
-    req_ids = reader.ints()
-    bg_ids = reader.ints()
-    dns_ids = reader.ints()
-    rdns_ids = reader.ints()
-    tr_ids = reader.ints()
-    hard_ids = reader.ints()
-    datasets: List[VolunteerDataset] = []
-    site_at = req_at = bg_at = dns_at = rdns_at = tr_at = hard_at = 0
-    for i in range(0, len(dataset_cols), 6):
-        dataset = VolunteerDataset(
-            country_code=s(dataset_cols[i]), city_key=s(dataset_cols[i + 1]),
-            volunteer_ip=s(dataset_cols[i + 2]), os_name=s(dataset_cols[i + 3]),
-            browser=s(dataset_cols[i + 4]),
-        )
-        for _ in range(dataset_cols[i + 5]):
-            row = site_cols[12 * site_at:12 * site_at + 12]
-            site_at += 1
-            n_req, n_bg, n_dns, n_rdns, n_tr, n_hard = row[6:]
-            measurement = make_measurement({
-                "url": s(row[1]), "category": s(row[2]),
-                "loaded": bool(row[3]),
-                "requested_hosts":
-                    list(map(s, req_ids[req_at:req_at + n_req])),
-                "background_hosts":
-                    list(map(s, bg_ids[bg_at:bg_at + n_bg])),
-                "dns": {
-                    s(dns_ids[j]): s(dns_ids[j + 1])
-                    for j in range(dns_at, dns_at + 2 * n_dns, 2)
-                },
-                "rdns": {
-                    s(rdns_ids[j]): s(rdns_ids[j + 1])
-                    for j in range(rdns_at, rdns_at + 2 * n_rdns, 2)
-                },
-                "traceroutes": {
-                    s(tr_ids[j]): traces[tr_ids[j + 1]]
-                    for j in range(tr_at, tr_at + 2 * n_tr, 2)
-                },
-                "failure_reason": s(row[4]), "page_html": s(row[5]),
-                "hardcoded_domains":
-                    list(map(s, hard_ids[hard_at:hard_at + n_hard])),
-            })
-            dataset.websites[s(row[0])] = measurement
-            req_at += n_req
-            bg_at += n_bg
-            dns_at += 2 * n_dns
-            rdns_at += 2 * n_rdns
-            tr_at += 2 * n_tr
-            hard_at += n_hard
-        datasets.append(dataset)
-
-    geo_cols = reader.ints()
-    h2a_ids = reader.ints()
-    verdict_cols = reader.ints()
-    vhost_ids = reader.ints()
-    check_cols = reader.ints()
-    check_floats = reader.floats()
-    conf_flags = conf_vals = None
-    if version >= 3:
-        conf_flags = reader.ints()
-        conf_vals = reader.floats()
-    geos: List[DatasetGeolocation] = []
-    h2a_at = verdict_at = vhost_at = check_at = cfloat_at = conf_at = 0
-    for i in range(0, len(geo_cols), 12):
-        geo = DatasetGeolocation(
-            country_code=s(geo_cols[i]),
-            funnel=FunnelCounters(*geo_cols[i + 1:i + 10]),
-        )
-        n_h2a, n_verdicts = geo_cols[i + 10], geo_cols[i + 11]
-        geo.host_to_address = {
-            s(h2a_ids[j]): s(h2a_ids[j + 1])
-            for j in range(h2a_at, h2a_at + 2 * n_h2a, 2)
-        }
-        h2a_at += 2 * n_h2a
-        for _ in range(n_verdicts):
-            row = verdict_cols[7 * verdict_at:7 * verdict_at + 7]
-            confidence = None
-            if conf_flags is not None and conf_flags[verdict_at]:
-                confidence = conf_vals[conf_at]
-                conf_at += 1
-            verdict_at += 1
-            n_hosts, n_checks = row[5], row[6]
-            checks: List[ConstraintResult] = []
-            for j in range(check_at, check_at + n_checks):
-                flags = check_cols[4 * j + 3]
-                observed = expected = None
-                if flags & 1:
-                    observed = check_floats[cfloat_at]
-                    cfloat_at += 1
-                if flags & 2:
-                    expected = check_floats[cfloat_at]
-                    cfloat_at += 1
-                checks.append(make_check({
-                    "constraint": s(check_cols[4 * j]),
-                    "status": s(check_cols[4 * j + 1]),
-                    "reason": s(check_cols[4 * j + 2]),
-                    "observed_ms": observed, "expected_ms": expected,
-                }))
-            check_at += n_checks
-            geo.verdicts[s(row[0])] = make_verdict({
-                "address": s(row[1]),
-                "hosts": list(map(s, vhost_ids[vhost_at:vhost_at + n_hosts])),
-                "status": s(row[2]),
-                "claim": None if row[3] == 0 else claims[row[3] - 1],
-                "discarded_by": s(row[4]),
-                "checks": checks,
-                "confidence": confidence,
-            })
-            vhost_at += n_hosts
-        geos.append(geo)
-
-    result_cols = reader.ints()
-    tv_cols = reader.ints()
-    rsite_cols = reader.ints()
-    rtrk_cols = reader.ints()
-    result = CountryStudyResult(
-        country_code=s(result_cols[0]),
-        dataset=datasets[result_cols[1]],
-        geolocation=geos[result_cols[2]],
-    )
-    for i in range(0, 6 * result_cols[3], 6):
-        result.tracker_verdicts[s(tv_cols[i])] = make_tracker_verdict({
-            "host": s(tv_cols[i + 1]), "is_tracker": bool(tv_cols[i + 2]),
-            "method": s(tv_cols[i + 3]), "list_name": s(tv_cols[i + 4]),
-            "org_name": s(tv_cols[i + 5]),
-        })
-    trk_it = iter(rtrk_cols)
-    trk_quints = zip(trk_it, trk_it, trk_it, trk_it, trk_it)
-    for i in range(0, 4 * result_cols[4], 4):
-        trackers: List[NonLocalTracker] = []
-        for _ in range(rsite_cols[i + 3]):
-            host, address, dest_cc, dest_city, org = next(trk_quints)
-            trackers.append(make_tracker({
-                "host": s(host), "address": s(address),
-                "destination_country": s(dest_cc),
-                "destination_city_key": s(dest_city),
-                "org_name": s(org),
-            }))
-        result.sites.append(make_site({
-            "url": s(rsite_cols[i]), "country_code": s(rsite_cols[i + 1]),
-            "category": s(rsite_cols[i + 2]), "trackers": trackers,
-        }))
-
-    run_cols = reader.ints()
-    timing_ids = reader.ints()
-    timing_secs = reader.floats()
-    timings = CountryTimings(s(timing_ids[0]) or "")
-    for index in range(timing_ids[1]):
-        timings.phase_seconds[s(timing_ids[2 + index])] = timing_secs[index]
-
-    cache_name_ids = reader.ints()
-    cache_ints = reader.ints()
-    cache_deltas = {
-        s(name): {
-            "hits": cache_ints[3 * i],
-            "misses": cache_ints[3 * i + 1],
-            "size": cache_ints[3 * i + 2],
-        }
-        for i, name in enumerate(cache_name_ids)
-    }
-
-    events_blob = reader.blob()
-    events = None if run_cols[5] == 0 else pickle.loads(events_blob)
-
-    metrics_delta = resources = None
-    if version >= 2:
-        extras_blob = reader.blob()
-        if run_cols[6]:
-            metrics_delta, resources = pickle.loads(extras_blob)
-
-    return CountryRun(
-        country_code=s(run_cols[0]),
-        dataset=datasets[run_cols[1]],
-        geolocation=geos[run_cols[2]],
-        result=result,
-        source_trace_origin=s(run_cols[3]) or "",
-        timings=timings,
-        geoloc_engine=s(run_cols[4]) or "",
-        cache_deltas=cache_deltas,
-        events=events,
-        metrics_delta=metrics_delta,
-        resources=resources,
-    )
-
-
-# -- light decode: frame-backed results --------------------------------------
-
-
-@dataclass
-class FrameRun:
-    """A light-decoded country result: columnar frame + run metadata.
-
-    Produced by :func:`decode_run_frame` under the columnar analysis
-    engine: the result and dataset relations stay numpy columns (a
-    :class:`~repro.core.analysis.frames.CountryFrame`), while the
-    everything-else sections of the payload are skipped, not
-    materialised.  Carries every scalar the coordinator's merge,
-    metrics, and journal paths touch (funnel, timings, cache deltas,
-    events, telemetry extras), so assembling a ``StudyOutcome`` does not
-    force the object graph.  The original payload is retained:
-    ``load()`` performs the full :func:`decode_run` on demand (single
-    use) for accessors the frame does not serve.
-    """
-
-    country_code: str
-    frame: object
-    funnel: object
-    timings: object
-    source_trace_origin: str
-    geoloc_engine: str
-    cache_deltas: Dict[str, Dict[str, int]]
-    events: Optional[list]
-    metrics_delta: Optional[dict]
-    resources: Optional[dict]
-    sites: int
-    payload: Optional[bytes] = None
-
-    def load(self):
-        """Full object-graph decode of the retained payload (single use)."""
-        if self.payload is None:
-            raise ValueError(f"{self.country_code}: payload already consumed")
-        payload = self.payload
-        self.payload = None
-        return decode_run(payload)
-
-
-def decode_run_frame(payload: bytes) -> FrameRun:
-    """Light decode: columns the analysis layer needs, nothing inflated.
-
-    Reads the same body as :func:`decode_run` but keeps the result
-    relation (per-site urls/categories, per-tracker host/address/
-    destination/org), the run dataset's site relation (keys, urls,
-    loaded flags, requested hosts — the cross-country analysis' input),
-    the funnel, timings, caches, events, and telemetry extras.  The
-    city/claim/traceroute/geolocation sections — the bulk of the object
-    graph — are skipped positionally without allocation, which is what
-    makes coordinator memory sublinear in site count.
-    """
-    if not HAVE_NUMPY:  # pragma: no cover - callers gate on the engine
-        raise RuntimeError("frame decode requires numpy")
-    from repro.core.analysis.frames import CountryFrame
-    from repro.core.geoloc.verdicts import FunnelCounters
-    from repro.exec.metrics import CountryTimings
-
-    version, reader = _open_body(payload)
-    table = _read_string_table(reader)
-    s = table.__getitem__
-
-    for _ in range(7):  # city names/ccs/coords, claims, traces, hops, rtts
-        reader.skip()
-    dataset_cols = reader.ints()
-    site_cols = reader.ints_array()
-    req_ids = reader.ints_array()
-    for _ in range(5):  # background, dns, rdns, traceroute refs, hardcoded
-        reader.skip()
-    geo_cols = reader.ints()
-    reader.skip()  # host->address pairs
-    verdict_cols = None
-    if version >= 3:
-        verdict_cols = reader.ints_array()
-    else:
-        reader.skip()
-    for _ in range(3):  # verdict hosts, checks x2
-        reader.skip()
-    conf_flags = conf_vals = None
-    if version >= 3:
-        conf_flags = reader.ints_array()
-        conf_vals = reader.floats()
-    result_cols = reader.ints()
-    reader.skip()  # tracker-verdict columns
-    rsite_cols = reader.ints_array()
-    rtrk_cols = reader.ints_array()
-    run_cols = reader.ints()
-    timing_ids = reader.ints()
-    timing_secs = reader.floats()
-    cache_name_ids = reader.ints()
-    cache_ints = reader.ints()
-    events_blob = reader.blob()
-    events = None if run_cols[5] == 0 else pickle.loads(events_blob)
-    metrics_delta = resources = None
-    if version >= 2:
-        extras_blob = reader.blob()
-        if run_cols[6]:
-            metrics_delta, resources = pickle.loads(extras_blob)
-
-    # Result relation -> frame columns (no NonLocalTracker allocation).
-    rsite = rsite_cols.reshape(-1, 4)
-    rtrk = rtrk_cols.reshape(-1, 5)
-    tracker_start = _np.zeros(len(rsite) + 1, dtype=_np.int64)
-    _np.cumsum(rsite[:, 3], out=tracker_start[1:])
-
-    # Run dataset's site relation, sliced out of the global site table.
-    site_table = site_cols.reshape(-1, 12)
-    n_sites_per_dataset = dataset_cols[5::6]
-    ds = run_cols[1]
-    site_lo = sum(n_sites_per_dataset[:ds])
-    site_hi = site_lo + n_sites_per_dataset[ds]
-    req_start = _np.zeros(len(site_table) + 1, dtype=_np.int64)
-    _np.cumsum(site_table[:, 6], out=req_start[1:])
-    host_start = req_start[site_lo:site_hi + 1] - req_start[site_lo]
-
-    # Confidence carriage (v3): map the run geolocation's per-verdict
-    # scores onto the tracker rows by address code, so the frame can
-    # answer confidence-weighted queries without the object graph.
-    trk_confidence = None
-    if conf_flags is not None and len(conf_flags) and conf_flags.any():
-        verdict_rows = verdict_cols.reshape(-1, 7)
-        conf_of_verdict = _np.full(len(verdict_rows), _np.nan)
-        conf_of_verdict[conf_flags.astype(bool)] = conf_vals
-        n_verdicts_per_geo = geo_cols[11::12]
-        geo_index = run_cols[2]
-        verdict_lo = sum(n_verdicts_per_geo[:geo_index])
-        verdict_hi = verdict_lo + n_verdicts_per_geo[geo_index]
-        conf_by_sid = _np.full(len(table), _np.nan)
-        conf_by_sid[verdict_rows[verdict_lo:verdict_hi, 1]] = (
-            conf_of_verdict[verdict_lo:verdict_hi]
-        )
-        trk_confidence = conf_by_sid[rtrk[:, 1]]
-
-    frame = CountryFrame(
-        s(run_cols[0]), table,
-        rsite[:, 0], rsite[:, 2], tracker_start,
-        rtrk[:, 0], rtrk[:, 1], rtrk[:, 2], rtrk[:, 3], rtrk[:, 4],
-        dsite_key=site_table[site_lo:site_hi, 0],
-        dsite_url=site_table[site_lo:site_hi, 1],
-        dsite_loaded=site_table[site_lo:site_hi, 3],
-        host_start=host_start,
-        dhost=req_ids[int(req_start[site_lo]):int(req_start[site_hi])],
-        trk_confidence=trk_confidence,
-    )
-
-    g = 12 * run_cols[2]
-    funnel = FunnelCounters(*geo_cols[g + 1:g + 10])
-
-    timings = CountryTimings(s(timing_ids[0]) or "")
-    for index in range(timing_ids[1]):
-        timings.phase_seconds[s(timing_ids[2 + index])] = timing_secs[index]
-    cache_deltas = {
-        s(name): {
-            "hits": cache_ints[3 * i],
-            "misses": cache_ints[3 * i + 1],
-            "size": cache_ints[3 * i + 2],
-        }
-        for i, name in enumerate(cache_name_ids)
-    }
-
-    return FrameRun(
-        country_code=s(run_cols[0]),
-        frame=frame,
-        funnel=funnel,
-        timings=timings,
-        source_trace_origin=s(run_cols[3]) or "",
-        geoloc_engine=s(run_cols[4]) or "",
-        cache_deltas=cache_deltas,
-        events=events,
-        metrics_delta=metrics_delta,
-        resources=resources,
-        sites=n_sites_per_dataset[ds],
-        payload=payload,
-    )
-
-
-# -- pool-boundary hand-off --------------------------------------------------
-
-
-def _unregister_shm(name: str) -> None:
-    """Undo the resource tracker's double accounting (bpo-39959).
-
-    On Python < 3.13 both creating *and* attaching a
-    ``SharedMemory`` registers it with the resource tracker, so a
-    segment created in a pool worker and unlinked by the coordinator
-    would be "cleaned up" a second time at interpreter exit.  The
-    creator unregisters right away; ``unlink()`` on the coordinator
-    balances the attach-side registration.
-    """
-    try:  # pragma: no cover - depends on interpreter version/platform
-        from multiprocessing.resource_tracker import unregister
-
-        unregister(f"/{name}", "shared_memory")
-    except Exception:
-        pass
-
-
-@dataclass
-class EncodedCountryRun:
-    """One country's encoded result, as shipped across the pool boundary.
-
-    Either ``payload`` (inline bytes, pickled with the descriptor) or
-    ``shm_name`` (a :mod:`multiprocessing.shared_memory` segment the
-    coordinator attaches to) is set.  ``load()`` decodes — and, for the
-    shared-memory path, releases the segment.  ``release()`` drops the
-    payload without decoding; the executor calls it for completed
-    results on the fail-fast path so segments never leak.
-    """
-
-    country_code: str
-    nbytes: int
-    encode_seconds: float
-    payload: Optional[bytes] = None
-    shm_name: Optional[str] = None
-    #: Site-visit count carried outside the payload so live progress can
-    #: report sites/sec without decoding (``load()`` is single-use and
-    #: belongs to the merge path, not to observers).
-    sites: int = 0
+    def __init__(self, run, payload: bytes, encode_seconds: float):
+        self.country_code = run.country_code
+        self.source_trace_origin = run.source_trace_origin
+        self.geoloc_engine = run.geoloc_engine
+        self.funnel = run.funnel
+        self.timings = run.timings
+        self.cache_deltas = run.cache_deltas
+        self.events = run.events
+        self.metrics_delta = run.metrics_delta
+        self.resources = run.resources
+        self.site_count = run.site_count
+        self.sites = run.result.sites
+        self.tracker_verdicts = run.result.tracker_verdicts
+        self.nbytes = len(payload)
+        self.encode_seconds = encode_seconds
+        self.payload: Optional[bytes] = payload
+        #: Called with the unpickle seconds when :meth:`load` runs (the
+        #: coordinator points it at its ``ExecMetrics``).
+        self.on_load: Optional[Callable[[float], None]] = None
+        self._run = None
 
     @classmethod
-    def ship(
-        cls, country_code: str, payload: bytes, encode_seconds: float,
-        shm_threshold: int = 0, sites: int = 0,
-    ) -> "EncodedCountryRun":
-        """Wrap an encoded payload, spilling to shared memory when big."""
-        nbytes = len(payload)
-        if shm_threshold and nbytes >= shm_threshold:
-            try:
-                from multiprocessing import shared_memory
-
-                segment = shared_memory.SharedMemory(create=True, size=nbytes)
-            except Exception:
-                pass  # no /dev/shm (or no permission): inline payload
-            else:
-                segment.buf[:nbytes] = payload
-                name = segment.name
-                segment.close()
-                _unregister_shm(name)
-                return cls(
-                    country_code, nbytes, encode_seconds, shm_name=name, sites=sites
-                )
-        return cls(country_code, nbytes, encode_seconds, payload=payload, sites=sites)
-
-    def _take(self) -> bytes:
-        if self.shm_name is not None:
-            from multiprocessing import shared_memory
-
-            segment = shared_memory.SharedMemory(name=self.shm_name)
-            try:
-                payload = bytes(segment.buf[:self.nbytes])
-            finally:
-                segment.close()
-                segment.unlink()
-            self.shm_name = None
-            return payload
-        if self.payload is None:
-            raise ValueError(f"{self.country_code}: payload already consumed")
-        payload = self.payload
-        self.payload = None
-        return payload
+    def of(cls, run) -> "PickledCountryRun":
+        started = time.perf_counter()
+        payload = pickle.dumps(run, protocol=5)
+        return cls(run, payload, time.perf_counter() - started)
 
     def load(self):
-        """Decode back into a ``CountryRun`` (single use)."""
-        return decode_run(self._take())
+        """The full :class:`~repro.exec.worker.CountryRun` (unpickled once)."""
+        if self._run is None:
+            started = time.perf_counter()
+            self._run = pickle.loads(self.payload)
+            self.payload = None
+            if self.on_load is not None:
+                self.on_load(time.perf_counter() - started)
+        return self._run
 
-    def load_frame(self) -> "FrameRun":
-        """Light decode into a :class:`FrameRun` (single use).
+    @property
+    def dataset(self):
+        return self.load().dataset
 
-        The frame path of the columnar analysis engine: the payload is
-        consumed here, but the returned ``FrameRun`` retains it for a
-        deferred full decode.
-        """
-        return decode_run_frame(self._take())
+    @property
+    def geolocation(self):
+        return self.load().geolocation
 
-    def release(self) -> None:
-        """Drop the payload (and unlink the segment) without decoding."""
-        if self.shm_name is not None:
-            try:
-                from multiprocessing import shared_memory
+    @cached_property
+    def result(self) -> CountryStudyResult:
+        """The joined result; its dataset and geolocation load on demand."""
+        return _ShippedResult(self)
 
-                segment = shared_memory.SharedMemory(name=self.shm_name)
-                segment.close()
-                segment.unlink()
-            except FileNotFoundError:
-                pass
-            self.shm_name = None
-        self.payload = None
+
+class _ShippedResult(CountryStudyResult):
+    """A :class:`CountryStudyResult` whose sites and verdicts came with the
+    descriptor; ``dataset``/``geolocation`` unpickle the payload."""
+
+    def __init__(self, shipped: PickledCountryRun):
+        self.country_code = shipped.country_code
+        self.tracker_verdicts = shipped.tracker_verdicts
+        self.sites = shipped.sites
+        self._shipped = shipped
+
+    @property
+    def dataset(self):
+        return self._shipped.dataset
+
+    @property
+    def geolocation(self):
+        return self._shipped.geolocation
 
 
 class TransportWorker:
-    """Encode successful runs at the worker side of the pool boundary.
+    """Pickle successful runs at the worker side of the pool boundary.
 
-    Wraps the (already resilient) per-country callable: ``CountryRun``
-    results are encoded into an :class:`EncodedCountryRun`;
-    ``CountryFailure`` manifests pass through untouched.  Pickling the
-    small descriptor is what the pool then pays instead of the deep
-    object graph.
+    Wraps the (already resilient) per-country callable: a ``CountryRun``
+    comes back as a :class:`PickledCountryRun`; a ``CountryFailure``
+    manifest passes through untouched.
     """
 
-    def __init__(self, call, shm_threshold: int = 0):
+    def __init__(self, call):
         self._call = call
-        self._shm_threshold = shm_threshold
 
     def __call__(self, country_code: str):
         from repro.exec.worker import CountryRun
@@ -1252,10 +125,4 @@ class TransportWorker:
         result = self._call(country_code)
         if not isinstance(result, CountryRun):
             return result
-        started = time.perf_counter()
-        payload = encode_run(result)
-        encode_seconds = time.perf_counter() - started
-        return EncodedCountryRun.ship(
-            result.country_code, payload, encode_seconds, self._shm_threshold,
-            sites=len(result.dataset.websites),
-        )
+        return PickledCountryRun.of(result)

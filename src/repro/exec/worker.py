@@ -24,6 +24,8 @@ Observability rides along in picklable side channels on
   pattern) is what keeps deltas exact under the thread backend, where
   countries interleave inside one process; the coordinator merges the
   deltas in input country order.
+* ``timings`` — per-phase wall seconds and the country's CPU seconds
+  (its thread's CPU time, so thread-pool siblings are not counted).
 * ``resources`` — a :class:`repro.obs.ResourceProfiler` snapshot
   (per-phase CPU seconds, GC collections, peak RSS) when profiling is
   enabled via ``StudyConfig.profile`` / ``profile_mem``.
@@ -31,6 +33,7 @@ Observability rides along in picklable side channels on
 
 from __future__ import annotations
 
+import time
 import traceback
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
@@ -85,9 +88,8 @@ def _record_study_metrics(
 
     Everything here is a function of the dataset and the joined result —
     *not* of how classification was scheduled or memoised — so the
-    counters land on identical totals for every backend, transport, and
-    join engine (which all produce byte-identical artefacts by
-    contract).
+    counters land on identical totals for every backend and worker
+    count (which all produce byte-identical artefacts by contract).
     """
     metrics.counter("study_countries_total", help="countries measured").inc()
     loaded = dataset.loaded_count
@@ -139,7 +141,7 @@ class CountryRun:
     source_trace_origin: str
     timings: CountryTimings = field(default_factory=lambda: CountryTimings(""))
     #: Which constraint engine geolocated this country ("scalar" or
-    #: "columnar", after numpy gating) — execution metadata, surfaced
+    #: "columnar") — execution metadata, surfaced
     #: via ``ExecMetrics`` so `gamma study` can report it.
     geoloc_engine: str = ""
     #: Memo-cache counter deltas caused by this country (in the worker's
@@ -153,6 +155,14 @@ class CountryRun:
     metrics_delta: Optional[dict] = None
     #: Resource-profiler snapshot (None unless profiling is enabled).
     resources: Optional[dict] = None
+
+    @property
+    def funnel(self):
+        return self.geolocation.funnel
+
+    @property
+    def site_count(self) -> int:
+        return len(self.dataset.websites)
 
 
 class StudyWorker:
@@ -202,6 +212,7 @@ class StudyWorker:
         volunteer = scenario.volunteers[country_code]
         targets = scenario.targets[country_code].without(sorted(volunteer.opted_out_sites))
         timings = CountryTimings(country_code)
+        cpu_started = time.thread_time()
         tracer = Tracer(root="study") if self._trace else None
         # Fresh per-country registry: its snapshot ships back as the
         # country's metrics delta and merges exactly at the coordinator.
@@ -245,27 +256,14 @@ class StudyWorker:
 
             with timings.timer("join"), maybe_span(tracer, "phase", "join"), \
                     maybe_phase(profiler, "join"):
-                # The join engine follows the result transport *or* the
-                # analysis engine: a study shipping columnar frames — or
-                # analysing through them — also joins through the
-                # vectorised per-unique-host path, which additionally
-                # attaches the country's CountryFrame to the result
-                # (scalar stays the byte-identical oracle under
-                # --transport pickle --analysis-engine objects).
                 result = build_country_result(
                     dataset, geolocation, scenario.identifier, scenario.directory,
-                    tracer=tracer,
-                    engine="columnar"
-                    if (
-                        getattr(config, "transport", "pickle") == "columnar"
-                        or getattr(config, "analysis_engine", "objects") == "columnar"
-                    )
-                    else "scalar",
-                    metrics=metrics,
+                    tracer=tracer, metrics=metrics,
                 )
                 if config.anonymize_ips:
                     anonymize(dataset)
 
+        timings.cpu_seconds = time.thread_time() - cpu_started
         cache_deltas = _cache_deltas(caches_before, _registry_counters())
         if metrics is not None:
             _record_study_metrics(metrics, dataset, result)

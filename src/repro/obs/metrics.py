@@ -9,7 +9,7 @@ coordinator folds the snapshots together in **input country order** via
 to one country, nothing interleaves under the thread backend, and
 because the merge order is fixed, float accumulation is reproducible —
 the merged totals are *byte-identical* across the serial, thread, and
-process backends and across both result transports.
+process backends and every worker count.
 
 Two classes of series coexist in one registry:
 
@@ -376,7 +376,7 @@ def strip_runtime(snapshot: Mapping[str, Any]) -> Dict[str, Any]:
 
     This is the metrics analogue of :func:`repro.obs.strip_timings` —
     what remains must be byte-identical across backends, jobs counts,
-    transports, and retry histories of the same study.
+    and retry histories of the same study.
     """
     families = {
         name: entry

@@ -25,9 +25,9 @@ resume from section 3.3 of the paper.
 
 from __future__ import annotations
 
+import os
 import time
 from collections.abc import Mapping as _MappingABC
-from collections.abc import Sequence as _SequenceABC
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Union
@@ -36,11 +36,6 @@ from repro.core.analysis.continents import ContinentFlowAnalysis
 from repro.core.analysis.crosscountry import CrossCountryAnalysis
 from repro.core.analysis.firstparty import FirstPartyAnalysis
 from repro.core.analysis.flows import FlowAnalysis
-from repro.core.analysis.frames import (
-    CountryFrame,
-    StudyFrame,
-    resolve_analysis_engine,
-)
 from repro.core.analysis.hosting import HostingAnalysis
 from repro.core.analysis.infrastructure import InfrastructureAnalysis
 from repro.core.analysis.localtrackers import LocalTrackerAnalysis
@@ -63,13 +58,7 @@ from repro.exec.checkpoint import StudyCheckpoint
 from repro.exec.executor import create_executor
 from repro.exec.metrics import ExecMetrics
 from repro.exec.resilience import ON_ERROR_POLICIES, CountryFailure, ResilientWorker
-from repro.exec.transport import (
-    EncodedCountryRun,
-    FrameRun,
-    TransportWorker,
-    checkpoint_format,
-    resolve_transport,
-)
+from repro.exec.transport import PickledCountryRun, TransportWorker
 from repro.exec.worker import CountryRun, StudyWorker
 from repro.obs.journal import SCHEMA_VERSION, RunJournal
 from repro.obs.metrics import build_study_snapshot, merge_snapshots, write_snapshot
@@ -109,17 +98,6 @@ class StudyConfig:
     #: Base of the deterministic exponential backoff schedule, seconds.
     #: ``0`` disables sleeping while keeping the schedule observable.
     retry_base_delay: float = 0.1
-    #: How per-country results travel and join: "columnar" ships compact
-    #: interned frames across the process-pool boundary and joins/merges
-    #: through numpy (:mod:`repro.exec.transport`); "pickle" is the
-    #: object-graph oracle.  Byte-identical outcomes either way;
-    #: silently resolves to "pickle" when numpy is unavailable
-    #: (``gamma study --transport``, docs/performance.md).
-    transport: str = "columnar"
-    #: Encoded frames at least this large cross the process boundary via
-    #: ``multiprocessing.shared_memory`` instead of riding the result
-    #: pickle.  ``0`` disables the shared-memory path.
-    transport_shm_threshold: int = 1 << 20
     #: Record the labelled metrics registry (:mod:`repro.obs.metrics`)
     #: inside every worker and merge the per-country deltas at the
     #: coordinator.  Purely a measurement side channel: summaries,
@@ -132,95 +110,29 @@ class StudyConfig:
     #: Additionally track allocations with :mod:`tracemalloc` (slower;
     #: ``gamma study --profile-mem``).  Implies ``profile``.
     profile_mem: bool = False
-    #: How the outcome's analysis accessors run: "columnar" assembles a
-    #: :class:`repro.core.analysis.frames.StudyFrame` from the decoded
-    #: transport frames and answers through vectorised reductions;
-    #: "objects" walks the legacy per-record graph.  Byte-identical
-    #: outputs either way; silently resolves to "objects" when numpy is
-    #: unavailable (``gamma study --analysis-engine``,
-    #: docs/performance.md).  The active engine is recorded in
-    #: ``outcome.metrics`` and the run snapshot.
-    analysis_engine: str = "columnar"
 
 
-class _RunCell:
-    """One country's run, materialised at most once.
-
-    Holds either a full :class:`CountryRun` or a light-decoded
-    :class:`FrameRun` (process backend, columnar transport + analysis).
-    For a ``FrameRun`` the retained payload only goes through the full
-    object-graph decoder on first access to the legacy objects
-    (``datasets``/``geolocations``/``results``); the columnar analysis
-    path reads :meth:`frame` and never pays for it — that is what keeps
-    coordinator memory sublinear in the site count.
-    """
-
-    __slots__ = ("_item", "_run")
-
-    def __init__(self, item):
-        self._item = item
-        self._run = item if isinstance(item, CountryRun) else None
-
-    def get(self) -> CountryRun:
-        if self._run is None:
-            self._run = self._item.load()
-        return self._run
-
-    def frame(self) -> CountryFrame:
-        """This country's columnar frame, building one if needed.
-
-        Preference order: the transport's light-decoded frame, the frame
-        the columnar join attached to the result, and finally a direct
-        object-graph walk (resumed checkpoints and pickle-transport
-        results whose frame did not survive pickling).
-        """
-        if isinstance(self._item, FrameRun):
-            return self._item.frame
-        run = self.get()
-        frame = getattr(run.result, "_frame", None)
-        if frame is not None:
-            return frame
-        return CountryFrame.from_result(run.result, dataset=run.dataset)
-
-
-class _LazyRunMap(_MappingABC):
+class _RunMap(_MappingABC):
     """Read-only country-ordered view of one :class:`CountryRun` field.
 
-    Key iteration and ``len`` never decode; item access materialises
-    just that country's run (cached in its cell).
+    Key iteration and ``len`` never unpickle; item access unpickles just
+    that country's run, once (process backend).
     """
 
-    __slots__ = ("_cells", "_attr")
+    __slots__ = ("_runs", "_attr")
 
-    def __init__(self, cells: Dict[str, _RunCell], attr: str):
-        self._cells = cells
+    def __init__(self, runs: Dict[str, object], attr: str):
+        self._runs = runs
         self._attr = attr
 
     def __getitem__(self, country_code: str):
-        return getattr(self._cells[country_code].get(), self._attr)
+        return getattr(self._runs[country_code], self._attr)
 
     def __iter__(self):
-        return iter(self._cells)
+        return iter(self._runs)
 
     def __len__(self) -> int:
-        return len(self._cells)
-
-
-class _LazyResults(_SequenceABC):
-    """Country-ordered result sequence, materialising on access."""
-
-    __slots__ = ("_cells",)
-
-    def __init__(self, cells: List[_RunCell]):
-        self._cells = cells
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [cell.get().result for cell in self._cells[index]]
-        return self._cells[index].get().result
-
-    def __len__(self) -> int:
-        return len(self._cells)
+        return len(self._runs)
 
 
 @dataclass
@@ -252,15 +164,9 @@ class StudyOutcome:
     #: ``StudyConfig.collect_metrics`` is off.  A measurement artefact
     #: like ``metrics``/``journal`` — never part of summaries or exports.
     metrics_snapshot: Optional[dict] = None
-    #: The study-wide columnar frame (``analysis_engine="columnar"``):
-    #: every per-country (site, tracker) relation concatenated over one
-    #: interned string pool.  None under the objects engine (and without
-    #: numpy), in which case every accessor walks the object graph —
-    #: byte-identical answers either way.
-    frame: Optional[StudyFrame] = None
     #: Per-country geolocation funnels in merge (input-country) order,
-    #: letting :meth:`funnel` aggregate without materialising
-    #: ``geolocations`` from light-decoded frames.  None for hand-built
+    #: letting :meth:`funnel` aggregate without unpickling
+    #: ``geolocations`` on the process backend.  None for hand-built
     #: outcomes, which fall back to the geolocations walk.
     _funnels: Optional[List[FunnelCounters]] = field(default=None, repr=False)
 
@@ -276,41 +182,35 @@ class StudyOutcome:
 
     # -- analysis accessors (one per paper artefact) -------------------------
     def prevalence(self) -> PrevalenceAnalysis:
-        return PrevalenceAnalysis(self.results, frame=self.frame)
+        return PrevalenceAnalysis(self.results)
 
     def per_website(self) -> PerWebsiteAnalysis:
-        return PerWebsiteAnalysis(self.results, frame=self.frame)
+        return PerWebsiteAnalysis(self.results)
 
     def flows(self) -> FlowAnalysis:
-        return FlowAnalysis(self.results, frame=self.frame)
+        return FlowAnalysis(self.results)
 
     def continents(self) -> ContinentFlowAnalysis:
-        return ContinentFlowAnalysis(
-            self.results, self.scenario.world.geo, frame=self.frame
-        )
+        return ContinentFlowAnalysis(self.results, self.scenario.world.geo)
 
     def organizations(self) -> OrganizationAnalysis:
         return OrganizationAnalysis(
-            self.results, self.scenario.directory, self.scenario.ipinfo,
-            frame=self.frame,
+            self.results, self.scenario.directory, self.scenario.ipinfo
         )
 
     def hosting(self) -> HostingAnalysis:
-        return HostingAnalysis(self.results, frame=self.frame)
+        return HostingAnalysis(self.results)
 
     def first_party(self) -> FirstPartyAnalysis:
-        return FirstPartyAnalysis(
-            self.results, self.scenario.party_classifier, frame=self.frame
-        )
+        return FirstPartyAnalysis(self.results, self.scenario.party_classifier)
 
     def policy(self) -> PolicyAnalysis:
-        return PolicyAnalysis(self.results, self.scenario.policy, frame=self.frame)
+        return PolicyAnalysis(self.results, self.scenario.policy)
 
     def cross_country(self) -> CrossCountryAnalysis:
         """Same-site behaviour comparison across countries (section 8)."""
         return CrossCountryAnalysis(
-            self.datasets, self.scenario.identifier, self.scenario.directory,
-            frame=self.frame,
+            self.datasets, self.scenario.identifier, self.scenario.directory
         )
 
     def infrastructure(self) -> InfrastructureAnalysis:
@@ -328,13 +228,10 @@ class StudyOutcome:
         """Confidence-weighted flow view: ``{country: (rows, mean)}``.
 
         Per country, how many non-local tracker rows carry a verdict
-        confidence and their mean score — the frame answers from its
-        ``trk_confidence`` column without touching the object graph; the
-        objects path joins tracker rows to verdicts by address.  None
-        when the study ran without ``PipelineConfig.confidence``.
+        confidence and their mean score, joining tracker rows to
+        verdicts by address.  None when the study ran without
+        ``PipelineConfig.confidence``.
         """
-        if self.frame is not None:
-            return self.frame.confidence_by_country()
         weighted = {}
         any_scored = False
         for result in self.results:
@@ -411,22 +308,24 @@ def build_source_traces(
 
 
 def _merge_accounting(
-    outcome: StudyOutcome, run, funnels: List[FunnelCounters]
+    outcome: StudyOutcome, run, funnels: List[FunnelCounters],
+    resumed: bool = False,
 ) -> None:
     """Fold one completed country's side channels into the outcome.
 
-    *run* is either a fully materialised :class:`CountryRun` or a
-    light-decoded :class:`FrameRun` — both carry the same accounting
-    attributes (input-order caller; the artefact containers themselves
-    are installed as lazy views over the run cells afterwards).
+    *run* is a :class:`CountryRun` or a :class:`PickledCountryRun`;
+    both carry the same accounting attributes, so nothing here unpickles.
     """
     outcome.source_trace_origins[run.country_code] = run.source_trace_origin
-    outcome.metrics.record_country(run.timings)
+    outcome.metrics.record_country(run.timings, resumed=resumed)
     if run.geoloc_engine:
         outcome.metrics.geoloc_engine = run.geoloc_engine
-    funnels.append(
-        run.funnel if isinstance(run, FrameRun) else run.geolocation.funnel
-    )
+    if isinstance(run, PickledCountryRun):
+        outcome.metrics.record_transport(
+            run.country_code, run.nbytes, run.encode_seconds
+        )
+        run.on_load = outcome.metrics.record_decode
+    funnels.append(run.funnel)
 
 
 def run_study(
@@ -441,8 +340,6 @@ def run_study(
     max_retries: Optional[int] = None,
     checkpoint_dir: Union[None, str, Path] = None,
     resume: bool = False,
-    transport: Optional[str] = None,
-    analysis_engine: Optional[str] = None,
     fault_injector=None,
     progress: Union[bool, ProgressReporter] = False,
     profile: Optional[bool] = None,
@@ -479,20 +376,10 @@ def run_study(
     byte-identically with the fresh ones.  *fault_injector* is the
     deterministic test hook (:class:`repro.exec.FaultInjector`).
 
-    *transport* overrides :attr:`StudyConfig.transport` ("columnar" or
-    "pickle"): how results cross the process-pool boundary, which join
-    engine runs, and which checkpoint format is written — with every
-    study artefact byte-identical across the choice.
-
-    *analysis_engine* overrides :attr:`StudyConfig.analysis_engine`
-    ("columnar" or "objects"): whether the outcome assembles a
-    study-wide :class:`~repro.core.analysis.frames.StudyFrame` and
-    answers the analyses through vectorised reductions, or walks the
-    legacy object graph.  Byte-identical artefacts across the choice —
-    and orthogonal to *transport*, though the columnar pair is where
-    the coordinator stays columnar end to end (process-pool frames are
-    only light-decoded, never expanded into objects unless an
-    object-graph consumer like ``datasets[cc]`` asks).
+    On the process backend each country comes back pickled
+    (:mod:`repro.exec.transport`) and is unpickled only when its dataset
+    or geolocation is read — ``summary()``, ``funnel()`` and every
+    figure accessor never do.
 
     *progress* streams one status line per completed country to stderr
     (pass a preconfigured :class:`repro.obs.ProgressReporter` to control
@@ -516,18 +403,6 @@ def run_study(
         overrides["collect_metrics"] = collect_metrics
     if overrides:
         config = replace(config, **overrides)
-    active_transport = resolve_transport(
-        config.transport if transport is None else transport
-    )
-    if active_transport != getattr(config, "transport", None):
-        config = replace(config, transport=active_transport)
-    active_analysis = resolve_analysis_engine(
-        getattr(config, "analysis_engine", "columnar")
-        if analysis_engine is None
-        else analysis_engine
-    )
-    if active_analysis != getattr(config, "analysis_engine", None):
-        config = replace(config, analysis_engine=active_analysis)
     countries = countries or scenario.countries
     effective_jobs = config.jobs if jobs is None else jobs
     effective_backend = config.backend if backend is None else backend
@@ -539,11 +414,7 @@ def run_study(
     retries = config.max_retries if max_retries is None else max_retries
     executor = create_executor(backend=effective_backend, jobs=effective_jobs)
 
-    checkpoint = (
-        None
-        if checkpoint_dir is None
-        else StudyCheckpoint(checkpoint_dir, fmt=checkpoint_format(active_transport))
-    )
+    checkpoint = None if checkpoint_dir is None else StudyCheckpoint(checkpoint_dir)
     if resume and checkpoint is None:
         raise ValueError("resume=True requires checkpoint_dir")
 
@@ -559,13 +430,11 @@ def run_study(
         checkpoint=checkpoint,
         trace=tracing,
     )
-    if active_transport == "columnar" and executor.name == "process":
-        # Ship each country back as one compact columnar frame instead
-        # of the deep object-graph pickle (docs/performance.md); the
-        # coordinator decodes below, recording per-country bytes.
-        call = TransportWorker(
-            call, shm_threshold=config.transport_shm_threshold
-        )
+    if executor.name == "process":
+        # Pickle each finished run once in the pool worker; the
+        # coordinator keeps the bytes and unpickles a country only when
+        # its dataset or geolocation is read (docs/performance.md).
+        call = TransportWorker(call)
 
     resumed: Dict[str, CountryRun] = {}
     if resume:
@@ -587,7 +456,7 @@ def run_study(
             if country_code in resumed:
                 run = resumed[country_code]
                 reporter.country_done(
-                    country_code, sites=len(run.dataset.websites), resumed=True
+                    country_code, sites=run.site_count, resumed=True
                 )
     on_result = None
     if reporter is not None:
@@ -595,10 +464,8 @@ def run_study(
             # Fires in completion order — observation only, the merge
             # below still walks input country order.
             sites, phase_seconds = 0, None
-            if isinstance(item, EncodedCountryRun):
-                sites = item.sites  # carried outside the single-use payload
-            elif isinstance(item, CountryRun):
-                sites = len(item.dataset.websites)
+            if isinstance(item, (CountryRun, PickledCountryRun)):
+                sites = item.site_count
                 phase_seconds = item.timings.phase_seconds
             reporter.country_done(
                 country_code, sites=sites, phase_seconds=phase_seconds,
@@ -611,23 +478,6 @@ def run_study(
         if pending else []
     )
     by_country = dict(zip(pending, produced))
-    # Decode pre-pass: materialise frames shipped back by process-pool
-    # workers (inside the fan-out wall time — decoding is part of
-    # getting results across the boundary).  Under the columnar analysis
-    # engine the decode is *light*: only the per-country CountryFrame
-    # and accounting sections are read, and the payload is retained so
-    # the object graph can still be replayed on demand.
-    frame_stats = []
-    for country_code, item in by_country.items():
-        if isinstance(item, EncodedCountryRun):
-            decode_started = time.perf_counter()
-            by_country[country_code] = (
-                item.load_frame() if active_analysis == "columnar" else item.load()
-            )
-            decode_seconds = time.perf_counter() - decode_started
-            frame_stats.append(
-                (country_code, item.nbytes, item.encode_seconds, decode_seconds)
-            )
     wall_seconds = time.perf_counter() - started
     if reporter is not None:
         reporter.finish()
@@ -635,23 +485,18 @@ def run_study(
     outcome = StudyOutcome(
         scenario=scenario,
         metrics=ExecMetrics(
-            backend=executor.name, jobs=executor.jobs, wall_seconds=wall_seconds,
-            transport=active_transport, analysis_engine=active_analysis,
+            backend=executor.name, jobs=executor.jobs, wall_seconds=wall_seconds
         ),
     )
-    for country_code, nbytes, encode_seconds, decode_seconds in frame_stats:
-        outcome.metrics.record_transport(
-            country_code, nbytes, encode_seconds, decode_seconds
-        )
-    cells: Dict[str, _RunCell] = {}  # insertion = input country order
+    # CountryRun | PickledCountryRun per completed country, input order.
+    runs: Dict[str, object] = {}
     funnels: List[FunnelCounters] = []
-    fresh_runs: List = []  # CountryRun | FrameRun, input country order
     buffers: List[List[dict]] = []  # input country order: deterministic merge
     for country_code in countries:
         if country_code in resumed:
             run = resumed[country_code]
-            cells[country_code] = _RunCell(run)
-            _merge_accounting(outcome, run, funnels)
+            runs[country_code] = run
+            _merge_accounting(outcome, run, funnels, resumed=True)
             events = list(run.events or [])
             if tracing:
                 events.append({
@@ -666,29 +511,24 @@ def run_study(
             outcome.failures.append(item)
             buffers.append(list(item.events or []))
             continue
-        fresh_runs.append(item)
-        cells[country_code] = _RunCell(item)
+        runs[country_code] = item
         _merge_accounting(outcome, item, funnels)
         buffers.append(item.events or [])
-    # The artefact containers are country-ordered views over the cells:
-    # plain dict/list semantics for every reader, while a cell whose run
-    # only exists as a light-decoded frame stays un-expanded until an
-    # object-graph consumer actually indexes into it.
-    outcome.datasets = _LazyRunMap(cells, "dataset")
-    outcome.geolocations = _LazyRunMap(cells, "geolocation")
-    outcome.results = _LazyResults(list(cells.values()))
+    # Country-ordered views over the runs: a pickled run stays bytes
+    # until something reads its dataset or geolocation.
+    outcome.datasets = _RunMap(runs, "dataset")
+    outcome.geolocations = _RunMap(runs, "geolocation")
+    outcome.results = [run.result for run in runs.values()]
     outcome._funnels = funnels
-    if active_analysis == "columnar" and cells:
-        outcome.frame = StudyFrame.assemble(
-            [cell.frame() for cell in cells.values()]
-        )
     # Memo-cache counters (verdicts, distance, ...): the coordinator's
     # registry sees serial/thread lookups directly; process-pool workers
     # count in their own interpreters, so their per-country deltas are
     # shipped back with each CountryRun and merged on top.
     outcome.metrics.record_caches(cache_registry())
     if executor.name == "process":
-        outcome.metrics.merge_worker_caches(run.cache_deltas for run in fresh_runs)
+        outcome.metrics.merge_worker_caches(
+            run.cache_deltas for cc, run in runs.items() if cc not in resumed
+        )
 
     if getattr(config, "collect_metrics", True):
         # Merge the per-country registry deltas in input country order —
@@ -696,17 +536,7 @@ def run_study(
         # across backends and worker counts.
         deltas = []
         resources_by_country: Dict[str, dict] = {}
-        for country_code in countries:
-            run = resumed.get(country_code)
-            if run is None:
-                item = by_country.get(country_code)
-                run = (
-                    item
-                    if isinstance(item, (CountryRun, FrameRun))
-                    else None
-                )
-            if run is None:
-                continue
+        for country_code, run in runs.items():
             if run.metrics_delta is not None:
                 deltas.append(run.metrics_delta)
             if run.resources is not None:
@@ -715,8 +545,7 @@ def run_study(
             "countries": list(countries),
             "backend": executor.name,
             "jobs": executor.jobs,
-            "transport": active_transport,
-            "analysis_engine": active_analysis,
+            "cpus": os.cpu_count(),
         }
         if resumed:
             meta["resumed"] = [cc for cc in countries if cc in resumed]

@@ -1,5 +1,7 @@
 """Per-figure analyses over hand-built study records."""
 
+import pickle
+
 import pytest
 
 from repro.core.analysis.continents import ContinentFlowAnalysis
@@ -12,7 +14,8 @@ from repro.core.analysis.policy import PolicyAnalysis
 from repro.core.analysis.prevalence import PrevalenceAnalysis
 from repro.core.analysis.records import CountryStudyResult, NonLocalTracker, SiteTrackerRecord
 from repro.core.analysis.report import render_table
-from repro.core.gamma.output import VolunteerDataset
+from repro.core.gamma.output import VolunteerDataset, WebsiteMeasurement
+from repro.core.gamma.parsers import NormalizedHop, NormalizedTraceroute
 from repro.core.geoloc.pipeline import DatasetGeolocation
 from repro.core.trackers.orgs import OrganizationDirectory, OrgEntry
 from repro.core.trackers.party import PartyClassifier
@@ -196,6 +199,16 @@ class TestHosting:
     def test_unique_domains(self, results):
         assert HostingAnalysis(results).unique_domains_per_destination() == {"AU": 1, "US": 1}
 
+    def test_unique_domains_ties_break_by_destination(self):
+        # Equal counts order by destination code, not by set iteration
+        # (which varies with the interpreter's hash seed).
+        records = [result("NZ", [
+            site("a.co.nz", "NZ", "regional",
+                 [tracker(f"t{i}.ads.example", dest) for i, dest in enumerate("ZYXWV")]),
+        ])]
+        unique = HostingAnalysis(records).unique_domains_per_destination()
+        assert list(unique) == ["V", "W", "X", "Y", "Z"]
+
 
 class TestFirstParty:
     def test_detection(self):
@@ -234,3 +247,92 @@ class TestRenderTable:
         assert lines[0] == "T"
         assert "a" in lines[1] and "bb" in lines[1]
         assert len(lines) == 5
+
+
+class TestSlotsPickleCompat:
+    """Pre-slots checkpoint states still restore; current pickles round-trip."""
+
+    CASES = [
+        (
+            NonLocalTracker,
+            {
+                "host": "t.ads.example", "address": "5.0.0.1",
+                "destination_country": "US",
+                "destination_city_key": "X, US", "org_name": "Google",
+            },
+        ),
+        (
+            SiteTrackerRecord,
+            {
+                "url": "a.example", "country_code": "NZ",
+                "category": "regional", "trackers": [],
+            },
+        ),
+        (
+            NormalizedHop,
+            {"hop": 3, "address": "1.2.3.4", "rtts_ms": (1.0, 2.0)},
+        ),
+        (
+            WebsiteMeasurement,
+            {
+                "url": "a.example", "category": "regional", "loaded": True,
+                "requested_hosts": [], "background_hosts": [], "dns": {},
+                "rdns": {}, "traceroutes": {}, "failure_reason": None,
+                "page_html": "", "hardcoded_domains": [],
+            },
+        ),
+    ]
+
+    @pytest.mark.parametrize("cls,state", CASES, ids=lambda c: getattr(c, "__name__", ""))
+    def test_old_dict_state_restores(self, cls, state):
+        """What a pre-slots pickle supplies: a plain ``__dict__`` state."""
+        revived = cls.__new__(cls)
+        revived.__setstate__(dict(state))
+        for name, value in state.items():
+            assert getattr(revived, name) == value
+
+    @pytest.mark.parametrize("cls,state", CASES, ids=lambda c: getattr(c, "__name__", ""))
+    def test_two_tuple_state_restores(self, cls, state):
+        """The (dict, slots) form some pickle protocols emit."""
+        revived = cls.__new__(cls)
+        revived.__setstate__((None, dict(state)))
+        for name, value in state.items():
+            assert getattr(revived, name) == value
+
+    def test_current_pickles_round_trip(self):
+        trace = NormalizedTraceroute(
+            target="1.2.3.4", reached=True,
+            hops=[NormalizedHop(hop=1, address="9.9.9.9", rtts_ms=(3.0,))],
+            tool="tracert",
+        )
+        record = SiteTrackerRecord(
+            url="a.example", country_code="NZ", category="regional",
+            trackers=[
+                NonLocalTracker(
+                    host="t.ads.example", address="5.0.0.1",
+                    destination_country="US", destination_city_key="X, US",
+                    org_name="Google",
+                )
+            ],
+        )
+        record.tracker_count  # warm the derived memo: must not pickle
+        for obj in (trace, record):
+            clone = pickle.loads(pickle.dumps(obj))
+            assert clone == obj
+            assert pickle.dumps(clone) == pickle.dumps(obj)
+
+    def test_derived_memo_excluded_and_invalidation_safe(self):
+        record = SiteTrackerRecord(
+            url="a.example", country_code="NZ", category="regional",
+        )
+        assert record.tracker_count == 0
+        record.trackers.append(
+            NonLocalTracker(
+                host="t.ads.example", address="5.0.0.1",
+                destination_country="US", destination_city_key="X, US",
+            )
+        )
+        # The builder path appends after a read: the memo re-derives.
+        assert record.tracker_count == 1
+        assert record.destination_countries() == ["US"]
+        assert "_derived" not in record.__getstate__()

@@ -110,29 +110,33 @@ class TestFaultToleranceCLI:
         assert main(["study", "--countries", "CA,NZ",
                      "--checkpoint-dir", str(checkpoint_dir)]) == 0
         capsys.readouterr()
-        # The default columnar transport writes compact .run.col frames;
-        # the run's metrics snapshot lands next to them.
+        # One pickled run per country; the run's metrics snapshot lands
+        # next to them.
         assert sorted(p.name for p in checkpoint_dir.iterdir()) == [
-            "CA.run.col", "NZ.run.col", "metrics.json",
+            "CA.run.pkl", "NZ.run.pkl", "metrics.json",
         ]
         assert main(["study", "--countries", "CA,NZ,RW",
                      "--checkpoint-dir", str(checkpoint_dir), "--resume"]) == 0
         out = capsys.readouterr().out
         assert "RW" in out
 
-    def test_checkpoint_format_follows_transport(self, tmp_path, capsys):
+    def test_resume_remeasures_leftover_columnar_checkpoint(self, tmp_path, capsys):
+        # A ``.run.col`` file from an older version is neither loaded nor
+        # an obstacle: the resume completes and re-measures that country.
         checkpoint_dir = tmp_path / "ckpt"
-        assert main(["study", "--countries", "CA", "--transport", "pickle",
-                     "--checkpoint-dir", str(checkpoint_dir)]) == 0
-        capsys.readouterr()
-        assert sorted(p.name for p in checkpoint_dir.iterdir()) == [
-            "CA.run.pkl", "metrics.json",
-        ]
-        # Crossing transports on resume reads the pickle checkpoint.
-        assert main(["study", "--countries", "CA,NZ", "--transport", "columnar",
+        checkpoint_dir.mkdir()
+        (checkpoint_dir / "CA.run.col").write_bytes(b"CRUN\x03 old columnar frame")
+        assert main(["study", "--countries", "CA",
                      "--checkpoint-dir", str(checkpoint_dir), "--resume"]) == 0
-        out = capsys.readouterr().out
-        assert "NZ" in out
+        assert "CA" in capsys.readouterr().out
+        assert (checkpoint_dir / "CA.run.pkl").exists()
+
+    @pytest.mark.parametrize("flag", ["--transport", "--analysis-engine"])
+    def test_removed_engine_flags_are_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["study", "--countries", "CA", flag, "columnar"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_resume_requires_checkpoint_dir(self):
         with pytest.raises(SystemExit, match="--resume requires --checkpoint-dir"):

@@ -11,6 +11,8 @@ runs.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro import run_study
@@ -98,6 +100,19 @@ class TestMetricsShape:
         assert metrics.wall_seconds > 0
         assert 0 < metrics.aggregate_seconds <= metrics.wall_seconds * 1.5
         assert metrics.to_dict()["backend"] == "serial"
+        assert 0 < metrics.cpu_seconds <= metrics.wall_seconds * 1.05
+        assert study_small.metrics_snapshot["meta"]["cpus"] == os.cpu_count()
+
+    def test_speedup_never_exceeds_available_cpus(self, scenario):
+        # Regression: speedup used to be summed per-country *wall* time
+        # over fan-out wall, so oversubscribed workers (jobs > CPUs)
+        # reported close to ``jobs`` x without any real gain.
+        outcome = run_study(
+            scenario, countries=SMALL_COUNTRIES[:3], jobs=4, backend="process"
+        )
+        metrics = outcome.metrics
+        assert metrics.cpu_seconds > 0
+        assert metrics.speedup <= min(4, os.cpu_count()) + 0.05
 
     def test_metrics_stay_out_of_summary_and_exports(self, study_small):
         summary = summarize_study(study_small).to_dict()

@@ -37,7 +37,6 @@ from hypothesis import strategies as st
 from repro import run_study
 from repro.atlas.probes import Probe
 from repro.core.gamma.parsers import NormalizedHop, NormalizedTraceroute
-from repro.core.geoloc.columnar import HAVE_NUMPY
 from repro.core.geoloc.constraints import source_latency_floor_ms
 from repro.core.geoloc.latency_stats import SyntheticStatsProvider
 from repro.core.geoloc.pipeline import (
@@ -52,10 +51,6 @@ from repro.netsim.geography import default_registry
 from repro.netsim.latency import LatencyModel
 from repro.study import StudyConfig
 from tests.test_exec_equivalence import assert_outcomes_identical
-
-pytestmark = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="columnar engine requires numpy"
-)
 
 REG = default_registry()
 MODEL = LatencyModel()

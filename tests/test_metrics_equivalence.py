@@ -6,8 +6,7 @@ Two contracts, both locked down over the 5-country subset:
   (non-runtime) metric family — verdict statuses, funnel stages,
   constraint checks, evidence-latency histograms, tracker attributions,
   site counts — lands on exactly equal values for the serial, thread,
-  and process backends at any worker count, across both transports, and
-  under a retried fault.  Runtime families (timings, cache traffic) are
+  and process backends at any worker count, and under a retried fault.  Runtime families (timings, cache traffic) are
   excluded by classification, not by tolerance.
 * **Telemetry-independence of the study**: enabling progress streaming
   and resource profiling changes no artefact — the stripped journal is
@@ -111,7 +110,7 @@ class TestBackendIndependence:
         assert funnel["verified_nonlocal"] == outcome.funnel().verified_nonlocal
 
 
-class TestFaultAndTransportIndependence:
+class TestFaultIndependence:
     def test_retry_fault_leaves_totals_exact(self, scenario, backend_runs):
         retried = _run(
             scenario, backend="thread", jobs=4, on_error="retry",
@@ -120,12 +119,6 @@ class TestFaultAndTransportIndependence:
         assert retried.failures == []
         assert strip_runtime(retried.metrics_snapshot["metrics"]) == strip_runtime(
             backend_runs["serial"].metrics_snapshot["metrics"]
-        )
-
-    def test_transports_agree(self, scenario, backend_runs):
-        pickled = _run(scenario, backend="process", jobs=2, transport="pickle")
-        assert strip_runtime(pickled.metrics_snapshot["metrics"]) == strip_runtime(
-            backend_runs["process-4"].metrics_snapshot["metrics"]
         )
 
     def test_skipped_country_drops_only_its_contribution(self, scenario):

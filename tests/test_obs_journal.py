@@ -239,9 +239,11 @@ class TestExecMetricsSatellites:
             timings = CountryTimings(code)
             timings.phase_seconds["gamma"] = gamma
             timings.phase_seconds["join"] = join
+            timings.cpu_seconds = 3.0
             metrics.record_country(timings)
         text = metrics.render()
-        assert "speedup=2.00x" in text
+        # Speedup is country CPU over fan-out wall, not summed wall time.
+        assert "speedup=1.50x" in text
         assert "gamma" in text and "75.0%" in text
         assert "join" in text and "25.0%" in text
 

@@ -94,6 +94,8 @@ class TestResumeEquivalence:
         )
         assert_resume_equivalent(uninterrupted, resumed)
         assert len(resumed.journal.events("country_resumed")) == len(SMALL_COUNTRIES)
+        # Nothing ran in this fan-out, so no CPU (and no speedup) is claimed.
+        assert resumed.metrics.cpu_seconds == 0.0
 
     def test_resume_without_checkpoint_dir_is_rejected(self, scenario):
         with pytest.raises(ValueError, match="checkpoint_dir"):
@@ -105,18 +107,32 @@ class TestCheckpointStore:
         checkpoint_dir = tmp_path / "ckpt"
         run_study(scenario, countries=["CA", "NZ"], checkpoint_dir=checkpoint_dir)
         names = sorted(p.name for p in checkpoint_dir.iterdir())
-        # Columnar transport (the default) persists columnar frames; the
-        # run's metrics snapshot lands beside the checkpoints.
-        assert names == ["CA.run.col", "NZ.run.col", "metrics.json"]
+        # One pickled run per country; the run's metrics snapshot lands
+        # beside the checkpoints.
+        assert names == ["CA.run.pkl", "NZ.run.pkl", "metrics.json"]
         # No temp files left behind by the atomic writer.
         assert not [n for n in names if n.startswith(".")]
 
-    def test_pickle_transport_writes_pickle_files(self, scenario, tmp_path):
+    def test_leftover_columnar_run_file_is_ignored_and_remeasured(
+        self, scenario, uninterrupted, tmp_path
+    ):
+        # Older versions could also write ``<CC>.run.col`` (a columnar
+        # format that no longer exists).  Such a file must neither crash
+        # nor block a resume: its country is simply measured again.
         checkpoint_dir = tmp_path / "ckpt"
-        run_study(scenario, countries=["CA"], checkpoint_dir=checkpoint_dir,
-                  transport="pickle")
-        names = sorted(p.name for p in checkpoint_dir.iterdir())
-        assert names == ["CA.run.pkl", "metrics.json"]
+        run_study(scenario, countries=SMALL_COUNTRIES,
+                  checkpoint_dir=checkpoint_dir, trace=True)
+        (checkpoint_dir / "CA.run.pkl").rename(checkpoint_dir / "CA.run.col")
+        (checkpoint_dir / "CA.run.col").write_bytes(b"CRUN\x03 old columnar frame")
+        assert "CA" not in StudyCheckpoint(checkpoint_dir).completed_countries()
+        resumed = run_study(
+            scenario, countries=SMALL_COUNTRIES, checkpoint_dir=checkpoint_dir,
+            resume=True, trace=True,
+        )
+        assert_resume_equivalent(uninterrupted, resumed)
+        assert [r["country"] for r in resumed.journal.events("country_resumed")] \
+            == [cc for cc in SMALL_COUNTRIES if cc != "CA"]
+        assert (checkpoint_dir / "CA.run.pkl").exists()
 
     def test_corrupt_run_file_is_quarantined_and_remeasured(
         self, scenario, uninterrupted, tmp_path
@@ -124,13 +140,13 @@ class TestCheckpointStore:
         checkpoint_dir = tmp_path / "ckpt"
         run_study(scenario, countries=SMALL_COUNTRIES,
                   checkpoint_dir=checkpoint_dir, trace=True)
-        (checkpoint_dir / "CA.run.col").write_bytes(b"CRUN not a frame")
+        (checkpoint_dir / "CA.run.pkl").write_bytes(b"not a pickle")
         resumed = run_study(
             scenario, countries=SMALL_COUNTRIES, checkpoint_dir=checkpoint_dir,
             resume=True, trace=True,
         )
         assert_resume_equivalent(uninterrupted, resumed)
-        assert (checkpoint_dir / "CA.run.col.corrupt").exists()
+        assert (checkpoint_dir / "CA.run.pkl.corrupt").exists()
         # CA was re-measured, so it is absent from the resumed set.
         assert "CA" not in [
             r["country"] for r in resumed.journal.events("country_resumed")
