@@ -5,17 +5,15 @@ The traceroute portability layer historically produced every
 text (``traceroute`` / ``tracert``) and re-parsing it.  The direct
 normaliser (:mod:`repro.core.gamma.normalize`) constructs the identical
 record straight from the structured result; the round trip survives as
-the oracle behind ``GammaConfig.exercise_parsers``.
+the correctness oracle in the tests.
 
 Two measurements:
 
 * **Microbench** — traces/sec through the naive round trip (probes
   stripped so the samples are re-derived in the renderer, exactly the
   historical code path) vs the direct normaliser, in both text formats.
-* **Study** — wall seconds for a single-country traced study with every
-  fast path disabled (``exercise_parsers=True, memo_traces=False``) vs
-  the defaults, plus the ``gamma.traces`` / ``atlas.dest_traces`` memo
-  hit rates the fast run reports.
+* **Caches** — the ``gamma.traces`` / ``atlas.dest_traces`` memo hit
+  rates of a single-country study run with the defaults.
 
 Emits ``BENCH_probe.json`` at the repo root (uploaded as a CI
 artifact).  Set ``BENCH_REPORT_ONLY=1`` to record numbers without
@@ -47,10 +45,9 @@ TRACE_NETWORKS = 50
 TRACES_PER_NETWORK = 8
 TIMING_REPEATS = 5
 
-#: Floors (skipped under BENCH_REPORT_ONLY=1).  The microbench floor is
-#: asserted on the mixed-format headline; the study floor on wall time.
+#: Floor (skipped under BENCH_REPORT_ONLY=1), asserted on the
+#: mixed-format microbench headline.
 MICRO_SPEEDUP_FLOOR = 10.0
-STUDY_SPEEDUP_FLOOR = 2.0
 
 _RENDERERS = {"linux": render_linux, "windows": render_windows}
 
@@ -131,41 +128,25 @@ def test_probe_speedup(scenario):
     micro_direct = count / direct_seconds
     micro_speedup = micro_direct / micro_naive
 
-    # Study wall time, every fast path off vs the defaults.  Best-of-2
-    # per configuration; the fast run goes first so any cross-run cache
-    # warmth helps the *legacy* side (keeping the ratio conservative).
     # Registered-cache counters are process-cumulative, so the per-run
-    # hit rates come from diffing snapshots around one fast run.
-    def study_seconds(config):
-        best = None
-        deltas = {}
-        for _ in range(2):
-            before = {
-                name: (info.hits, info.misses)
-                for name, info in cache_snapshot().items()
+    # hit rates come from diffing snapshots around the second of two
+    # studies (the one that meets the cross-run destination memo warm).
+    for _ in range(2):
+        before = {
+            name: (info.hits, info.misses)
+            for name, info in cache_snapshot().items()
+        }
+        run_study(scenario, countries=["CA"], config=StudyConfig())
+        deltas = {
+            name: {
+                "hits": info.hits - before.get(name, (0, 0))[0],
+                "misses": info.misses - before.get(name, (0, 0))[1],
             }
-            started = time.perf_counter()
-            run_study(scenario, countries=["CA"], config=config)
-            elapsed = time.perf_counter() - started
-            if best is None or elapsed < best:
-                best = elapsed
-            deltas = {
-                name: {
-                    "hits": info.hits - before.get(name, (0, 0))[0],
-                    "misses": info.misses - before.get(name, (0, 0))[1],
-                }
-                for name, info in cache_snapshot().items()
-            }
-        return best, deltas
+            for name, info in cache_snapshot().items()
+        }
 
-    fast_seconds, fast_deltas = study_seconds(StudyConfig())
-    legacy_seconds, _ = study_seconds(
-        StudyConfig(exercise_parsers=True, memo_traces=False)
-    )
-    study_speedup = legacy_seconds / fast_seconds
-
-    trace_cache = fast_deltas.get(TRACE_CACHE_NAME, {"hits": 0, "misses": 0})
-    dest_cache = fast_deltas.get(DEST_TRACE_CACHE_NAME, {"hits": 0, "misses": 0})
+    trace_cache = deltas.get(TRACE_CACHE_NAME, {"hits": 0, "misses": 0})
+    dest_cache = deltas.get(DEST_TRACE_CACHE_NAME, {"hits": 0, "misses": 0})
 
     payload = {
         "bench": "probe",
@@ -175,12 +156,6 @@ def test_probe_speedup(scenario):
             "direct_traces_per_sec": round(micro_direct, 1),
             "speedup": round(micro_speedup, 1),
             "per_format": per_format,
-        },
-        "study": {
-            "countries": ["CA"],
-            "legacy_seconds": round(legacy_seconds, 3),
-            "fast_seconds": round(fast_seconds, 3),
-            "speedup": round(study_speedup, 2),
         },
         "caches": {
             TRACE_CACHE_NAME: {
@@ -216,8 +191,6 @@ def test_probe_speedup(scenario):
         "\n".join(rows)
         + "\n\n"
         + "\n".join([
-            f"CA study: legacy {legacy_seconds:.2f}s -> fast {fast_seconds:.2f}s "
-            f"({study_speedup:.1f}x, floor: {STUDY_SPEEDUP_FLOOR}x)",
             f"{TRACE_CACHE_NAME}: {trace_cache['hits']} hits / "
             f"{trace_cache['misses']} misses "
             f"({100 * _hit_rate(trace_cache):.1f}% hit rate)",
@@ -233,10 +206,6 @@ def test_probe_speedup(scenario):
         assert micro_speedup >= MICRO_SPEEDUP_FLOOR, (
             f"direct normalisation only {micro_speedup:.1f}x over the round "
             f"trip (floor {MICRO_SPEEDUP_FLOOR}x)"
-        )
-        assert study_speedup >= STUDY_SPEEDUP_FLOOR, (
-            f"fast-path study only {study_speedup:.2f}x over the legacy "
-            f"configuration (floor {STUDY_SPEEDUP_FLOOR}x)"
         )
         # The per-country memo must be doing real work on a study stream.
         assert _hit_rate(trace_cache) > 0.5

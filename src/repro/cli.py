@@ -30,7 +30,7 @@ from typing import List, Optional
 
 from repro import GammaConfig, GammaSuite, StudyConfig, build_scenario, run_study
 from repro.artifacts import export_study
-from repro.core.geoloc.pipeline import GEOLOC_ENGINES, PipelineConfig
+from repro.core.geoloc.pipeline import PipelineConfig
 from repro.exec.executor import BACKENDS
 from repro.exec.resilience import ON_ERROR_POLICIES, FaultInjector
 from repro.core.analysis.report import (
@@ -66,16 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     study.add_argument("--cache-stats", action="store_true",
                        help="print hit/miss counters for every memo cache "
                             "(verdicts, distance, traces, ...) after the summary")
-    study.add_argument("--exercise-parsers", action="store_true",
-                       help="normalise traceroutes through the historical "
-                            "render -> parse round trip instead of the "
-                            "byte-identical direct fast path (CI oracle mode)")
-    study.add_argument("--geoloc-engine", choices=list(GEOLOC_ENGINES),
-                       default="columnar",
-                       help="constraint engine for server geolocation: "
-                            "columnar = vectorised batch math (default), "
-                            "scalar = the per-address oracle; outputs are "
-                            "byte-identical (CI equivalence mode)")
     study.add_argument("--confidence", action="store_true",
                        help="score every geolocation verdict with a "
                             "calibrated confidence (annotation only: binary "
@@ -94,10 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     confidence.add_argument("--countries", default=None,
                             help="comma-separated country codes (default: all 23)")
-    confidence.add_argument("--geoloc-engine", choices=list(GEOLOC_ENGINES),
-                            default="columnar",
-                            help="constraint engine (both produce bit-identical "
-                                 "confidence scores; CI equivalence mode)")
     confidence.add_argument("--low", type=int, default=5, metavar="N",
                             help="lowest-confidence verdicts tracked per "
                                  "country (default 5)")
@@ -325,12 +311,7 @@ def _print_failures(outcome) -> None:
 def _cmd_study(args: argparse.Namespace) -> int:
     countries = _parse_countries(args.countries)
     scenario = build_scenario()
-    config = StudyConfig(
-        pipeline=PipelineConfig(
-            engine=args.geoloc_engine, confidence=args.confidence
-        ),
-        exercise_parsers=args.exercise_parsers,
-    )
+    config = StudyConfig(pipeline=PipelineConfig(confidence=args.confidence))
     try:
         injector = (FaultInjector.parse(args.inject_fault)
                     if args.inject_fault else None)
@@ -390,7 +371,7 @@ def _cmd_confidence(args: argparse.Namespace) -> int:
     countries = _parse_countries(args.countries)
     scenario = build_scenario()
     config = StudyConfig(
-        pipeline=PipelineConfig(engine=args.geoloc_engine, confidence=True),
+        pipeline=PipelineConfig(confidence=True),
     )
     outcome = run_study(scenario, countries=countries, config=config,
                         **_run_kwargs(args))

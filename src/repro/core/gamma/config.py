@@ -46,10 +46,6 @@ class GammaConfig:
     #: Save full page sources and scrape them for hardcoded domains
     #: (section 3: C1 saves webpages; C2 resolves hardcoded domains too).
     save_pages: bool = False
-    #: Normalise traceroutes through the historical render-text → parse
-    #: round trip instead of the byte-identical direct fast path.  Off by
-    #: default; CI keeps the parser path continuously exercised with it.
-    exercise_parsers: bool = False
     #: Memoise the first trace per (volunteer, address) across sites —
     #: duplicates are thrown away downstream anyway (only the first
     #: observation per address feeds the geolocation pipeline).
@@ -107,6 +103,5 @@ class GammaConfig:
             os_name=self.os_name,
             probes_per_hop=self.probes_per_hop,
             save_pages=self.save_pages,
-            exercise_parsers=self.exercise_parsers,
             memo_traces=self.memo_traces,
         )

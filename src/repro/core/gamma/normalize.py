@@ -25,8 +25,8 @@ The render → parse round trip survives as the correctness oracle:
 ``normalize_direct(result, fmt) ==
 parse_traceroute_output(render_<fmt>(result))`` byte for byte, locked
 down by the property tests in ``tests/test_gamma_normalize.py`` and
-kept continuously exercised end-to-end via
-``GammaConfig.exercise_parsers`` (mirroring ``FilterSet.match_naive``).
+end to end by ``tests/test_probe_fastpath.py``, which runs studies with
+the round trip patched into ``ProbeRunner.traceroute``.
 """
 
 from __future__ import annotations

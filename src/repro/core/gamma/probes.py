@@ -4,14 +4,13 @@ Launches traceroutes (and pings) through the OS adapter so the stored
 record is the normalised JSON schema regardless of platform.  Two fast
 paths keep C3 — the scaling bottleneck of a study — off the profile:
 
-* **Direct normalisation** (default): the adapter constructs the
+* **Direct normalisation**: the adapter constructs the
   :class:`NormalizedTraceroute` straight from the structured trace via
   :mod:`repro.core.gamma.normalize`, reproducing its platform's lossy
   text quantisation exactly.  The historical *render text → parse text*
-  round trip — which exercises the normalisation layer the paper
-  describes — survives behind ``exercise_parsers=True``
-  (:attr:`repro.core.gamma.config.GammaConfig.exercise_parsers`) as the
-  correctness oracle, and CI keeps it continuously exercised.
+  round trip (``OSAdapter.raw_traceroute`` +
+  :func:`~repro.core.gamma.parsers.parse_traceroute_output`) stays
+  public and serves the tests as the correctness oracle.
 * **Per-country trace memo**: within one run the same third-party
   address is embedded by many sites, and downstream consumers
   (:func:`repro.study.build_source_traces`) only ever keep the *first*
@@ -28,7 +27,7 @@ import itertools
 from typing import Dict, Iterable, Optional
 
 from repro.core.gamma.osadapt import OSAdapter, PingResult, adapter_for
-from repro.core.gamma.parsers import NormalizedTraceroute, parse_traceroute_output
+from repro.core.gamma.parsers import NormalizedTraceroute
 from repro.exec.cache import ReadThroughCache, register_cache
 from repro.netsim.geography import City
 from repro.netsim.network import World
@@ -49,26 +48,18 @@ _RUNNER_TOKENS = itertools.count()
 class ProbeRunner:
     """Runs OS-native probes from a vantage city."""
 
-    def __init__(self, world: World, os_name: str = "linux", exercise_parsers: bool = False):
+    def __init__(self, world: World, os_name: str = "linux"):
         self._world = world
         self._adapter: OSAdapter = adapter_for(os_name)
         self._tls = TLSInspector(world)
-        self._exercise_parsers = exercise_parsers
         self._memo_namespace = next(_RUNNER_TOKENS)
 
     @property
     def adapter(self) -> OSAdapter:
         return self._adapter
 
-    @property
-    def exercise_parsers(self) -> bool:
-        return self._exercise_parsers
-
     def traceroute(self, source_city: City, target_ip: str, key: str = "") -> NormalizedTraceroute:
         """One traceroute, via the platform tool, normalised."""
-        if self._exercise_parsers:
-            raw = self._adapter.raw_traceroute(self._world.traceroute, source_city, target_ip, key)
-            return parse_traceroute_output(raw)
         return self._adapter.normalized_traceroute(
             self._world.traceroute, source_city, target_ip, key
         )

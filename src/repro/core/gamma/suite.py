@@ -82,7 +82,7 @@ class GammaSuite:
         config = self._effective_config(volunteer)
         dataset = self._resume_or_start(volunteer, checkpoint)
         prober = (
-            ProbeRunner(self._world, config.os_name, exercise_parsers=config.exercise_parsers)
+            ProbeRunner(self._world, config.os_name)
             if config.traceroutes_enabled
             else None
         )

@@ -24,13 +24,12 @@ foreign/local call to be right?* — from two evidence families:
   discard and *lowers* it in a verification.
 
 Confidence is an **annotation layer**: scoring never changes a verdict,
-a funnel counter, a summary, or a stripped journal.  Both engines
-implement the same spec — the scalar reference walks verdicts one at a
-time (:func:`score_verdict`), the columnar engine evaluates the same
-formula as masked numpy array algebra — and the differential suite
-asserts bit-identical scores.  Every anchored float (SOL floors, vantage
-bounds, consistency ratios) is produced by exactly the scalar helpers,
-so the two engines can never drift by an ulp.
+a funnel counter, a summary, or a stripped journal.  Scoring is two
+steps per verdict: :func:`gather_inputs` collects margins, the vantage
+vote and the rDNS hint, and :func:`combine_score` maps them to a score.
+The SOL floors it needs come from the pipeline's
+:class:`~repro.core.geoloc.constraints.ClaimAnchors` table — the same
+values the constraint ladder compared against.
 
 Base rates per outcome class are calibrated against the seeded ground
 truth of the default world (``gamma confidence --validate`` reports the
@@ -43,9 +42,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.geoloc.constraints import adjusted_latency_ms
+from repro.core.geoloc.constraints import ClaimAnchors, adjusted_latency_ms, sol_floor_ms
 from repro.core.geoloc.verdicts import DatasetGeolocation, ServerStatus, ServerVerdict
-from repro.netsim.distance import city_distance_km, min_rtt_ms
 from repro.netsim.geography import City
 
 __all__ = [
@@ -63,8 +61,7 @@ __all__ = [
 
 # -- outcome kinds ------------------------------------------------------------
 # Every verdict maps to exactly one kind; the kind indexes the base-rate
-# and weight tables below.  Codes are contiguous so the columnar engine
-# can vectorise the lookup with one ``np.take`` per table.
+# and weight tables below.
 K_UNLOCATED = 0
 K_LOCAL = 1
 K_VERIFIED = 2
@@ -158,7 +155,7 @@ def round_confidence(value: Optional[float]) -> Optional[float]:
 
     Mirrors :func:`repro.core.geoloc.constraints.round_evidence_ms`:
     scores stay raw floats on the verdict and round only at the journal
-    boundary, so rounding can never make the engines disagree.
+    boundary.
     """
     return None if value is None else round(value, 6)
 
@@ -167,8 +164,7 @@ def _denom(threshold: float) -> float:
     """Margin denominator: the threshold, floored at 1 ms.
 
     Guards the relative margin against near-zero thresholds (a claimed
-    city one town over) without branching differently in the two
-    engines — ``max(threshold, 1.0)`` vectorises exactly.
+    city one town over).
     """
     return threshold if threshold > 1.0 else 1.0
 
@@ -183,8 +179,7 @@ def margin_score(ratio: float) -> float:
 
     ``r / (r + 1)``: a zero margin scores 0 (decided on the line), a
     margin equal to the threshold scores 0.5, and the score approaches 1
-    as the margin grows.  Pure ``+ / /`` arithmetic, so the numpy
-    elementwise evaluation is bit-identical to this reference.
+    as the margin grows.
     """
     if ratio < 0.0:
         ratio = 0.0
@@ -192,53 +187,37 @@ def margin_score(ratio: float) -> float:
 
 
 class ConfidenceAnchors:
-    """Per-city / per-address anchor values shared by both engines.
+    """Per-city / per-address anchor values for scoring.
 
-    Everything here is a pure function of the (immutable) services and
-    configuration, computed with exactly the scalar helpers — the same
-    pattern the columnar constraint engine uses, so scores never depend
-    on which engine produced them or how batches were split.
+    SOL floors and the claimed country's probe are read from *anchors*,
+    the pipeline's :class:`ClaimAnchors` table (a geometry-only table
+    over ``atlas.mesh`` when none is given); vantage sets and
+    consistency votes are memoised here.  Everything is a pure function
+    of the (immutable) services and configuration, so scores never
+    depend on how batches were split.
     """
 
-    def __init__(self, atlas):
+    def __init__(self, atlas, anchors: Optional[ClaimAnchors] = None):
         self._atlas = atlas
-        self._source_sol: Dict[Tuple[str, str], float] = {}
-        self._dest: Dict[str, Tuple[Optional[object], float]] = {}
+        self._anchors = anchors if anchors is not None else ClaimAnchors(atlas.mesh)
         self._vantages: Dict[str, tuple] = {}
         self._consistency: Dict[str, Optional[float]] = {}
 
     def source_sol(self, source_city: City, claimed_city: City) -> float:
         """SOL floor for the volunteer -> claimed-city pair."""
-        key = (source_city.key, claimed_city.key)
-        value = self._source_sol.get(key)
-        if value is None:
-            value = self._source_sol[key] = min_rtt_ms(
-                city_distance_km(source_city, claimed_city)
-            )
-        return value
+        return self._anchors.source(source_city, claimed_city)[0]
 
     def dest_sol(self, claimed_city: City) -> float:
         """SOL floor from the claimed country's probe (NaN: no probe)."""
-        anchor = self._dest.get(claimed_city.key)
-        if anchor is None:
-            probe = self._atlas.mesh.probe_for_country(
-                claimed_city.country_code, claimed_city
-            )[0]
-            sol = (
-                float("nan") if probe is None
-                else min_rtt_ms(city_distance_km(probe.city, claimed_city))
-            )
-            anchor = self._dest[claimed_city.key] = (probe, sol)
-        return anchor[1]
+        return self._anchors.destination(claimed_city)[1]
 
     # -- cross-vantage consistency ----------------------------------------
     def _vantage_probes(self, claimed_city: City) -> tuple:
         """The claimed-country probe plus nearby foreign vantages."""
         probes = self._vantages.get(claimed_city.key)
         if probes is None:
-            self.dest_sol(claimed_city)  # populate the claimed-country probe
             pool = []
-            claimed_probe = self._dest[claimed_city.key][0]
+            claimed_probe = self._anchors.destination(claimed_city)[0]
             if claimed_probe is not None:
                 pool.append(claimed_probe)
             vantage_picker = getattr(self._atlas.mesh, "vantage_probes", None)
@@ -254,12 +233,11 @@ class ConfidenceAnchors:
         """Fraction of vantages whose RTT is consistent with the claim.
 
         Each vantage probe traces *address* (served from the
-        ``atlas.dest_traces`` cross-country memo, so countries — and
-        engines — share one measurement per ``(probe, address)``) and
-        votes: consistent when the adjusted RTT lies between the SOL
-        floor for the claimed city and an inflation-bounded ceiling.
-        ``None`` when no vantage produced usable evidence.  The ratio of
-        two small ints is exact, so both engines land on the same float.
+        ``atlas.dest_traces`` cross-country memo, so countries share one
+        measurement per ``(probe, address)``) and votes: consistent when
+        the adjusted RTT lies between the SOL floor for the claimed city
+        and an inflation-bounded ceiling.  ``None`` when no vantage
+        produced usable evidence.
         """
         if address in self._consistency:
             return self._consistency[address]
@@ -272,7 +250,7 @@ class ConfidenceAnchors:
             if observed is None:
                 continue
             votes += 1
-            sol = min_rtt_ms(city_distance_km(probe.city, claimed_city))
+            sol = sol_floor_ms(probe.city, claimed_city)
             ceiling = sol * CONSISTENCY_MAX_INFLATION + CONSISTENCY_SLACK_MS
             if sol <= observed <= ceiling:
                 agree += 1
@@ -285,8 +263,6 @@ class ConfidenceAnchors:
 class ConfidenceInputs:
     """Everything the scoring formula consumes, for one verdict.
 
-    The gather step (this dataclass) is shared by both engines; only the
-    arithmetic after it differs (scalar reference vs masked arrays).
     ``margin_src`` / ``margin_dst`` are raw margin *ratios* (pre-squash),
     ``None`` when that constraint produced no usable margin.
     """
@@ -310,7 +286,7 @@ def gather_inputs(
     source_city: City,
     anchors: ConfidenceAnchors,
 ) -> ConfidenceInputs:
-    """Extract the scoring inputs for one verdict (engine-shared).
+    """Extract the scoring inputs for one verdict.
 
     Margins come from the evidence already recorded on the verdict's
     :class:`ConstraintResult` list; thresholds the constraints did not
@@ -373,13 +349,7 @@ def gather_inputs(
 
 
 def combine_score(inputs: ConfidenceInputs) -> float:
-    """The scoring formula — the scalar reference implementation.
-
-    The columnar engine evaluates exactly this arithmetic, in exactly
-    this operation order, as masked array algebra; every operation is
-    IEEE-754 elementwise (``+ - * / abs min max``), so the two
-    evaluations are bit-identical.
-    """
+    """The calibrated scoring formula over gathered inputs."""
     kind = inputs.kind
     # Margin term: mean of the available squashed margins, neutral 0.5
     # when the kind carries no margin evidence.

@@ -6,12 +6,18 @@ city) and returns a :class:`ConstraintResult`: PASS (consistent), FAIL
 paper keeps such servers, since absence of evidence is not evidence of a
 wrong location — except for missing/unreached traceroutes, which are
 explicit FAILs per the paper's discard rules).
+
+The latency constraints compare evidence against *anchors* — SOL
+floors, the 80 %-rule floor, the strict destination ceiling — that
+depend only on the cities involved.  ``check`` computes them on the
+spot; ``judge`` takes them precomputed, which is how the pipeline reads
+them from its per-claimed-city :class:`ClaimAnchors` table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 from repro.core.gamma.parsers import NormalizedTraceroute
 from repro.core.geoloc.latency_stats import LatencyStatsProvider
@@ -21,10 +27,12 @@ from repro.netsim.geohints import extract_hint
 from repro.netsim.latency import LatencyModel
 
 __all__ = [
+    "ClaimAnchors",
     "ConstraintStatus",
     "ConstraintResult",
     "adjusted_latency_ms",
     "round_evidence_ms",
+    "sol_floor_ms",
     "source_latency_floor_ms",
     "SourceConstraint",
     "DestinationConstraint",
@@ -61,10 +69,9 @@ def round_evidence_ms(value: Optional[float]) -> Optional[float]:
     """Journal-stable form of a (deterministic) evidence latency.
 
     The single rounding point for every latency the pipeline reports in
-    ``geoloc_decision`` events.  Both engines store *raw* floats on
+    ``geoloc_decision`` events.  Constraints store *raw* floats on
     :class:`ConstraintResult` and round only here, at the journal
-    boundary, so rounding can never shift a threshold comparison and the
-    two engines can never round differently.
+    boundary, so rounding can never shift a threshold comparison.
     """
     return None if value is None else round(value, 6)
 
@@ -72,12 +79,15 @@ def round_evidence_ms(value: Optional[float]) -> Optional[float]:
 def source_latency_floor_ms(threshold: float, published_ms: float) -> float:
     """The 80 %-rule floor: the slowest believable RTT for the pair.
 
-    One shared multiplication, used by the scalar constraint and the
-    columnar engine alike — an observed RTT strictly below this value is
-    too fast for the claimed location.  Centralised so the comparison
-    boundary is bit-identical across engines.
+    An observed RTT strictly below this value is too fast for the
+    claimed location.
     """
     return threshold * published_ms
+
+
+def sol_floor_ms(a: City, b: City) -> float:
+    """Speed-of-light RTT floor between two cities."""
+    return min_rtt_ms(city_distance_km(a, b))
 
 
 def adjusted_latency_ms(trace: NormalizedTraceroute) -> Optional[float]:
@@ -110,12 +120,33 @@ class SourceConstraint:
         self._stats = stats
         self._threshold = conservative_threshold
 
+    def published_floor_ms(self, source_city: City, claimed_city: City) -> Optional[float]:
+        """The 80 %-rule floor for the pair (None: no published statistics)."""
+        published = self._stats.published_rtt_ms(source_city, claimed_city)
+        if published is None:
+            return None
+        return source_latency_floor_ms(self._threshold, published)
+
     def check(
         self,
         trace: Optional[NormalizedTraceroute],
         source_city: City,
         claimed_city: City,
     ) -> ConstraintResult:
+        """Judge *trace* against anchors computed on the spot."""
+        return self.judge(
+            trace,
+            sol_floor_ms(source_city, claimed_city),
+            self.published_floor_ms(source_city, claimed_city),
+        )
+
+    def judge(
+        self,
+        trace: Optional[NormalizedTraceroute],
+        sol_floor: float,
+        floor: Optional[float],
+    ) -> ConstraintResult:
+        """The decision ladder against precomputed anchors."""
         if trace is None:
             return ConstraintResult(self.name, ConstraintStatus.FAIL, "no source traceroute")
         if not trace.reached:
@@ -124,7 +155,6 @@ class SourceConstraint:
         if observed is None:
             return ConstraintResult(self.name, ConstraintStatus.FAIL, "no responding hops")
 
-        sol_floor = min_rtt_ms(city_distance_km(source_city, claimed_city))
         if observed < sol_floor:
             return ConstraintResult(
                 self.name,
@@ -134,15 +164,13 @@ class SourceConstraint:
                 expected_ms=sol_floor,
             )
 
-        published = self._stats.published_rtt_ms(source_city, claimed_city)
-        if published is None:
+        if floor is None:
             return ConstraintResult(
                 self.name,
                 ConstraintStatus.PASS,
                 "SOL ok; no published statistics for pair",
                 observed_ms=observed,
             )
-        floor = source_latency_floor_ms(self._threshold, published)
         if observed < floor:
             return ConstraintResult(
                 self.name,
@@ -189,9 +217,15 @@ class DestinationConstraint:
 
     def plausible_rtt_bound_ms(self, probe_city: City, claimed_city: City) -> float:
         """Worst-case believable RTT if the claim were true (strict mode)."""
-        propagation = min_rtt_ms(city_distance_km(probe_city, claimed_city)) * self._max_inflation
+        propagation = sol_floor_ms(probe_city, claimed_city) * self._max_inflation
         penalties = self._latency.access_penalty(probe_city) + self._latency.access_penalty(claimed_city)
         return propagation + penalties + self._slack_ms
+
+    def bound_ms(self, probe_city: City, claimed_city: City) -> Optional[float]:
+        """The RTT ceiling this constraint enforces (None unless strict)."""
+        if not self._strict_bound:
+            return None
+        return self.plausible_rtt_bound_ms(probe_city, claimed_city)
 
     def check(
         self,
@@ -199,14 +233,29 @@ class DestinationConstraint:
         probe_city: Optional[City],
         claimed_city: City,
     ) -> ConstraintResult:
-        if trace is None or probe_city is None:
+        """Judge *trace* against anchors computed on the spot."""
+        if probe_city is None:
+            return self.judge(None, float("nan"), None)
+        return self.judge(
+            trace,
+            sol_floor_ms(probe_city, claimed_city),
+            self.bound_ms(probe_city, claimed_city),
+        )
+
+    def judge(
+        self,
+        trace: Optional[NormalizedTraceroute],
+        sol_floor: float,
+        bound: Optional[float],
+    ) -> ConstraintResult:
+        """The decision ladder against precomputed anchors."""
+        if trace is None:
             return ConstraintResult(self.name, ConstraintStatus.FAIL, "no destination traceroute")
         if not trace.reached:
             return ConstraintResult(self.name, ConstraintStatus.FAIL, "destination traceroute did not reach")
         observed = adjusted_latency_ms(trace)
         if observed is None:
             return ConstraintResult(self.name, ConstraintStatus.FAIL, "no responding hops")
-        sol_floor = min_rtt_ms(city_distance_km(probe_city, claimed_city))
         if observed < sol_floor:
             return ConstraintResult(
                 self.name,
@@ -215,16 +264,14 @@ class DestinationConstraint:
                 observed_ms=observed,
                 expected_ms=sol_floor,
             )
-        if self._strict_bound:
-            bound = self.plausible_rtt_bound_ms(probe_city, claimed_city)
-            if observed > bound:
-                return ConstraintResult(
-                    self.name,
-                    ConstraintStatus.FAIL,
-                    "RTT from in-country probe too high for claimed location",
-                    observed_ms=observed,
-                    expected_ms=bound,
-                )
+        if bound is not None and observed > bound:
+            return ConstraintResult(
+                self.name,
+                ConstraintStatus.FAIL,
+                "RTT from in-country probe too high for claimed location",
+                observed_ms=observed,
+                expected_ms=bound,
+            )
         return ConstraintResult(self.name, ConstraintStatus.PASS, "consistent", observed_ms=observed)
 
 
@@ -251,3 +298,67 @@ class ReverseDNSConstraint:
                 f"PTR hints {hinted_city_key}, claim is {claimed_city.key}",
             )
         return ConstraintResult(self.name, ConstraintStatus.PASS, f"PTR consistent ({hinted_city_key})")
+
+
+class ClaimAnchors:
+    """Per-claimed-city anchors of the constraint ladder, computed once.
+
+    With services and configuration fixed, every anchor is a pure
+    function of its cities, while a study's candidate servers claim only
+    a handful of distinct cities.  This table computes each anchor the
+    first time a claim needs it and serves it to every later address
+    claiming the same city — to the constraint ladder and to confidence
+    scoring alike.
+
+    *source* and *destination* supply the 80 %-rule floor and the strict
+    ceiling; without them those anchors read as ``None`` and only the
+    geometric values (SOL floors, the claimed country's probe) are
+    available.
+    """
+
+    def __init__(
+        self,
+        mesh,
+        source: Optional[SourceConstraint] = None,
+        destination: Optional[DestinationConstraint] = None,
+    ):
+        self._mesh = mesh
+        self._source_constraint = source
+        self._destination_constraint = destination
+        self._source: Dict[Tuple[str, str], Tuple[float, Optional[float]]] = {}
+        self._destination: Dict[str, tuple] = {}
+
+    def source(self, source_city: City, claimed_city: City) -> Tuple[float, Optional[float]]:
+        """``(SOL floor, 80 %-rule floor or None)`` for the vantage pair."""
+        key = (source_city.key, claimed_city.key)
+        anchor = self._source.get(key)
+        if anchor is None:
+            constraint = self._source_constraint
+            anchor = self._source[key] = (
+                sol_floor_ms(source_city, claimed_city),
+                None if constraint is None
+                else constraint.published_floor_ms(source_city, claimed_city),
+            )
+        return anchor
+
+    def destination(self, claimed_city: City) -> tuple:
+        """``(probe or None, SOL floor, strict ceiling or None)``.
+
+        The probe is the claimed country's (or its fallback neighbour's)
+        probe nearest the claimed city; without one the SOL floor is NaN.
+        """
+        anchor = self._destination.get(claimed_city.key)
+        if anchor is None:
+            probe = self._mesh.probe_for_country(claimed_city.country_code, claimed_city)[0]
+            constraint = self._destination_constraint
+            if probe is None:
+                anchor = (None, float("nan"), None)
+            else:
+                anchor = (
+                    probe,
+                    sol_floor_ms(probe.city, claimed_city),
+                    None if constraint is None
+                    else constraint.bound_ms(probe.city, claimed_city),
+                )
+            self._destination[claimed_city.key] = anchor
+        return anchor

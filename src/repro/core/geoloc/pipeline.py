@@ -13,22 +13,11 @@ The pipeline also accounts the data-collection funnel the paper reports
 in section 5 (domains -> non-local -> after latency constraints -> after
 reverse DNS).
 
-Two interchangeable engines evaluate the constraint battery
-(``PipelineConfig.engine``, ``gamma study --geoloc-engine``):
-
-* ``"scalar"`` — the historical per-address walk through the constraint
-  classes of :mod:`repro.core.geoloc.constraints`; always available and
-  kept as the byte-identical oracle.
-* ``"columnar"`` — the batch engine of
-  :mod:`repro.core.geoloc.columnar` (the default): evidence gathered
-  into numpy arrays, constraints evaluated as vectorised mask algebra,
-  anchored on per-unique-city scalar values so every verdict, funnel
-  counter and journal ``geoloc_decision`` event is identical to the
-  scalar engine's.
-
-Funnel accounting and journal emission are shared code below either
-engine, so the observability contract (docs/observability.md) cannot
-drift between them.
+The battery is evaluated one address at a time, in input order.  Its
+thresholds — SOL floors, the 80 %-rule floor, the claimed country's
+probe and the strict ceiling — depend only on the cities involved, so
+the pipeline reads them from one :class:`ClaimAnchors` table that
+computes each per claimed city once and also serves confidence scoring.
 """
 
 from __future__ import annotations
@@ -48,6 +37,7 @@ from repro.core.geoloc.confidence import (
     round_confidence,
 )
 from repro.core.geoloc.constraints import (
+    ClaimAnchors,
     ConstraintResult,
     DestinationConstraint,
     ReverseDNSConstraint,
@@ -67,7 +57,6 @@ from repro.netsim.latency import LatencyModel
 from repro.obs.metrics import CONFIDENCE_BUCKETS, MS_BUCKETS
 
 __all__ = [
-    "GEOLOC_ENGINES",
     "ServerStatus",
     "SourceTraces",
     "PipelineConfig",
@@ -76,10 +65,6 @@ __all__ = [
     "DatasetGeolocation",
     "GeolocationPipeline",
 ]
-
-#: Selectable constraint engines (outputs are identical by contract).
-GEOLOC_ENGINES = ("scalar", "columnar")
-
 
 @dataclass
 class SourceTraces:
@@ -109,9 +94,6 @@ class PipelineConfig:
     enable_source: bool = True
     enable_destination: bool = True
     enable_rdns: bool = True
-    #: Constraint engine: "columnar" (vectorised batch math, the default)
-    #: or "scalar" (the per-address oracle).  Byte-identical outputs.
-    engine: str = "columnar"
     #: Score every verdict with a calibrated confidence
     #: (repro.core.geoloc.confidence).  Pure annotation layer: binary
     #: verdicts, funnels, summaries and stripped journals are
@@ -133,11 +115,6 @@ class GeolocationPipeline:
         self._ipmap = ipmap
         self._atlas = atlas
         self._config = config or PipelineConfig()
-        if self._config.engine not in GEOLOC_ENGINES:
-            raise ValueError(
-                f"unknown geoloc engine {self._config.engine!r}; "
-                f"expected one of {GEOLOC_ENGINES}"
-            )
         self._source = SourceConstraint(stats, self._config.conservative_threshold)
         self._destination = DestinationConstraint(
             latency,
@@ -146,23 +123,18 @@ class GeolocationPipeline:
             strict_bound=self._config.strict_destination_bound,
         )
         self._rdns = ReverseDNSConstraint()
+        self._anchors = ClaimAnchors(atlas.mesh, self._source, self._destination)
         self._confidence_anchors: Optional[ConfidenceAnchors] = None
-        self._columnar = None
-        if self._config.engine == "columnar":
-            from repro.core.geoloc.columnar import ColumnarGeolocationEngine
-
-            self._columnar = ColumnarGeolocationEngine(
-                ipmap, atlas, stats, latency, self._config
-            )
 
     @classmethod
     def for_scenario(cls, scenario, config: Optional[PipelineConfig] = None) -> "GeolocationPipeline":
         """Pipeline over a scenario's services.
 
         Construction is pure (constraints only hold configuration and
-        service references), so per-country workers can each build their
-        own pipeline and classify identically to a shared one — the
-        property the parallel executor relies on.
+        service references; the anchor table fills lazily with pure
+        functions of its keys), so per-country workers can each build
+        their own pipeline and classify identically to a shared one —
+        the property the parallel executor relies on.
         """
         return cls(
             ipmap=scenario.ipmap,
@@ -175,11 +147,6 @@ class GeolocationPipeline:
     @property
     def config(self) -> PipelineConfig:
         return self._config
-
-    @property
-    def engine_name(self) -> str:
-        """The engine evaluating constraints."""
-        return "columnar" if self._columnar is not None else "scalar"
 
     def classify_dataset(
         self,
@@ -194,16 +161,13 @@ class GeolocationPipeline:
         ``geoloc_decision`` event is emitted per unique address — which
         constraint fired and the evidence values — plus one closing
         ``country_funnel`` event, making every exclusion in the paper's
-        section-5 funnel auditable from the run journal.  Accounting and
-        emission run below whichever engine produced the verdicts, so
-        the event contract is engine-invariant.
+        section-5 funnel auditable from the run journal.
 
         With a :class:`repro.obs.MetricsRegistry` the same loop counts
         verdict statuses, constraint outcomes and evidence latencies
         into labeled series.  These are **study** metrics (deterministic
-        functions of the scenario, like the events): the engine
-        invariance contract makes them identical under either engine,
-        and the simulated network makes the latency histograms exact.
+        functions of the scenario, like the events): the simulated
+        network makes the latency histograms exact.
         """
         result = DatasetGeolocation(country_code=dataset.country_code)
         rdns_records: Dict[str, Optional[str]] = {}
@@ -314,8 +278,7 @@ class GeolocationPipeline:
         }
         if metrics is not None:
             metrics.counter(
-                "geoloc_countries_total", {"engine": self.engine_name},
-                help="datasets classified, by constraint engine",
+                "geoloc_countries_total", help="datasets classified",
             ).inc()
             for stage, count in funnel_stages.items():
                 metrics.counter(
@@ -338,18 +301,11 @@ class GeolocationPipeline:
         rdns_records: Dict[str, Optional[str]],
         funnel: FunnelCounters,
     ) -> Dict[str, ServerVerdict]:
-        """One verdict per address, in input order — the engine seam.
+        """One verdict per address, in input order.
 
-        The scalar and columnar engines implement exactly this mapping;
-        the differential test harness calls it directly to compare them
-        field by field on adversarial batches.  Only
-        ``funnel.destination_traceroutes`` is touched here (the logical
-        launch counter); stage accounting happens in the caller.
+        Only ``funnel.destination_traceroutes`` is touched here (the
+        logical launch counter); stage accounting happens in the caller.
         """
-        if self._columnar is not None:
-            return self._columnar.classify_batch(
-                addresses, measurement_country, source_traces, rdns_records, funnel
-            )
         return {
             address: self._classify_address(
                 address, hosts, measurement_country, source_traces,
@@ -365,19 +321,17 @@ class GeolocationPipeline:
     ) -> Dict[str, ConfidenceInputs]:
         """Annotate every verdict with a calibrated confidence score.
 
-        The second engine seam (mirroring :meth:`classify_addresses`):
-        the scalar reference walks verdicts one at a time through
-        :func:`repro.core.geoloc.confidence.combine_score`, the columnar
-        engine evaluates the identical formula as masked array algebra —
-        the differential suite asserts bit-identical scores.  Returns
-        the gathered scoring inputs per address so the caller can
-        journal them; mutates only ``verdict.confidence``.
+        Each verdict goes through
+        :func:`repro.core.geoloc.confidence.gather_inputs` and
+        :func:`~repro.core.geoloc.confidence.combine_score`.  Returns the
+        gathered scoring inputs per address so the caller can journal
+        them; mutates only ``verdict.confidence``.
         """
-        if self._columnar is not None:
-            return self._columnar.score_batch(verdicts, source_traces)
         anchors = self._confidence_anchors
         if anchors is None:
-            anchors = self._confidence_anchors = ConfidenceAnchors(self._atlas)
+            anchors = self._confidence_anchors = ConfidenceAnchors(
+                self._atlas, self._anchors
+            )
         source_city = source_traces.city
         inputs_map: Dict[str, ConfidenceInputs] = {}
         for address, verdict in verdicts.items():
@@ -386,7 +340,7 @@ class GeolocationPipeline:
             inputs_map[address] = inputs
         return inputs_map
 
-    # -- the scalar engine (the always-available oracle) ---------------------
+    # -- the constraint ladder -------------------------------------------------
     def _classify_address(
         self,
         address: str,
@@ -404,9 +358,8 @@ class GeolocationPipeline:
 
         checks: List[ConstraintResult] = []
         if self._config.enable_source:
-            check = self._source.check(
-                source_traces.traces.get(address), source_traces.city, claim.city
-            )
+            sol_floor, floor = self._anchors.source(source_traces.city, claim.city)
+            check = self._source.judge(source_traces.traces.get(address), sol_floor, floor)
             checks.append(check)
             if check.failed:
                 return ServerVerdict(
@@ -414,16 +367,14 @@ class GeolocationPipeline:
                     claim=claim, discarded_by=self._source.name, checks=checks,
                 )
         if self._config.enable_destination:
-            probe, _country_used = self._atlas.mesh.probe_for_country(
-                claim.country_code, claim.city
-            )
+            probe, sol_floor, bound = self._anchors.destination(claim.city)
             trace = None
             if probe is not None:
                 # Logical launch count — memoisation below may serve the
                 # trace from another country's identical measurement.
                 funnel.destination_traceroutes += 1
                 trace = self._atlas.dest_traceroute(probe, address)
-            check = self._destination.check(trace, probe.city if probe else None, claim.city)
+            check = self._destination.judge(trace, sol_floor, bound)
             checks.append(check)
             if check.failed:
                 return ServerVerdict(

@@ -1,10 +1,8 @@
-"""Verdict and funnel records shared by both geolocation engines.
+"""Verdict and funnel records of the geolocation pipeline.
 
-The scalar pipeline (:mod:`repro.core.geoloc.pipeline`) and the batch
-columnar engine (:mod:`repro.core.geoloc.columnar`) must produce
-*exactly* the same artefacts — these dataclasses are that common
-currency.  They live in their own module so the columnar engine can
-build them without importing the pipeline (which imports the engine).
+They live in their own module so confidence scoring and validation can
+use them without importing the pipeline (which imports confidence
+scoring).
 """
 
 from __future__ import annotations

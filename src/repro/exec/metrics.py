@@ -157,14 +157,10 @@ class ExecMetrics:
         backend: str = "serial",
         jobs: int = 1,
         wall_seconds: float = 0.0,
-        geoloc_engine: str = "",
         registry: Optional[MetricsRegistry] = None,
     ):
         self.backend = backend
         self.jobs = jobs
-        #: Constraint engine the geolocation phase ran with ("scalar" or
-        #: "columnar"); empty until the first country lands.
-        self.geoloc_engine = geoloc_engine
         self.registry = registry if registry is not None else MetricsRegistry()
         if wall_seconds:
             self.wall_seconds = wall_seconds
@@ -346,7 +342,6 @@ class ExecMetrics:
         payload = {
             "backend": self.backend,
             "jobs": self.jobs,
-            "geoloc_engine": self.geoloc_engine,
             "wall_seconds": round(self.wall_seconds, 4),
             "aggregate_seconds": round(self.aggregate_seconds, 4),
             "cpu_seconds": round(self.cpu_seconds, 4),
@@ -366,9 +361,8 @@ class ExecMetrics:
 
     def render(self) -> str:
         """One human-readable block for the CLI study summary."""
-        engine = f" geoloc={self.geoloc_engine}" if self.geoloc_engine else ""
         lines = [
-            f"execution: backend={self.backend} jobs={self.jobs}{engine} "
+            f"execution: backend={self.backend} jobs={self.jobs} "
             f"wall={self.wall_seconds:.2f}s aggregate={self.aggregate_seconds:.2f}s "
             f"cpu={self.cpu_seconds:.2f}s speedup={self.speedup:.2f}x"
         ]

@@ -41,7 +41,6 @@ class PickledCountryRun:
     def __init__(self, run, payload: bytes, encode_seconds: float):
         self.country_code = run.country_code
         self.source_trace_origin = run.source_trace_origin
-        self.geoloc_engine = run.geoloc_engine
         self.funnel = run.funnel
         self.timings = run.timings
         self.cache_deltas = run.cache_deltas

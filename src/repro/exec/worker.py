@@ -140,10 +140,6 @@ class CountryRun:
     result: CountryStudyResult
     source_trace_origin: str
     timings: CountryTimings = field(default_factory=lambda: CountryTimings(""))
-    #: Which constraint engine geolocated this country ("scalar" or
-    #: "columnar") — execution metadata, surfaced
-    #: via ``ExecMetrics`` so `gamma study` can report it.
-    geoloc_engine: str = ""
     #: Memo-cache counter deltas caused by this country (in the worker's
     #: own process — the coordinator merges these for the process backend).
     cache_deltas: Dict[str, Dict[str, int]] = field(default_factory=dict)
@@ -233,7 +229,6 @@ class StudyWorker:
                     scenario.catalog,
                     GammaConfig.study_defaults(
                         os_name=volunteer.os_name,
-                        exercise_parsers=config.exercise_parsers,
                         memo_traces=config.memo_traces,
                     ),
                     browser_config=scenario.browser_config,
@@ -291,7 +286,6 @@ class StudyWorker:
             result=result,
             source_trace_origin=source_traces.origin,
             timings=timings,
-            geoloc_engine=pipeline.engine_name,
             cache_deltas=cache_deltas,
             events=tracer.events() if tracer is not None else None,
             metrics_delta=metrics.snapshot() if metrics is not None else None,

@@ -72,9 +72,7 @@ __all__ = ["StudyConfig", "StudyOutcome", "run_study", "build_source_traces"]
 class StudyConfig:
     """Knobs for a full study run."""
 
-    #: Geolocation tunables, including the constraint engine
-    #: (``pipeline.engine = "columnar"|"scalar"``, byte-identical outputs;
-    #: ``gamma study --geoloc-engine``).
+    #: Geolocation tunables (constraint thresholds and toggles, confidence).
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     visit_key: str = "visit-1"
     #: Anonymise volunteer IPs after analysis (section 3.5).
@@ -83,9 +81,6 @@ class StudyConfig:
     jobs: int = 1
     #: Execution backend: "auto", "serial", "thread", or "process".
     backend: str = "auto"
-    #: Route traceroutes through the historical render → parse round trip
-    #: instead of the byte-identical direct normaliser (CI's oracle mode).
-    exercise_parsers: bool = False
     #: Memoise each volunteer's first trace per address across sites.
     memo_traces: bool = True
     #: What a failing country does to the study: "raise" fails fast (the
@@ -318,8 +313,6 @@ def _merge_accounting(
     """
     outcome.source_trace_origins[run.country_code] = run.source_trace_origin
     outcome.metrics.record_country(run.timings, resumed=resumed)
-    if run.geoloc_engine:
-        outcome.metrics.geoloc_engine = run.geoloc_engine
     if isinstance(run, PickledCountryRun):
         outcome.metrics.record_transport(
             run.country_code, run.nbytes, run.encode_seconds

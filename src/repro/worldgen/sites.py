@@ -76,7 +76,7 @@ _FOREIGN_HOSTING_RATE: Dict[str, float] = {
 
 
 def _poisson(rng, mean: float) -> int:
-    """Small-mean Poisson draw via inversion (deterministic, no numpy)."""
+    """Small-mean Poisson draw via inversion (deterministic, stdlib only)."""
     if mean <= 0:
         return 0
     import math

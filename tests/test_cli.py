@@ -1,6 +1,7 @@
 """CLI entry point."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -131,10 +132,16 @@ class TestFaultToleranceCLI:
         assert "CA" in capsys.readouterr().out
         assert (checkpoint_dir / "CA.run.pkl").exists()
 
-    @pytest.mark.parametrize("flag", ["--transport", "--analysis-engine"])
-    def test_removed_engine_flags_are_rejected(self, flag, capsys):
+    @pytest.mark.parametrize("command,flag", [
+        ("study", "--transport"),
+        ("study", "--analysis-engine"),
+        ("study", "--geoloc-engine"),
+        ("study", "--exercise-parsers"),
+        ("confidence", "--geoloc-engine"),
+    ])
+    def test_removed_engine_flags_are_rejected(self, command, flag, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["study", "--countries", "CA", flag, "columnar"])
+            main([command, "--countries", "CA", flag, "columnar"])
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -230,3 +237,39 @@ class TestMetricsCommands:
         from repro.obs.metrics import validate_exposition
 
         assert validate_exposition(prom.read_text()) == []
+
+
+class TestCommittedMetricsBaseline:
+    """The committed baseline against the CA,NZ,RW snapshot CI checks."""
+
+    BASELINE = Path(__file__).resolve().parents[1] / "baselines" / "metrics-baseline.json"
+
+    @pytest.fixture(scope="class")
+    def snapshot(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("baseline") / "metrics.json"
+        assert main(["study", "--countries", "CA,NZ,RW", "--no-progress",
+                     "--backend", "process", "--jobs", "2",
+                     "--metrics-out", str(path)]) == 0
+        return path
+
+    def test_check_passes(self, snapshot, capsys):
+        capsys.readouterr()
+        assert main(["metrics", "check", str(self.BASELINE),
+                     "--snapshot", str(snapshot)]) == 0
+        assert "[FAIL" not in capsys.readouterr().out
+
+    def test_parent_snapshot_with_geoloc_engine_is_accepted(
+        self, snapshot, tmp_path, capsys
+    ):
+        # Older snapshots recorded the constraint engine in meta/exec.
+        payload = json.loads(snapshot.read_text())
+        payload["meta"]["geoloc_engine"] = "columnar"
+        payload["exec"]["geoloc_engine"] = "columnar"
+        parent = tmp_path / "parent.json"
+        parent.write_text(json.dumps(payload))
+        assert main(["metrics", "validate", str(parent)]) == 0
+        assert main(["metrics", "check", str(self.BASELINE),
+                     "--snapshot", str(parent)]) == 0
+        assert main(["metrics", "diff", str(parent), str(snapshot)]) == 0
+        assert main(["metrics", "diff", str(snapshot), str(parent)]) == 0
+        assert "no regressions (snapshots agree)" in capsys.readouterr().out

@@ -1,13 +1,14 @@
-"""Confidence engine: scoring invariants, engine equality, calibration.
+"""Confidence scoring: invariants, shared anchors, calibration.
 
 Four contracts are locked down here:
 
 * **Monotonicity** — a wider decision margin can never *lower* a
   verdict's confidence (property-based, both the squash and the full
   combine formula).
-* **Engine equality** — the scalar reference and the columnar masked-
-  margin evaluation produce bit-identical scores on the full
-  23-country study, and the scores survive the process-pool transport.
+* **Shared anchors** — scores read through the pipeline's anchor table
+  are bit-identical to scoring each verdict afresh from a standalone
+  table on the full 23-country study, and they survive the process-pool
+  transport.
 * **Annotation-only** — with confidence on, the binary verdicts,
   funnels, summaries, and stripped journals are byte-identical to a
   confidence-off run.
@@ -34,11 +35,13 @@ from repro.core.geoloc.confidence import (
     K_DISC_DEST_EVIDENCE,
     K_DISC_SOURCE_EVIDENCE,
     K_VERIFIED,
+    ConfidenceAnchors,
     ConfidenceInputs,
     ConfidenceReport,
     combine_score,
     margin_ratio,
     margin_score,
+    score_verdict,
 )
 from repro.core.geoloc.validation import (
     BRIER_TARGET,
@@ -57,10 +60,8 @@ _MARGIN_KINDS = (K_VERIFIED, K_DISC_SOURCE_EVIDENCE, K_DISC_DEST_EVIDENCE)
 _ratio = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 
 
-def _config(engine: str = "columnar", confidence: bool = True) -> StudyConfig:
-    return StudyConfig(
-        pipeline=PipelineConfig(engine=engine, confidence=confidence)
-    )
+def _config(confidence: bool = True) -> StudyConfig:
+    return StudyConfig(pipeline=PipelineConfig(confidence=confidence))
 
 
 def _confidences(outcome):
@@ -128,30 +129,37 @@ class TestMonotonicity:
         assert margin_ratio(0.5, 0.25) == pytest.approx(0.25)
 
 
-# -- engine equality -----------------------------------------------------------
+# -- shared anchors ------------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
-def study_confidence_scalar(scenario):
-    return run_study(scenario, config=_config(engine="scalar"))
+def study_confidence(scenario):
+    return run_study(scenario, config=_config())
 
 
-@pytest.fixture(scope="module")
-def study_confidence_columnar(scenario):
-    return run_study(scenario, config=_config(engine="columnar"))
+def _source_city(scenario, outcome, country):
+    """The city the country's source traces were launched from."""
+    volunteer = scenario.volunteers[country]
+    if outcome.source_trace_origins[country].startswith("atlas:"):
+        probe, _ = scenario.atlas.mesh.probe_for_country(country, volunteer.city)
+        return probe.city
+    return volunteer.city
 
 
-class TestEngineEquality:
-    def test_scalar_and_columnar_scores_are_identical(
-        self, study_confidence_scalar, study_confidence_columnar
+class TestSharedAnchors:
+    def test_pipeline_scores_equal_standalone_rescoring(
+        self, scenario, study_confidence
     ):
-        scalar = _confidences(study_confidence_scalar)
-        columnar = _confidences(study_confidence_columnar)
-        assert scalar == columnar  # bit-identical floats, every verdict
-        scored = sum(
-            1 for by_address in scalar.values()
-            for conf in by_address.values() if conf is not None
-        )
+        scored = 0
+        for country, geolocation in study_confidence.geolocations.items():
+            # A fresh geometry-only table per country: nothing shared
+            # with the pipeline that produced the scores.
+            anchors = ConfidenceAnchors(scenario.atlas)
+            source_city = _source_city(scenario, study_confidence, country)
+            for address, verdict in geolocation.verdicts.items():
+                rescored = score_verdict(verdict, source_city, anchors)
+                assert verdict.confidence == rescored, (country, address)
+                scored += 1
         assert scored > 1000  # the whole study is scored, not a corner
 
     def test_scores_survive_the_process_transport(self, scenario):
@@ -298,18 +306,18 @@ class TestCalibrationMetrics:
         assert report.brier is None and report.ece is None
 
     def test_study_calibration_meets_targets(
-        self, scenario, study_confidence_scalar
+        self, scenario, study_confidence
     ):
         report = calibrate_against_truth(
-            scenario.world, study_confidence_scalar.geolocations
+            scenario.world, study_confidence.geolocations
         )
         assert report.skipped == 0
         assert report.total > 5000
         assert report.ece <= ECE_TARGET
         assert report.brier <= BRIER_TARGET
 
-    def test_confidence_report_view(self, study_confidence_scalar):
-        geolocation = next(iter(study_confidence_scalar.geolocations.values()))
+    def test_confidence_report_view(self, study_confidence):
+        geolocation = next(iter(study_confidence.geolocations.values()))
         report = ConfidenceReport.from_geolocation(geolocation, low_n=3)
         assert report.scored == len(geolocation.verdicts)
         assert len(report.low_confidence) <= 3

@@ -1,15 +1,16 @@
 """Study-level equivalence of the probe-layer fast paths.
 
-Three independent switches accelerate component C3 — direct
-normalisation instead of the render → parse round trip, the per-country
+Three fast paths accelerate component C3 — direct normalisation
+instead of the render → parse round trip, the per-country
 first-observation trace memo, and the cross-country destination-probe
 memo.  The contract: none of them may change a study artefact.  Direct
-normalisation and the destination memo are *byte-invisible* everywhere
-(``assert_outcomes_identical``); the trace memo replays each address's
-first observation for later sites, so per-site duplicate entries carry
-the first site's RTT samples — while everything downstream (first
-observations, source traces, verdicts, funnel, summary) stays
-byte-identical.
+normalisation is checked against the round trip patched back into
+``ProbeRunner.traceroute``; it and the destination memo are
+*byte-invisible* everywhere (``assert_outcomes_identical``); the trace
+memo replays each address's first observation for later sites, so
+per-site duplicate entries carry the first site's RTT samples — while
+everything downstream (first observations, source traces, verdicts,
+funnel, summary) stays byte-identical.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 
 from repro import StudyConfig, run_study
 from repro.atlas.measurements import DEST_TRACE_CACHE_NAME
+from repro.core.gamma.parsers import parse_traceroute_output
 from repro.core.gamma.probes import TRACE_CACHE_NAME, ProbeRunner
 from tests.test_exec_equivalence import assert_outcomes_identical
 
@@ -35,12 +37,26 @@ def _first_observations(dataset):
     return merged
 
 
-class TestExerciseParsersEquivalence:
-    def test_direct_normalisation_byte_identical_to_parser_path(self, scenario):
+class TestParserOracleEquivalence:
+    def test_direct_normalisation_byte_identical_to_parser_path(
+        self, scenario, monkeypatch
+    ):
         fast = run_study(scenario, countries=COUNTRIES, config=StudyConfig())
-        oracle = run_study(
-            scenario, countries=COUNTRIES, config=StudyConfig(exercise_parsers=True)
-        )
+        parsed = []
+
+        def render_then_parse(runner, source_city, target_ip, key=""):
+            # The historical probe path: OS-native text, then the parser.
+            raw = runner.adapter.raw_traceroute(
+                runner._world.traceroute, source_city, target_ip, key
+            )
+            parsed.append(runner.adapter.traceroute_command)
+            return parse_traceroute_output(raw)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ProbeRunner, "traceroute", render_then_parse)
+            oracle = run_study(scenario, countries=COUNTRIES, config=StudyConfig())
+        # Both text formats went through the parsers.
+        assert {"traceroute", "tracert"} <= set(parsed)
         assert_outcomes_identical(fast, oracle)
 
     def test_tool_provenance_matches_volunteer_os(self, scenario):

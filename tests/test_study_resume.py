@@ -11,6 +11,7 @@ under ``on_error="raise"``) loses at most the in-flight countries.
 
 from __future__ import annotations
 
+import json
 import pickle
 
 import pytest
@@ -133,6 +134,38 @@ class TestCheckpointStore:
         assert [r["country"] for r in resumed.journal.events("country_resumed")] \
             == [cc for cc in SMALL_COUNTRIES if cc != "CA"]
         assert (checkpoint_dir / "CA.run.pkl").exists()
+
+    def test_run_carrying_a_geoloc_engine_label_resumes(
+        self, scenario, uninterrupted, tmp_path
+    ):
+        # Older versions recorded which geolocation engine produced each
+        # run (``CountryRun.geoloc_engine``).  Such a checkpoint must
+        # still load, not be quarantined, and resume byte-identically.
+        checkpoint_dir = tmp_path / "ckpt"
+        completed = SMALL_COUNTRIES[:INTERRUPT_AFTER]
+        run_study(scenario, countries=completed,
+                  checkpoint_dir=checkpoint_dir, trace=True)
+        checkpoint = StudyCheckpoint(checkpoint_dir)
+        for cc in completed:
+            run = checkpoint.load(cc)
+            run.geoloc_engine = "columnar"
+            # ...and labelled its metrics delta's country count by engine.
+            family = run.metrics_delta["families"]["geoloc_countries_total"]
+            family["help"] = "datasets classified, by constraint engine"
+            family["series"][0]["labels"] = {"engine": "columnar"}
+            checkpoint.store(run)
+            assert b"geoloc_engine" in checkpoint.path_for(cc).read_bytes()
+        resumed = run_study(
+            scenario, countries=SMALL_COUNTRIES, checkpoint_dir=checkpoint_dir,
+            resume=True, trace=True,
+        )
+        assert not list(checkpoint_dir.glob("*.corrupt"))
+        assert [r["country"] for r in resumed.journal.events("country_resumed")] \
+            == completed
+        assert_resume_equivalent(uninterrupted, resumed)
+        assert json.dumps(resumed.summary().to_dict()) == json.dumps(
+            uninterrupted.summary().to_dict()
+        )
 
     def test_corrupt_run_file_is_quarantined_and_remeasured(
         self, scenario, uninterrupted, tmp_path

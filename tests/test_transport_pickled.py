@@ -229,7 +229,6 @@ def country_runs(draw, shared=None):
         result=result,
         source_trace_origin=draw(_pooled),
         timings=timings,
-        geoloc_engine=draw(st.sampled_from(["", "scalar", "columnar"])),
         cache_deltas={
             name: {
                 "hits": draw(_counters), "misses": draw(_counters),
@@ -268,7 +267,6 @@ def assert_runs_equal(loaded: CountryRun, original: CountryRun) -> None:
     assert loaded.result.sites == original.result.sites
     assert loaded.source_trace_origin == original.source_trace_origin
     assert loaded.timings == original.timings
-    assert loaded.geoloc_engine == original.geoloc_engine
     assert loaded.cache_deltas == original.cache_deltas
     assert loaded.events == original.events
     assert loaded.metrics_delta == original.metrics_delta
@@ -335,7 +333,6 @@ class TestRoundTripProperties:
         loads = _watch(shipped)
         assert shipped.country_code == run.country_code
         assert shipped.source_trace_origin == run.source_trace_origin
-        assert shipped.geoloc_engine == run.geoloc_engine
         assert shipped.funnel == run.funnel
         assert shipped.timings == run.timings
         assert shipped.cache_deltas == run.cache_deltas
