@@ -15,7 +15,6 @@ from repro.geodb.ipinfo import IPInfoService, IPMetadata
 from repro.netsim.dns import NXDomain
 from repro.netsim.geography import City
 from repro.netsim.network import World
-from repro.netsim.resolver import GeoDNSMemo
 
 __all__ = ["NetInfoResult", "NetworkInfoGatherer"]
 
@@ -36,16 +35,13 @@ class NetworkInfoGatherer:
     def __init__(self, world: World, ipinfo: Optional[IPInfoService] = None):
         self._world = world
         self._ipinfo = ipinfo
-        # Per-gatherer memo: within one volunteer run every site re-resolves
-        # the same tracker hosts from the same vantage city.
-        self._dns_memo = GeoDNSMemo(world.dns)
 
     def gather(self, hosts: Iterable[str], vantage_city: City) -> NetInfoResult:
         dns: Dict[str, str] = {}
         failures: Dict[str, str] = {}
         for host in hosts:
             try:
-                dns[host] = self._dns_memo.resolve_address(host, vantage_city)
+                dns[host] = self._world.dns.resolve_address(host, vantage_city)
             except NXDomain:
                 failures[host] = "nxdomain"
             except LookupError:

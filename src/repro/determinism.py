@@ -6,16 +6,15 @@ SHA-256 digests of caller-supplied strings.  This keeps experiments
 bit-identical across runs and across machines, and makes them immune to
 Python's per-process hash randomisation (``PYTHONHASHSEED``).
 
-The digests are on the study's hot path (a profiled 3-country study
-seeds tens of thousands of RNGs under the traceroute engine alone), so
-:func:`stable_hash` keeps a memo of partially-fed SHA-256 states: most
-call sites hash a tuple whose leading parts repeat across calls (e.g.
-``("trace", city_key, ip)`` with only the measurement key varying), and
-``hashlib`` objects can be ``.copy()``-ed mid-stream.  Feeding the same
-bytes in two steps produces the same digest as one join, so the fast
-path is exactly equivalent to hashing the separator-joined string — the
-property ``tests/test_determinism_fastpath.py`` locks down against a
-reference implementation.
+The digests sit on the study's hot path (a serial 23-country study
+makes about 140k calls), so :func:`stable_hash` does exactly one thing
+per call: join the parts' string forms with ``\x1f``, encode, and
+digest once.  Memoising partially-fed digest states per leading tuple
+does not pay: nearly half of the lookups miss, a miss builds, stores
+and copies a state, and even a hit costs as much as the one-shot digest
+of a short key string.
+``tests/test_determinism_fastpath.py`` pins :func:`stable_hash` and the
+single-draw helpers to reference implementations.
 """
 
 from __future__ import annotations
@@ -33,46 +32,15 @@ __all__ = [
     "stable_choice",
 ]
 
-_SEPARATOR = b"\x1f"
-
-#: Memoised SHA-256 states, one per distinct leading tuple, already fed
-#: ``part0 SEP part1 SEP ... SEP`` and never mutated again (reads copy).
-#: Bounded by wholesale reset: prefixes are cheap to rebuild and the
-#: working set of any one study phase is far below the limit.
-_PREFIX_STATES: dict = {}
-_PREFIX_STATE_LIMIT = 16384
-
-
-def _prefix_state(head):
-    """A fresh hash object pre-fed with *head* parts and separators."""
-    state = _PREFIX_STATES.get(head)
-    if state is None:
-        state = hashlib.sha256()
-        for part in head:
-            state.update(part.encode("utf-8"))
-            state.update(_SEPARATOR)
-        if len(_PREFIX_STATES) >= _PREFIX_STATE_LIMIT:
-            _PREFIX_STATES.clear()
-        _PREFIX_STATES[head] = state
-    return state.copy()
-
 
 def stable_hash(*parts: object) -> int:
     """Return a 64-bit integer hash derived from the string forms of *parts*.
 
     Unlike the built-in :func:`hash`, the result is identical across
-    processes and Python versions.  Equivalent to digesting
-    ``"\\x1f".join(str(p) for p in parts)``; multi-part keys reuse a
-    memoised digest state for their leading parts instead of re-hashing
-    the full key string every call.
+    processes and Python versions: the first eight bytes of the SHA-256
+    digest of ``"\\x1f".join(str(p) for p in parts)``, big-endian.
     """
-    if len(parts) >= 2:
-        digest_state = _prefix_state(tuple(str(p) for p in parts[:-1]))
-        digest_state.update(str(parts[-1]).encode("utf-8"))
-        digest = digest_state.digest()
-    else:
-        text = str(parts[0]) if parts else ""
-        digest = hashlib.sha256(text.encode("utf-8")).digest()
+    digest = hashlib.sha256("\x1f".join(map(str, parts)).encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 

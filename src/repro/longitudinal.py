@@ -114,6 +114,8 @@ class LongitudinalStudy:
             # Residency deployments serve only domestic users.
             deployment.policy.restricted[country_code] = {country_code}
             localized.append(name)
+        # The deployments changed under GeoDNS: drop its memoised answers.
+        world.dns.answer_cache.clear()
         return localized
 
     def measure_effect(

@@ -15,6 +15,7 @@ from typing import Dict, List, Optional
 
 from repro.determinism import stable_hash
 from repro.domains import registrable_domain, validate_hostname
+from repro.exec.cache import ReadThroughCache, register_cache
 from repro.netsim.geography import City
 from repro.netsim.servers import Deployment, PoP
 
@@ -46,14 +47,27 @@ class GeoDNSResolver:
     Hostnames are matched exactly first, then by registrable domain, so
     ``stats.g.doubleclick.net`` finds the ``doubleclick.net`` deployment
     without per-subdomain registration.
+
+    Answers are a pure function of ``(hostname, client city)`` for as
+    long as the registrations and deployments stand, so :meth:`resolve`
+    memoises them — refusals and NXDOMAIN included — in
+    :attr:`answer_cache`.  :meth:`register` clears the memo; code that
+    mutates a registered :class:`Deployment` (new PoPs, policy edits)
+    must clear it too.
     """
 
     def __init__(self) -> None:
         self._exact: Dict[str, Deployment] = {}
         self._by_registrable: Dict[str, Deployment] = {}
+        self._answers = register_cache(ReadThroughCache("netsim.geodns"))
+
+    @property
+    def answer_cache(self) -> ReadThroughCache:
+        return self._answers
 
     def register(self, domain: str, deployment: Deployment, exact: bool = False) -> None:
         domain = validate_hostname(domain)
+        self._answers.clear()
         if exact:
             self._exact[domain] = deployment
             return
@@ -84,7 +98,29 @@ class GeoDNSResolver:
             return False
 
     def resolve(self, hostname: str, client_city: City) -> DNSAnswer:
-        """GeoDNS resolution of *hostname* as seen from *client_city*."""
+        """GeoDNS resolution of *hostname* as seen from *client_city* (memoised).
+
+        Raises :class:`NXDomain` for unknown names and ``LookupError``
+        when the owner refuses the client's country, with the same
+        arguments on a memo hit as on the first lookup.  A malformed
+        hostname raises ``ValueError`` and is never memoised.
+        """
+        outcome = self._answers.get(
+            (hostname, client_city.key), lambda: self._outcome(hostname, client_city)
+        )
+        if type(outcome) is DNSAnswer:
+            return outcome
+        error_type, args = outcome
+        raise error_type(*args)
+
+    def _outcome(self, hostname: str, client_city: City):
+        """The answer, or the refusal as ``(exception type, args)``."""
+        try:
+            return self._resolve_uncached(hostname, client_city)
+        except LookupError as error:
+            return type(error), error.args
+
+    def _resolve_uncached(self, hostname: str, client_city: City) -> DNSAnswer:
         hostname = validate_hostname(hostname)
         deployment = self.deployment_for(hostname)
         pop = deployment.serve(client_city)  # may raise LookupError

@@ -35,6 +35,22 @@ class PrefixAllocation:
         return self.network.network_address + host
 
 
+def _head(address: ipaddress.IPv4Address) -> str:
+    """The ``"a.b.c"`` text of the /24 holding *address*."""
+    return str(address).rpartition(".")[0]
+
+
+def _is_canonical_octet(text: str) -> bool:
+    """True for ``"0"``..``"255"`` written the way ``ipaddress`` prints them."""
+    return (
+        0 < len(text) <= 3
+        and text.isascii()
+        and text.isdigit()
+        and (text[0] != "0" or text == "0")
+        and int(text) <= 255
+    )
+
+
 class IPSpace:
     """Allocator plus reverse lookup over all allocated blocks."""
 
@@ -42,14 +58,16 @@ class IPSpace:
     _FIRST = ipaddress.IPv4Network("5.0.0.0/24")
 
     def __init__(self) -> None:
-        self._allocations: Dict[ipaddress.IPv4Network, PrefixAllocation] = {}
+        #: Allocations keyed by their network's ``"a.b.c"`` text, so
+        #: :meth:`lookup` can answer a canonical dotted quad unparsed.
+        self._allocations: Dict[str, PrefixAllocation] = {}
         self._cursor = int(self._FIRST.network_address)
 
     def allocate(self, asn: int, city: City, label: str = "") -> PrefixAllocation:
         """Allocate the next free public /24 for *asn* located at *city*."""
         network = self._next_public_slash24()
         allocation = PrefixAllocation(network=network, asn=asn, city=city, label=label)
-        self._allocations[network] = allocation
+        self._allocations[_head(network.network_address)] = allocation
         return allocation
 
     def _next_public_slash24(self) -> ipaddress.IPv4Network:
@@ -62,10 +80,18 @@ class IPSpace:
                 return candidate
 
     def lookup(self, address) -> Optional[PrefixAllocation]:
-        """Return the allocation covering *address*, or ``None``."""
-        addr = ipaddress.IPv4Address(str(address))
-        network = ipaddress.IPv4Network((int(addr) & ~0xFF, 24))
-        return self._allocations.get(network)
+        """Return the allocation covering *address*, or ``None``.
+
+        A canonical dotted-quad string inside an allocated /24 is
+        answered from the prefix index; every other input is parsed by
+        :mod:`ipaddress`, which also raises for malformed addresses.
+        """
+        if type(address) is str:
+            head, _, last = address.rpartition(".")
+            allocation = self._allocations.get(head)
+            if allocation is not None and _is_canonical_octet(last):
+                return allocation
+        return self._allocations.get(_head(ipaddress.IPv4Address(str(address))))
 
     def owner_asn(self, address) -> Optional[int]:
         allocation = self.lookup(address)

@@ -14,56 +14,10 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.domains import validate_hostname
-from repro.exec.cache import ReadThroughCache
 from repro.netsim.dns import DNSAnswer, GeoDNSResolver, NXDomain
 from repro.netsim.geography import City
 
-__all__ = ["StubResolver", "GeoDNSMemo"]
-
-
-class GeoDNSMemo:
-    """Read-through memo over a :class:`GeoDNSResolver`.
-
-    GeoDNS answers are a pure function of ``(hostname, client city)`` —
-    the authoritative data never changes during a study — so repeated
-    resolutions (every site of a country re-requests the same tracker
-    hosts from the same vantage) are served from the memo, negative
-    answers included.  Unlike :class:`StubResolver` there is no TTL
-    clock: the memo is read-only state, safe for concurrent readers.
-    """
-
-    _NX = "nx"
-    _REFUSED = "refused"
-    _OK = "ok"
-
-    def __init__(self, upstream: GeoDNSResolver, name: str = "netsim.geodns"):
-        self._upstream = upstream
-        self._cache = ReadThroughCache(name)
-
-    @property
-    def cache(self) -> ReadThroughCache:
-        return self._cache
-
-    def resolve(self, hostname: str, client_city: City) -> DNSAnswer:
-        """Resolve through the memo; raises exactly as the upstream would."""
-
-        def compute():
-            try:
-                return (self._OK, self._upstream.resolve(hostname, client_city))
-            except NXDomain:
-                return (self._NX, hostname)
-            except LookupError as error:
-                return (self._REFUSED, str(error))
-
-        kind, payload = self._cache.get((hostname, client_city.key), compute)
-        if kind == self._NX:
-            raise NXDomain(payload)
-        if kind == self._REFUSED:
-            raise LookupError(payload)
-        return payload
-
-    def resolve_address(self, hostname: str, client_city: City) -> str:
-        return self.resolve(hostname, client_city).address
+__all__ = ["StubResolver"]
 
 
 @dataclass

@@ -3,6 +3,8 @@
 import ipaddress
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.netsim.asn import ASRegistry, AutonomousSystem
 from repro.netsim.geography import City
@@ -118,3 +120,70 @@ class TestIPSpace:
         allocation = IPSpace().allocate(1, CITY)
         parsed = ipaddress.IPv4Address(str(allocation.address(10)))
         assert parsed in allocation.network
+
+
+#: Enough /24s that allocated heads reach three-digit octets (5.1.x).
+_SPACE = IPSpace()
+_ALLOCATIONS = [_SPACE.allocate(7, CITY) for _ in range(300)]
+_BY_NETWORK = {allocation.network: allocation for allocation in _ALLOCATIONS}
+
+
+def reference_lookup(address):
+    """The allocation covering *address*, found by parsing it in full."""
+    parsed = ipaddress.IPv4Address(str(address))
+    return _BY_NETWORK.get(ipaddress.IPv4Network((int(parsed) & ~0xFF, 24)))
+
+
+def _outcome(lookup, address):
+    try:
+        return lookup(address)
+    except ValueError as error:
+        return type(error), error.args
+
+
+_octet = st.integers(0, 255)
+_head = st.sampled_from(_ALLOCATIONS).map(
+    lambda allocation: str(allocation.network.network_address).rpartition(".")[0]
+)
+#: Last-octet spellings ``ipaddress`` rejects: leading zeros, out of
+#: range, signs, whitespace, non-ASCII digits.
+_ODD_OCTETS = ["00", "01", "007", "256", "999", "1000", "-1", "+1", "", " 1", "1 ",
+               "1\n", "1.", "0x1", "1e2", "\u0661", "\u00b2", "\uff11"]
+_allocated = st.builds(
+    "{}.{}".format, _head,
+    st.one_of(_octet.map(str), st.sampled_from(_ODD_OCTETS), st.text(max_size=4)),
+)
+_quad = st.builds("{}.{}.{}.{}".format, _octet, _octet, _octet, _octet)
+_decorated = st.builds(
+    lambda text, template: template.format(text),
+    st.one_of(_allocated, _quad),
+    st.sampled_from([" {}", "{} ", "{}.", "{}\n", "0{}", "{}.0"]),
+)
+_addresses = st.one_of(
+    _allocated,
+    _quad,
+    _decorated,
+    _head.flatmap(lambda head: _octet.map(lambda last: ipaddress.IPv4Address(f"{head}.{last}"))),
+    st.integers(0, 2**32 - 1).map(ipaddress.IPv4Address),
+    st.integers(-1, 2**33),
+)
+
+
+class TestLookupIndex:
+    """The prefix-indexed lookup answers exactly as a full parse does."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(_addresses)
+    @example("5.0.7.256")
+    @example("5.0.7.01")
+    @example("5.0.7.\u0661")
+    @example(" 5.0.7.1")
+    @example("5.0.7.1.")
+    def test_equals_reference(self, address):
+        assert _outcome(_SPACE.lookup, address) == _outcome(reference_lookup, address)
+
+    def test_every_allocated_address_is_indexed(self):
+        for allocation in _ALLOCATIONS[::37]:
+            for host in (0, 1, 99, 200, 255):
+                address = str(allocation.network.network_address + host)
+                assert _SPACE.lookup(address) is allocation

@@ -1,12 +1,11 @@
-"""The determinism fast paths vs their reference implementations.
+"""The determinism helpers vs their reference implementations.
 
-``stable_hash`` memoises partially-fed SHA-256 states per leading tuple
-and ``stable_uniform``/``stable_choice`` reseed one thread-local
-generator instead of allocating a fresh ``random.Random`` per draw.
-Both rewrites must be *invisible*: every value equals what the
-historical implementation — digest the ``\\x1f``-joined string, seed a
-fresh generator — produced.  These properties pin that equivalence
-down, including under prefix-memo reuse, memo resets, and thread
+``stable_hash`` digests the ``\\x1f``-joined string forms of its parts
+in one shot, and ``stable_uniform``/``stable_choice`` reseed one
+thread-local generator instead of allocating a fresh ``random.Random``
+per draw.  Every value must equal what the reference — digest the
+joined string, seed a fresh generator — produces.  These properties pin
+that equivalence down, including for repeated keys and under thread
 contention.
 """
 
@@ -20,12 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import determinism
 from repro.determinism import stable_choice, stable_hash, stable_rng, stable_uniform
 
 
 def reference_stable_hash(*parts: object) -> int:
-    """The historical implementation, verbatim."""
+    """SHA-256 of the separator-joined string forms, written out plainly."""
     text = "\x1f".join(str(p) for p in parts)
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
@@ -55,32 +53,21 @@ class TestStableHashFastPath:
         assert stable_hash("x") == reference_stable_hash("x")
         assert stable_hash(42) == reference_stable_hash(42)
 
-    def test_prefix_memo_reuse_is_invisible(self):
-        # Same leading tuple thousands of times: the first call builds
-        # the memoised state, the rest copy it — values never drift.
+    def test_repeated_keys_equal_reference(self):
+        # Hot call sites repeat whole keys and leading tuples thousands
+        # of times per study: every repeat hashes to the same value.
+        expected = reference_stable_hash("trace", "Auckland, NZ", "10.1.2.3", "site:0")
         for i in range(2000):
             key = ("trace", "Auckland, NZ", "10.1.2.3", f"site:{i}")
             assert stable_hash(*key) == reference_stable_hash(*key)
+            assert stable_hash("trace", "Auckland, NZ", "10.1.2.3", "site:0") == expected
 
     def test_prefix_boundary_does_not_alias(self):
         # ("ab", "c") and ("a", "bc") share the joined text length but
-        # not the digest; the separator keeps part boundaries distinct
-        # in both the memoised prefix and the final update.
+        # not the digest; the separator keeps part boundaries distinct.
         assert stable_hash("ab", "c") != stable_hash("a", "bc")
         assert stable_hash("ab", "c") == reference_stable_hash("ab", "c")
         assert stable_hash("a", "bc") == reference_stable_hash("a", "bc")
-
-    def test_memo_reset_preserves_values(self, monkeypatch):
-        monkeypatch.setattr(determinism, "_PREFIX_STATE_LIMIT", 8)
-        determinism._PREFIX_STATES.clear()
-        try:
-            for i in range(64):  # crosses the reset threshold repeatedly
-                key = (f"prefix-{i}", "tail")
-                assert stable_hash(*key) == reference_stable_hash(*key)
-                assert stable_hash(*key) == reference_stable_hash(*key)
-            assert len(determinism._PREFIX_STATES) <= 8
-        finally:
-            determinism._PREFIX_STATES.clear()
 
 
 class TestSingleDrawFastPath:

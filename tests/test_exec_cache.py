@@ -13,12 +13,16 @@ import threading
 
 import pytest
 
+from repro import build_scenario
 from repro.determinism import stable_rng
 from repro.exec.cache import ReadThroughCache, cache_registry, cache_snapshot
+from repro.longitudinal import LongitudinalStudy
 from repro.netsim.distance import city_distance_km, distance_cache, haversine_km
 from repro.netsim.dns import NXDomain
+from repro.netsim.geography import default_registry
 from repro.netsim.latency import LatencyModel
-from repro.netsim.resolver import GeoDNSMemo
+from repro.netsim.network import World
+from tests.test_servers_dns import make_deployment
 
 
 def sample_city_pairs(registry, count: int, seed: str):
@@ -147,45 +151,80 @@ class TestReverseDNSCache:
         assert rdns.lookup(address) == unpatched
 
 
-class TestGeoDNSMemo:
+class TestGeoDNSAnswerCache:
+    """``GeoDNSResolver.answer_cache``: the world's one GeoDNS memo."""
+
     @staticmethod
     def _outcome(resolve, host, city):
-        """Answer or exception kind, so restricted hosts compare too."""
+        """The answer, or the exception's type and arguments."""
         try:
-            return ("ok", resolve(host, city))
-        except NXDomain:
-            return ("nx", None)
-        except LookupError:
-            return ("refused", None)
+            return resolve(host, city)
+        except LookupError as error:
+            return type(error), error.args
 
-    def test_cached_equals_uncached_for_catalog_hosts(self, scenario, registry):
-        memo = GeoDNSMemo(scenario.world.dns, name="test.geodns")
-        city = registry.city("Bangkok, TH")
-        hosts = scenario.world.dns.all_registered_domains()[:100]
+    def test_memoised_equals_fresh_world_everywhere(self, scenario):
+        # A fresh world's memo is empty, so its answers are computed;
+        # the shared scenario's second pass is served from its memo.
+        fresh = build_scenario().world.dns
+        dns = scenario.world.dns
+        hosts = dns.all_registered_domains() + ["no-such-host.invalid-zone.example"]
+        cities = [scenario.volunteers[cc].city for cc in sorted(scenario.volunteers)]
+        kinds = set()
         for host in hosts:
-            assert self._outcome(memo.resolve, host, city) == self._outcome(
-                scenario.world.dns.resolve, host, city
-            ), host
+            for city in cities:
+                expected = self._outcome(fresh.resolve, host, city)
+                for _ in range(2):
+                    assert self._outcome(dns.resolve, host, city) == expected, (host, city.key)
+                kinds.add(expected[0] if isinstance(expected, tuple) else "ok")
+        assert kinds == {"ok", NXDomain, LookupError}
 
-    def test_negative_answers_memoised(self, scenario, registry):
-        memo = GeoDNSMemo(scenario.world.dns, name="test.geodns.nx")
-        city = registry.city("Bangkok, TH")
+    def test_second_lookup_is_a_hit(self, scenario):
+        dns = scenario.world.dns
+        city = scenario.volunteers["TH"].city
+        for host in (dns.all_registered_domains()[0], "no-such-host.invalid-zone.example"):
+            first = self._outcome(dns.resolve, host, city)
+            before = dns.answer_cache.info()
+            assert self._outcome(dns.resolve, host, city) == first
+            after = dns.answer_cache.info()
+            assert (after.hits, after.misses) == (before.hits + 1, before.misses), host
+
+    def test_invalid_hostname_is_not_memoised(self, scenario):
+        dns = scenario.world.dns
+        city = scenario.volunteers["TH"].city
+        before = len(dns.answer_cache)
         for _ in range(2):
-            with pytest.raises(NXDomain):
-                memo.resolve("no-such-host.invalid-zone.example", city)
-        info = memo.cache.info()
-        assert info.misses == 1
-        assert info.hits == 1
+            with pytest.raises(ValueError):
+                dns.resolve("bad..host", city)
+        assert len(dns.answer_cache) == before
 
-    def test_hit_counter_increments(self, scenario, registry):
-        memo = GeoDNSMemo(scenario.world.dns, name="test.geodns.hits")
+    def test_registered_under_its_name(self):
+        world = World(geo=default_registry())
+        assert world.dns.answer_cache.name == "netsim.geodns"
+        assert any(info.name == "netsim.geodns" for info in cache_registry())
+
+    def test_register_after_lookup_changes_the_answer(self, registry):
+        world = World(geo=registry)
         city = registry.city("Bangkok, TH")
-        host = scenario.world.dns.all_registered_domains()[0]
-        first = self._outcome(memo.resolve, host, city)
-        second = self._outcome(memo.resolve, host, city)
-        assert first == second
-        info = memo.cache.info()
-        assert (info.hits, info.misses) == (1, 1)
+        first = make_deployment(["FR"], org_name="FirstOrg", domains=("first.net",),
+                                space=world.ips)
+        second = make_deployment(["JP"], org_name="SecondOrg", domains=("second.net",),
+                                 space=world.ips)
+        with pytest.raises(NXDomain):
+            world.dns.resolve("cdn.first.net", city)
+        world.add_deployment(first)
+        assert world.dns.resolve("cdn.first.net", city).org_name == "FirstOrg"
+        world.dns.register("cdn.first.net", second, exact=True)
+        assert world.dns.resolve("cdn.first.net", city).org_name == "SecondOrg"
+
+    def test_localization_reaches_direct_resolve(self):
+        scenario = build_scenario(seed="longitudinal-test")
+        dns = scenario.world.dns
+        client = scenario.volunteers["JO"].city
+        host = scenario.world.organizations["Google"].domains[0]
+        assert dns.resolve(host, client).pop.country_code != "JO"
+        LongitudinalStudy(scenario).enact_localization("JO", orgs=["Google"])
+        answer = dns.resolve(host, client)
+        assert (answer.pop.country_code, answer.pop.name) == ("JO", "jo-resid")
 
 
 class TestReadThroughCacheConcurrency:
