@@ -196,7 +196,7 @@ def _add_exec_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=_job_count, default=1, metavar="N",
                         help="per-country workers: 1 = serial (default), "
                              "N > 1 = parallel, 0 = one per CPU")
-    parser.add_argument("--backend", choices=["auto"] + list(BACKENDS), default="auto",
+    parser.add_argument("--backend", choices=BACKENDS, default="auto",
                         help="execution backend (default: auto — serial for "
                              "--jobs 1, process pool otherwise)")
     parser.add_argument("--trace", type=Path, default=None, metavar="FILE",
@@ -273,25 +273,32 @@ def _cmd_volunteer(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_kwargs(args: argparse.Namespace) -> dict:
-    """``run_study`` keyword arguments shared by study/figures/export."""
+def _run_kwargs(
+    args: argparse.Namespace, pipeline: Optional[PipelineConfig] = None
+) -> dict:
+    """``run_study`` keyword arguments shared by study/figures/export:
+    one :class:`StudyConfig` plus the per-run I/O."""
     if args.resume and args.checkpoint_dir is None:
         raise SystemExit("--resume requires --checkpoint-dir")
     progress = args.progress
     if progress is None:  # default: live line only on an interactive stderr
         progress = sys.stderr.isatty()
+    config = StudyConfig(
+        pipeline=pipeline or PipelineConfig(),
+        jobs=args.jobs,
+        backend=args.backend,
+        on_error=args.on_error,
+        max_retries=args.max_retries,
+        profile=args.profile,
+        profile_mem=args.profile_mem,
+    )
     return {
-        "jobs": args.jobs,
-        "backend": args.backend,
+        "config": config,
         "trace": args.trace,
         "trace_timings": not args.no_timings,
-        "on_error": args.on_error,
-        "max_retries": args.max_retries,
         "checkpoint_dir": args.checkpoint_dir,
         "resume": args.resume,
         "progress": progress,
-        "profile": args.profile or args.profile_mem,
-        "profile_mem": args.profile_mem,
         "metrics_out": args.metrics_out,
     }
 
@@ -311,14 +318,15 @@ def _print_failures(outcome) -> None:
 def _cmd_study(args: argparse.Namespace) -> int:
     countries = _parse_countries(args.countries)
     scenario = build_scenario()
-    config = StudyConfig(pipeline=PipelineConfig(confidence=args.confidence))
     try:
         injector = (FaultInjector.parse(args.inject_fault)
                     if args.inject_fault else None)
     except ValueError as error:
         raise SystemExit(str(error))
-    outcome = run_study(scenario, countries=countries, config=config,
-                        fault_injector=injector, **_run_kwargs(args))
+    outcome = run_study(
+        scenario, countries=countries, fault_injector=injector,
+        **_run_kwargs(args, PipelineConfig(confidence=args.confidence)),
+    )
     rows = [
         (r.country_code, f"{r.regional_pct:.1f}", f"{r.government_pct:.1f}",
          f"{r.combined_pct:.1f}", outcome.source_trace_origins[r.country_code])
@@ -370,11 +378,10 @@ def _cmd_confidence(args: argparse.Namespace) -> int:
     fmt = lambda value: "-" if value is None else f"{value:.4f}"  # noqa: E731
     countries = _parse_countries(args.countries)
     scenario = build_scenario()
-    config = StudyConfig(
-        pipeline=PipelineConfig(confidence=True),
+    outcome = run_study(
+        scenario, countries=countries,
+        **_run_kwargs(args, PipelineConfig(confidence=True)),
     )
-    outcome = run_study(scenario, countries=countries, config=config,
-                        **_run_kwargs(args))
     reports = [
         ConfidenceReport.from_geolocation(
             outcome.geolocations[result.country_code], low_n=args.low

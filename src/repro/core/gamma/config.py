@@ -10,7 +10,7 @@ The study configuration in section 3.1 is captured by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import FrozenSet, Set
 
 from repro.browser.engine import BrowserKind
@@ -46,10 +46,6 @@ class GammaConfig:
     #: Save full page sources and scrape them for hardcoded domains
     #: (section 3: C1 saves webpages; C2 resolves hardcoded domains too).
     save_pages: bool = False
-    #: Memoise the first trace per (volunteer, address) across sites —
-    #: duplicates are thrown away downstream anyway (only the first
-    #: observation per address feeds the geolocation pipeline).
-    memo_traces: bool = True
 
     def __post_init__(self) -> None:
         if self.browser not in BrowserKind.ALL:
@@ -93,15 +89,8 @@ class GammaConfig:
 
     def without_traceroutes(self) -> "GammaConfig":
         """Accommodate a volunteer opting out of active probes."""
-        return GammaConfig(
-            browser=self.browser,
-            instances=self.instances,
-            wait_time_s=self.wait_time_s,
-            hard_timeout_s=self.hard_timeout_s,
+        return replace(
+            self,
             components=frozenset(self.components - {GammaComponents.PROBES}),
             opted_out_sites=set(self.opted_out_sites),
-            os_name=self.os_name,
-            probes_per_hop=self.probes_per_hop,
-            save_pages=self.save_pages,
-            memo_traces=self.memo_traces,
         )

@@ -229,6 +229,6 @@ class GammaSuite:
             addresses = measurement.resolved_addresses
             measurement.traceroutes = prober.traceroute_many(
                 volunteer.city, addresses, key_prefix=f"{volunteer.name}:{url}",
-                memo=config.memo_traces,
+                memo=True,
             )
         return measurement

@@ -1,10 +1,10 @@
 """Parallel study execution.
 
 ``repro.exec`` fans :func:`repro.run_study` out per country across a
-serial, thread-pool, or process-pool backend (``StudyConfig.jobs`` /
+serial or process-pool backend (``StudyConfig.jobs`` /
 ``gamma study --jobs N``), merges results in stable country order so the
 outcome is byte-identical regardless of worker count, memoises the hot
-cross-country lookups for concurrent readers, and accounts per-phase
+cross-country lookups, and accounts per-phase
 wall time so the speedup is observable.  Each ``CountryRun`` also ships
 back the worker-side memo-cache deltas (merged into ``ExecMetrics`` for
 the process backend) and, when tracing is on, the country's span/event
@@ -35,7 +35,6 @@ from repro.exec.executor import (
     ProcessPoolStudyExecutor,
     SerialStudyExecutor,
     StudyExecutor,
-    ThreadPoolStudyExecutor,
     create_executor,
 )
 from repro.exec.metrics import CountryTimings, ExecMetrics, PhaseTimer
@@ -79,7 +78,6 @@ __all__ = [
     "StudyCheckpoint",
     "StudyExecutor",
     "StudyWorker",
-    "ThreadPoolStudyExecutor",
     "TransportWorker",
     "backoff_delay",
     "cache_registry",

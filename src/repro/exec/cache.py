@@ -1,14 +1,16 @@
 """Concurrent read-through memoisation for hot, pure lookups.
 
-The study executor fans per-country work out across threads or
-processes, and the hottest cross-country lookups — great-circle
-distance, city-pair latency statistics, reverse DNS, GeoDNS resolution —
-are pure functions of their keys.  :class:`ReadThroughCache` memoises
-such lookups behind a lock so concurrent readers never observe a
-half-written entry, while hit/miss counters stay exact.  First-time
-computes run *outside* the lock under per-key single-flight
-coordination: two threads missing different keys compute concurrently,
-two threads missing the same key compute it once.
+The hottest cross-country lookups — great-circle distance, city-pair
+latency statistics, reverse DNS, GeoDNS resolution — are pure functions
+of their keys.  :class:`ReadThroughCache` memoises such lookups.  The
+study fans out over processes, each holding its own copy of every
+cache, but a cache is process-wide and any caller may drive one world
+from several threads.  Entries are therefore published behind a lock —
+concurrent readers never observe a half-written entry and hit/miss
+counters stay exact — and first-time computes run *outside* the lock
+under per-key single-flight coordination: two threads missing different
+keys compute concurrently, two threads missing the same key compute it
+once.
 
 Because every cached value is deterministic in its key, memoisation can
 never change a result — only how often it is recomputed.  The

@@ -1,4 +1,4 @@
-"""Study execution backends: serial, thread pool, process pool.
+"""Study execution backends: serial and process pool.
 
 All backends satisfy one contract: ``map_countries(worker, countries)``
 returns the worker's results **in input country order**, regardless of
@@ -13,7 +13,9 @@ shut down, so a faulting study can neither deadlock nor leak workers.
 
 The process backend installs the (picklable) worker once per worker
 process through the pool initializer, so the scenario is shipped once
-per process rather than once per country.
+per process rather than once per country.  Parallelism is by processes
+only: the per-country work is pure Python, so threads would contend for
+one interpreter lock and run no faster than serial.
 """
 
 from __future__ import annotations
@@ -28,14 +30,15 @@ __all__ = [
     "CountryExecutionError",
     "StudyExecutor",
     "SerialStudyExecutor",
-    "ThreadPoolStudyExecutor",
     "ProcessPoolStudyExecutor",
+    "check_backend",
     "create_executor",
 ]
 
 T = TypeVar("T")
 
-BACKENDS = ("serial", "thread", "process")
+#: Every accepted ``backend`` value; ``auto`` resolves to one of the others.
+BACKENDS = ("auto", "serial", "process")
 
 
 class CountryExecutionError(RuntimeError):
@@ -157,34 +160,6 @@ def _collect_in_order(
     return [futures[country_code].result() for country_code in countries]
 
 
-class ThreadPoolStudyExecutor(StudyExecutor):
-    """Shared-memory fan-out; needs the per-country work to be thread-safe."""
-
-    name = "thread"
-
-    def __init__(self, jobs: int):
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        self.jobs = jobs
-
-    def map_countries(
-        self,
-        worker: Callable[[str], T],
-        countries: Sequence[str],
-        on_result: Optional[Callable[[str, T], None]] = None,
-    ) -> List[T]:
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=self.jobs, thread_name_prefix="study"
-        ) as pool:
-            futures = {}
-            for cc in countries:
-                future = pool.submit(worker, cc)
-                if on_result is not None:
-                    future.add_done_callback(_done_notifier(on_result, cc))
-                futures[cc] = future
-            return _collect_in_order(pool, futures, countries)
-
-
 # -- process backend plumbing (module level so it pickles) -------------------
 _PROCESS_WORKER: Optional[Callable[[str], object]] = None
 
@@ -240,10 +215,11 @@ class ProcessPoolStudyExecutor(StudyExecutor):
 def create_executor(backend: str = "auto", jobs: Optional[int] = None) -> StudyExecutor:
     """Build the backend for a job count.
 
-    ``jobs=None`` or ``0`` means "one worker per CPU"; ``backend="auto"``
-    picks serial for one job and the process pool otherwise (threads
-    share the interpreter lock, so real speedup needs processes).
+    ``jobs=None`` means one job and ``0`` one worker per CPU;
+    ``backend="auto"`` picks serial for one job and the process pool
+    otherwise.
     """
+    check_backend(backend)
     if jobs is None:
         jobs = 1
     elif jobs == 0:
@@ -254,8 +230,12 @@ def create_executor(backend: str = "auto", jobs: Optional[int] = None) -> StudyE
         backend = "serial" if jobs == 1 else "process"
     if backend == "serial":
         return SerialStudyExecutor()
-    if backend == "thread":
-        return ThreadPoolStudyExecutor(jobs)
-    if backend == "process":
-        return ProcessPoolStudyExecutor(jobs)
-    raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
+    return ProcessPoolStudyExecutor(jobs)
+
+
+def check_backend(backend: str) -> None:
+    """Reject a backend outside :data:`BACKENDS`, naming the valid ones."""
+    if backend not in BACKENDS:
+        raise ValueError(
+            f"unknown backend {backend!r}; expected one of {', '.join(BACKENDS)}"
+        )

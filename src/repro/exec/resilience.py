@@ -21,7 +21,7 @@ same property at country granularity:
   CI fault-injection step (``gamma study --inject-fault``).
 
 Everything here is picklable, so the same wrapper runs unchanged under
-the serial, thread-pool, and process-pool backends.
+the serial and process-pool backends.
 """
 
 from __future__ import annotations

@@ -12,8 +12,8 @@ The coordinator keeps the bytes and unpickles a country only when its
 dataset or geolocation is read (``outcome.datasets[cc]``,
 ``outcome.geolocations[cc]``, ``outcome.results[i].dataset``), so a
 study, its summary and its figures never rebuild the per-site
-measurement graph in the coordinator.  Serial and thread runs never
-cross a process boundary and stay plain objects.  See
+measurement graph in the coordinator.  Serial runs never cross a
+process boundary and stay plain objects.  See
 ``docs/performance.md``.
 """
 

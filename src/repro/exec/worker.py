@@ -5,8 +5,8 @@
 ``worker(cc)`` runs the Gamma suite, picks source traces, geolocates the
 dataset, and joins the analysis records — exactly the body of the old
 serial ``run_study`` loop.  Both the instance and its
-:class:`CountryRun` result pickle, so the same worker drives the serial,
-thread-pool, and process-pool backends unchanged.
+:class:`CountryRun` result pickle, so the same worker drives the serial
+and process-pool backends unchanged.
 
 Observability rides along in picklable side channels on
 :class:`CountryRun`:
@@ -19,13 +19,12 @@ Observability rides along in picklable side channels on
   (``StudyWorker(..., trace=True)``), recorded by a private
   :class:`repro.obs.Tracer` whose paths root under ``study/<CC>``.
 * ``metrics_delta`` — the snapshot of a **fresh per-country**
-  :class:`repro.obs.MetricsRegistry` the worker recorded into.  A fresh
-  registry (rather than a before/after diff of shared state, the cache
-  pattern) is what keeps deltas exact under the thread backend, where
-  countries interleave inside one process; the coordinator merges the
+  :class:`repro.obs.MetricsRegistry` the worker recorded into (rather
+  than a before/after diff of shared state, the cache pattern), so the
+  delta holds exactly this country's series; the coordinator merges the
   deltas in input country order.
 * ``timings`` — per-phase wall seconds and the country's CPU seconds
-  (its thread's CPU time, so thread-pool siblings are not counted).
+  (its thread's CPU time).
 * ``resources`` — a :class:`repro.obs.ResourceProfiler` snapshot
   (per-phase CPU seconds, GC collections, peak RSS) when profiling is
   enabled via ``StudyConfig.profile`` / ``profile_mem``.
@@ -145,9 +144,9 @@ class CountryRun:
     cache_deltas: Dict[str, Dict[str, int]] = field(default_factory=dict)
     #: Span/event buffer for the run journal (None when tracing is off).
     events: Optional[List[dict]] = None
-    #: Snapshot of the per-country metrics registry (None when metrics
-    #: collection is disabled).  Merged at the coordinator in input
-    #: country order — see ``repro.obs.metrics``.
+    #: Snapshot of the per-country metrics registry (None only for
+    #: hand-built runs).  Merged at the coordinator in input country
+    #: order — see ``repro.obs.metrics``.
     metrics_delta: Optional[dict] = None
     #: Resource-profiler snapshot (None unless profiling is enabled).
     resources: Optional[dict] = None
@@ -212,12 +211,11 @@ class StudyWorker:
         tracer = Tracer(root="study") if self._trace else None
         # Fresh per-country registry: its snapshot ships back as the
         # country's metrics delta and merges exactly at the coordinator.
-        metrics = MetricsRegistry() if getattr(config, "collect_metrics", True) else None
+        metrics = MetricsRegistry()
         profiler = None
-        if getattr(config, "profile", False) or getattr(config, "profile_mem", False):
-            profiler = ResourceProfiler(
-                track_malloc=getattr(config, "profile_mem", False)
-            )
+        # ``profile_mem`` implies ``profile``: either enables the profiler.
+        if config.profile or config.profile_mem:
+            profiler = ResourceProfiler(track_malloc=config.profile_mem)
             profiler.start()
         caches_before = _registry_counters()
 
@@ -227,10 +225,7 @@ class StudyWorker:
                 gamma = GammaSuite(
                     scenario.world,
                     scenario.catalog,
-                    GammaConfig.study_defaults(
-                        os_name=volunteer.os_name,
-                        memo_traces=config.memo_traces,
-                    ),
+                    GammaConfig.study_defaults(os_name=volunteer.os_name),
                     browser_config=scenario.browser_config,
                     ipinfo=scenario.ipinfo,
                 )
@@ -260,17 +255,16 @@ class StudyWorker:
 
         timings.cpu_seconds = time.thread_time() - cpu_started
         cache_deltas = _cache_deltas(caches_before, _registry_counters())
-        if metrics is not None:
-            _record_study_metrics(metrics, dataset, result)
-            # Runtime-class accounting: wall-clock phase durations and
-            # which country paid each cache miss depend on scheduling.
-            for phase, seconds in timings.phase_seconds.items():
-                metrics.histogram(
-                    "worker_phase_duration_seconds", {"phase": phase},
-                    buckets=SECONDS_BUCKETS, unit="seconds",
-                    help="per-country phase wall time", runtime=True,
-                ).observe(seconds)
-            record_cache_deltas(metrics, cache_deltas)
+        _record_study_metrics(metrics, dataset, result)
+        # Runtime-class accounting: wall-clock phase durations and
+        # which country paid each cache miss depend on scheduling.
+        for phase, seconds in timings.phase_seconds.items():
+            metrics.histogram(
+                "worker_phase_duration_seconds", {"phase": phase},
+                buckets=SECONDS_BUCKETS, unit="seconds",
+                help="per-country phase wall time", runtime=True,
+            ).observe(seconds)
+        record_cache_deltas(metrics, cache_deltas)
         resources = profiler.snapshot() if profiler is not None else None
         if tracer is not None:
             tracer.event("country_caches", country=country_code, caches=cache_deltas)
@@ -288,6 +282,6 @@ class StudyWorker:
             timings=timings,
             cache_deltas=cache_deltas,
             events=tracer.events() if tracer is not None else None,
-            metrics_delta=metrics.snapshot() if metrics is not None else None,
+            metrics_delta=metrics.snapshot(),
             resources=resources,
         )

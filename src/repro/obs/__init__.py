@@ -4,7 +4,7 @@
 A :class:`Tracer` buffers hierarchical **spans** (study → country →
 phase → site) and typed **events** (constraint decisions, tracker match
 attributions, site visits) as plain picklable dicts, so per-country
-buffers recorded inside thread- or process-pool workers ship back to the
+buffers recorded inside process-pool workers ship back to the
 coordinator with the :class:`~repro.exec.worker.CountryRun` and merge
 deterministically — in input country order — into one
 :class:`RunJournal`, an append-only JSONL stream.

@@ -6,10 +6,9 @@ accounting since PR 1: every worker records into a **fresh**
 :meth:`~MetricsRegistry.snapshot` back on the ``CountryRun``, and the
 coordinator folds the snapshots together in **input country order** via
 :meth:`~MetricsRegistry.merge_snapshot`.  Because each delta is private
-to one country, nothing interleaves under the thread backend, and
-because the merge order is fixed, float accumulation is reproducible —
-the merged totals are *byte-identical* across the serial, thread, and
-process backends and every worker count.
+to one country and the merge order is fixed, float accumulation is
+reproducible — the merged totals are *byte-identical* across the serial
+and process backends and every worker count.
 
 Two classes of series coexist in one registry:
 

@@ -6,20 +6,22 @@ where volunteer traceroutes failed (or were opted out of), geolocate
 every responding server through the multi-constraint pipeline, identify
 trackers, and expose every figure/table analysis over the joined results.
 
-Per-country work is independent, so the study fans out across the
-backends of :mod:`repro.exec` (``jobs``/``backend`` on
-:class:`StudyConfig` or ``run_study``).  Results are merged in input
+Every study option is a :class:`StudyConfig` field; ``run_study``'s
+keywords are only the per-run I/O (tracing, checkpoints, progress,
+metrics output).  Per-country work is independent, so the study fans
+out across the serial or process-pool backend of :mod:`repro.exec`
+(``StudyConfig.jobs``/``backend``).  Results are merged in input
 country order, making the outcome byte-identical for every backend and
 worker count — the equivalence the test harness in
 ``tests/test_exec_equivalence.py`` locks down.
 
 The fan-out is fault tolerant (docs/robustness.md): a per-country
-failure policy (``on_error="raise"|"skip"|"retry"`` with deterministic
-exponential backoff) lets a failing country be retried or recorded on
-:attr:`StudyOutcome.failures` while the rest of the study completes,
-and a checkpoint directory (``checkpoint_dir=``/``resume=``) persists
-each completed country as it lands so an interrupted study resumes
-where it stopped — mirroring, at study level, Gamma's own per-site
+failure policy (``StudyConfig.on_error="raise"|"skip"|"retry"`` with
+deterministic exponential backoff) lets a failing country be retried or
+recorded on :attr:`StudyOutcome.failures` while the rest of the study
+completes, and a checkpoint directory (``checkpoint_dir=``/``resume=``)
+persists each completed country as it lands so an interrupted study
+resumes where it stopped — mirroring, at study level, Gamma's own per-site
 resume from section 3.3 of the paper.
 """
 
@@ -28,7 +30,7 @@ from __future__ import annotations
 import os
 import time
 from collections.abc import Mapping as _MappingABC
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
@@ -55,9 +57,9 @@ from repro.core.geoloc.pipeline import (
 from repro.core.geoloc.verdicts import merge_funnels
 from repro.exec.cache import cache_registry
 from repro.exec.checkpoint import StudyCheckpoint
-from repro.exec.executor import create_executor
+from repro.exec.executor import check_backend, create_executor
 from repro.exec.metrics import ExecMetrics
-from repro.exec.resilience import ON_ERROR_POLICIES, CountryFailure, ResilientWorker
+from repro.exec.resilience import CountryFailure, ResilientWorker
 from repro.exec.transport import PickledCountryRun, TransportWorker
 from repro.exec.worker import CountryRun, StudyWorker
 from repro.obs.journal import SCHEMA_VERSION, RunJournal
@@ -79,10 +81,8 @@ class StudyConfig:
     anonymize_ips: bool = True
     #: Per-country workers: 1 = serial, N > 1 = parallel, 0 = one per CPU.
     jobs: int = 1
-    #: Execution backend: "auto", "serial", "thread", or "process".
+    #: Execution backend: "auto", "serial", or "process".
     backend: str = "auto"
-    #: Memoise each volunteer's first trace per address across sites.
-    memo_traces: bool = True
     #: What a failing country does to the study: "raise" fails fast (the
     #: historical contract), "skip" records it on ``outcome.failures``
     #: and keeps the rest, "retry" re-attempts with deterministic
@@ -93,11 +93,6 @@ class StudyConfig:
     #: Base of the deterministic exponential backoff schedule, seconds.
     #: ``0`` disables sleeping while keeping the schedule observable.
     retry_base_delay: float = 0.1
-    #: Record the labelled metrics registry (:mod:`repro.obs.metrics`)
-    #: inside every worker and merge the per-country deltas at the
-    #: coordinator.  Purely a measurement side channel: summaries,
-    #: exports, and stripped journals are byte-identical either way.
-    collect_metrics: bool = True
     #: Profile per-country resource usage (CPU seconds per phase, GC
     #: collections, peak RSS) into ``CountryRun.resources`` and the
     #: study snapshot (``gamma study --profile``).
@@ -105,6 +100,9 @@ class StudyConfig:
     #: Additionally track allocations with :mod:`tracemalloc` (slower;
     #: ``gamma study --profile-mem``).  Implies ``profile``.
     profile_mem: bool = False
+
+    def __post_init__(self) -> None:
+        check_backend(self.backend)
 
 
 class _RunMap(_MappingABC):
@@ -155,9 +153,9 @@ class StudyOutcome:
     failures: List[CountryFailure] = field(default_factory=list)
     #: The persistent run snapshot (``metrics.json`` shape, see
     #: docs/data-formats.md): merged per-country metric deltas plus the
-    #: exec accounting and any resource profiles.  None when
-    #: ``StudyConfig.collect_metrics`` is off.  A measurement artefact
-    #: like ``metrics``/``journal`` — never part of summaries or exports.
+    #: exec accounting and any resource profiles.  None only for
+    #: hand-built outcomes.  A measurement artefact like
+    #: ``metrics``/``journal`` — never part of summaries or exports.
     metrics_snapshot: Optional[dict] = None
     #: Per-country geolocation funnels in merge (input-country) order,
     #: letting :meth:`funnel` aggregate without unpickling
@@ -325,27 +323,21 @@ def run_study(
     scenario: Scenario,
     countries: Optional[List[str]] = None,
     config: Optional[StudyConfig] = None,
-    jobs: Optional[int] = None,
-    backend: Optional[str] = None,
     trace: Union[None, bool, str, Path] = None,
     trace_timings: bool = True,
-    on_error: Optional[str] = None,
-    max_retries: Optional[int] = None,
     checkpoint_dir: Union[None, str, Path] = None,
     resume: bool = False,
     fault_injector=None,
     progress: Union[bool, ProgressReporter] = False,
-    profile: Optional[bool] = None,
-    profile_mem: Optional[bool] = None,
-    collect_metrics: Optional[bool] = None,
     metrics_out: Union[None, str, Path] = None,
 ) -> StudyOutcome:
     """Run the full methodology over *countries* (default: all volunteers).
 
-    *jobs*/*backend* override the corresponding :class:`StudyConfig`
-    fields; ``jobs=1`` (the default) reproduces the historical serial
-    run exactly, and any other setting produces the identical outcome
-    in parallel (results are merged in input country order, so neither
+    Every study option lives on *config* (default ``StudyConfig()``);
+    the keywords below are per-run I/O only.  ``config.jobs=1`` (the
+    default) reproduces the historical serial run exactly, and any
+    other worker count or backend produces the identical outcome in
+    parallel (results are merged in input country order, so neither
     worker count nor completion order is observable in the artefacts).
 
     *trace* enables the structured run journal: pass a path to write it
@@ -356,10 +348,9 @@ def run_study(
     every backend and worker count.  The default (``trace=None``) skips
     all event collection; study artefacts never include the journal.
 
-    *on_error*/*max_retries* override the :class:`StudyConfig` failure
-    policy.  Under ``"skip"``/``"retry"`` a country that stays down is
-    recorded on :attr:`StudyOutcome.failures` while every other country
-    completes; retry backoff is deterministic (seeded per country and
+    Under ``config.on_error="skip"``/``"retry"`` a country that stays
+    down is recorded on :attr:`StudyOutcome.failures` while every other
+    country completes; retry backoff is deterministic (seeded per country and
     attempt), so a transient fault under ``"retry"`` leaves the outcome
     byte-identical to a fault-free run.
 
@@ -377,35 +368,15 @@ def run_study(
     *progress* streams one status line per completed country to stderr
     (pass a preconfigured :class:`repro.obs.ProgressReporter` to control
     the stream/clock); with tracing enabled the same completions land as
-    diagnostic ``progress`` journal events.  *profile*/*profile_mem*
-    and *collect_metrics* override the matching :class:`StudyConfig`
-    fields.  *metrics_out* writes the run snapshot to a path
-    (``.prom`` suffix → Prometheus text exposition, otherwise JSON);
+    diagnostic ``progress`` journal events.  The run snapshot is always
+    built (``outcome.metrics_snapshot``); *metrics_out* writes it to a
+    path (``.prom`` suffix → Prometheus text exposition, otherwise JSON);
     with a *checkpoint_dir* the snapshot is also written there as
     ``metrics.json``.  None of these change any study artefact.
     """
     config = config or StudyConfig()
-    overrides = {}
-    if profile is not None:
-        overrides["profile"] = profile
-    if profile_mem is not None:
-        overrides["profile_mem"] = profile_mem
-        if profile_mem:
-            overrides.setdefault("profile", True)
-    if collect_metrics is not None:
-        overrides["collect_metrics"] = collect_metrics
-    if overrides:
-        config = replace(config, **overrides)
     countries = countries or scenario.countries
-    effective_jobs = config.jobs if jobs is None else jobs
-    effective_backend = config.backend if backend is None else backend
-    policy = config.on_error if on_error is None else on_error
-    if policy not in ON_ERROR_POLICIES:
-        raise ValueError(
-            f"unknown on_error policy {policy!r}; expected one of {ON_ERROR_POLICIES}"
-        )
-    retries = config.max_retries if max_retries is None else max_retries
-    executor = create_executor(backend=effective_backend, jobs=effective_jobs)
+    executor = create_executor(backend=config.backend, jobs=config.jobs)
 
     checkpoint = None if checkpoint_dir is None else StudyCheckpoint(checkpoint_dir)
     if resume and checkpoint is None:
@@ -417,8 +388,8 @@ def run_study(
     )
     call = ResilientWorker(
         worker,
-        on_error=policy,
-        max_retries=retries,
+        on_error=config.on_error,
+        max_retries=config.max_retries,
         base_delay=config.retry_base_delay,
         checkpoint=checkpoint,
         trace=tracing,
@@ -514,7 +485,7 @@ def run_study(
     outcome.results = [run.result for run in runs.values()]
     outcome._funnels = funnels
     # Memo-cache counters (verdicts, distance, ...): the coordinator's
-    # registry sees serial/thread lookups directly; process-pool workers
+    # registry sees serial lookups directly; process-pool workers
     # count in their own interpreters, so their per-country deltas are
     # shipped back with each CountryRun and merged on top.
     outcome.metrics.record_caches(cache_registry())
@@ -523,39 +494,38 @@ def run_study(
             run.cache_deltas for cc, run in runs.items() if cc not in resumed
         )
 
-    if getattr(config, "collect_metrics", True):
-        # Merge the per-country registry deltas in input country order —
-        # fixed order is what keeps float sums (histogram totals) exact
-        # across backends and worker counts.
-        deltas = []
-        resources_by_country: Dict[str, dict] = {}
-        for country_code, run in runs.items():
-            if run.metrics_delta is not None:
-                deltas.append(run.metrics_delta)
-            if run.resources is not None:
-                resources_by_country[country_code] = run.resources
-        meta = {
-            "countries": list(countries),
-            "backend": executor.name,
-            "jobs": executor.jobs,
-            "cpus": os.cpu_count(),
-        }
-        if resumed:
-            meta["resumed"] = [cc for cc in countries if cc in resumed]
-        if outcome.failures:
-            meta["failed"] = outcome.failed_countries()
-        outcome.metrics_snapshot = build_study_snapshot(
-            meta,
-            outcome.metrics.to_dict(),
-            merge_snapshots(deltas + [outcome.metrics.registry_snapshot()]),
-            resources_by_country or None,
+    # Merge the per-country registry deltas in input country order —
+    # fixed order is what keeps float sums (histogram totals) exact
+    # across backends and worker counts.
+    deltas = []
+    resources_by_country: Dict[str, dict] = {}
+    for country_code, run in runs.items():
+        if run.metrics_delta is not None:
+            deltas.append(run.metrics_delta)
+        if run.resources is not None:
+            resources_by_country[country_code] = run.resources
+    meta = {
+        "countries": list(countries),
+        "backend": executor.name,
+        "jobs": executor.jobs,
+        "cpus": os.cpu_count(),
+    }
+    if resumed:
+        meta["resumed"] = [cc for cc in countries if cc in resumed]
+    if outcome.failures:
+        meta["failed"] = outcome.failed_countries()
+    outcome.metrics_snapshot = build_study_snapshot(
+        meta,
+        outcome.metrics.to_dict(),
+        merge_snapshots(deltas + [outcome.metrics.registry_snapshot()]),
+        resources_by_country or None,
+    )
+    if checkpoint is not None:
+        write_snapshot(
+            Path(checkpoint_dir) / "metrics.json", outcome.metrics_snapshot
         )
-        if checkpoint is not None:
-            write_snapshot(
-                Path(checkpoint_dir) / "metrics.json", outcome.metrics_snapshot
-            )
-        if metrics_out is not None:
-            write_snapshot(metrics_out, outcome.metrics_snapshot)
+    if metrics_out is not None:
+        write_snapshot(metrics_out, outcome.metrics_snapshot)
 
     if tracing:
         run_record = {

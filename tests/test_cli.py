@@ -145,6 +145,12 @@ class TestFaultToleranceCLI:
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_thread_backend_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["study", "--countries", "CA", "--backend", "thread"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'thread'" in capsys.readouterr().err
+
     def test_resume_requires_checkpoint_dir(self):
         with pytest.raises(SystemExit, match="--resume requires --checkpoint-dir"):
             main(["study", "--countries", "CA", "--resume"])
@@ -162,7 +168,7 @@ class TestMetricsCommands:
         assert main(["study", "--countries", "CA,NZ", "--no-progress",
                      "--profile", "--metrics-out", str(first)]) == 0
         assert main(["study", "--countries", "CA,NZ", "--no-progress",
-                     "--jobs", "2", "--backend", "thread",
+                     "--jobs", "2", "--backend", "process",
                      "--metrics-out", str(second)]) == 0
         return first, second
 

@@ -167,8 +167,10 @@ class TestSharedAnchors:
             scenario, countries=SMALL_COUNTRIES, config=_config()
         )
         pooled = run_study(
-            scenario, countries=SMALL_COUNTRIES, config=_config(),
-            jobs=2, backend="process",
+            scenario, countries=SMALL_COUNTRIES,
+            config=StudyConfig(
+                pipeline=PipelineConfig(confidence=True), jobs=2, backend="process"
+            ),
         )
         assert _confidences(serial) == _confidences(pooled)
         # The confidence-weighted flow view agrees too, and is populated.

@@ -2,8 +2,8 @@
 
 The repo's headline guarantee is bit-exact determinism; the parallel
 executor must therefore be *unobservable* in study artefacts.  These
-tests run the same study through the serial, thread-pool, and
-process-pool backends at several worker counts and assert that every
+tests run the same study through the serial and process-pool
+backends at several worker counts and assert that every
 artefact — datasets, verdicts, funnel counters, joined analysis records,
 and the derived summary — is exactly equal, including across repeated
 runs.
@@ -44,43 +44,48 @@ def assert_outcomes_identical(reference, other) -> None:
 
 
 class TestBackendEquivalence:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     @pytest.mark.parametrize("jobs", [1, 2, 8])
     def test_small_study_equal_for_all_backends_and_job_counts(
         self, scenario, study_small, backend, jobs
     ):
         parallel = run_study(
-            scenario, countries=SMALL_COUNTRIES, jobs=jobs, backend=backend
+            scenario, countries=SMALL_COUNTRIES,
+            config=StudyConfig(jobs=jobs, backend=backend),
         )
         assert parallel.metrics.backend == backend
         assert parallel.metrics.jobs == jobs
         assert_outcomes_identical(study_small, parallel)
 
     def test_repeated_parallel_runs_identical(self, scenario):
-        first = run_study(scenario, countries=SMALL_COUNTRIES, jobs=2, backend="thread")
-        second = run_study(scenario, countries=SMALL_COUNTRIES, jobs=2, backend="thread")
+        config = StudyConfig(jobs=2, backend="process")
+        first = run_study(scenario, countries=SMALL_COUNTRIES, config=config)
+        second = run_study(scenario, countries=SMALL_COUNTRIES, config=config)
         assert_outcomes_identical(first, second)
 
     def test_config_carries_jobs_and_backend(self, scenario):
-        config = StudyConfig(jobs=2, backend="thread")
+        config = StudyConfig(jobs=2, backend="process")
         outcome = run_study(scenario, countries=["CA", "NZ"], config=config)
-        assert outcome.metrics.backend == "thread"
+        assert outcome.metrics.backend == "process"
         assert outcome.metrics.jobs == 2
 
-    def test_explicit_args_override_config(self, scenario):
-        config = StudyConfig(jobs=8, backend="process")
-        outcome = run_study(
-            scenario, countries=["CA"], config=config, jobs=1, backend="serial"
-        )
-        assert outcome.metrics.backend == "serial"
-        assert outcome.metrics.jobs == 1
+    @pytest.mark.parametrize("keyword,value", [
+        ("jobs", 1), ("backend", "serial"), ("on_error", "skip"),
+        ("max_retries", 0), ("profile", True), ("profile_mem", True),
+        ("collect_metrics", False),
+    ])
+    def test_study_options_are_not_run_study_keywords(self, scenario, keyword, value):
+        # StudyConfig is the one place a study option is set; run_study
+        # takes per-run I/O only, so an option keyword is a TypeError.
+        with pytest.raises(TypeError, match=keyword):
+            run_study(scenario, countries=["CA"], **{keyword: value})
 
 
 class TestFullScenarioAcceptance:
     """The acceptance criterion: jobs=4 on the default 23-country world."""
 
     def test_jobs4_process_pool_equals_serial(self, scenario, study_full):
-        parallel = run_study(scenario, jobs=4)
+        parallel = run_study(scenario, config=StudyConfig(jobs=4))
         assert parallel.metrics.backend == "process"  # auto resolves to process
         assert parallel.metrics.jobs == 4
         assert_outcomes_identical(study_full, parallel)
@@ -108,7 +113,8 @@ class TestMetricsShape:
         # over fan-out wall, so oversubscribed workers (jobs > CPUs)
         # reported close to ``jobs`` x without any real gain.
         outcome = run_study(
-            scenario, countries=SMALL_COUNTRIES[:3], jobs=4, backend="process"
+            scenario, countries=SMALL_COUNTRIES[:3],
+            config=StudyConfig(jobs=4, backend="process"),
         )
         metrics = outcome.metrics
         assert metrics.cpu_seconds > 0

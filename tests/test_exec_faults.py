@@ -7,17 +7,17 @@ the pool — no deadlocks, no orphaned workers.
 
 from __future__ import annotations
 
+import multiprocessing
 import threading
 import time
 
 import pytest
 
-from repro import run_study
+from repro import StudyConfig, run_study
 from repro.exec import (
     CountryExecutionError,
     ProcessPoolStudyExecutor,
     SerialStudyExecutor,
-    ThreadPoolStudyExecutor,
     create_executor,
 )
 
@@ -43,9 +43,8 @@ class ExplodingWorker:
 def all_executors():
     return [
         SerialStudyExecutor(),
-        ThreadPoolStudyExecutor(jobs=2),
-        ThreadPoolStudyExecutor(jobs=8),
         ProcessPoolStudyExecutor(jobs=2),
+        ProcessPoolStudyExecutor(jobs=8),
     ]
 
 
@@ -69,21 +68,21 @@ class TestWorkerFaults:
 
 
 class TestPoolHygiene:
-    def test_thread_pool_released_after_failure(self):
-        executor = ThreadPoolStudyExecutor(jobs=4)
-        before = threading.active_count()
+    def test_process_pool_released_after_failure(self):
+        executor = ProcessPoolStudyExecutor(jobs=4)
+        before = len(multiprocessing.active_children())
         for _ in range(3):
             with pytest.raises(CountryExecutionError):
                 executor.map_countries(
                     ExplodingWorker(failing={"AA"}, delay_s=0.01), COUNTRIES
                 )
         deadline = time.time() + 10.0
-        while threading.active_count() > before and time.time() < deadline:
+        while len(multiprocessing.active_children()) > before and time.time() < deadline:
             time.sleep(0.05)
-        assert threading.active_count() <= before
+        assert len(multiprocessing.active_children()) <= before
 
     def test_failure_does_not_deadlock_with_slow_siblings(self):
-        executor = ThreadPoolStudyExecutor(jobs=2)
+        executor = ProcessPoolStudyExecutor(jobs=2)
         worker = ExplodingWorker(failing={"AA"}, delay_s=0.05)
         finished = []
 
@@ -108,7 +107,7 @@ class TestPoolHygiene:
 
 
 class TestRunStudyFaults:
-    @pytest.mark.parametrize("backend,jobs", [("serial", 1), ("thread", 2)])
+    @pytest.mark.parametrize("backend,jobs", [("serial", 1), ("process", 2)])
     def test_study_failure_names_country(self, scenario, monkeypatch, backend, jobs):
         from repro.exec import worker as worker_module
 
@@ -121,7 +120,10 @@ class TestRunStudyFaults:
 
         monkeypatch.setattr(worker_module.StudyWorker, "__call__", explode)
         with pytest.raises(CountryExecutionError) as excinfo:
-            run_study(scenario, countries=["CA", "NZ"], jobs=jobs, backend=backend)
+            run_study(
+                scenario, countries=["CA", "NZ"],
+                config=StudyConfig(jobs=jobs, backend=backend),
+            )
         assert excinfo.value.country_code == "NZ"
         assert "NZ" in str(excinfo.value)
 
@@ -140,7 +142,7 @@ class TestExecutorConstruction:
     def test_jobs_zero_means_cpu_count(self):
         import os
 
-        executor = create_executor("thread", 0)
+        executor = create_executor("process", 0)
         assert executor.jobs == (os.cpu_count() or 1)
 
     def test_invalid_inputs_rejected(self):
@@ -149,6 +151,8 @@ class TestExecutorConstruction:
         with pytest.raises(ValueError):
             create_executor("warpdrive", 2)
         with pytest.raises(ValueError):
-            ThreadPoolStudyExecutor(jobs=0)
+            create_executor("thread", 2)
         with pytest.raises(ValueError):
             ProcessPoolStudyExecutor(jobs=0)
+        with pytest.raises(ValueError, match="expected one of auto, serial, process"):
+            StudyConfig(backend="thread")

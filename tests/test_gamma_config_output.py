@@ -1,5 +1,7 @@
 """Gamma configuration, dataset model, OS adapters."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.gamma.config import GammaComponents, GammaConfig
@@ -11,6 +13,19 @@ from repro.core.gamma.output import (
     anonymize,
 )
 from repro.core.gamma.parsers import NormalizedHop, NormalizedTraceroute
+
+#: One non-default value per GammaConfig field that
+#: ``without_traceroutes`` must carry over unchanged.
+NON_DEFAULT_FIELDS = {
+    "browser": "firefox",
+    "instances": 3,
+    "wait_time_s": 7.5,
+    "hard_timeout_s": 90.0,
+    "opted_out_sites": {"example.org"},
+    "os_name": "windows",
+    "probes_per_hop": 5,
+    "save_pages": True,
+}
 
 
 class TestGammaConfig:
@@ -49,6 +64,23 @@ class TestGammaConfig:
         config = GammaConfig.study_defaults().without_traceroutes()
         assert not config.traceroutes_enabled
         assert config.netinfo_enabled
+
+    @pytest.mark.parametrize("name,value", sorted(NON_DEFAULT_FIELDS.items()))
+    def test_without_traceroutes_keeps_every_other_field(self, name, value):
+        config = GammaConfig(**{name: value}).without_traceroutes()
+        assert getattr(config, name) == value
+        assert not config.traceroutes_enabled
+
+    def test_without_traceroutes_covers_every_field(self):
+        # A field added later must join NON_DEFAULT_FIELDS to be checked.
+        names = {f.name for f in dataclasses.fields(GammaConfig)}
+        assert names - {"components"} == set(NON_DEFAULT_FIELDS)
+
+    def test_without_traceroutes_copies_opt_outs(self):
+        config = GammaConfig(opted_out_sites={"example.org"})
+        stripped = config.without_traceroutes()
+        stripped.opted_out_sites.add("example.com")
+        assert config.opted_out_sites == {"example.org"}
 
     def test_component_flags(self):
         config = GammaConfig.study_defaults()

@@ -19,7 +19,7 @@ same pickled bytes.  The suite attacks that contract from four sides:
   ceiling, where a single float discrepancy would flip a verdict.
 * **Warm tables** — a pipeline whose table was filled by earlier
   batches, or that crossed a pickle, classifies like a fresh one.
-* **Study level** — serial, thread and process runs agree.
+* **Study level** — serial and process runs agree.
 
 Stub services live at module level so pipelines stay picklable — the
 same property the process-pool backend relies on.
@@ -554,7 +554,7 @@ class TestExactBoundaries:
 
 
 class TestStudyBackends:
-    """One engine, every backend: serial, thread and process agree."""
+    """One engine, every backend: serial and process agree."""
 
     COUNTRIES = ["CA", "QA", "EG"]
     CONFIG = StudyConfig(pipeline=PipelineConfig(confidence=True))
@@ -565,11 +565,13 @@ class TestStudyBackends:
             scenario, countries=self.COUNTRIES, trace=True, config=self.CONFIG,
         )
 
-    @pytest.mark.parametrize("backend,jobs", [("thread", 4), ("process", 4)])
+    @pytest.mark.parametrize("backend,jobs", [("process", 4)])
     def test_parallel_outcomes_equal_serial(self, scenario, serial, backend, jobs):
         parallel = run_study(
-            scenario, countries=self.COUNTRIES, trace=True, config=self.CONFIG,
-            jobs=jobs, backend=backend,
+            scenario, countries=self.COUNTRIES, trace=True,
+            config=StudyConfig(
+                pipeline=self.CONFIG.pipeline, jobs=jobs, backend=backend
+            ),
         )
         # Verdict equality covers the confidence scores too.
         assert_outcomes_identical(serial, parallel)

@@ -5,9 +5,10 @@ Two contracts, both locked down over the 5-country subset:
 * **Backend-independence of the metrics**: every deterministic
   (non-runtime) metric family — verdict statuses, funnel stages,
   constraint checks, evidence-latency histograms, tracker attributions,
-  site counts — lands on exactly equal values for the serial, thread,
-  and process backends at any worker count, and under a retried fault.  Runtime families (timings, cache traffic) are
-  excluded by classification, not by tolerance.
+  site counts — lands on exactly equal values for the serial and
+  process backends at any worker count, and under a retried fault.
+  Runtime families (timings, cache traffic) are excluded by
+  classification, not by tolerance.
 * **Telemetry-independence of the study**: enabling progress streaming
   and resource profiling changes no artefact — the stripped journal is
   byte-identical and the study summary equal, which is what keeps
@@ -20,7 +21,7 @@ import io
 
 import pytest
 
-from repro import run_study
+from repro import StudyConfig, run_study
 from repro.exec.resilience import FaultInjector
 from repro.obs.metrics import (
     diff_snapshots,
@@ -44,9 +45,8 @@ def _run(scenario, **kwargs):
 def backend_runs(scenario):
     return {
         "serial": _run(scenario),
-        "thread-1": _run(scenario, backend="thread", jobs=1),
-        "thread-4": _run(scenario, backend="thread", jobs=4),
-        "process-4": _run(scenario, backend="process", jobs=4),
+        "process-1": _run(scenario, config=StudyConfig(backend="process", jobs=1)),
+        "process-4": _run(scenario, config=StudyConfig(backend="process", jobs=4)),
     }
 
 
@@ -113,7 +113,7 @@ class TestBackendIndependence:
 class TestFaultIndependence:
     def test_retry_fault_leaves_totals_exact(self, scenario, backend_runs):
         retried = _run(
-            scenario, backend="thread", jobs=4, on_error="retry",
+            scenario, config=StudyConfig(backend="process", jobs=4, on_error="retry"),
             fault_injector=FaultInjector({"NZ": 1}),
         )
         assert retried.failures == []
@@ -124,7 +124,7 @@ class TestFaultIndependence:
     def test_skipped_country_drops_only_its_contribution(self, scenario):
         clean = _run(scenario, countries=["CA", "RW"])
         partial = _run(
-            scenario, countries=["CA", "NZ", "RW"], on_error="skip",
+            scenario, countries=["CA", "NZ", "RW"], config=StudyConfig(on_error="skip"),
             fault_injector=FaultInjector({"NZ": FaultInjector.ALWAYS}),
         )
         assert partial.failed_countries() == ["NZ"]
@@ -146,7 +146,7 @@ class TestTelemetryInvariance:
             len(SMALL_COUNTRIES), stream=io.StringIO(), record_events=True
         )
         instrumented = _run(
-            scenario, trace=True, progress=reporter, profile=True,
+            scenario, trace=True, progress=reporter, config=StudyConfig(profile=True),
         )
         return plain, instrumented, reporter
 
@@ -186,7 +186,9 @@ class TestTelemetryInvariance:
             assert usage["cpu_seconds"] >= 0.0
             assert set(usage["phases"]) <= {"gamma", "source_traces", "geoloc", "join"}
 
-    def test_metrics_can_be_disabled(self, scenario):
-        outcome = _run(scenario, countries=["CA"], collect_metrics=False)
-        assert outcome.metrics_snapshot is None
-        assert outcome.results  # the study itself still ran
+    def test_profile_mem_alone_enables_profiling(self, scenario):
+        outcome = _run(scenario, countries=["CA"], config=StudyConfig(profile_mem=True))
+        usage = outcome.metrics_snapshot["resources"]["CA"]
+        assert usage["cpu_seconds"] >= 0.0
+        assert usage["tracemalloc"]["peak_kb"] > 0
+        assert usage["tracemalloc"]["top"]

@@ -234,7 +234,7 @@ class TestExecMetricsSatellites:
         assert metrics.aggregate_seconds == 0.123457
 
     def test_render_has_phase_share_and_speedup(self):
-        metrics = ExecMetrics(backend="thread", jobs=2, wall_seconds=2.0)
+        metrics = ExecMetrics(backend="process", jobs=2, wall_seconds=2.0)
         for code, gamma, join in [("AA", 3.0, 1.0)]:
             timings = CountryTimings(code)
             timings.phase_seconds["gamma"] = gamma

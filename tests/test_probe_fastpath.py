@@ -76,11 +76,18 @@ class TestParserOracleEquivalence:
 
 
 class TestTraceMemoEquivalence:
-    def test_memo_preserves_every_downstream_artefact(self, scenario):
+    def test_memo_preserves_every_downstream_artefact(self, scenario, monkeypatch):
         memo = run_study(scenario, countries=COUNTRIES, config=StudyConfig())
-        legacy = run_study(
-            scenario, countries=COUNTRIES, config=StudyConfig(memo_traces=False)
-        )
+        memoised = ProbeRunner.traceroute_many
+        calls = []
+
+        def unmemoised(self, source_city, target_ips, key_prefix="", memo=False):
+            calls.append(key_prefix)
+            return memoised(self, source_city, target_ips, key_prefix, memo=False)
+
+        monkeypatch.setattr(ProbeRunner, "traceroute_many", unmemoised)
+        legacy = run_study(scenario, countries=COUNTRIES, config=StudyConfig())
+        assert calls  # the study really took the unmemoised path
         # Everything the analyses consume is byte-identical.
         assert memo.source_trace_origins == legacy.source_trace_origins
         for cc in COUNTRIES:

@@ -34,7 +34,8 @@ from tests.conftest import SMALL_COUNTRIES
 from tests.test_exec_equivalence import assert_outcomes_identical
 
 #: Zero backoff keeps the retry suites fast; determinism is untouched.
-FAST_RETRY = dict(config=StudyConfig(retry_base_delay=0.0))
+def fast_retry(**fields) -> StudyConfig:
+    return StudyConfig(retry_base_delay=0.0, **fields)
 
 FAULT_COUNTRIES = ["CA", "NZ", "RW"]
 
@@ -147,8 +148,8 @@ class TestResilientWorkerUnit:
             ResilientWorker(FlakyWorker({}), max_retries=-1)
 
     def test_run_study_rejects_bad_policy(self, scenario):
-        with pytest.raises(ValueError):
-            run_study(scenario, countries=["CA"], on_error="explode")
+        with pytest.raises(ValueError, match="on_error"):
+            run_study(scenario, countries=["CA"], config=StudyConfig(on_error="explode"))
 
 
 # -- study level: the acceptance criteria ------------------------------------
@@ -156,15 +157,15 @@ class TestRetryEquivalence:
     """A transient fault under retry is invisible in the artefacts."""
 
     @pytest.mark.parametrize("backend,jobs", [
-        ("serial", 1), ("thread", 4), ("process", 4),
+        ("serial", 1), ("process", 4),
     ])
     def test_outcome_byte_identical_to_fault_free_run(
         self, scenario, study_small, backend, jobs
     ):
         faulted = run_study(
-            scenario, countries=SMALL_COUNTRIES, backend=backend, jobs=jobs,
-            on_error="retry", fault_injector=FaultInjector({"NZ": 1, "QA": 2}),
-            **FAST_RETRY,
+            scenario, countries=SMALL_COUNTRIES,
+            config=fast_retry(backend=backend, jobs=jobs, on_error="retry"),
+            fault_injector=FaultInjector({"NZ": 1, "QA": 2}),
         )
         assert faulted.failures == []
         assert_outcomes_identical(study_small, faulted)
@@ -172,8 +173,8 @@ class TestRetryEquivalence:
     def test_stripped_journal_identical_to_fault_free_run(self, scenario):
         clean = run_study(scenario, countries=FAULT_COUNTRIES, trace=True)
         faulted = run_study(
-            scenario, countries=FAULT_COUNTRIES, on_error="retry",
-            fault_injector=FaultInjector({"NZ": 1}), trace=True, **FAST_RETRY,
+            scenario, countries=FAULT_COUNTRIES, config=fast_retry(on_error="retry"),
+            fault_injector=FaultInjector({"NZ": 1}), trace=True,
         )
         assert faulted.journal.events("country_retry")  # fault really happened
         assert faulted.journal.dumps(timings=False) == clean.journal.dumps(
@@ -185,8 +186,8 @@ class TestSkipManifest:
     @pytest.fixture(scope="class")
     def skipped(self, scenario):
         return run_study(
-            scenario, countries=FAULT_COUNTRIES, on_error="skip",
-            fault_injector=FaultInjector.parse("NZ"), trace=True, **FAST_RETRY,
+            scenario, countries=FAULT_COUNTRIES, config=fast_retry(on_error="skip"),
+            fault_injector=FaultInjector.parse("NZ"), trace=True,
         )
 
     def test_failure_manifest_fields(self, skipped):
@@ -223,18 +224,19 @@ class TestSkipManifest:
 
     def test_retry_exhaustion_counts_attempts(self, scenario):
         exhausted = run_study(
-            scenario, countries=["CA", "NZ", "RW"], on_error="retry",
-            max_retries=1, fault_injector=FaultInjector({"NZ": 99}), **FAST_RETRY,
+            scenario, countries=["CA", "NZ", "RW"],
+            config=fast_retry(on_error="retry", max_retries=1),
+            fault_injector=FaultInjector({"NZ": 99}),
         )
         assert exhausted.failures[0].attempts == 2
         assert sorted(exhausted.datasets) == ["CA", "RW"]
 
-    @pytest.mark.parametrize("backend,jobs", [("thread", 2), ("process", 2)])
+    @pytest.mark.parametrize("backend,jobs", [("process", 2)])
     def test_skip_is_backend_independent(self, scenario, skipped, backend, jobs):
         parallel = run_study(
-            scenario, countries=FAULT_COUNTRIES, on_error="skip",
+            scenario, countries=FAULT_COUNTRIES,
+            config=fast_retry(on_error="skip", backend=backend, jobs=jobs),
             fault_injector=FaultInjector.parse("NZ"), trace=True,
-            backend=backend, jobs=jobs, **FAST_RETRY,
         )
         assert parallel.failed_countries() == ["NZ"]
         assert parallel.journal.dumps(timings=False) == skipped.journal.dumps(
@@ -247,14 +249,15 @@ class TestRaiseTraceback:
     """Satellite: the worker traceback survives every backend."""
 
     @pytest.mark.parametrize("backend,jobs", [
-        ("serial", 1), ("thread", 2), ("process", 2),
+        ("serial", 1), ("process", 2),
     ])
     def test_country_execution_error_carries_worker_traceback(
         self, scenario, backend, jobs
     ):
         with pytest.raises(CountryExecutionError) as excinfo:
             run_study(
-                scenario, countries=["CA", "NZ"], backend=backend, jobs=jobs,
+                scenario, countries=["CA", "NZ"],
+                config=StudyConfig(backend=backend, jobs=jobs),
                 fault_injector=FaultInjector({"NZ": 99}),
             )
         error = excinfo.value

@@ -16,7 +16,7 @@ import pickle
 
 import pytest
 
-from repro import FaultInjector, run_study
+from repro import FaultInjector, StudyConfig, run_study
 from repro.exec import CountryExecutionError, StudyCheckpoint
 from tests.conftest import SMALL_COUNTRIES
 from tests.test_exec_equivalence import assert_outcomes_identical
@@ -40,20 +40,21 @@ def assert_resume_equivalent(uninterrupted, resumed) -> None:
 
 class TestResumeEquivalence:
     @pytest.mark.parametrize("backend,jobs", [
-        ("serial", 1), ("thread", 1), ("thread", 4), ("process", 1), ("process", 4),
+        ("serial", 1), ("process", 1), ("process", 4),
     ])
     def test_interrupt_then_resume_reproduces_uninterrupted_run(
         self, scenario, uninterrupted, tmp_path, backend, jobs
     ):
         checkpoint_dir = tmp_path / "ckpt"
+        config = StudyConfig(backend=backend, jobs=jobs)
         first = run_study(
             scenario, countries=SMALL_COUNTRIES[:INTERRUPT_AFTER],
-            checkpoint_dir=checkpoint_dir, trace=True, backend=backend, jobs=jobs,
+            checkpoint_dir=checkpoint_dir, trace=True, config=config,
         )
         assert sorted(first.datasets) == sorted(SMALL_COUNTRIES[:INTERRUPT_AFTER])
         resumed = run_study(
             scenario, countries=SMALL_COUNTRIES, checkpoint_dir=checkpoint_dir,
-            resume=True, trace=True, backend=backend, jobs=jobs,
+            resume=True, trace=True, config=config,
         )
         assert_resume_equivalent(uninterrupted, resumed)
         # The resumed countries were loaded, not re-measured.

@@ -1,7 +1,7 @@
 """Journal determinism and coverage — the observability acceptance suite.
 
 The run journal must itself be a backend-equivalence artefact: the same
-scenario traced through serial/thread/process backends at any worker
+scenario traced through serial/process backends at any worker
 count yields byte-identical JSONL once timing/runtime fields are
 stripped.  The suite also proves the journal is *complete* (one
 constraint-decision event per geolocated server, funnel drill-down equal
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import run_study, strip_timings
+from repro import StudyConfig, run_study, strip_timings
 from repro.cli import main
 from repro.obs import RunJournal, funnel_from_journal, validate_journal
 from tests.test_exec_equivalence import assert_outcomes_identical
@@ -32,14 +32,14 @@ def traced_serial(scenario):
 
 class TestJournalDeterminism:
     @pytest.mark.parametrize("backend,jobs", [
-        ("serial", 1), ("thread", 1), ("thread", 4), ("process", 1), ("process", 4),
+        ("serial", 1), ("process", 1), ("process", 4),
     ])
     def test_stripped_journal_byte_identical_across_backends(
         self, scenario, traced_serial, backend, jobs
     ):
         other = run_study(
-            scenario, countries=TRACE_COUNTRIES, jobs=jobs, backend=backend,
-            trace=True,
+            scenario, countries=TRACE_COUNTRIES,
+            config=StudyConfig(jobs=jobs, backend=backend), trace=True,
         )
         assert other.journal.dumps(timings=False) == traced_serial.journal.dumps(
             timings=False
@@ -121,8 +121,8 @@ class TestTracingDisabled:
 
 class TestProcessBackendCacheStats:
     def test_worker_side_cache_activity_is_counted(self, scenario):
-        outcome = run_study(scenario, countries=["CA", "NZ"], jobs=2,
-                            backend="process")
+        outcome = run_study(scenario, countries=["CA", "NZ"],
+                            config=StudyConfig(jobs=2, backend="process"))
         infos = outcome.metrics.cache_infos
         verdicts = infos.get("trackers.verdicts", {"hits": 0, "misses": 0})
         assert verdicts["hits"] + verdicts["misses"] > 0

@@ -20,7 +20,7 @@ import pickle
 
 import pytest
 
-from repro import run_study
+from repro import StudyConfig, run_study
 from repro.artifacts import export_study
 from repro.core.geoloc.verdicts import FunnelCounters, merge_funnels
 from repro.exec import transport
@@ -65,7 +65,8 @@ def reference(scenario):
 
 def _pooled(scenario, **kwargs):
     return run_study(
-        scenario, countries=SMALL_COUNTRIES, backend="process", jobs=2, **kwargs
+        scenario, countries=SMALL_COUNTRIES,
+        config=StudyConfig(backend="process", jobs=2), **kwargs
     )
 
 
@@ -107,12 +108,9 @@ class TestLazyUnpickling:
         assert unpickled == ["NZ"]
 
     def test_in_process_backends_ship_nothing(self, scenario, unpickled):
-        for backend, jobs in (("serial", 1), ("thread", 4)):
-            outcome = run_study(
-                scenario, countries=SMALL_COUNTRIES[:3], backend=backend, jobs=jobs
-            )
-            assert outcome.metrics.transport_bytes == {}
-            assert "transport_bytes" not in outcome.metrics.to_dict()
+        outcome = run_study(scenario, countries=SMALL_COUNTRIES[:3])
+        assert outcome.metrics.transport_bytes == {}
+        assert "transport_bytes" not in outcome.metrics.to_dict()
         assert unpickled == []
 
 
@@ -235,7 +233,7 @@ class TestByteEquality:
     def test_process_pool_matches_serial(self, scenario, reference, jobs, tmp_path):
         outcome = run_study(
             scenario, countries=SMALL_COUNTRIES, trace=True,
-            backend="process", jobs=jobs,
+            config=StudyConfig(backend="process", jobs=jobs),
         )
         assert _summary_bytes(outcome) == _summary_bytes(reference)
         assert outcome.journal.dumps(timings=False) == reference.journal.dumps(
@@ -259,8 +257,9 @@ class TestByteEquality:
         for cc in SMALL_COUNTRIES[2:]:
             (checkpoint_dir / f"{cc}.run.pkl").unlink()
         resumed = run_study(
-            scenario, countries=SMALL_COUNTRIES, trace=True, backend="process",
-            jobs=4, checkpoint_dir=checkpoint_dir, resume=True,
+            scenario, countries=SMALL_COUNTRIES, trace=True,
+            config=StudyConfig(backend="process", jobs=4),
+            checkpoint_dir=checkpoint_dir, resume=True,
         )
         assert [r["country"] for r in resumed.journal.events("country_resumed")] \
             == SMALL_COUNTRIES[:2]
