@@ -34,7 +34,6 @@ from repro.atlas.measurements import DEST_TRACE_CACHE_NAME
 from repro.core.gamma.normalize import normalize_direct
 from repro.core.gamma.parsers import parse_traceroute_output
 from repro.core.gamma.probes import TRACE_CACHE_NAME
-from repro.exec.cache import cache_snapshot
 from repro.netsim.traceroute import render_linux, render_windows
 from benchmarks._emit import emit, record_history
 
@@ -128,25 +127,14 @@ def test_probe_speedup(scenario):
     micro_direct = count / direct_seconds
     micro_speedup = micro_direct / micro_naive
 
-    # Registered-cache counters are process-cumulative, so the per-run
-    # hit rates come from diffing snapshots around the second of two
-    # studies (the one that meets the cross-run destination memo warm).
+    # A study's metrics count that study alone; report the second of
+    # two (the one that meets the cross-run destination memo warm).
     for _ in range(2):
-        before = {
-            name: (info.hits, info.misses)
-            for name, info in cache_snapshot().items()
-        }
-        run_study(scenario, countries=["CA"], config=StudyConfig())
-        deltas = {
-            name: {
-                "hits": info.hits - before.get(name, (0, 0))[0],
-                "misses": info.misses - before.get(name, (0, 0))[1],
-            }
-            for name, info in cache_snapshot().items()
-        }
+        outcome = run_study(scenario, countries=["CA"], config=StudyConfig())
+    infos = outcome.metrics.cache_infos
 
-    trace_cache = deltas.get(TRACE_CACHE_NAME, {"hits": 0, "misses": 0})
-    dest_cache = deltas.get(DEST_TRACE_CACHE_NAME, {"hits": 0, "misses": 0})
+    trace_cache = infos.get(TRACE_CACHE_NAME, {"hits": 0, "misses": 0})
+    dest_cache = infos.get(DEST_TRACE_CACHE_NAME, {"hits": 0, "misses": 0})
 
     payload = {
         "bench": "probe",

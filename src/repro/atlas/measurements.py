@@ -8,26 +8,18 @@ engine over the same latency/address substrate.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, List, Optional
 
 from repro.atlas.probes import Probe, ProbeMesh
-from repro.exec.cache import ReadThroughCache, register_cache
+from repro.exec.cache import ReadThroughCache
 from repro.netsim.geography import City
 from repro.netsim.network import World
 from repro.netsim.traceroute import TracerouteBlocking, TracerouteEngine, TracerouteResult
 
 __all__ = ["AtlasMeasurementService", "DEST_TRACE_CACHE_NAME"]
 
-#: Registry name of the memoised destination-probe trace cache.
+#: Name of the memoised destination-probe trace cache.
 DEST_TRACE_CACHE_NAME = "atlas.dest_traces"
-
-#: One process-wide cache (module-level so it registers exactly once and
-#: exists in pool workers at import time); services are isolated from
-#: each other by a namespace token in every key, so two scenarios alive
-#: in one process never serve each other's traces.
-_DEST_CACHE = register_cache(ReadThroughCache(DEST_TRACE_CACHE_NAME, maxsize=65536))
-_SERVICE_TOKENS = itertools.count()
 
 
 class AtlasMeasurementService:
@@ -43,20 +35,13 @@ class AtlasMeasurementService:
             world.ips,
             TracerouteBlocking(blocked_source_countries=set(), unreachable_rate=0.10),
         )
-        self._memo_namespace = next(_SERVICE_TOKENS)
-
-    def __getstate__(self) -> dict:
-        return self.__dict__.copy()
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        # The token from the originating process may already be taken by
-        # a locally built service; draw a fresh one in this process.
-        self._memo_namespace = next(_SERVICE_TOKENS)
+        # Owned by this service, so two scenarios alive in one process
+        # never serve each other's traces.
+        self._dest_cache = ReadThroughCache(DEST_TRACE_CACHE_NAME, maxsize=65536)
 
     @property
     def dest_trace_cache(self) -> ReadThroughCache:
-        return _DEST_CACHE
+        return self._dest_cache
 
     def traceroute(self, probe: Probe, target_ip: str, measurement_key: str = "") -> TracerouteResult:
         return self._engine.trace(probe.city, target_ip, f"atlas:{probe.probe_id}:{measurement_key}")
@@ -71,8 +56,8 @@ class AtlasMeasurementService:
         address share the result instead of re-launching it; the study
         funnel keeps counting *logical* launches.
         """
-        return _DEST_CACHE.get(
-            (self._memo_namespace, probe.probe_id, target_ip),
+        return self._dest_cache.get(
+            (probe.probe_id, target_ip),
             lambda: self.traceroute(probe, target_ip, f"dest:{target_ip}"),
         )
 

@@ -343,9 +343,8 @@ def _cmd_study(args: argparse.Namespace) -> int:
           f"{funnel.after_rdns} verified")
     print(f"\n{outcome.metrics.render()}")
     if args.cache_stats:
-        # Read the merged run metrics, not the coordinator's registry:
-        # under the process backend only the metrics include the
-        # worker-side hits/misses shipped back with each country.
+        # The per-country deltas merged into the run metrics: this
+        # study's lookups only, counted wherever each country ran.
         print(render_table(
             ["cache", "hits", "misses", "hit %", "size"],
             [

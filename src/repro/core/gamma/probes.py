@@ -14,35 +14,28 @@ paths keep C3 — the scaling bottleneck of a study — off the profile:
 * **Per-country trace memo**: within one run the same third-party
   address is embedded by many sites, and downstream consumers
   (:func:`repro.study.build_source_traces`) only ever keep the *first*
-  trace per address.  ``traceroute_many(..., memo=True)`` memoises that
-  first observation in the registered ``gamma.traces`` cache and reuses
-  it for subsequent sites instead of recomputing a trace that would be
-  thrown away.  Entries are namespaced per runner, so concurrent
-  per-country workers (and distinct scenarios) never share state.
+  trace per address.  :meth:`ProbeRunner.traceroute_many` memoises that
+  first observation in the runner's own ``gamma.traces`` cache and
+  reuses it for subsequent sites instead of recomputing a trace that
+  would be thrown away.  The Gamma suite builds one runner per run, so
+  the memo dies with its country's run and no two runs share entries.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, Iterable, Optional
 
 from repro.core.gamma.osadapt import OSAdapter, PingResult, adapter_for
 from repro.core.gamma.parsers import NormalizedTraceroute
-from repro.exec.cache import ReadThroughCache, register_cache
+from repro.exec.cache import ReadThroughCache
 from repro.netsim.geography import City
 from repro.netsim.network import World
 from repro.netsim.tls import TLSEndpointInfo, TLSInspector
 
 __all__ = ["ProbeRunner", "TRACE_CACHE_NAME"]
 
-#: Registry name of the memoised first-observation trace cache.
+#: Name of the memoised first-observation trace cache.
 TRACE_CACHE_NAME = "gamma.traces"
-
-#: One process-wide cache; keys carry a per-runner namespace token, so
-#: hit/miss counters accumulate on a single registered cache (surfacing
-#: in ``ExecMetrics``/``--cache-stats``) while runners stay isolated.
-_TRACE_CACHE = register_cache(ReadThroughCache(TRACE_CACHE_NAME, maxsize=131072))
-_RUNNER_TOKENS = itertools.count()
 
 
 class ProbeRunner:
@@ -52,11 +45,16 @@ class ProbeRunner:
         self._world = world
         self._adapter: OSAdapter = adapter_for(os_name)
         self._tls = TLSInspector(world)
-        self._memo_namespace = next(_RUNNER_TOKENS)
+        self._traces = ReadThroughCache(TRACE_CACHE_NAME)
 
     @property
     def adapter(self) -> OSAdapter:
         return self._adapter
+
+    @property
+    def trace_cache(self) -> ReadThroughCache:
+        """This runner's first-observation memo."""
+        return self._traces
 
     def traceroute(self, source_city: City, target_ip: str, key: str = "") -> NormalizedTraceroute:
         """One traceroute, via the platform tool, normalised."""
@@ -69,28 +67,24 @@ class ProbeRunner:
         source_city: City,
         target_ips: Iterable[str],
         key_prefix: str = "",
-        memo: bool = False,
     ) -> Dict[str, NormalizedTraceroute]:
-        """Traceroutes for *target_ips*, optionally memoised per address.
+        """Traceroutes for *target_ips*, memoised per address.
 
-        With ``memo=True``, the first trace this runner launched toward
-        an address is replayed for every later request (across calls —
-        i.e. across sites), matching the first-observation-wins rule the
-        geolocation pipeline applies anyway.  ``key_prefix`` still names
-        the *launching* measurement, so the first observation is
-        byte-identical to the unmemoised run's.
+        The first trace this runner launched toward an address is
+        replayed for every later request (across calls — i.e. across
+        sites), matching the first-observation-wins rule the geolocation
+        pipeline applies anyway.  ``key_prefix`` still names the
+        *launching* measurement, so the first observation is
+        byte-identical to an unmemoised :meth:`traceroute` loop's.
         """
         results: Dict[str, NormalizedTraceroute] = {}
         for i, target_ip in enumerate(target_ips):
-            if memo:
-                results[target_ip] = _TRACE_CACHE.get(
-                    (self._memo_namespace, source_city.key, target_ip),
-                    lambda ip=target_ip, key=f"{key_prefix}:{i}": self.traceroute(
-                        source_city, ip, key
-                    ),
-                )
-            else:
-                results[target_ip] = self.traceroute(source_city, target_ip, f"{key_prefix}:{i}")
+            results[target_ip] = self._traces.get(
+                (source_city.key, target_ip),
+                lambda ip=target_ip, key=f"{key_prefix}:{i}": self.traceroute(
+                    source_city, ip, key
+                ),
+            )
         return results
 
     def ping(

@@ -19,6 +19,7 @@ from repro.core.gamma.output import VolunteerDataset, WebsiteMeasurement
 from repro.core.gamma.probes import ProbeRunner
 from repro.core.gamma.volunteer import Volunteer
 from repro.core.targets.builder import TargetList
+from repro.exec.cache import ReadThroughCache
 from repro.geodb.ipinfo import IPInfoService
 from repro.netsim.network import World
 from repro.web.catalog import SiteCatalog
@@ -58,10 +59,17 @@ class GammaSuite:
             )
         self._browser = BrowserEngine(world, catalog, browser_config)
         self._netinfo = NetworkInfoGatherer(world, ipinfo)
+        self._prober: Optional[ProbeRunner] = None
 
     @property
     def config(self) -> GammaConfig:
         return self._config
+
+    @property
+    def trace_cache(self) -> Optional[ReadThroughCache]:
+        """The trace memo of the latest :meth:`run` (``None`` before any
+        run, or when that run launched no traceroutes)."""
+        return self._prober.trace_cache if self._prober is not None else None
 
     def run(
         self,
@@ -81,7 +89,8 @@ class GammaSuite:
         """
         config = self._effective_config(volunteer)
         dataset = self._resume_or_start(volunteer, checkpoint)
-        prober = (
+        # One runner per run: its trace memo dies with the run.
+        self._prober = prober = (
             ProbeRunner(self._world, config.os_name)
             if config.traceroutes_enabled
             else None
@@ -228,7 +237,6 @@ class GammaSuite:
         if prober is not None:
             addresses = measurement.resolved_addresses
             measurement.traceroutes = prober.traceroute_many(
-                volunteer.city, addresses, key_prefix=f"{volunteer.name}:{url}",
-                memo=True,
+                volunteer.city, addresses, key_prefix=f"{volunteer.name}:{url}"
             )
         return measurement

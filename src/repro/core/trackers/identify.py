@@ -10,8 +10,8 @@ Mirrors section 4.2 of the paper:
 
 Classification is memoised: the ~100 sites per country repeat the same
 third-party hosts heavily, so :meth:`TrackerIdentifier.classify` keeps a
-read-through verdict cache (``trackers.verdicts`` in the
-:mod:`repro.exec.cache` registry).  Verdicts are keyed per country only
+read-through verdict cache (``trackers.verdicts``, owned by the
+identifier and reported per study through ``ExecMetrics``).  Verdicts are keyed per country only
 where a regional list exists — for every other country the verdict is
 country-independent, so one cache entry serves them all.  Memoisation
 never changes a verdict, only how often it is recomputed; the
@@ -27,12 +27,15 @@ from typing import Dict, List, Optional
 from repro.core.trackers.filterlist import FilterSet
 from repro.core.trackers.orgs import OrganizationDirectory
 from repro.domains import registrable_domain, validate_hostname
-from repro.exec.cache import CacheInfo, ReadThroughCache, register_cache
+from repro.exec.cache import CacheInfo, ReadThroughCache
 
 __all__ = ["IdentificationMethod", "TrackerVerdict", "TrackerIdentifier"]
 
-#: Registry name of the memoised verdict cache.
+#: Name of the memoised verdict cache.
 VERDICT_CACHE_NAME = "trackers.verdicts"
+
+#: Verdict-cache bound (FIFO eviction beyond it).
+VERDICT_CACHE_SIZE = 65536
 
 
 class IdentificationMethod:
@@ -65,14 +68,11 @@ class TrackerIdentifier:
         global_lists: FilterSet,
         regional_lists: Optional[Dict[str, FilterSet]] = None,
         directory: Optional[OrganizationDirectory] = None,
-        verdict_cache_size: Optional[int] = 65536,
     ):
         self._global = global_lists
         self._regional = dict(regional_lists or {})
         self._directory = directory
-        self._cache = register_cache(
-            ReadThroughCache(VERDICT_CACHE_NAME, maxsize=verdict_cache_size)
-        )
+        self._cache = ReadThroughCache(VERDICT_CACHE_NAME, maxsize=VERDICT_CACHE_SIZE)
 
     @property
     def directory(self) -> Optional[OrganizationDirectory]:

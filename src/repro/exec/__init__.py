@@ -6,8 +6,8 @@ serial or process-pool backend (``StudyConfig.jobs`` /
 outcome is byte-identical regardless of worker count, memoises the hot
 cross-country lookups, and accounts per-phase
 wall time so the speedup is observable.  Each ``CountryRun`` also ships
-back the worker-side memo-cache deltas (merged into ``ExecMetrics`` for
-the process backend) and, when tracing is on, the country's span/event
+back the memo-cache deltas its country caused (merged into
+``ExecMetrics`` the same way on both backends) and, when tracing is on, the country's span/event
 buffer for the run journal (:mod:`repro.obs`).  The fan-out is fault
 tolerant: per-country retry/skip policies with deterministic backoff
 (:mod:`repro.exec.resilience`) and study-level checkpoint/resume
@@ -19,7 +19,7 @@ unpickles it only when its dataset or geolocation is read
 ``docs/robustness.md``.
 """
 
-from repro.exec.cache import CacheInfo, ReadThroughCache, cache_registry, register_cache
+from repro.exec.cache import CacheInfo, ReadThroughCache, cache_registry
 from repro.exec.checkpoint import StudyCheckpoint
 from repro.exec.resilience import (
     ON_ERROR_POLICIES,
@@ -82,5 +82,4 @@ __all__ = [
     "backoff_delay",
     "cache_registry",
     "create_executor",
-    "register_cache",
 ]

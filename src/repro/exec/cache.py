@@ -2,10 +2,11 @@
 
 The hottest cross-country lookups — great-circle distance, city-pair
 latency statistics, reverse DNS, GeoDNS resolution — are pure functions
-of their keys.  :class:`ReadThroughCache` memoises such lookups.  The
-study fans out over processes, each holding its own copy of every
-cache, but a cache is process-wide and any caller may drive one world
-from several threads.  Entries are therefore published behind a lock —
+of their keys.  :class:`ReadThroughCache` memoises such lookups.  Each
+cache is a plain attribute of the object that fills it (the GeoDNS
+resolver, the tracker identifier, the measurement service, one
+country's probe runner); nothing registers it anywhere, so a cache
+lives and dies with its owner.  Entries are published behind a lock —
 concurrent readers never observe a half-written entry and hit/miss
 counters stay exact — and first-time computes run *outside* the lock
 under per-key single-flight coordination: two threads missing different
@@ -31,9 +32,7 @@ __all__ = [
     "CacheInfo",
     "ReadThroughCache",
     "cache_registry",
-    "cache_snapshot",
     "record_cache_deltas",
-    "register_cache",
 ]
 
 #: Worker-side registry family for per-country cache counter movement.
@@ -218,35 +217,12 @@ class ReadThroughCache:
         self._lock = threading.Lock()
 
 
-#: Process-wide caches (module-level memos register here so the CLI and
-#: benchmarks can report hit rates without holding references).
-_REGISTRY: Dict[str, ReadThroughCache] = {}
-_REGISTRY_LOCK = threading.Lock()
-
-
-def register_cache(cache: ReadThroughCache) -> ReadThroughCache:
-    """Track *cache* in the process-wide registry (last one wins per name)."""
-    with _REGISTRY_LOCK:
-        _REGISTRY[cache.name] = cache
-    return cache
-
-
 def cache_registry() -> Iterator[CacheInfo]:
-    """Snapshots of every registered cache, in registration order."""
-    with _REGISTRY_LOCK:
-        caches = list(_REGISTRY.values())
-    return iter([cache.info() for cache in caches])
+    """Snapshot of the one process-wide memo, ``netsim.distance``.
 
-
-def cache_snapshot(prefix: Optional[str] = None) -> Dict[str, CacheInfo]:
-    """``{name: CacheInfo}`` for registered caches, optionally by prefix.
-
-    Counters are process-cumulative (a cache registered at import time
-    keeps counting across runs); consumers wanting per-run numbers can
-    diff two snapshots.
+    Every other cache belongs to the object that fills it; a study's
+    share of those is reported in ``outcome.metrics.cache_infos``.
     """
-    return {
-        info.name: info
-        for info in cache_registry()
-        if prefix is None or info.name.startswith(prefix)
-    }
+    from repro.netsim.distance import distance_cache  # imports this module
+
+    return iter([distance_cache.info()])

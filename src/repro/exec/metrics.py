@@ -35,7 +35,6 @@ from collections.abc import MutableMapping
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, Optional
 
-from repro.exec.cache import CacheInfo
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["PhaseTimer", "CountryTimings", "ExecMetrics"]
@@ -279,21 +278,15 @@ class ExecMetrics:
             runtime=True,
         )
 
-    def record_caches(self, infos: Iterable[CacheInfo]) -> None:
-        """Fold cache counter snapshots into the run's metrics."""
-        for info in infos:
-            self._cache_series(info.name, "hit").reset_to(info.hits)
-            self._cache_series(info.name, "miss").reset_to(info.misses)
-            self._cache_size(info.name).set(info.size)
-
     def merge_worker_caches(self, deltas: Iterable[Dict[str, dict]]) -> None:
-        """Fold per-worker cache counter deltas into the run's metrics.
+        """Fold per-country cache counter deltas into the run's metrics.
 
-        Process-pool workers count cache activity in their own
-        interpreters; each country ships back the hit/miss deltas it
-        caused, and this merge adds them to the coordinator snapshot.
-        ``size`` is the largest population observed in any one process
-        (cache contents cannot be unioned from counters alone).
+        Each country ships back the hit/miss deltas it caused, in
+        whichever process ran it; their sum is the study's lookups on
+        every backend.  ``size`` is the largest population observed
+        after any one country (cache contents cannot be unioned from
+        counters alone) — for the per-run ``gamma.traces`` memo, the
+        per-country peak.
         """
         for delta in deltas:
             for name, counters in delta.items():
@@ -305,11 +298,9 @@ class ExecMetrics:
     @property
     def cache_infos(self) -> Dict[str, dict]:
         """Cache name -> hit/miss counter snapshot (memoised lookup
-        layers), rebuilt from the registry series.  The coordinator
-        snapshots its own registry; for the process backend, per-worker
-        deltas shipped back with each ``CountryRun`` are folded in via
-        :meth:`merge_worker_caches`, so in-worker lookups are counted
-        too."""
+        layers), rebuilt from the registry series that
+        :meth:`merge_worker_caches` filled from the per-country deltas
+        shipped back with each ``CountryRun``."""
         infos: Dict[str, dict] = {}
 
         def _entry(name: str) -> dict:

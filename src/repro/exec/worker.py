@@ -12,9 +12,11 @@ Observability rides along in picklable side channels on
 :class:`CountryRun`:
 
 * ``cache_deltas`` — the hit/miss deltas this country caused in the
-  process-wide memo caches, snapshotted around the work.  For the
-  process backend these are the *only* view of in-worker cache
-  activity, so the coordinator merges them into ``ExecMetrics``.
+  memo caches: those the scenario lists (``Scenario.caches``),
+  snapshotted around the work, and the trace memo of the country's own
+  Gamma run, which starts empty.  On both backends these are the only
+  view of cache activity the coordinator merges into ``ExecMetrics``,
+  so a study's cache numbers count that study alone.
 * ``events`` — the country's span/event buffer when tracing is enabled
   (``StudyWorker(..., trace=True)``), recorded by a private
   :class:`repro.obs.Tracer` whose paths root under ``study/<CC>``.
@@ -35,14 +37,14 @@ from __future__ import annotations
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 from repro.core.analysis.records import CountryStudyResult, build_country_result
 from repro.core.gamma.config import GammaConfig
 from repro.core.gamma.output import VolunteerDataset, anonymize
 from repro.core.gamma.suite import GammaSuite
 from repro.core.geoloc.pipeline import DatasetGeolocation, GeolocationPipeline
-from repro.exec.cache import cache_registry, record_cache_deltas
+from repro.exec.cache import ReadThroughCache, record_cache_deltas
 from repro.exec.metrics import CountryTimings
 from repro.obs.metrics import SECONDS_BUCKETS, MetricsRegistry
 from repro.obs.profiling import ResourceProfiler, maybe_phase
@@ -55,17 +57,18 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 __all__ = ["CountryRun", "StudyWorker"]
 
 
-def _registry_counters() -> Dict[str, Dict[str, int]]:
+def _counters(caches: Iterable[ReadThroughCache]) -> Dict[str, Dict[str, int]]:
     return {
         info.name: {"hits": info.hits, "misses": info.misses, "size": info.size}
-        for info in cache_registry()
+        for info in (cache.info() for cache in caches)
     }
 
 
 def _cache_deltas(
     before: Dict[str, Dict[str, int]], after: Dict[str, Dict[str, int]]
 ) -> Dict[str, Dict[str, int]]:
-    """Per-cache counter movement between two registry snapshots."""
+    """Per-cache counter movement between two snapshots (a cache absent
+    from *before* started empty)."""
     deltas: Dict[str, Dict[str, int]] = {}
     for name, counters in after.items():
         base = before.get(name, {"hits": 0, "misses": 0})
@@ -140,7 +143,7 @@ class CountryRun:
     source_trace_origin: str
     timings: CountryTimings = field(default_factory=lambda: CountryTimings(""))
     #: Memo-cache counter deltas caused by this country (in the worker's
-    #: own process — the coordinator merges these for the process backend).
+    #: own process — the coordinator merges these on every backend).
     cache_deltas: Dict[str, Dict[str, int]] = field(default_factory=dict)
     #: Span/event buffer for the run journal (None when tracing is off).
     events: Optional[List[dict]] = None
@@ -217,7 +220,7 @@ class StudyWorker:
         if config.profile or config.profile_mem:
             profiler = ResourceProfiler(track_malloc=config.profile_mem)
             profiler.start()
-        caches_before = _registry_counters()
+        caches_before = _counters(scenario.caches)
 
         with maybe_span(tracer, "country", country_code):
             with timings.timer("gamma"), maybe_span(tracer, "phase", "gamma"), \
@@ -254,7 +257,10 @@ class StudyWorker:
                     anonymize(dataset)
 
         timings.cpu_seconds = time.thread_time() - cpu_started
-        cache_deltas = _cache_deltas(caches_before, _registry_counters())
+        caches = scenario.caches
+        if gamma.trace_cache is not None:
+            caches += (gamma.trace_cache,)
+        cache_deltas = _cache_deltas(caches_before, _counters(caches))
         _record_study_metrics(metrics, dataset, result)
         # Runtime-class accounting: wall-clock phase durations and
         # which country paid each cache miss depend on scheduling.

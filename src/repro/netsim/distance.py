@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Tuple
 
-from repro.exec.cache import ReadThroughCache, register_cache
+from repro.exec.cache import ReadThroughCache
 from repro.netsim.geography import City
 
 __all__ = [
@@ -46,7 +46,7 @@ def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
 #: and latency synthesis; the key is the raw coordinates (not city names)
 #: so ad-hoc test cities can never collide, and the value is exactly the
 #: uncached :func:`haversine_km` result.  Safe for concurrent readers.
-distance_cache = register_cache(ReadThroughCache("netsim.distance", maxsize=262144))
+distance_cache = ReadThroughCache("netsim.distance", maxsize=262144)
 
 
 def city_distance_km(a: City, b: City) -> float:

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional
 
 from repro.determinism import stable_hash
 from repro.domains import registrable_domain, validate_hostname
-from repro.exec.cache import ReadThroughCache, register_cache
+from repro.exec.cache import ReadThroughCache
 from repro.netsim.geography import City
 from repro.netsim.servers import Deployment, PoP
 
@@ -59,7 +59,7 @@ class GeoDNSResolver:
     def __init__(self) -> None:
         self._exact: Dict[str, Deployment] = {}
         self._by_registrable: Dict[str, Deployment] = {}
-        self._answers = register_cache(ReadThroughCache("netsim.geodns"))
+        self._answers = ReadThroughCache("netsim.geodns")
 
     @property
     def answer_cache(self) -> ReadThroughCache:

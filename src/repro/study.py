@@ -55,7 +55,6 @@ from repro.core.geoloc.pipeline import (
     SourceTraces,
 )
 from repro.core.geoloc.verdicts import merge_funnels
-from repro.exec.cache import cache_registry
 from repro.exec.checkpoint import StudyCheckpoint
 from repro.exec.executor import check_backend, create_executor
 from repro.exec.metrics import ExecMetrics
@@ -484,15 +483,11 @@ def run_study(
     outcome.geolocations = _RunMap(runs, "geolocation")
     outcome.results = [run.result for run in runs.values()]
     outcome._funnels = funnels
-    # Memo-cache counters (verdicts, distance, ...): the coordinator's
-    # registry sees serial lookups directly; process-pool workers
-    # count in their own interpreters, so their per-country deltas are
-    # shipped back with each CountryRun and merged on top.
-    outcome.metrics.record_caches(cache_registry())
-    if executor.name == "process":
-        outcome.metrics.merge_worker_caches(
-            run.cache_deltas for cc, run in runs.items() if cc not in resumed
-        )
+    # Memo-cache counters: each country measured its own deltas, in
+    # whichever process ran it, so both backends fold the same numbers.
+    outcome.metrics.merge_worker_caches(
+        run.cache_deltas for cc, run in runs.items() if cc not in resumed
+    )
 
     # Merge the per-country registry deltas in input country order —
     # fixed order is what keeps float sums (histogram totals) exact

@@ -11,7 +11,7 @@ and one volunteer per measurement country.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.atlas.measurements import AtlasMeasurementService
 from repro.atlas.probes import ProbeMesh
@@ -25,9 +25,11 @@ from repro.core.trackers.identify import TrackerIdentifier
 from repro.core.trackers.orgs import OrganizationDirectory
 from repro.core.trackers.party import PartyClassifier
 from repro.determinism import stable_rng
+from repro.exec.cache import ReadThroughCache
 from repro.geodb.errors import GeoErrorModel
 from repro.geodb.ipinfo import IPInfoService
 from repro.geodb.ipmap import IPMapService
+from repro.netsim.distance import distance_cache
 from repro.netsim.geography import MEASUREMENT_COUNTRIES, default_registry
 from repro.netsim.network import World
 from repro.netsim.rdns import RDNSStyle
@@ -83,6 +85,18 @@ class Scenario:
     @property
     def countries(self) -> List[str]:
         return sorted(self.volunteers)
+
+    @property
+    def caches(self) -> Tuple[ReadThroughCache, ...]:
+        """The memo caches this scenario's services own, plus the pure
+        process-wide ``netsim.distance`` memo every scenario shares.
+        A study reports its own share of their counters."""
+        return (
+            self.world.dns.answer_cache,
+            self.identifier.verdict_cache,
+            self.atlas.dest_trace_cache,
+            distance_cache,
+        )
 
 
 def _build_deployment(world: World, spec: OrgSpec, cloud_asns: Dict[str, int]) -> None:

@@ -13,9 +13,9 @@ import threading
 
 import pytest
 
-from repro import build_scenario
+from repro import build_scenario, run_study
 from repro.determinism import stable_rng
-from repro.exec.cache import ReadThroughCache, cache_registry, cache_snapshot
+from repro.exec.cache import ReadThroughCache, cache_registry
 from repro.longitudinal import LongitudinalStudy
 from repro.netsim.distance import city_distance_km, distance_cache, haversine_km
 from repro.netsim.dns import NXDomain
@@ -46,20 +46,18 @@ class TestDistanceCache:
         assert after.hits == before.hits + 1
         assert after.misses == before.misses
 
-    def test_registered_for_reporting(self):
-        assert any(info.name == "netsim.distance" for info in cache_registry())
-
-    def test_cache_snapshot_filters_by_prefix(self):
-        snapshot = cache_snapshot("netsim.")
-        assert "netsim.distance" in snapshot
-        assert all(name.startswith("netsim.") for name in snapshot)
+    def test_cache_registry_reports_only_the_distance_memo(self):
+        assert [info.name for info in cache_registry()] == ["netsim.distance"]
 
 
 class TestVerdictCacheSurfacing:
     """The tracker verdict cache reports through the exec metrics layer."""
 
-    def test_study_metrics_include_verdict_cache(self, study_small):
-        infos = study_small.metrics.cache_infos
+    def test_study_metrics_include_verdict_cache(self):
+        # A study's metrics count that study alone, so misses show only
+        # on a scenario whose verdict cache starts cold.
+        outcome = run_study(build_scenario(), countries=["CA", "NZ"])
+        infos = outcome.metrics.cache_infos
         assert "trackers.verdicts" in infos
         verdicts = infos["trackers.verdicts"]
         # The ~100 sites per country repeat hosts heavily: the study join
@@ -197,10 +195,11 @@ class TestGeoDNSAnswerCache:
                 dns.resolve("bad..host", city)
         assert len(dns.answer_cache) == before
 
-    def test_registered_under_its_name(self):
+    def test_owned_by_the_resolver_and_listed_by_the_scenario(self, scenario):
         world = World(geo=default_registry())
         assert world.dns.answer_cache.name == "netsim.geodns"
-        assert any(info.name == "netsim.geodns" for info in cache_registry())
+        assert world.dns.answer_cache is not scenario.world.dns.answer_cache
+        assert any(cache is scenario.world.dns.answer_cache for cache in scenario.caches)
 
     def test_register_after_lookup_changes_the_answer(self, registry):
         world = World(geo=registry)

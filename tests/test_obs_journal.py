@@ -13,7 +13,6 @@ import json
 
 import pytest
 
-from repro.exec.cache import CacheInfo
 from repro.exec.metrics import CountryTimings, ExecMetrics
 from repro.obs import (
     RunJournal,
@@ -254,15 +253,15 @@ class TestExecMetricsSatellites:
 
     def test_merge_worker_caches_adds_deltas(self):
         metrics = ExecMetrics(backend="process", jobs=2)
-        metrics.record_caches([CacheInfo("c", hits=10, misses=5, size=4)])
         metrics.merge_worker_caches([
+            {"c": {"hits": 10, "misses": 5, "size": 4}},
             {"c": {"hits": 3, "misses": 2, "size": 9}},
             {"c": {"hits": 1, "misses": 0, "size": 2},
              "fresh": {"hits": 7, "misses": 7, "size": 7}},
         ])
         c = metrics.cache_infos["c"]
         assert (c["hits"], c["misses"]) == (14, 7)
-        assert c["size"] == 9  # max population seen in any one process
+        assert c["size"] == 9  # max population seen after any one country
         assert c["hit_rate"] == round(14 / 21, 4)
         fresh = metrics.cache_infos["fresh"]
         assert (fresh["hits"], fresh["misses"]) == (7, 7)

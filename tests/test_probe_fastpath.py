@@ -78,12 +78,15 @@ class TestParserOracleEquivalence:
 class TestTraceMemoEquivalence:
     def test_memo_preserves_every_downstream_artefact(self, scenario, monkeypatch):
         memo = run_study(scenario, countries=COUNTRIES, config=StudyConfig())
-        memoised = ProbeRunner.traceroute_many
         calls = []
 
-        def unmemoised(self, source_city, target_ips, key_prefix="", memo=False):
+        def unmemoised(self, source_city, target_ips, key_prefix=""):
+            # The oracle: launch every trace under its own site's key.
             calls.append(key_prefix)
-            return memoised(self, source_city, target_ips, key_prefix, memo=False)
+            return {
+                target_ip: self.traceroute(source_city, target_ip, f"{key_prefix}:{i}")
+                for i, target_ip in enumerate(target_ips)
+            }
 
         monkeypatch.setattr(ProbeRunner, "traceroute_many", unmemoised)
         legacy = run_study(scenario, countries=COUNTRIES, config=StudyConfig())
@@ -135,39 +138,29 @@ class TestProbeRunnerMemo:
     def _target(self, scenario):
         return str(next(iter(scenario.world.ips)).address(2))
 
-    def test_memo_hits_counted_on_registered_cache(self, scenario, registry):
+    def test_memo_hits_counted_on_the_runners_cache(self, scenario, registry):
         runner = ProbeRunner(scenario.world, "linux")
         city = registry.city("Toronto, CA")
         target = self._target(scenario)
-        from repro.exec.cache import cache_snapshot
-
-        before = cache_snapshot(TRACE_CACHE_NAME)[TRACE_CACHE_NAME]
-        runner.traceroute_many(city, [target], key_prefix="s1", memo=True)
-        runner.traceroute_many(city, [target], key_prefix="s2", memo=True)
-        after = cache_snapshot(TRACE_CACHE_NAME)[TRACE_CACHE_NAME]
-        assert after.misses == before.misses + 1
-        assert after.hits == before.hits + 1
+        runner.traceroute_many(city, [target], key_prefix="s1")
+        runner.traceroute_many(city, [target], key_prefix="s2")
+        info = runner.trace_cache.info()
+        assert (info.name, info.hits, info.misses, info.size) == (
+            TRACE_CACHE_NAME, 1, 1, 1
+        )
 
     def test_runners_never_share_memo_entries(self, scenario, registry):
         city = registry.city("Toronto, CA")
         target = self._target(scenario)
         first = ProbeRunner(scenario.world, "linux")
         second = ProbeRunner(scenario.world, "linux")
-        a = first.traceroute_many(city, [target], key_prefix="x", memo=True)
-        b = second.traceroute_many(city, [target], key_prefix="y", memo=True)
-        # Same inputs, isolated namespaces: both computed (equal values,
+        a = first.traceroute_many(city, [target], key_prefix="x")
+        b = second.traceroute_many(city, [target], key_prefix="y")
+        # Same inputs, separate memos: both computed (equal values,
         # launched under their own keys — not served from each other).
         assert a[target].target == b[target].target
-        info = ProbeRunner(scenario.world, "linux")  # fresh namespace token
-        assert info._memo_namespace > second._memo_namespace
-
-    def test_memo_off_recomputes_per_site(self, scenario, registry):
-        runner = ProbeRunner(scenario.world, "linux")
-        city = registry.city("Toronto, CA")
-        target = self._target(scenario)
-        one = runner.traceroute_many(city, [target], key_prefix="a", memo=False)
-        two = runner.traceroute_many(city, [target], key_prefix="b", memo=False)
-        assert one[target].reached == two[target].reached
+        assert first.trace_cache is not second.trace_cache
+        assert second.trace_cache.info().misses == 1
 
 
 class TestDestinationMemoEquivalence:
