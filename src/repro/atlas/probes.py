@@ -107,31 +107,6 @@ class ProbeMesh:
             return None
         return min(pool, key=lambda p: (city_distance_km(city, p.city), p.probe_id))
 
-    def vantage_probes(
-        self,
-        city: City,
-        count: int,
-        exclude_country: Optional[str] = None,
-    ) -> List[Probe]:
-        """The nearest probes to *city* in *count* distinct countries.
-
-        Deterministic (ties broken by probe id), one probe per country,
-        optionally excluding one country — the selection the confidence
-        engine uses for cross-vantage consistency votes, so the vantage
-        set is a pure function of the claimed city.
-        """
-        if count <= 0:
-            return []
-        nearest: List[Probe] = []
-        for code, probes in self._by_country.items():
-            if not probes or code == exclude_country:
-                continue
-            nearest.append(
-                min(probes, key=lambda p: (city_distance_km(city, p.city), p.probe_id))
-            )
-        nearest.sort(key=lambda p: (city_distance_km(city, p.city), p.probe_id))
-        return nearest[:count]
-
     def probe_for_country(self, country_code: str, near_city: Optional[City] = None) -> Tuple[Optional[Probe], str]:
         """A probe in *country_code*, or the nearest foreign fallback.
 

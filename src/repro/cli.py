@@ -30,7 +30,6 @@ from typing import List, Optional
 
 from repro import GammaConfig, GammaSuite, StudyConfig, build_scenario, run_study
 from repro.artifacts import export_study
-from repro.core.geoloc.pipeline import PipelineConfig
 from repro.exec.executor import BACKENDS
 from repro.exec.resilience import ON_ERROR_POLICIES, FaultInjector
 from repro.core.analysis.report import (
@@ -66,38 +65,11 @@ def build_parser() -> argparse.ArgumentParser:
     study.add_argument("--cache-stats", action="store_true",
                        help="print hit/miss counters for every memo cache "
                             "(verdicts, distance, traces, ...) after the summary")
-    study.add_argument("--confidence", action="store_true",
-                       help="score every geolocation verdict with a "
-                            "calibrated confidence (annotation only: binary "
-                            "verdicts, funnels, summaries and stripped "
-                            "journals are byte-identical either way); "
-                            "inspect with 'gamma confidence'")
     study.add_argument("--inject-fault", default=None, metavar="CC[:N]",
                        help="deterministic fault injection (testing/CI): fail "
                             "country CC on its first N attempts (omit :N for "
                             "a permanent fault); comma-separate entries")
     _add_exec_arguments(study)
-
-    confidence = sub.add_parser(
-        "confidence",
-        help="per-country verdict confidence, with calibration validation",
-    )
-    confidence.add_argument("--countries", default=None,
-                            help="comma-separated country codes (default: all 23)")
-    confidence.add_argument("--low", type=int, default=5, metavar="N",
-                            help="lowest-confidence verdicts tracked per "
-                                 "country (default 5)")
-    confidence.add_argument("--validate", action="store_true",
-                            help="measure calibration against the seeded "
-                                 "ground truth (reliability bins, Brier, ECE) "
-                                 "and exit 1 when the targets are missed")
-    confidence.add_argument("--report-only", action="store_true",
-                            help="with --validate: print the report but "
-                                 "always exit 0 (CI advisory mode)")
-    confidence.add_argument("--json", type=Path, default=None, metavar="PATH",
-                            help="write the per-country and calibration "
-                                 "reports as JSON here")
-    _add_exec_arguments(confidence)
 
     figures = sub.add_parser("figures", help="regenerate every figure and table")
     _add_exec_arguments(figures)
@@ -273,9 +245,7 @@ def _cmd_volunteer(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_kwargs(
-    args: argparse.Namespace, pipeline: Optional[PipelineConfig] = None
-) -> dict:
+def _run_kwargs(args: argparse.Namespace) -> dict:
     """``run_study`` keyword arguments shared by study/figures/export:
     one :class:`StudyConfig` plus the per-run I/O."""
     if args.resume and args.checkpoint_dir is None:
@@ -284,7 +254,6 @@ def _run_kwargs(
     if progress is None:  # default: live line only on an interactive stderr
         progress = sys.stderr.isatty()
     config = StudyConfig(
-        pipeline=pipeline or PipelineConfig(),
         jobs=args.jobs,
         backend=args.backend,
         on_error=args.on_error,
@@ -325,7 +294,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
         raise SystemExit(str(error))
     outcome = run_study(
         scenario, countries=countries, fault_injector=injector,
-        **_run_kwargs(args, PipelineConfig(confidence=args.confidence)),
+        **_run_kwargs(args),
     )
     rows = [
         (r.country_code, f"{r.regional_pct:.1f}", f"{r.government_pct:.1f}",
@@ -363,89 +332,6 @@ def _cmd_study(args: argparse.Namespace) -> int:
                 else f" (inspect with: gamma metrics show {args.metrics_out})")
         print(f"metrics snapshot written to {args.metrics_out}{hint}")
     return 0
-
-
-def _cmd_confidence(args: argparse.Namespace) -> int:
-    from repro.core.geoloc import (
-        BRIER_TARGET,
-        ECE_TARGET,
-        ConfidenceReport,
-        calibrate_against_truth,
-        round_confidence,
-    )
-
-    fmt = lambda value: "-" if value is None else f"{value:.4f}"  # noqa: E731
-    countries = _parse_countries(args.countries)
-    scenario = build_scenario()
-    outcome = run_study(
-        scenario, countries=countries,
-        **_run_kwargs(args, PipelineConfig(confidence=True)),
-    )
-    reports = [
-        ConfidenceReport.from_geolocation(
-            outcome.geolocations[result.country_code], low_n=args.low
-        )
-        for result in outcome.results
-    ]
-    flows = outcome.tracker_confidence() or {}
-    rows = []
-    for report in reports:
-        flow_rows, flow_mean = flows.get(report.country_code, (0, None))
-        lowest = report.low_confidence[0][1] if report.low_confidence else None
-        rows.append((
-            report.country_code, report.scored, fmt(report.mean_confidence),
-            fmt(lowest), flow_rows, fmt(flow_mean),
-        ))
-    print(render_table(
-        ["country", "scored", "mean conf", "lowest", "flow rows", "flow conf"],
-        rows, title="Geolocation verdict confidence",
-    ))
-
-    exit_code = 0
-    calibration = None
-    if args.validate:
-        calibration = calibrate_against_truth(
-            scenario.world, outcome.geolocations
-        )
-        print()
-        print(render_table(
-            ["confidence bin", "verdicts", "accuracy", "mean conf"],
-            [(f"[{row.lower:.1f}, {row.upper:.1f})", row.count,
-              fmt(row.accuracy), fmt(row.mean_confidence))
-             for row in calibration.bins if row.count],
-            title="Reliability against seeded ground truth",
-        ))
-        print(f"\nscored {calibration.total} verdicts "
-              f"({calibration.skipped} skipped): "
-              f"accuracy {fmt(calibration.accuracy)}, "
-              f"Brier {fmt(calibration.brier)} (target <= {BRIER_TARGET}), "
-              f"ECE {fmt(calibration.ece)} (target <= {ECE_TARGET})")
-        ok = (calibration.total > 0
-              and calibration.brier <= BRIER_TARGET
-              and calibration.ece <= ECE_TARGET)
-        print("calibration within targets" if ok
-              else "CALIBRATION MISSED TARGETS")
-        if not ok and not args.report_only:
-            exit_code = 1
-
-    if args.json is not None:
-        import json
-
-        payload = {
-            "countries": [report.as_dict() for report in reports],
-            "flows": {
-                country: {"rows": count, "mean": round_confidence(mean)}
-                for country, (count, mean) in sorted(flows.items())
-            },
-        }
-        if calibration is not None:
-            payload["calibration"] = calibration.as_dict()
-        args.json.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
-        print(f"\nconfidence report written to {args.json}")
-    _print_failures(outcome)
-    return exit_code
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
@@ -728,7 +614,6 @@ def _cmd_selfcheck(_args: argparse.Namespace) -> int:
 _COMMANDS = {
     "volunteer": _cmd_volunteer,
     "study": _cmd_study,
-    "confidence": _cmd_confidence,
     "figures": _cmd_figures,
     "audit": _cmd_audit,
     "export": _cmd_export,

@@ -1,14 +1,5 @@
 """Multi-constraint server geolocation (section 4.1)."""
 
-from repro.core.geoloc.confidence import (
-    CONFIDENCE_KINDS,
-    ConfidenceAnchors,
-    ConfidenceInputs,
-    ConfidenceReport,
-    cross_vantage_consistency,
-    round_confidence,
-    score_verdict,
-)
 from repro.core.geoloc.constraints import (
     ClaimAnchors,
     ConstraintResult,
@@ -29,12 +20,7 @@ from repro.core.geoloc.latency_stats import (
     default_stats_chain,
 )
 from repro.core.geoloc.validation import (
-    BRIER_TARGET,
-    CalibrationBin,
-    CalibrationReport,
-    ECE_TARGET,
     ValidationCounts,
-    calibrate_against_truth,
     misclassified_servers,
     validate_against_truth,
 )
@@ -49,15 +35,7 @@ from repro.core.geoloc.pipeline import (
 )
 
 __all__ = [
-    "BRIER_TARGET",
-    "CONFIDENCE_KINDS",
-    "CalibrationBin",
-    "CalibrationReport",
-    "ECE_TARGET",
     "ClaimAnchors",
-    "ConfidenceAnchors",
-    "ConfidenceInputs",
-    "ConfidenceReport",
     "ConstraintResult",
     "ConstraintStatus",
     "DatasetGeolocation",
@@ -76,13 +54,9 @@ __all__ = [
     "SyntheticStatsProvider",
     "VERIZON_HUB_CITIES",
     "adjusted_latency_ms",
-    "calibrate_against_truth",
-    "cross_vantage_consistency",
     "default_stats_chain",
     "misclassified_servers",
-    "round_confidence",
     "round_evidence_ms",
-    "score_verdict",
     "sol_floor_ms",
     "source_latency_floor_ms",
     "validate_against_truth",

@@ -307,8 +307,7 @@ class ClaimAnchors:
     function of its cities, while a study's candidate servers claim only
     a handful of distinct cities.  This table computes each anchor the
     first time a claim needs it and serves it to every later address
-    claiming the same city — to the constraint ladder and to confidence
-    scoring alike.
+    claiming the same city.
 
     *source* and *destination* supply the 80 %-rule floor and the strict
     ceiling; without them those anchors read as ``None`` and only the

@@ -17,7 +17,7 @@ The battery is evaluated one address at a time, in input order.  Its
 thresholds — SOL floors, the 80 %-rule floor, the claimed country's
 probe and the strict ceiling — depend only on the cities involved, so
 the pipeline reads them from one :class:`ClaimAnchors` table that
-computes each per claimed city once and also serves confidence scoring.
+computes each per claimed city once.
 """
 
 from __future__ import annotations
@@ -28,14 +28,6 @@ from typing import Dict, List, Optional
 from repro.atlas.measurements import AtlasMeasurementService
 from repro.core.gamma.output import VolunteerDataset
 from repro.core.gamma.parsers import NormalizedTraceroute
-from repro.core.geoloc.confidence import (
-    CONFIDENCE_KINDS,
-    ConfidenceAnchors,
-    ConfidenceInputs,
-    combine_score,
-    gather_inputs,
-    round_confidence,
-)
 from repro.core.geoloc.constraints import (
     ClaimAnchors,
     ConstraintResult,
@@ -54,7 +46,7 @@ from repro.core.geoloc.verdicts import (
 from repro.geodb.ipmap import IPMapService
 from repro.netsim.geography import City
 from repro.netsim.latency import LatencyModel
-from repro.obs.metrics import CONFIDENCE_BUCKETS, MS_BUCKETS
+from repro.obs.metrics import MS_BUCKETS
 
 __all__ = [
     "ServerStatus",
@@ -94,11 +86,6 @@ class PipelineConfig:
     enable_source: bool = True
     enable_destination: bool = True
     enable_rdns: bool = True
-    #: Score every verdict with a calibrated confidence
-    #: (repro.core.geoloc.confidence).  Pure annotation layer: binary
-    #: verdicts, funnels, summaries and stripped journals are
-    #: byte-identical with this on or off.
-    confidence: bool = False
 
 
 class GeolocationPipeline:
@@ -124,7 +111,6 @@ class GeolocationPipeline:
         )
         self._rdns = ReverseDNSConstraint()
         self._anchors = ClaimAnchors(atlas.mesh, self._source, self._destination)
-        self._confidence_anchors: Optional[ConfidenceAnchors] = None
 
     @classmethod
     def for_scenario(cls, scenario, config: Optional[PipelineConfig] = None) -> "GeolocationPipeline":
@@ -190,9 +176,6 @@ class GeolocationPipeline:
             addresses, dataset.country_code, source_traces, rdns_records,
             result.funnel,
         )
-        confidence_inputs: Dict[str, ConfidenceInputs] = {}
-        if self._config.confidence:
-            confidence_inputs = self.score_confidence(verdicts, source_traces)
         for address, verdict in verdicts.items():
             result.verdicts[address] = verdict
             weight = sum(observation_counts.get(host, 1) for host in verdict.hosts)
@@ -241,29 +224,6 @@ class GeolocationPipeline:
                         for check in verdict.checks
                     ],
                 )
-            if verdict.confidence is not None:
-                inputs = confidence_inputs.get(address)
-                if metrics is not None:
-                    metrics.histogram(
-                        "geoloc_confidence", {"status": verdict.status},
-                        buckets=CONFIDENCE_BUCKETS,
-                        help="calibrated verdict confidence (annotation layer)",
-                    ).observe(verdict.confidence)
-                if tracer is not None and inputs is not None:
-                    # Annotation-layer event: stripped with the
-                    # diagnostics so confidence-on and confidence-off
-                    # stripped journals stay byte-identical.
-                    tracer.event(
-                        "geoloc_confidence",
-                        address=address,
-                        status=verdict.status,
-                        kind=CONFIDENCE_KINDS[inputs.kind],
-                        confidence=round_confidence(verdict.confidence),
-                        margin_source=round_confidence(inputs.margin_src),
-                        margin_destination=round_confidence(inputs.margin_dst),
-                        consistency=round_confidence(inputs.consistency),
-                        rdns_hint=inputs.rdns_hint,
-                    )
         funnel = result.funnel
         funnel_stages = {
             "total_hosts": funnel.total_hosts,
@@ -313,32 +273,6 @@ class GeolocationPipeline:
             )
             for address, hosts in addresses.items()
         }
-
-    def score_confidence(
-        self,
-        verdicts: Dict[str, ServerVerdict],
-        source_traces: SourceTraces,
-    ) -> Dict[str, ConfidenceInputs]:
-        """Annotate every verdict with a calibrated confidence score.
-
-        Each verdict goes through
-        :func:`repro.core.geoloc.confidence.gather_inputs` and
-        :func:`~repro.core.geoloc.confidence.combine_score`.  Returns the
-        gathered scoring inputs per address so the caller can journal
-        them; mutates only ``verdict.confidence``.
-        """
-        anchors = self._confidence_anchors
-        if anchors is None:
-            anchors = self._confidence_anchors = ConfidenceAnchors(
-                self._atlas, self._anchors
-            )
-        source_city = source_traces.city
-        inputs_map: Dict[str, ConfidenceInputs] = {}
-        for address, verdict in verdicts.items():
-            inputs = gather_inputs(verdict, source_city, anchors)
-            verdict.confidence = combine_score(inputs)
-            inputs_map[address] = inputs
-        return inputs_map
 
     # -- the constraint ladder -------------------------------------------------
     def _classify_address(

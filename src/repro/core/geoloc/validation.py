@@ -6,12 +6,6 @@ reproduction *checks* (rather than assumes) the paper's claim that the
 multi-constraint framework identifies foreign servers with 100 %
 precision.  Shared by the precision/ablation benchmarks and usable
 directly by downstream experiments.
-
-With :mod:`repro.core.geoloc.confidence` enabled the same ground truth
-also validates the *calibration* of the per-verdict confidence scores:
-:func:`calibrate_against_truth` buckets verdicts into reliability bins
-and reports Brier score and expected calibration error (ECE) — the
-validation loop the real papers never get to run.
 """
 
 from __future__ import annotations
@@ -23,24 +17,10 @@ from repro.core.geoloc.verdicts import DatasetGeolocation
 from repro.netsim.network import World
 
 __all__ = [
-    "BRIER_TARGET",
-    "CalibrationBin",
-    "CalibrationReport",
-    "ECE_TARGET",
     "ValidationCounts",
-    "calibrate_against_truth",
     "misclassified_servers",
     "validate_against_truth",
 ]
-
-#: Calibration acceptance targets on the default 23-country world
-#: (checked by ``gamma confidence --validate`` and CI).  The measured
-#: values sit around 0.02 each; the slack absorbs drift from retuning
-#: the constraint ladder or the world's error models without letting a
-#: miscalibrated release through.
-BRIER_TARGET = 0.15
-ECE_TARGET = 0.10
-
 
 @dataclass(frozen=True)
 class ValidationCounts:
@@ -135,7 +115,12 @@ def misclassified_servers(
 ) -> List[Tuple[str, str, str, str]]:
     """Every false-positive: ``(country, address, claimed, truth)``.
 
-    Empty under the default pipeline — precisely the paper's guarantee.
+    Empty under the default pipeline on the default seed ``imc2025``,
+    where precision is 1.0.  It is not empty on every seed: the subset
+    reproductions ``build_scenario("imc2025-3", countries=["JO", "UG"])``
+    and ``build_scenario("imc2025-2", countries=["QA", "AE"])`` each
+    verify a truly local server as non-local in a neighbouring country
+    (the open precision hole, ROADMAP item 1).
     """
     wrong: List[Tuple[str, str, str, str]] = []
     for country_code, geolocation in geolocations.items():
@@ -152,133 +137,3 @@ def misclassified_servers(
                 ))
     return sorted(wrong)
 
-
-# -- confidence calibration ---------------------------------------------------
-@dataclass(frozen=True)
-class CalibrationBin:
-    """One reliability bin: verdicts whose confidence fell in [lower, upper)."""
-
-    lower: float
-    upper: float
-    count: int
-    correct: int
-    confidence_sum: float
-
-    @property
-    def accuracy(self) -> Optional[float]:
-        return self.correct / self.count if self.count else None
-
-    @property
-    def mean_confidence(self) -> Optional[float]:
-        return self.confidence_sum / self.count if self.count else None
-
-
-@dataclass(frozen=True)
-class CalibrationReport:
-    """Reliability diagram + scalar calibration metrics.
-
-    * **Brier score** — mean squared error of the confidence against the
-      0/1 correctness outcome; 0 is perfect, 0.25 is an uninformative
-      coin flip.
-    * **ECE** — expected calibration error: the bin-count-weighted mean
-      absolute gap between each bin's mean confidence and its accuracy.
-    """
-
-    bins: Tuple[CalibrationBin, ...]
-    total: int
-    skipped: int  # verdicts with no confidence or no ground truth
-    brier: Optional[float]
-    ece: Optional[float]
-    accuracy: Optional[float]
-    mean_confidence: Optional[float]
-
-    def as_dict(self) -> dict:
-        rnd = lambda v: None if v is None else round(v, 6)  # noqa: E731
-        return {
-            "total": self.total,
-            "skipped": self.skipped,
-            "brier": rnd(self.brier),
-            "ece": rnd(self.ece),
-            "accuracy": rnd(self.accuracy),
-            "mean_confidence": rnd(self.mean_confidence),
-            "bins": [
-                {
-                    "range": [bin.lower, bin.upper],
-                    "count": bin.count,
-                    "accuracy": rnd(bin.accuracy),
-                    "mean_confidence": rnd(bin.mean_confidence),
-                }
-                for bin in self.bins
-            ],
-        }
-
-
-def calibrate_against_truth(
-    world: World,
-    geolocations: Dict[str, DatasetGeolocation],
-    bins: int = 10,
-) -> CalibrationReport:
-    """Measure confidence calibration against seeded ground truth.
-
-    A verdict's confidence claims to be the probability that its binary
-    foreign/local call is right; ground truth says whether it actually
-    was.  Verdicts without a confidence score (confidence disabled) or
-    without ground truth (addresses outside the served space) are
-    counted in ``skipped``.
-    """
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
-    counts = [0] * bins
-    corrects = [0] * bins
-    conf_sums = [0.0] * bins
-    total = skipped = 0
-    brier_sum = 0.0
-    for country_code, geolocation in geolocations.items():
-        true_country = world.ips.true_country
-        for verdict in geolocation.verdicts.values():
-            confidence = verdict.confidence
-            truth = true_country(verdict.address)
-            if confidence is None or truth is None:
-                skipped += 1
-                continue
-            foreign = truth != country_code
-            correct = verdict.is_verified_nonlocal == foreign
-            slot = int(confidence * bins)
-            if slot >= bins:  # confidence == 1.0 lands in the top bin
-                slot = bins - 1
-            counts[slot] += 1
-            corrects[slot] += int(correct)
-            conf_sums[slot] += confidence
-            total += 1
-            gap = confidence - float(correct)
-            brier_sum += gap * gap
-
-    bin_rows = tuple(
-        CalibrationBin(
-            lower=i / bins,
-            upper=(i + 1) / bins,
-            count=counts[i],
-            correct=corrects[i],
-            confidence_sum=conf_sums[i],
-        )
-        for i in range(bins)
-    )
-    if total == 0:
-        return CalibrationReport(
-            bins=bin_rows, total=0, skipped=skipped,
-            brier=None, ece=None, accuracy=None, mean_confidence=None,
-        )
-    ece = sum(
-        row.count * abs(row.mean_confidence - row.accuracy)
-        for row in bin_rows
-        if row.count
-    ) / total
-    return CalibrationReport(
-        bins=bin_rows,
-        total=total,
-        skipped=skipped,
-        brier=brier_sum / total,
-        ece=ece,
-        accuracy=sum(corrects) / total,
-        mean_confidence=sum(conf_sums) / total,
-    )

@@ -1,8 +1,7 @@
 """Verdict and funnel records of the geolocation pipeline.
 
-They live in their own module so confidence scoring and validation can
-use them without importing the pipeline (which imports confidence
-scoring).
+They live in their own module so validation and the study can use them
+without importing the pipeline and the services it is built on.
 """
 
 from __future__ import annotations
@@ -39,11 +38,6 @@ class ServerVerdict:
     claim: Optional[GeoClaim] = None
     discarded_by: str = ""  # constraint name when status == DISCARDED
     checks: List[ConstraintResult] = field(default_factory=list)
-    #: Calibrated score in [0, 1] that the binary foreign/local call is
-    #: right (repro.core.geoloc.confidence); None unless the study ran
-    #: with PipelineConfig.confidence.  Annotation only: never consulted
-    #: by verdict logic, funnel accounting, or summaries.
-    confidence: Optional[float] = None
 
     @property
     def is_verified_nonlocal(self) -> bool:

@@ -65,12 +65,6 @@ DIAGNOSTIC_EVENTS = frozenset(
         # the study — see docs/observability.md "Metrics".
         "progress",
         "country_resources",
-        # confidence annotations (docs/geolocation-confidence.md): an
-        # optional layer on top of the binary verdicts; stripping it
-        # keeps confidence-on and confidence-off journals byte-identical
-        # (the contract that makes confidence an annotation, not a
-        # decision change).
-        "geoloc_confidence",
     }
 )
 

@@ -40,7 +40,6 @@ __all__ = [
     "SECONDS_BUCKETS",
     "MS_BUCKETS",
     "BYTES_BUCKETS",
-    "CONFIDENCE_BUCKETS",
     "exponential_buckets",
     "Counter",
     "Gauge",
@@ -91,8 +90,6 @@ def exponential_buckets(start: float, factor: float, count: int) -> Tuple[float,
 SECONDS_BUCKETS = exponential_buckets(0.001, 2.0, 18)  # 1ms .. ~131s
 MS_BUCKETS = exponential_buckets(1.0, 2.0, 14)  # 1ms .. ~8.2s
 BYTES_BUCKETS = exponential_buckets(1024.0, 4.0, 10)  # 1KiB .. 1GiB
-#: Linear deciles for probability-shaped values (geoloc confidence).
-CONFIDENCE_BUCKETS = tuple(round(i / 10, 1) for i in range(1, 11))
 
 
 def _label_key(labels: Optional[Mapping[str, Any]]) -> Tuple[Tuple[str, str], ...]:

@@ -24,7 +24,6 @@ _BOOL = (bool,)
 _LIST = (list,)
 _DICT = (dict,)
 _OPT_STR = (str, type(None))
-_OPT_NUM = (int, float, type(None))
 
 SPAN_KINDS = ("study", "country", "phase", "site")
 
@@ -73,19 +72,6 @@ EVENT_FIELDS: Dict[str, Dict[str, Tuple[tuple, bool]]] = {
         "claim_city": (_OPT_STR, False),
         "discarded_by": (_OPT_STR, False),
         "checks": (_LIST, False),
-    },
-    # Annotation layer (docs/geolocation-confidence.md): per-verdict
-    # confidence scores.  Stripped with the diagnostics so journals from
-    # confidence-on and confidence-off runs agree after stripping.
-    "geoloc_confidence": {
-        "address": (_STR, True),
-        "status": (_STR, True),
-        "kind": (_STR, True),
-        "confidence": (_NUM, True),
-        "margin_source": (_OPT_NUM, False),
-        "margin_destination": (_OPT_NUM, False),
-        "consistency": (_OPT_NUM, False),
-        "rdns_hint": (_BOOL, False),
     },
     "tracker_match": {
         "host": (_STR, True),

@@ -73,7 +73,7 @@ __all__ = ["StudyConfig", "StudyOutcome", "run_study", "build_source_traces"]
 class StudyConfig:
     """Knobs for a full study run."""
 
-    #: Geolocation tunables (constraint thresholds and toggles, confidence).
+    #: Geolocation tunables (constraint thresholds and toggles).
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     visit_key: str = "visit-1"
     #: Anonymise volunteer IPs after analysis (section 3.5).
@@ -215,35 +215,6 @@ class StudyOutcome:
             self.datasets, self.geolocations, self.scenario.identifier,
             self.scenario.directory,
         )
-
-    def tracker_confidence(self):
-        """Confidence-weighted flow view: ``{country: (rows, mean)}``.
-
-        Per country, how many non-local tracker rows carry a verdict
-        confidence and their mean score, joining tracker rows to
-        verdicts by address.  None when the study ran without
-        ``PipelineConfig.confidence``.
-        """
-        weighted = {}
-        any_scored = False
-        for result in self.results:
-            geolocation = self.geolocations.get(result.country_code)
-            verdicts = geolocation.verdicts if geolocation is not None else {}
-            total = 0.0
-            count = 0
-            for site in result.sites:
-                for tracker in site.trackers:
-                    verdict = verdicts.get(tracker.address)
-                    if verdict is None or verdict.confidence is None:
-                        continue
-                    total += verdict.confidence
-                    count += 1
-            if count:
-                any_scored = True
-            weighted[result.country_code] = (
-                count, total / count if count else None
-            )
-        return weighted if any_scored else None
 
     def summary(self):
         """Headline metrics as one JSON-ready object."""

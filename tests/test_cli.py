@@ -137,13 +137,19 @@ class TestFaultToleranceCLI:
         ("study", "--analysis-engine"),
         ("study", "--geoloc-engine"),
         ("study", "--exercise-parsers"),
-        ("confidence", "--geoloc-engine"),
+        ("study", "--confidence"),
     ])
     def test_removed_engine_flags_are_rejected(self, command, flag, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main([command, "--countries", "CA", flag, "columnar"])
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_confidence_subcommand_is_removed(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["confidence", "--countries", "CA"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'confidence'" in capsys.readouterr().err
 
     def test_thread_backend_is_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -49,7 +49,6 @@ from repro.core.geoloc.constraints import (
 )
 from repro.core.geoloc.latency_stats import SyntheticStatsProvider
 from repro.core.geoloc.validation import (
-    calibrate_against_truth,
     misclassified_servers,
     validate_against_truth,
 )
@@ -375,7 +374,7 @@ class TestLadderAgainstReference:
     @settings(max_examples=10, deadline=None)
     def test_pipeline_survives_pickling(self, specs):
         claims, addresses, src_traces, dest_traces, rdns = build_batch(specs)
-        pipeline = build_pipeline(claims, dest_traces, confidence=True)
+        pipeline = build_pipeline(claims, dest_traces)
         cold_clone = pickle.loads(pickle.dumps(pipeline))
         original = classify(pipeline, addresses, src_traces, rdns)
         warm_clone = pickle.loads(pickle.dumps(pipeline))
@@ -557,23 +556,17 @@ class TestStudyBackends:
     """One engine, every backend: serial and process agree."""
 
     COUNTRIES = ["CA", "QA", "EG"]
-    CONFIG = StudyConfig(pipeline=PipelineConfig(confidence=True))
 
     @pytest.fixture(scope="class")
     def serial(self, scenario):
-        return run_study(
-            scenario, countries=self.COUNTRIES, trace=True, config=self.CONFIG,
-        )
+        return run_study(scenario, countries=self.COUNTRIES, trace=True)
 
     @pytest.mark.parametrize("backend,jobs", [("process", 4)])
     def test_parallel_outcomes_equal_serial(self, scenario, serial, backend, jobs):
         parallel = run_study(
             scenario, countries=self.COUNTRIES, trace=True,
-            config=StudyConfig(
-                pipeline=self.CONFIG.pipeline, jobs=jobs, backend=backend
-            ),
+            config=StudyConfig(jobs=jobs, backend=backend),
         )
-        # Verdict equality covers the confidence scores too.
         assert_outcomes_identical(serial, parallel)
         assert serial.journal.dumps(timings=False) == parallel.journal.dumps(
             timings=False
@@ -581,8 +574,6 @@ class TestStudyBackends:
         truth = scenario.world
         assert validate_against_truth(truth, parallel.geolocations) == \
             validate_against_truth(truth, serial.geolocations)
-        assert calibrate_against_truth(truth, parallel.geolocations) == \
-            calibrate_against_truth(truth, serial.geolocations)
         assert misclassified_servers(truth, parallel.geolocations) == []
 
 

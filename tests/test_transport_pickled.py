@@ -150,9 +150,6 @@ def _verdicts(draw, claims):
         claim=draw(st.one_of(st.none(), st.sampled_from(claims))) if claims else None,
         discarded_by=draw(_pooled),
         checks=checks,
-        confidence=draw(st.one_of(
-            st.none(), st.floats(min_value=0.0, max_value=1.0)
-        )),
     )
 
 
