@@ -6,9 +6,9 @@ SHA-256 digests of caller-supplied strings.  This keeps experiments
 bit-identical across runs and across machines, and makes them immune to
 Python's per-process hash randomisation (``PYTHONHASHSEED``).
 
-The digests sit on the study's hot path (a serial 23-country study
-makes about 140k calls), so :func:`stable_hash` does exactly one thing
-per call: join the parts' string forms with ``\x1f``, encode, and
+The digests sit on the study's hot path (building the world and
+running a serial 23-country study make about 62k calls), so
+:func:`stable_hash` does exactly one thing per call: join the parts' string forms with ``\x1f``, encode, and
 digest once.  Memoising partially-fed digest states per leading tuple
 does not pay: nearly half of the lookups miss, a miss builds, stores
 and copies a state, and even a hit costs as much as the one-shot digest

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.determinism import stable_rng
+from repro.determinism import stable_draw_rng
 from repro.exec.cache import ReadThroughCache
 from repro.netsim.distance import city_distance_km, min_rtt_ms
 from repro.netsim.geography import City
@@ -68,7 +68,7 @@ class LatencyModel:
         low, high = self._inflation_range
         return self._inflation_cache.get(
             (first, second),
-            lambda: stable_rng(self._seed, "inflation", first, second).uniform(low, high),
+            lambda: stable_draw_rng(self._seed, "inflation", first, second).uniform(low, high),
         )
 
     @property
@@ -84,7 +84,7 @@ class LatencyModel:
 
     def rtt_ms(self, a: City, b: City, measurement_key: str = "") -> float:
         """A full, realistic RTT sample for one measurement."""
-        jitter = stable_rng(self._seed, "jitter", a.key, b.key, measurement_key).uniform(
+        jitter = stable_draw_rng(self._seed, "jitter", a.key, b.key, measurement_key).uniform(
             0.0, self._jitter_ms
         )
         base = self.propagation_rtt_ms(a, b)

@@ -36,16 +36,18 @@ class TracerouteHop:
     """One TTL step.  ``address is None`` renders as ``*`` probes.
 
     ``probes`` holds the three per-probe RTT samples the tool observed.
-    The engine fills it at synthesis time; hops built without it (tests,
-    hand-rolled traces) have the identical samples derived lazily by
-    :func:`probe_rtts` — the field is an eager cache, never a different
-    value.
+    The engine always fills it.  Its gateway and destination hops carry
+    the samples :func:`probe_rtts` would derive from the hop itself, but
+    its transit hops carry samples only the engine can produce (drawn
+    from the trace's generator, see :func:`_transit_hop`).  Hops built
+    without it (tests, hand-rolled traces) have theirs derived lazily by
+    :func:`probe_rtts`.
     """
 
     index: int
     address: Optional[str]
     rtt_ms: Optional[float]
-    #: Cache only — equality/repr stay on the three identity fields.
+    #: Not part of equality/repr, which stay on the three identity fields.
     probes: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     @property
@@ -158,12 +160,12 @@ class TracerouteEngine:
         hops.append(_responded_hop(1, self._GATEWAY, round(gateway_rtt, 3)))
         # Hop 2: the access ISP's first router; carries the local penalty.
         access_rtt = gateway_rtt + self._latency.access_penalty(source_city) * rng.uniform(0.7, 1.2)
-        hops.append(_responded_hop(2, self._transit_address(source_city.key, 0, rng), round(access_rtt, 3)))
+        hops.append(_transit_hop(2, round(access_rtt, 3), rng.random()))
 
         waypoints = synthesize_path(source_city, destination_city, measurement_key)
         propagation_budget = max(0.0, total_rtt - access_rtt - 1.0)
         previous_rtt = access_rtt
-        for order, waypoint in enumerate(waypoints, start=1):
+        for waypoint in waypoints:
             index = len(hops) + 1
             if rng.random() < self._HOP_LOSS:
                 hops.append(TracerouteHop(index, None, None))
@@ -171,9 +173,7 @@ class TracerouteEngine:
             rtt = access_rtt + propagation_budget * waypoint.fraction
             rtt = max(previous_rtt + 0.05, rtt)  # keep the profile monotone
             previous_rtt = rtt
-            hops.append(
-                _responded_hop(index, self._transit_address(source_city.key + target_ip, order, rng), round(rtt, 3))
-            )
+            hops.append(_transit_hop(index, round(rtt, 3), rng.random()))
         hops.append(_responded_hop(len(hops) + 1, target_ip, round(max(previous_rtt + 0.05, total_rtt), 3)))
         return hops
 
@@ -186,17 +186,11 @@ class TracerouteEngine:
             previous = hops[0].rtt_ms or 1.0
             for i in range(2, hops_before_loss + 1):
                 previous = previous + rng.uniform(0.5, 12.0)
-                hops.append(_responded_hop(i, self._transit_address(source_city.key, i, rng), round(previous, 3)))
+                hops.append(_transit_hop(i, round(previous, 3), rng.random()))
         start = len(hops) + 1
         for i in range(start, start + 5):  # trailing all-star hops, then give up
             hops.append(TracerouteHop(i, None, None))
         return TracerouteResult(target=target_ip, source_city=source_city, reached=False, hops=hops)
-
-    @staticmethod
-    def _transit_address(key: str, order: int, rng) -> str:
-        """A plausible transit-router address (not part of the served space)."""
-        h = stable_draw_rng("transit-ip", key, order, rng.random())
-        return f"62.{h.randint(0, 255)}.{h.randint(0, 255)}.{h.randint(1, 254)}"
 
 
 def render_linux(result: TracerouteResult, max_hops: int = 30) -> str:
@@ -232,8 +226,55 @@ def render_windows(result: TracerouteResult, max_hops: int = 30) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: splitmix64 (Steele, Lea & Flood 2014): its Weyl increment and the two
+#: multipliers of its output finaliser.
+_MASK64 = (1 << 64) - 1
+_GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+#: ``random()`` draws are multiples of 2**-53; scaling by 2**53 is exact.
+_TWO_53 = float(1 << 53)
+#: Each probe's noise is a 21-bit field: steps of 0.8 ms / 2**21 (under
+#: 1 ns), far finer than the 1 µs the Linux tool prints.
+_NOISE_BITS = 21
+_NOISE_MASK = (1 << _NOISE_BITS) - 1
+_NOISE_STEP = 0.8 / (1 << _NOISE_BITS)
+
+
+def _splitmix64(n: int) -> int:
+    """The *n*-th output of splitmix64 started from state 0 (pure integers)."""
+    z = (n * _GOLDEN_GAMMA) & _MASK64
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _transit_hop(index: int, rtt_ms: float, u: float) -> TracerouteHop:
+    """A responded transit-router hop whose address and samples come from *u*.
+
+    *u* is the one ``random()`` draw the trace's own generator spends on
+    the hop.  Integer mixing of it stands in for a reseeded generator:
+    the paper's latency constraints read only whether a trace reached its
+    target and its first (gateway) and last (destination) hops, so
+    transit hops need plausible values, not a SHA-256 seed each.  The
+    address is a ``62.a.b.c`` router outside the served space (octets
+    0–255, 0–255, 1–254); each probe sample is
+    ``max(0.05, rtt_ms + U(-0.4, 0.4))``, as for every other hop.
+    """
+    n = int(u * _TWO_53) << 1
+    bits = _splitmix64(n + 1)
+    address = f"62.{bits & 255}.{(bits >> 8) & 255}.{1 + (bits >> 16) % 254}"
+    noise = _splitmix64(n + 2)
+    return TracerouteHop(index, address, rtt_ms, (
+        max(0.05, rtt_ms + ((noise & _NOISE_MASK) * _NOISE_STEP - 0.4)),
+        max(0.05, rtt_ms + (((noise >> _NOISE_BITS) & _NOISE_MASK) * _NOISE_STEP - 0.4)),
+        max(0.05, rtt_ms + (((noise >> (2 * _NOISE_BITS)) & _NOISE_MASK) * _NOISE_STEP - 0.4)),
+    ))
+
+
 def _sample_probe_rtts(index: int, address: str, rtt_ms: float) -> tuple:
-    """Derive the three per-probe samples for one responded hop."""
+    """Derive the three per-probe samples for a gateway, destination or
+    hand-built hop from a generator seeded by the hop itself."""
     # Three draws, consumed before the generator can be reseeded: the
     # single-use thread-local fast path applies.
     rng = stable_draw_rng("probe-rtts", index, address, rtt_ms)
@@ -245,7 +286,7 @@ def _sample_probe_rtts(index: int, address: str, rtt_ms: float) -> tuple:
 
 
 def _responded_hop(index: int, address: str, rtt_ms: float) -> TracerouteHop:
-    """A responded hop with its probe samples synthesised eagerly."""
+    """A gateway or destination hop with its per-hop samples filled in."""
     return TracerouteHop(index, address, rtt_ms, _sample_probe_rtts(index, address, rtt_ms))
 
 
@@ -255,8 +296,9 @@ def probe_rtts(hop: TracerouteHop) -> List[float]:
     Shared by both text renderers and by the direct normaliser
     (:mod:`repro.core.gamma.normalize`), which must quantise exactly the
     samples the renderers would have printed.  Engine-built hops carry
-    the samples (:attr:`TracerouteHop.probes`); hand-built hops derive
-    the identical values on demand.
+    their samples (:attr:`TracerouteHop.probes`), and only the engine
+    knows a transit hop's; hops built without them derive theirs here
+    from the hop's index, address and RTT.
     """
     assert hop.rtt_ms is not None
     if hop.probes is not None:
