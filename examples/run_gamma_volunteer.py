@@ -79,7 +79,7 @@ def main() -> None:
     print(json.dumps(trace.to_dict(), indent=2)[:600], "...")
 
     out_path = Path(tempfile.gettempdir()) / f"gamma-{country}-dataset.json"
-    out_path.write_text(dataset.to_json(indent=2))
+    out_path.write_text(dataset.to_json(), encoding="utf-8")
     print(f"\nFull dataset written to {out_path} "
           f"({out_path.stat().st_size // 1024} KiB)")
     checkpoint_path.unlink(missing_ok=True)

@@ -5,6 +5,11 @@ writes an equivalent artifact bundle: one (anonymised) volunteer dataset
 per country, per-country geolocation verdicts, the analysis summaries
 behind every figure/table, and a manifest.  ``load_datasets`` reads the
 datasets back for reanalysis.
+
+Every file is UTF-8 whatever the locale.  Datasets and verdicts are
+compact JSON (an indented dump would leave the C encoder for the
+pure-Python one); the manifest and ``data/summary.json`` stay indented
+for people to read.  Readers accept either form.
 """
 
 from __future__ import annotations
@@ -79,10 +84,10 @@ def export_study(outcome: StudyOutcome, directory: Path) -> List[Path]:
 
     for cc, dataset in sorted(outcome.datasets.items()):
         path = directory / "datasets" / f"{cc}.json"
-        path.write_text(dataset.to_json(indent=2))
+        path.write_text(dataset.to_json(), encoding="utf-8")
         written.append(path)
         geo_path = directory / "geolocation" / f"{cc}.json"
-        geo_path.write_text(json.dumps(_verdicts_payload(outcome, cc), indent=2))
+        geo_path.write_text(json.dumps(_verdicts_payload(outcome, cc)), encoding="utf-8")
         written.append(geo_path)
 
     figures = {
@@ -98,7 +103,7 @@ def export_study(outcome: StudyOutcome, directory: Path) -> List[Path]:
     figures_dir.mkdir(parents=True, exist_ok=True)
     for name, body in figures.items():
         path = figures_dir / name
-        path.write_text(body + "\n")
+        path.write_text(body + "\n", encoding="utf-8")
         written.append(path)
 
     svg_dir = directory / "figures" / "svg"
@@ -125,7 +130,7 @@ def export_study(outcome: StudyOutcome, directory: Path) -> List[Path]:
     }
     for name, svg_body in svg_files.items():
         path = svg_dir / name
-        path.write_text(svg_body)
+        path.write_text(svg_body, encoding="utf-8")
         written.append(path)
 
     data_dir = directory / "data"
@@ -139,7 +144,7 @@ def export_study(outcome: StudyOutcome, directory: Path) -> List[Path]:
     }
     for name, body in data_files.items():
         path = data_dir / name
-        path.write_text(body if body.endswith("\n") else body + "\n")
+        path.write_text(body if body.endswith("\n") else body + "\n", encoding="utf-8")
         written.append(path)
 
     funnel = outcome.funnel()
@@ -155,7 +160,7 @@ def export_study(outcome: StudyOutcome, directory: Path) -> List[Path]:
         "files": [str(p.relative_to(directory)) for p in written],
     }
     manifest_path = directory / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2))
+    manifest_path.write_text(json.dumps(manifest, indent=2), encoding="utf-8")
     written.append(manifest_path)
     return written
 
@@ -167,10 +172,12 @@ def load_geolocations(directory: Path, registry: GeoRegistry) -> Dict[str, Datas
     verbatim from the stored evidence.
     """
     directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
+    manifest = json.loads((directory / "manifest.json").read_text(encoding="utf-8"))
     geolocations: Dict[str, DatasetGeolocation] = {}
     for cc in manifest["countries"]:
-        payload = json.loads((directory / "geolocation" / f"{cc}.json").read_text())
+        payload = json.loads(
+            (directory / "geolocation" / f"{cc}.json").read_text(encoding="utf-8")
+        )
         funnel_data = payload.get("funnel", {})
         geolocation = DatasetGeolocation(
             country_code=cc,
@@ -231,9 +238,9 @@ def load_datasets(directory: Path) -> Dict[str, VolunteerDataset]:
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
         raise FileNotFoundError(f"no manifest.json in {directory}")
-    manifest = json.loads(manifest_path.read_text())
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     datasets: Dict[str, VolunteerDataset] = {}
     for cc in manifest["countries"]:
         path = directory / "datasets" / f"{cc}.json"
-        datasets[cc] = VolunteerDataset.from_json(path.read_text())
+        datasets[cc] = VolunteerDataset.from_json(path.read_text(encoding="utf-8"))
     return datasets

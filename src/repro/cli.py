@@ -240,7 +240,7 @@ def _cmd_volunteer(args: argparse.Namespace) -> int:
           f"({dataset.load_success_pct():.0f}%), "
           f"{counts['attempted']} traceroutes ({counts['reached']} reached)")
     if args.output is not None:
-        args.output.write_text(dataset.to_json(indent=2))
+        args.output.write_text(dataset.to_json(), encoding="utf-8")
         print(f"Dataset written to {args.output}")
     return 0
 

@@ -9,8 +9,8 @@ they open in any browser.
 
 from __future__ import annotations
 
+import html
 from typing import List, Sequence, Tuple
-from xml.sax.saxutils import escape
 
 from repro.core.analysis.sankey import Flow
 
@@ -19,12 +19,17 @@ __all__ = ["svg_grouped_bars", "svg_flow_diagram"]
 _FONT = "font-family='system-ui, sans-serif'"
 
 
+def _escape(text: str) -> str:
+    """Escape ``&``, ``<`` and ``>`` for SVG text content."""
+    return html.escape(text, quote=False)
+
+
 def _document(width: int, height: int, body: List[str], title: str) -> str:
     parts = [
         f"<svg xmlns='http://www.w3.org/2000/svg' width='{width}' height='{height}' "
         f"viewBox='0 0 {width} {height}'>",
         f"<rect width='{width}' height='{height}' fill='white'/>",
-        f"<text x='16' y='26' font-size='16' font-weight='bold' {_FONT}>{escape(title)}</text>",
+        f"<text x='16' y='26' font-size='16' font-weight='bold' {_FONT}>{_escape(title)}</text>",
         *body,
         "</svg>",
     ]
@@ -47,9 +52,9 @@ def svg_grouped_bars(
     body: List[str] = [
         # legend
         f"<rect x='{chart_left}' y='34' width='12' height='10' fill='#2b6cb0'/>",
-        f"<text x='{chart_left + 18}' y='43' font-size='11' {_FONT}>{escape(series_labels[0])}</text>",
+        f"<text x='{chart_left + 18}' y='43' font-size='11' {_FONT}>{_escape(series_labels[0])}</text>",
         f"<rect x='{chart_left + 120}' y='34' width='12' height='10' fill='#c05621'/>",
-        f"<text x='{chart_left + 138}' y='43' font-size='11' {_FONT}>{escape(series_labels[1])}</text>",
+        f"<text x='{chart_left + 138}' y='43' font-size='11' {_FONT}>{_escape(series_labels[1])}</text>",
     ]
     y = top
     for label, a, b in rows:
@@ -57,7 +62,7 @@ def svg_grouped_bars(
         b_width = max(0.0, min(b, max_value)) / max_value * chart_width
         body.append(
             f"<text x='{chart_left - 8}' y='{y + bar_height + 2}' font-size='11' "
-            f"text-anchor='end' {_FONT}>{escape(str(label))}</text>"
+            f"text-anchor='end' {_FONT}>{_escape(str(label))}</text>"
         )
         body.append(f"<rect x='{chart_left}' y='{y}' width='{a_width:.1f}' "
                     f"height='{bar_height}' fill='#2b6cb0'/>")
@@ -130,11 +135,11 @@ def svg_flow_diagram(flows: Sequence[Flow], title: str, max_nodes: int = 14) -> 
         body.append(f"<rect x='{left_x}' y='{y:.1f}' width='{node_width}' height='{h:.1f}' "
                     "fill='#2b6cb0'/>")
         body.append(f"<text x='{left_x - 6}' y='{y + h / 2 + 4:.1f}' font-size='11' "
-                    f"text-anchor='end' {_FONT}>{escape(name)} ({value})</text>")
+                    f"text-anchor='end' {_FONT}>{_escape(name)} ({value})</text>")
     for name, value in right:
         y, h = right_pos[name]
         body.append(f"<rect x='{right_x}' y='{y:.1f}' width='{node_width}' height='{h:.1f}' "
                     "fill='#c05621'/>")
         body.append(f"<text x='{right_x + node_width + 6}' y='{y + h / 2 + 4:.1f}' "
-                    f"font-size='11' {_FONT}>{escape(name)} ({value})</text>")
+                    f"font-size='11' {_FONT}>{_escape(name)} ({value})</text>")
     return _document(width, height, body, title)

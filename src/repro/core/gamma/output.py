@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.gamma.parsers import NormalizedTraceroute
 from repro.core.slotstate import install_slot_state
@@ -50,6 +50,9 @@ class WebsiteMeasurement:
         return list(seen)
 
     def to_dict(self) -> dict:
+        return self._payload(NormalizedTraceroute.to_dict)
+
+    def _payload(self, trace_payload: Callable[[NormalizedTraceroute], dict]) -> dict:
         return {
             "url": self.url,
             "category": self.category,
@@ -59,13 +62,21 @@ class WebsiteMeasurement:
             "background_hosts": list(self.background_hosts),
             "dns": dict(self.dns),
             "rdns": dict(self.rdns),
-            "traceroutes": {ip: tr.to_dict() for ip, tr in self.traceroutes.items()},
+            "traceroutes": {ip: trace_payload(tr) for ip, tr in self.traceroutes.items()},
             "page_html": self.page_html,
             "hardcoded_domains": list(self.hardcoded_domains),
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "WebsiteMeasurement":
+        return cls._from_payload(payload, lambda ip, entry: NormalizedTraceroute.from_dict(entry))
+
+    @classmethod
+    def _from_payload(
+        cls,
+        payload: dict,
+        trace_from: Callable[[str, dict], NormalizedTraceroute],
+    ) -> "WebsiteMeasurement":
         return cls(
             url=payload["url"],
             category=payload["category"],
@@ -76,8 +87,8 @@ class WebsiteMeasurement:
             dns=dict(payload.get("dns", {})),
             rdns=dict(payload.get("rdns", {})),
             traceroutes={
-                ip: NormalizedTraceroute.from_dict(tr)
-                for ip, tr in payload.get("traceroutes", {}).items()
+                ip: trace_from(ip, entry)
+                for ip, entry in payload.get("traceroutes", {}).items()
             },
             page_html=payload.get("page_html"),
             hardcoded_domains=list(payload.get("hardcoded_domains", [])),
@@ -148,7 +159,21 @@ class VolunteerDataset:
                 hosts.setdefault(host, None)
         return list(hosts)
 
-    def to_json(self, indent: Optional[int] = None) -> str:
+    def to_json(self) -> str:
+        """Compact JSON with sorted keys.
+
+        The per-run trace memo hands one trace object to every site that
+        embeds the same address, so each distinct object's dict is built
+        once and shared; the encoded text is the same either way.
+        """
+        built: Dict[int, dict] = {}
+
+        def trace_payload(trace: NormalizedTraceroute) -> dict:
+            payload = built.get(id(trace))
+            if payload is None:
+                payload = built[id(trace)] = trace.to_dict()
+            return payload
+
         return json.dumps(
             {
                 "country": self.country_code,
@@ -156,14 +181,22 @@ class VolunteerDataset:
                 "volunteer_ip": self.volunteer_ip,
                 "os": self.os_name,
                 "browser": self.browser,
-                "websites": {url: m.to_dict() for url, m in self.websites.items()},
+                "websites": {
+                    url: m._payload(trace_payload) for url, m in self.websites.items()
+                },
             },
-            indent=indent,
             sort_keys=True,
         )
 
     @classmethod
     def from_json(cls, text: str) -> "VolunteerDataset":
+        """Parse :meth:`to_json` output (indented or compact).
+
+        Sites that stored the same trace for an address share one
+        :class:`NormalizedTraceroute`, as in the live dataset.  A later
+        site's entry is reused only when it equals the address's first
+        entry, so a bundle edited by hand keeps each distinct trace.
+        """
         payload = json.loads(text)
         dataset = cls(
             country_code=payload["country"],
@@ -172,8 +205,18 @@ class VolunteerDataset:
             os_name=payload["os"],
             browser=payload["browser"],
         )
+        first: Dict[str, Tuple[dict, NormalizedTraceroute]] = {}
+
+        def trace_from(ip: str, entry: dict) -> NormalizedTraceroute:
+            seen = first.get(ip)
+            if seen is not None and seen[0] == entry:
+                return seen[1]
+            trace = NormalizedTraceroute.from_dict(entry)
+            first.setdefault(ip, (entry, trace))
+            return trace
+
         for url, entry in payload.get("websites", {}).items():
-            dataset.websites[url] = WebsiteMeasurement.from_dict(entry)
+            dataset.websites[url] = WebsiteMeasurement._from_payload(entry, trace_from)
         return dataset
 
 
