@@ -40,7 +40,6 @@ def main() -> None:
         scenario.catalog,
         GammaConfig.study_defaults(os_name=volunteer.os_name),
         browser_config=scenario.browser_config,
-        ipinfo=scenario.ipinfo,
     )
 
     checkpoint_path = Path(tempfile.gettempdir()) / f"gamma-{country}.ckpt.json"

@@ -231,7 +231,6 @@ def _cmd_volunteer(args: argparse.Namespace) -> int:
         scenario.world, scenario.catalog,
         GammaConfig.study_defaults(os_name=volunteer.os_name),
         browser_config=scenario.browser_config,
-        ipinfo=scenario.ipinfo,
     )
     print(f"Running Gamma for {volunteer.name} ({volunteer.city.key}, {volunteer.os_name})")
     dataset = suite.run(volunteer, targets)

@@ -20,7 +20,6 @@ from repro.core.gamma.probes import ProbeRunner
 from repro.core.gamma.volunteer import Volunteer
 from repro.core.targets.builder import TargetList
 from repro.exec.cache import ReadThroughCache
-from repro.geodb.ipinfo import IPInfoService
 from repro.netsim.network import World
 from repro.web.catalog import SiteCatalog
 from repro.web.html import extract_domains_from_html, render_page_html
@@ -40,7 +39,6 @@ class GammaSuite:
         catalog: SiteCatalog,
         config: Optional[GammaConfig] = None,
         browser_config: Optional[BrowserConfig] = None,
-        ipinfo: Optional[IPInfoService] = None,
     ):
         self._world = world
         self._catalog = catalog
@@ -58,7 +56,9 @@ class GammaSuite:
                 browser_config, hard_timeout_s=self._config.hard_timeout_s
             )
         self._browser = BrowserEngine(world, catalog, browser_config)
-        self._netinfo = NetworkInfoGatherer(world, ipinfo)
+        # The suite records only DNS and reverse DNS, so C2 runs without
+        # ASN annotation.
+        self._netinfo = NetworkInfoGatherer(world)
         self._prober: Optional[ProbeRunner] = None
 
     @property

@@ -22,6 +22,7 @@ computes each per claimed city once.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -46,7 +47,7 @@ from repro.core.geoloc.verdicts import (
 from repro.geodb.ipmap import IPMapService
 from repro.netsim.geography import City
 from repro.netsim.latency import LatencyModel
-from repro.obs.metrics import MS_BUCKETS
+from repro.obs.metrics import MS_BUCKETS, Histogram
 
 __all__ = [
     "ServerStatus",
@@ -176,33 +177,33 @@ class GeolocationPipeline:
             addresses, dataset.country_code, source_traces, rdns_records,
             result.funnel,
         )
+        # Each metric series is looked up once: counters are tallied here
+        # and added after the loop; evidence histograms observe in verdict
+        # order, which keeps their float sums bit-identical.
+        status_counts: Counter = Counter()
+        discard_counts: Counter = Counter()
+        check_counts: Counter = Counter()
+        evidence: Dict[str, Histogram] = {}
         for address, verdict in verdicts.items():
             result.verdicts[address] = verdict
             weight = sum(observation_counts.get(host, 1) for host in verdict.hosts)
             self._account(verdict, weight, result.funnel)
             if metrics is not None:
-                metrics.counter(
-                    "geoloc_verdicts_total", {"status": verdict.status},
-                    help="server verdicts by final status",
-                ).inc()
+                status_counts[verdict.status] += 1
                 if verdict.discarded_by:
-                    metrics.counter(
-                        "geoloc_discards_total", {"constraint": verdict.discarded_by},
-                        help="servers discarded, by the constraint that fired",
-                    ).inc()
+                    discard_counts[verdict.discarded_by] += 1
                 for check in verdict.checks:
-                    metrics.counter(
-                        "geoloc_constraint_checks_total",
-                        {"constraint": check.constraint, "status": check.status},
-                        help="constraint evaluations by outcome",
-                    ).inc()
+                    check_counts[check.constraint, check.status] += 1
                     observed = round_evidence_ms(check.observed_ms)
                     if observed is not None:
-                        metrics.histogram(
-                            "geoloc_evidence_ms", {"constraint": check.constraint},
-                            buckets=MS_BUCKETS, unit="ms",
-                            help="constraint evidence latencies (simulated, deterministic)",
-                        ).observe(observed)
+                        histogram = evidence.get(check.constraint)
+                        if histogram is None:
+                            histogram = evidence[check.constraint] = metrics.histogram(
+                                "geoloc_evidence_ms", {"constraint": check.constraint},
+                                buckets=MS_BUCKETS, unit="ms",
+                                help="constraint evidence latencies (simulated, deterministic)",
+                            )
+                        histogram.observe(observed)
             if tracer is not None:
                 tracer.event(
                     "geoloc_decision",
@@ -237,6 +238,22 @@ class GeolocationPipeline:
             "destination_traceroutes": funnel.destination_traceroutes,
         }
         if metrics is not None:
+            for status, count in status_counts.items():
+                metrics.counter(
+                    "geoloc_verdicts_total", {"status": status},
+                    help="server verdicts by final status",
+                ).inc(count)
+            for constraint, count in discard_counts.items():
+                metrics.counter(
+                    "geoloc_discards_total", {"constraint": constraint},
+                    help="servers discarded, by the constraint that fired",
+                ).inc(count)
+            for (constraint, status), count in check_counts.items():
+                metrics.counter(
+                    "geoloc_constraint_checks_total",
+                    {"constraint": constraint, "status": status},
+                    help="constraint evaluations by outcome",
+                ).inc(count)
             metrics.counter(
                 "geoloc_countries_total", help="datasets classified",
             ).inc()

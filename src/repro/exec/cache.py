@@ -13,6 +13,15 @@ under per-key single-flight coordination: two threads missing different
 keys compute concurrently, two threads missing the same key compute it
 once.
 
+The common paths stay lean.  A hit is one dictionary probe under the
+lock.  A miss records a bare claim; the :class:`threading.Event` its
+waiters block on is created only when a second caller finds the key
+already in flight, so an uncontended miss allocates no wait primitive.
+``clear()`` and ``invalidate(key)`` drop in-flight claims along with
+entries: a compute that straddles either call still answers its own
+caller and its waiters, but its value — possibly derived from the state
+the call discarded — is not memoised.
+
 Because every cached value is deterministic in its key, memoisation can
 never change a result — only how often it is recomputed.  The
 cache-correctness tests in ``tests/test_exec_cache.py`` verify exactly
@@ -96,14 +105,22 @@ class CacheInfo:
 
 
 class _InFlight:
-    """Coordination record for one in-progress compute."""
+    """Coordination record for one in-progress compute.
+
+    ``event`` stays ``None`` until a second caller finds the key in
+    flight: an uncontended miss never allocates a wait primitive.
+    """
 
     __slots__ = ("event", "value", "error")
 
     def __init__(self):
-        self.event = threading.Event()
+        self.event: Optional[threading.Event] = None
         self.value: object = None
         self.error = False
+
+
+#: Sentinel for "no entry"; cached values may legitimately be ``None``.
+_MISSING = object()
 
 
 class ReadThroughCache:
@@ -118,8 +135,12 @@ class ReadThroughCache:
     lands — each key is still computed exactly once, and counters stay
     exact.  If the owner's ``compute()`` raises, the exception
     propagates to the owner and one waiter takes over ownership and
-    retries.  An optional ``maxsize`` evicts the oldest entry FIFO-style
-    so unbounded key spaces cannot grow without limit.
+    retries.  :meth:`clear` and :meth:`invalidate` drop in-flight claims
+    as well as entries: an owner whose claim was dropped still returns
+    its value to its caller and its waiters, but does not memoise it, so
+    a value computed from the old state never outlives the reset.  An
+    optional ``maxsize`` evicts the oldest entry FIFO-style so unbounded
+    key spaces cannot grow without limit.
     """
 
     def __init__(self, name: str, maxsize: Optional[int] = None):
@@ -136,40 +157,60 @@ class ReadThroughCache:
     def get(self, key: Hashable, compute: Callable[[], object]) -> object:
         while True:
             with self._lock:
-                if key in self._data:
+                value = self._data.get(key, _MISSING)
+                if value is not _MISSING:
                     self._hits += 1
-                    return self._data[key]
+                    return value
                 flight = self._inflight.get(key)
                 if flight is None:
                     flight = self._inflight[key] = _InFlight()
                     self._misses += 1
                     owner = True
                 else:
+                    # A second caller: only now is a wait primitive needed.
+                    event = flight.event
+                    if event is None:
+                        event = flight.event = threading.Event()
                     owner = False
             if owner:
-                try:
-                    value = compute()
-                except BaseException:
-                    with self._lock:
-                        self._inflight.pop(key, None)
-                    flight.error = True
-                    flight.event.set()
-                    raise
-                with self._lock:
-                    if self._maxsize is not None and len(self._data) >= self._maxsize:
-                        self._data.pop(next(iter(self._data)))
-                    self._data[key] = value
-                    self._inflight.pop(key, None)
-                flight.value = value
-                flight.event.set()
-                return value
-            flight.event.wait()
+                return self._compute_as_owner(key, compute, flight)
+            event.wait()
             if not flight.error:
                 with self._lock:
                     self._hits += 1
                 return flight.value
             # The owner's compute raised; loop and race to become the
             # new owner (or find the value a faster retrier stored).
+
+    def _compute_as_owner(
+        self, key: Hashable, compute: Callable[[], object], flight: _InFlight
+    ) -> object:
+        try:
+            value = compute()
+        except BaseException:
+            with self._lock:
+                if self._inflight.get(key) is flight:
+                    del self._inflight[key]
+                flight.error = True
+                event = flight.event
+            if event is not None:
+                event.set()
+            raise
+        with self._lock:
+            # Memoise only while the claim stands: clear() or
+            # invalidate() since the miss means *value* may be stale.
+            if self._inflight.get(key) is flight:
+                del self._inflight[key]
+                if self._maxsize is not None and len(self._data) >= self._maxsize:
+                    self._data.pop(next(iter(self._data)))
+                self._data[key] = value
+            flight.value = value
+            # Waiters create the event under this lock, so once the
+            # claim is gone no further waiter can attach to *flight*.
+            event = flight.event
+        if event is not None:
+            event.set()
+        return value
 
     def peek(self, key: Hashable) -> Tuple[bool, object]:
         """``(present, value)`` without touching the counters."""
@@ -179,12 +220,16 @@ class ReadThroughCache:
             return False, None
 
     def invalidate(self, key: Hashable) -> None:
+        """Drop *key*'s entry and any in-flight claim on it."""
         with self._lock:
             self._data.pop(key, None)
+            self._inflight.pop(key, None)
 
     def clear(self) -> None:
+        """Drop every entry and in-flight claim, and zero the counters."""
         with self._lock:
             self._data.clear()
+            self._inflight.clear()
             self._hits = 0
             self._misses = 0
 

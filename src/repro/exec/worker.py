@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import time
 import traceback
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
@@ -124,12 +125,16 @@ def _record_study_metrics(
     metrics.counter(
         "tracker_observations_total", help="per-site non-local tracker observations"
     ).inc(sum(len(site.trackers) for site in result.sites))
-    for verdict in result.tracker_verdicts.values():
-        if verdict.is_tracker:
-            metrics.counter(
-                "tracker_hosts_total", {"method": verdict.method or "unknown"},
-                help="unique flagged hosts by identification method",
-            ).inc()
+    methods = Counter(
+        verdict.method or "unknown"
+        for verdict in result.tracker_verdicts.values()
+        if verdict.is_tracker
+    )
+    for method, count in methods.items():
+        metrics.counter(
+            "tracker_hosts_total", {"method": method},
+            help="unique flagged hosts by identification method",
+        ).inc(count)
 
 
 @dataclass
@@ -230,7 +235,6 @@ class StudyWorker:
                     scenario.catalog,
                     GammaConfig.study_defaults(os_name=volunteer.os_name),
                     browser_config=scenario.browser_config,
-                    ipinfo=scenario.ipinfo,
                 )
                 dataset = gamma.run(
                     volunteer, targets, visit_key=config.visit_key, tracer=tracer

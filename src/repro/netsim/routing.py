@@ -1,32 +1,22 @@
 """Forward-path synthesis between cities.
 
-A path is a sequence of waypoints along the great circle between the two
-endpoints, with hop count scaled by distance.  Waypoints carry the
+A path is a sequence of intermediate routers between the two endpoints,
+with hop count scaled by distance.  Each router is represented by the
 cumulative fraction of the end-to-end propagation delay accrued by the
-time a packet reaches them; the traceroute engine converts these
+time a packet reaches it; the traceroute engine converts these
 fractions into per-hop RTTs that are consistent with the end-to-end
 latency model (monotone non-decreasing, last hop equal to the full RTT).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
 
 from repro.determinism import stable_rng
-from repro.netsim.distance import city_distance_km, interpolate
+from repro.netsim.distance import city_distance_km
 from repro.netsim.geography import City
 
-__all__ = ["Waypoint", "synthesize_path"]
-
-
-@dataclass(frozen=True)
-class Waypoint:
-    """One intermediate router location on a forward path."""
-
-    lat: float
-    lon: float
-    fraction: float  # cumulative share of the end-to-end propagation delay
+__all__ = ["path_fractions"]
 
 
 def hop_count_for_distance(distance_km: float) -> int:
@@ -38,21 +28,19 @@ def hop_count_for_distance(distance_km: float) -> int:
     return max(3, min(20, 3 + int(distance_km / 1200)))
 
 
-def synthesize_path(src: City, dst: City, key: str = "") -> List[Waypoint]:
-    """Deterministic waypoint list from *src* to *dst*.
+def path_fractions(src: City, dst: City, key: str = "") -> List[float]:
+    """Deterministic per-router delay fractions from *src* to *dst*.
 
     Fractions are strictly increasing and end below 1.0 (the destination
     itself is appended by the traceroute engine at fraction 1.0).
     """
-    distance = city_distance_km(src, dst)
-    count = hop_count_for_distance(distance)
-    rng = stable_rng("path", src.key, dst.key, key)
-    waypoints: List[Waypoint] = []
+    count = hop_count_for_distance(city_distance_km(src, dst))
+    uniform = stable_rng("path", src.key, dst.key, key).uniform
+    fractions: List[float] = []
     for i in range(1, count + 1):
         base = i / (count + 1)
-        fraction = min(0.99, max(0.01, base + rng.uniform(-0.4, 0.4) / (count + 1)))
-        if waypoints and fraction <= waypoints[-1].fraction:
-            fraction = min(0.99, waypoints[-1].fraction + 0.005)
-        lat, lon = interpolate(src.lat, src.lon, dst.lat, dst.lon, fraction)
-        waypoints.append(Waypoint(lat=lat, lon=lon, fraction=fraction))
-    return waypoints
+        fraction = min(0.99, max(0.01, base + uniform(-0.4, 0.4) / (count + 1)))
+        if fractions and fraction <= fractions[-1]:
+            fraction = min(0.99, fractions[-1] + 0.005)
+        fractions.append(fraction)
+    return fractions

@@ -18,7 +18,7 @@ from repro.determinism import stable_draw_rng, stable_rng
 from repro.netsim.geography import City
 from repro.netsim.ip import IPSpace
 from repro.netsim.latency import LatencyModel
-from repro.netsim.routing import synthesize_path
+from repro.netsim.routing import path_fractions
 
 __all__ = [
     "TracerouteHop",
@@ -162,15 +162,14 @@ class TracerouteEngine:
         access_rtt = gateway_rtt + self._latency.access_penalty(source_city) * rng.uniform(0.7, 1.2)
         hops.append(_transit_hop(2, round(access_rtt, 3), rng.random()))
 
-        waypoints = synthesize_path(source_city, destination_city, measurement_key)
         propagation_budget = max(0.0, total_rtt - access_rtt - 1.0)
         previous_rtt = access_rtt
-        for waypoint in waypoints:
+        for fraction in path_fractions(source_city, destination_city, measurement_key):
             index = len(hops) + 1
             if rng.random() < self._HOP_LOSS:
                 hops.append(TracerouteHop(index, None, None))
                 continue
-            rtt = access_rtt + propagation_budget * waypoint.fraction
+            rtt = access_rtt + propagation_budget * fraction
             rtt = max(previous_rtt + 0.05, rtt)  # keep the profile monotone
             previous_rtt = rtt
             hops.append(_transit_hop(index, round(rtt, 3), rng.random()))

@@ -9,12 +9,16 @@ and hit counters must actually move, or the "cache" is dead weight.
 from __future__ import annotations
 
 import pickle
+import sys
 import threading
+import time
+import types
 
 import pytest
 
 from repro import build_scenario, run_study
 from repro.determinism import stable_rng
+import repro.exec.cache as cache_module
 from repro.exec.cache import ReadThroughCache, cache_registry
 from repro.longitudinal import LongitudinalStudy
 from repro.netsim.distance import city_distance_km, distance_cache, haversine_km
@@ -258,6 +262,49 @@ class TestReadThroughCacheConcurrency:
         assert info.misses == len(keys)
         assert info.hits == 8 * 20 * len(keys) - len(keys)
 
+    def test_contended_misses_under_fast_switching(self):
+        # Computes yield mid-flight and the interpreter switches threads
+        # every microsecond, so most misses find a waiter attaching to
+        # the owner's flight: the lazily created wait primitive must
+        # still release every waiter with the one computed value.
+        cache = ReadThroughCache("test.concurrency.switching")
+        computed = []
+        keys = list(range(32))
+        workers = 12
+        errors = []
+
+        def compute_for(key):
+            def compute():
+                computed.append(key)
+                time.sleep(0.0005)
+                return key * 3
+            return compute
+
+        def hammer(offset):
+            try:
+                for _ in range(5):
+                    for key in keys[offset % 4::4] + keys:
+                        assert cache.get(key, compute_for(key)) == key * 3
+            except Exception as error:  # pragma: no cover - failure reporting
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(i,)) for i in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert sorted(computed) == keys
+        lookups = workers * 5 * (len(keys) + len(keys) // 4)
+        info = cache.info()
+        assert (info.hits, info.misses) == (lookups - len(keys), len(keys))
+
     def test_maxsize_evicts_oldest(self):
         cache = ReadThroughCache("test.evict", maxsize=2)
         cache.get("a", lambda: 1)
@@ -391,3 +438,104 @@ class TestReadThroughCacheSingleFlight:
             cache.get("k", lambda: (_ for _ in ()).throw(KeyError("nope")))
         assert len(cache) == 0
         assert cache.get("k", lambda: "ok") == "ok"
+
+
+class TestReadThroughCacheResets:
+    """``clear()``/``invalidate()`` during a compute, and the lean miss."""
+
+    @staticmethod
+    def _start_old_compute(cache):
+        """Thread A inside ``get("k", compute_old)``; released on demand."""
+        in_compute = threading.Event()
+        release = threading.Event()
+        outcome = {}
+
+        def compute_old():
+            in_compute.set()
+            assert release.wait(timeout=20)
+            return "old"
+
+        thread = threading.Thread(target=lambda: outcome.update(a=cache.get("k", compute_old)))
+        thread.start()
+        assert in_compute.wait(timeout=20)
+        return thread, release, outcome
+
+    @pytest.mark.parametrize("reset", ["clear", "invalidate"])
+    def test_reset_during_compute_does_not_publish_the_stale_value(self, reset):
+        cache = ReadThroughCache("test.reset")
+        thread, release, outcome = self._start_old_compute(cache)
+        if reset == "clear":
+            cache.clear()
+        else:
+            cache.invalidate("k")
+        release.set()
+        thread.join(timeout=30)
+        assert outcome == {"a": "old"}  # the owner still answers its caller
+        assert cache.peek("k") == (False, None)
+        assert cache.get("k", lambda: "new") == "new"
+        assert cache.get("k", lambda: "other") == "new"
+
+    def test_waiter_of_a_cleared_flight_gets_the_owner_value(self):
+        cache = ReadThroughCache("test.reset.waiter")
+        thread, release, outcome = self._start_old_compute(cache)
+        waiter = threading.Thread(
+            target=lambda: outcome.update(b=cache.get("k", lambda: "waiter-computed"))
+        )
+        waiter.start()
+        deadline = time.monotonic() + 20
+        while cache._inflight["k"].event is None:  # until the waiter attaches
+            assert time.monotonic() < deadline, "waiter never attached"
+            waiter.join(timeout=0.001)
+        cache.clear()
+        release.set()
+        thread.join(timeout=30)
+        waiter.join(timeout=30)
+        assert outcome == {"a": "old", "b": "old"}
+        assert len(cache) == 0
+
+    def test_reset_does_not_drop_a_newer_flight(self):
+        # After the reset a second owner claims "k"; the first owner's
+        # completion must leave that claim (and its value) alone.
+        cache = ReadThroughCache("test.reset.newer")
+        thread, release, outcome = self._start_old_compute(cache)
+        cache.invalidate("k")
+        in_new = threading.Event()
+        release_new = threading.Event()
+
+        def compute_new():
+            in_new.set()
+            assert release_new.wait(timeout=20)
+            return "new"
+
+        second = threading.Thread(target=lambda: outcome.update(b=cache.get("k", compute_new)))
+        second.start()
+        assert in_new.wait(timeout=20)
+        release.set()
+        thread.join(timeout=30)
+        assert cache.peek("k") == (False, None)
+        release_new.set()
+        second.join(timeout=30)
+        assert outcome == {"a": "old", "b": "new"}
+        assert cache.peek("k") == (True, "new")
+
+    def test_uncontended_miss_creates_no_event(self, monkeypatch):
+        created = []
+
+        def counting_event():
+            created.append(1)
+            return threading.Event()
+
+        # Replace the module's ``threading`` name only, not the stdlib's.
+        monkeypatch.setattr(
+            cache_module, "threading",
+            types.SimpleNamespace(Event=counting_event, Lock=threading.Lock),
+        )
+        cache = ReadThroughCache("test.lean")
+        for key in range(50):
+            assert cache.get(key, lambda key=key: key) == key
+            assert cache.get(key, lambda: "recomputed") == key
+        with pytest.raises(RuntimeError):
+            cache.get("bad", lambda: (_ for _ in ()).throw(RuntimeError("boom")))
+        assert created == []
+        info = cache.info()
+        assert (info.hits, info.misses) == (50, 51)

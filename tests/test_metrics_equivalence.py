@@ -22,9 +22,13 @@ import io
 import pytest
 
 from repro import StudyConfig, run_study
+from repro.core.geoloc.constraints import round_evidence_ms
 from repro.exec.resilience import FaultInjector
 from repro.obs.metrics import (
+    MS_BUCKETS,
+    MetricsRegistry,
     diff_snapshots,
+    merge_snapshots,
     strip_runtime,
     to_prometheus,
     validate_exposition,
@@ -108,6 +112,56 @@ class TestBackendIndependence:
         }
         assert funnel["total_hosts"] == outcome.funnel().total_hosts
         assert funnel["verified_nonlocal"] == outcome.funnel().verified_nonlocal
+
+
+def _oracle_country_snapshot(geolocation, result):
+    """One country's verdict and tracker families, one update per verdict."""
+    registry = MetricsRegistry()
+    for verdict in geolocation.verdicts.values():
+        registry.counter("geoloc_verdicts_total", {"status": verdict.status}).inc()
+        if verdict.discarded_by:
+            registry.counter("geoloc_discards_total", {"constraint": verdict.discarded_by}).inc()
+        for check in verdict.checks:
+            registry.counter(
+                "geoloc_constraint_checks_total",
+                {"constraint": check.constraint, "status": check.status},
+            ).inc()
+            observed = round_evidence_ms(check.observed_ms)
+            if observed is not None:
+                registry.histogram(
+                    "geoloc_evidence_ms", {"constraint": check.constraint},
+                    buckets=MS_BUCKETS,
+                ).observe(observed)
+    for verdict in result.tracker_verdicts.values():
+        if verdict.is_tracker:
+            registry.counter("tracker_hosts_total", {"method": verdict.method or "unknown"}).inc()
+    return registry.snapshot()
+
+
+class TestFamiliesFromVerdicts:
+    """The verdict-derived families equal a per-verdict rebuild."""
+
+    FAMILIES = (
+        "geoloc_verdicts_total",
+        "geoloc_discards_total",
+        "geoloc_constraint_checks_total",
+        "geoloc_evidence_ms",
+        "tracker_hosts_total",
+    )
+
+    def test_registry_equals_per_verdict_oracle(self, backend_runs):
+        outcome = backend_runs["serial"]
+        # Per-country registries merged in input country order, as the
+        # study merges its workers' deltas: float sums add identically.
+        expected = merge_snapshots(
+            _oracle_country_snapshot(outcome.geolocations[result.country_code], result)
+            for result in outcome.results
+        )["families"]
+        actual = outcome.metrics_snapshot["metrics"]["families"]
+        for name in self.FAMILIES:
+            assert expected[name]["series"], name
+            assert actual[name]["type"] == expected[name]["type"], name
+            assert actual[name]["series"] == expected[name]["series"], name
 
 
 class TestFaultIndependence:

@@ -8,7 +8,7 @@ from repro.netsim.distance import city_distance_km, min_rtt_ms
 from repro.netsim.geography import default_registry
 from repro.netsim.ip import IPSpace
 from repro.netsim.latency import LatencyModel
-from repro.netsim.routing import hop_count_for_distance, synthesize_path
+from repro.netsim.routing import hop_count_for_distance, path_fractions
 from repro.netsim.traceroute import (
     TracerouteBlocking,
     TracerouteEngine,
@@ -41,14 +41,23 @@ class TestRouting:
 
     def test_fractions_strictly_increasing(self):
         src, dst = REG.city("London, GB"), REG.city("Tokyo, JP")
-        path = synthesize_path(src, dst, "k")
-        fractions = [w.fraction for w in path]
+        fractions = path_fractions(src, dst, "k")
         assert all(b > a for a, b in zip(fractions, fractions[1:]))
         assert all(0 < f < 1 for f in fractions)
 
+    @pytest.mark.parametrize("src_key, dst_key", [
+        ("London, GB", "Tokyo, JP"),
+        ("London, GB", "Frankfurt, DE"),
+        ("Bangkok, TH", "Bangkok, TH"),
+    ])
+    def test_fraction_count_follows_distance(self, src_key, dst_key):
+        src, dst = REG.city(src_key), REG.city(dst_key)
+        expected = hop_count_for_distance(city_distance_km(src, dst))
+        assert len(path_fractions(src, dst, "k")) == expected
+
     def test_path_deterministic(self):
         src, dst = REG.city("London, GB"), REG.city("Tokyo, JP")
-        assert synthesize_path(src, dst, "k") == synthesize_path(src, dst, "k")
+        assert path_fractions(src, dst, "k") == path_fractions(src, dst, "k")
 
 
 class TestTracerouteEngine:

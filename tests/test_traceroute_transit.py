@@ -4,7 +4,8 @@ Transit hops (the access hop 2, waypoint hops, and hops 2…k of a failed
 trace) derive their address and probe samples from the one draw the
 trace's generator spends on them, mixed by integers instead of a
 reseeded generator.  The reference engine below is the earlier per-hop
-reseeding engine, frozen verbatim.  Against it, every trace must agree
+reseeding engine, frozen verbatim, over the earlier waypoint path
+(great-circle coordinates plus fractions), also frozen verbatim.  Against it, every trace must agree
 on everything the latency constraints read: ``reached``, the hop
 indices, the responded/``*`` pattern, every canonical ``rtt_ms``, and
 the gateway and destination hops including their probe samples.  Only
@@ -14,6 +15,7 @@ transit-hop addresses and samples may differ.
 from __future__ import annotations
 
 import ipaddress
+from dataclasses import dataclass
 from typing import List
 
 import pytest
@@ -22,11 +24,12 @@ from hypothesis import strategies as st
 
 from repro.core.gamma.normalize import normalize_direct
 from repro.core.geoloc.constraints import adjusted_latency_ms
-from repro.determinism import stable_draw_rng
+from repro.determinism import stable_draw_rng, stable_rng
+from repro.netsim.distance import city_distance_km, interpolate
 from repro.netsim.geography import default_registry
 from repro.netsim.ip import IPSpace
 from repro.netsim.latency import LatencyModel
-from repro.netsim.routing import synthesize_path
+from repro.netsim.routing import hop_count_for_distance, path_fractions
 from repro.netsim.traceroute import (
     TracerouteBlocking,
     TracerouteEngine,
@@ -37,6 +40,34 @@ from repro.netsim.traceroute import (
 
 REG = default_registry()
 GATEWAY = "192.168.1.1"
+
+
+# --- the reference path: waypoints with coordinates, as routing built them ---
+
+
+@dataclass(frozen=True)
+class Waypoint:
+    """One intermediate router location on a forward path."""
+
+    lat: float
+    lon: float
+    fraction: float  # cumulative share of the end-to-end propagation delay
+
+
+def synthesize_path(src, dst, key=""):
+    """Deterministic waypoint list from *src* to *dst*."""
+    distance = city_distance_km(src, dst)
+    count = hop_count_for_distance(distance)
+    rng = stable_rng("path", src.key, dst.key, key)
+    waypoints: List[Waypoint] = []
+    for i in range(1, count + 1):
+        base = i / (count + 1)
+        fraction = min(0.99, max(0.01, base + rng.uniform(-0.4, 0.4) / (count + 1)))
+        if waypoints and fraction <= waypoints[-1].fraction:
+            fraction = min(0.99, waypoints[-1].fraction + 0.005)
+        lat, lon = interpolate(src.lat, src.lon, dst.lat, dst.lon, fraction)
+        waypoints.append(Waypoint(lat=lat, lon=lon, fraction=fraction))
+    return waypoints
 
 
 # --- the reference: per-hop reseeding, as the engine used to build hops ---
@@ -145,6 +176,21 @@ def sweep(scenario):
                         reference.trace(source, target, key),
                     ))
     return pairs
+
+
+class TestPathFractions:
+    def test_fractions_equal_the_waypoint_path(self):
+        cities = [city for country in REG.countries for city in country.cities]
+        sources = cities[::3]
+        pairs = [(src, dst) for src in sources for dst in cities[::5]]
+        pairs += [(city, city) for city in sources]
+        checked = 0
+        for src, dst in pairs:
+            for key in KEYS + ["k", "TH:https://example.th/:203.0.113.9"]:
+                expected = [waypoint.fraction for waypoint in synthesize_path(src, dst, key)]
+                assert path_fractions(src, dst, key) == expected, (src.key, dst.key, key)
+                checked += 1
+        assert checked > 1000
 
 
 class TestOracle:
