@@ -6,10 +6,10 @@ Two outputs per benchmark run:
   pytest capture (what CI logs show).
 * :func:`record_history` — one normalized JSONL record appended to
   ``BENCH_history.jsonl`` at the repo root: benchmark name, the key
-  performance numbers (speedups, throughputs, hit rates — the same
-  leaves ``gamma metrics baseline`` floors), the git commit, and a
-  timestamp.  The history file accumulates across runs, so run-over-run
-  trends survive the per-run ``BENCH_*.json`` overwrites.
+  performance numbers (speedups, throughputs, hit rates), the git
+  commit, and a timestamp.  The history file accumulates across runs,
+  so run-over-run trends survive the per-run ``BENCH_*.json``
+  overwrites.
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ __all__ = ["HISTORY_PATH", "emit", "record_history"]
 _REPO_ROOT = Path(__file__).resolve().parents[1]
 HISTORY_PATH = _REPO_ROOT / "BENCH_history.jsonl"
 
-#: Leaf-name suffixes worth tracking run-over-run — mirrors the guard
-#: vocabulary ``repro.obs.metrics.derive_baseline`` floors from the same
-#: BENCH payloads.
+#: Leaf-name suffixes worth tracking run-over-run: speedups, ratios,
+#: throughputs and hit rates.
 _KEY_SUFFIXES = ("speedup", "ratio", "ops_per_sec", "hit_rate", "per_second")
 
 

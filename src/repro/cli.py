@@ -17,7 +17,7 @@ Subcommands mirror how the paper's artefacts are used:
 * ``gamma trace FILE``    — summarize a run journal written with
   ``--trace`` (span tree, funnel drill-down, slowest sites, caches).
 * ``gamma metrics ...``   — inspect run metric snapshots: render one,
-  diff two runs with regression verdicts, derive/check baselines.
+  validate it against the schema, diff two runs with regression verdicts.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--output", type=Path, default=None)
 
     metrics = sub.add_parser(
-        "metrics", help="inspect, diff, and check run metric snapshots"
+        "metrics", help="show, validate, and diff run metric snapshots"
     )
     msub = metrics.add_subparsers(dest="metrics_command", required=True)
     mshow = msub.add_parser("show", help="render a metrics.json snapshot")
@@ -123,26 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     mdiff.add_argument("--runtime", action="store_true",
                        help="also compare runtime-class families "
                             "(threshold-based, noisy across machines)")
-    mbaseline = msub.add_parser(
-        "baseline", help="derive a baseline from a reference snapshot + BENCH files"
-    )
-    mbaseline.add_argument("snapshot", type=Path, nargs="?", default=None)
-    mbaseline.add_argument("--bench", type=Path, action="append", default=[],
-                           metavar="FILE", help="BENCH_*.json file (repeatable)")
-    mbaseline.add_argument("--margin", type=float, default=0.5,
-                           help="slack below each BENCH number before the "
-                                "floor trips (default 0.5)")
-    mbaseline.add_argument("--output", type=Path, default=None,
-                           help="write the baseline JSON here (default: stdout)")
-    mcheck = msub.add_parser(
-        "check", help="check a run snapshot and/or BENCH files against a baseline"
-    )
-    mcheck.add_argument("baseline", type=Path)
-    mcheck.add_argument("--snapshot", type=Path, default=None)
-    mcheck.add_argument("--bench", type=Path, action="append", default=[],
-                        metavar="FILE", help="BENCH_*.json file (repeatable)")
-    mcheck.add_argument("--report-only", action="store_true",
-                        help="print findings but always exit 0 (CI advisory mode)")
 
     trace = sub.add_parser("trace", help="summarize a structured run journal")
     trace.add_argument("journal", type=Path, help="JSONL journal from --trace")
@@ -204,9 +184,6 @@ def _add_exec_arguments(parser: argparse.ArgumentParser) -> None:
                         help="record per-country resource usage (CPU seconds "
                              "per phase, GC collections, peak RSS) into the "
                              "run snapshot")
-    parser.add_argument("--profile-mem", action="store_true",
-                        help="additionally track allocations with tracemalloc "
-                             "(slower; implies --profile)")
     parser.add_argument("--metrics-out", type=Path, default=None, metavar="PATH",
                         help="write the run metrics snapshot here: .prom "
                              "suffix = Prometheus text exposition, anything "
@@ -258,7 +235,6 @@ def _run_kwargs(args: argparse.Namespace) -> dict:
         on_error=args.on_error,
         max_retries=args.max_retries,
         profile=args.profile,
-        profile_mem=args.profile_mem,
     )
     return {
         "config": config,
@@ -469,13 +445,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_bench_files(paths):
-    """``{stem: payload}`` for BENCH_*.json paths (stem keys the checks)."""
-    import json
-
-    return {path.stem: json.loads(path.read_text()) for path in paths}
-
-
 def _render_metric_families(snapshot, include_runtime: bool) -> str:
     from repro.obs.metrics import _metric_families
 
@@ -500,19 +469,50 @@ def _render_metric_families(snapshot, include_runtime: bool) -> str:
     return "\n".join(lines)
 
 
-def _cmd_metrics(args: argparse.Namespace) -> int:
+class _UnreadableSnapshot(Exception):
+    """A snapshot path that does not hold a readable metrics.json document."""
+
+
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as error:
+        raise _UnreadableSnapshot(f"{path}: {error.strerror or error}") from error
+    except UnicodeDecodeError as error:
+        raise _UnreadableSnapshot(f"{path}: not UTF-8 text: {error}") from error
+
+
+def _read_snapshot(path: Path) -> dict:
+    """The metrics.json document at ``path``, or :class:`_UnreadableSnapshot`."""
     import json
 
-    from repro.obs.metrics import (
-        check_baseline,
-        derive_baseline,
-        diff_snapshots,
-        load_snapshot,
-        validate_study_snapshot,
-    )
+    if path.suffix == ".prom":
+        raise _UnreadableSnapshot(
+            f"{path}: Prometheus exposition text, not a metrics.json snapshot "
+            f"(only 'gamma metrics validate' reads .prom files)"
+        )
+    try:
+        snapshot = json.loads(_read_text(path))
+    except ValueError as error:
+        raise _UnreadableSnapshot(f"{path}: not valid JSON: {error}") from error
+    if not isinstance(snapshot, dict):
+        raise _UnreadableSnapshot(f"{path}: not a JSON object")
+    return snapshot
+
+
+def _cmd_metrics(args: argparse.Namespace) -> int:
+    try:
+        return _run_metrics_command(args)
+    except _UnreadableSnapshot as error:
+        print(f"cannot read snapshot: {error}")
+        return 1
+
+
+def _run_metrics_command(args: argparse.Namespace) -> int:
+    from repro.obs.metrics import diff_snapshots, validate_study_snapshot
 
     if args.metrics_command == "show":
-        snapshot = load_snapshot(args.snapshot)
+        snapshot = _read_snapshot(args.snapshot)
         meta = snapshot.get("meta", {})
         if meta:
             line = f"run: backend={meta.get('backend')} jobs={meta.get('jobs')} "
@@ -532,18 +532,18 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         return 0
 
     if args.metrics_command == "validate":
-        path = Path(args.snapshot)
+        path = args.snapshot
         if path.suffix == ".prom":
             from repro.obs.metrics import validate_exposition
 
-            problems = validate_exposition(path.read_text(encoding="utf-8"))
+            problems = validate_exposition(_read_text(path))
             if problems:
                 for problem in problems:
                     print(f"SCHEMA: {problem}")
                 return 1
             print("exposition OK: Prometheus text format parses")
             return 0
-        snapshot = load_snapshot(path)
+        snapshot = _read_snapshot(path)
         problems = validate_study_snapshot(snapshot)
         if problems:
             for problem in problems:
@@ -553,45 +553,19 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         print(f"snapshot OK: {len(families)} metric families conform to the schema")
         return 0
 
-    if args.metrics_command == "diff":
-        findings = diff_snapshots(
-            load_snapshot(args.old), load_snapshot(args.new),
-            threshold=args.threshold, include_runtime=args.runtime,
-        )
-        for finding in findings:
-            print(finding.render())
-        bad = [f for f in findings if f.severity in ("regression", "drift")]
-        if bad:
-            print(f"\n{len(bad)} regression(s) out of {len(findings)} finding(s)")
-            return 1
-        print(f"no regressions ({len(findings)} informational finding(s))"
-              if findings else "no regressions (snapshots agree)")
-        return 0
-
-    if args.metrics_command == "baseline":
-        snapshot = None if args.snapshot is None else load_snapshot(args.snapshot)
-        baseline = derive_baseline(
-            snapshot, _load_bench_files(args.bench), margin=args.margin
-        )
-        text = json.dumps(baseline, indent=2, sort_keys=True) + "\n"
-        if args.output is not None:
-            args.output.write_text(text)
-            print(f"baseline with {len(baseline['checks'])} check(s) "
-                  f"written to {args.output}")
-        else:
-            print(text, end="")
-        return 0
-
-    # check
-    baseline = load_snapshot(args.baseline)
-    snapshot = None if args.snapshot is None else load_snapshot(args.snapshot)
-    findings = check_baseline(baseline, snapshot, _load_bench_files(args.bench))
+    # diff
+    findings = diff_snapshots(
+        _read_snapshot(args.old), _read_snapshot(args.new),
+        threshold=args.threshold, include_runtime=args.runtime,
+    )
     for finding in findings:
         print(finding.render())
-    failures = [f for f in findings if not f.ok]
-    print(f"{len(findings) - len(failures)}/{len(findings)} baseline check(s) passed")
-    if failures and not args.report_only:
+    bad = [f for f in findings if f.severity in ("regression", "drift")]
+    if bad:
+        print(f"\n{len(bad)} regression(s) out of {len(findings)} finding(s)")
         return 1
+    print(f"no regressions ({len(findings)} informational finding(s))"
+          if findings else "no regressions (snapshots agree)")
     return 0
 
 

@@ -29,7 +29,7 @@ Observability rides along in picklable side channels on
   (its thread's CPU time).
 * ``resources`` — a :class:`repro.obs.ResourceProfiler` snapshot
   (per-phase CPU seconds, GC collections, peak RSS) when profiling is
-  enabled via ``StudyConfig.profile`` / ``profile_mem``.
+  enabled via ``StudyConfig.profile``.
 """
 
 from __future__ import annotations
@@ -220,11 +220,7 @@ class StudyWorker:
         # Fresh per-country registry: its snapshot ships back as the
         # country's metrics delta and merges exactly at the coordinator.
         metrics = MetricsRegistry()
-        profiler = None
-        # ``profile_mem`` implies ``profile``: either enables the profiler.
-        if config.profile or config.profile_mem:
-            profiler = ResourceProfiler(track_malloc=config.profile_mem)
-            profiler.start()
+        profiler = ResourceProfiler() if config.profile else None
         caches_before = _counters(scenario.caches)
 
         with maybe_span(tracer, "country", country_code):

@@ -36,7 +36,6 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optio
 __all__ = [
     "METRICS_SCHEMA_VERSION",
     "SNAPSHOT_SCHEMA_VERSION",
-    "BASELINE_SCHEMA_VERSION",
     "SECONDS_BUCKETS",
     "MS_BUCKETS",
     "BYTES_BUCKETS",
@@ -56,14 +55,10 @@ __all__ = [
     "load_snapshot",
     "diff_snapshots",
     "DiffFinding",
-    "derive_baseline",
-    "check_baseline",
-    "CheckFinding",
 ]
 
 METRICS_SCHEMA_VERSION = 1
 SNAPSHOT_SCHEMA_VERSION = 1
-BASELINE_SCHEMA_VERSION = 1
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
@@ -716,185 +711,4 @@ def diff_snapshots(
                 findings.append(DiffFinding("improvement", name, labels, detail))
             else:
                 findings.append(DiffFinding("info", name, labels, detail))
-    return findings
-
-
-# ---------------------------------------------------------------------------
-# Baselines derived from BENCH_*.json
-
-
-#: Numeric leaves in BENCH files worth guarding run-over-run, with the
-#: direction that counts as a regression.  ``min`` floors guard numbers
-#: that must stay high (speedups, hit rates); nothing currently needs a
-#: ceiling, but the op vocabulary supports it.
-_BENCH_GUARDS = (
-    ("speedup", "min"),
-    ("ratio", "min"),
-    ("ops_per_sec", "min"),
-    ("hit_rate", "min"),
-    ("per_second", "min"),
-)
-
-
-def _numeric_leaves(obj: Any, prefix: str = "") -> Iterator[Tuple[str, float]]:
-    if isinstance(obj, Mapping):
-        for key, value in obj.items():
-            path = f"{prefix}.{key}" if prefix else str(key)
-            yield from _numeric_leaves(value, path)
-    elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        yield prefix, float(obj)
-
-
-def _guard_for(path: str) -> Optional[str]:
-    leaf = path.rsplit(".", 1)[-1]
-    for suffix, op in _BENCH_GUARDS:
-        if leaf == suffix or leaf.endswith("_" + suffix) or leaf.endswith(suffix):
-            return op
-    return None
-
-
-def derive_baseline(
-    snapshot: Optional[Mapping[str, Any]] = None,
-    bench_files: Optional[Mapping[str, Mapping[str, Any]]] = None,
-    margin: float = 0.5,
-) -> Dict[str, Any]:
-    """Build a baseline document from a reference run + BENCH_*.json files.
-
-    * From the run snapshot: exact-equality checks on every
-      deterministic (study) metric series — the study content contract.
-    * From each BENCH file: ``min`` floors at ``value * (1 - margin)``
-      for every recognised performance leaf (speedups, throughputs, hit
-      rates), so CI can flag a collapse without failing on noise.
-    """
-    checks: List[Dict[str, Any]] = []
-    if snapshot is not None:
-        families = _metric_families(snapshot)
-        for name in sorted(families):
-            entry = families[name]
-            if entry.get("runtime", False) or entry.get("type") == "histogram":
-                continue
-            for record in entry["series"]:
-                check: Dict[str, Any] = {
-                    "metric": name,
-                    "op": "eq",
-                    "value": record["value"],
-                    "source": "snapshot",
-                }
-                if record.get("labels"):
-                    check["labels"] = dict(record["labels"])
-                checks.append(check)
-    for bench_name in sorted(bench_files or {}):
-        payload = bench_files[bench_name]
-        for path, value in sorted(_numeric_leaves(payload)):
-            op = _guard_for(path)
-            if op is None or value <= 0:
-                continue
-            floor = float(f"{value * (1.0 - margin):.6g}")
-            checks.append(
-                {"bench": bench_name, "path": path, "op": "min", "value": floor, "source": bench_name}
-            )
-    return {
-        "schema": BASELINE_SCHEMA_VERSION,
-        "kind": "gamma-metrics-baseline",
-        "margin": margin,
-        "checks": checks,
-    }
-
-
-class CheckFinding:
-    __slots__ = ("ok", "target", "detail")
-
-    def __init__(self, ok: bool, target: str, detail: str) -> None:
-        self.ok = ok
-        self.target = target
-        self.detail = detail
-
-    def render(self) -> str:
-        return f"[{'ok' if self.ok else 'FAIL'}] {self.target}: {self.detail}"
-
-
-def _lookup_path(obj: Any, path: str) -> Optional[float]:
-    # Keys may themselves contain dots (cache names like
-    # "atlas.dest_traces"), so resolve greedily: try the longest key
-    # prefix present at each level before splitting further.
-    if not isinstance(obj, Mapping):
-        return None
-    parts = path.split(".")
-    for take in range(len(parts), 0, -1):
-        key = ".".join(parts[:take])
-        if key not in obj:
-            continue
-        node = obj[key]
-        rest = ".".join(parts[take:])
-        if not rest:
-            if isinstance(node, (int, float)) and not isinstance(node, bool):
-                return float(node)
-            return None
-        found = _lookup_path(node, rest)
-        if found is not None:
-            return found
-    return None
-
-
-def _lookup_metric(snapshot: Mapping[str, Any], name: str, labels: Optional[Mapping[str, Any]]) -> Optional[float]:
-    entry = _metric_families(snapshot).get(name)
-    if entry is None:
-        return None
-    wanted = _label_key(labels)
-    for record in entry.get("series", []):
-        if _label_key(record.get("labels")) == wanted:
-            if entry.get("type") == "histogram":
-                return float(record.get("sum", 0.0))
-            return float(record.get("value", 0))
-    return None
-
-
-def _evaluate(op: str, actual: float, expected: float) -> bool:
-    if op == "min":
-        return actual >= expected
-    if op == "max":
-        return actual <= expected
-    if op == "eq":
-        return actual == expected
-    raise ValueError(f"unknown baseline op {op!r}")
-
-
-def check_baseline(
-    baseline: Mapping[str, Any],
-    snapshot: Optional[Mapping[str, Any]] = None,
-    bench_files: Optional[Mapping[str, Mapping[str, Any]]] = None,
-) -> List[CheckFinding]:
-    """Evaluate every applicable baseline check against the given targets.
-
-    Checks whose target (run snapshot or a specific BENCH file) was not
-    supplied are skipped silently — CI can check benches and snapshots
-    in separate steps against one committed baseline.
-    """
-    findings: List[CheckFinding] = []
-    for check in baseline.get("checks", []):
-        op = check["op"]
-        expected = check["value"]
-        if "bench" in check:
-            payload = (bench_files or {}).get(check["bench"])
-            if payload is None:
-                continue
-            target = f"{check['bench']}:{check['path']}"
-            actual = _lookup_path(payload, check["path"])
-        elif "metric" in check:
-            if snapshot is None:
-                continue
-            target = check["metric"] + _label_string(check.get("labels", {}))
-            actual = _lookup_metric(snapshot, check["metric"], check.get("labels"))
-        else:
-            if snapshot is None:
-                continue
-            target = check.get("path", "?")
-            actual = _lookup_path(snapshot, check["path"])
-        if actual is None:
-            findings.append(CheckFinding(False, target, "missing from target"))
-            continue
-        ok = _evaluate(op, actual, expected)
-        findings.append(
-            CheckFinding(ok, target, f"{actual:g} {op} {expected:g}")
-        )
     return findings

@@ -1,4 +1,4 @@
-"""Per-phase resource profiling: CPU seconds, peak RSS, GC, tracemalloc.
+"""Per-phase resource profiling: CPU seconds, peak RSS, GC collections.
 
 A :class:`ResourceProfiler` is created per country inside the worker
 (so process-backend numbers describe the worker interpreter that did
@@ -7,9 +7,6 @@ measures is wall-clock/OS state — runtime by definition — so snapshots
 live outside every determinism contract: they are folded into the
 study metrics snapshot and (under tracing) emitted as diagnostic
 ``country_resources`` events, both of which are stripped.
-
-``tracemalloc`` is opt-in (``--profile-mem``): starting it slows
-allocation ~2x, so plain ``--profile`` stays cheap enough to leave on.
 """
 
 from __future__ import annotations
@@ -25,14 +22,7 @@ try:
 except ImportError:  # pragma: no cover - non-POSIX platforms
     _resource = None
 
-try:
-    import tracemalloc as _tracemalloc
-except ImportError:  # pragma: no cover
-    _tracemalloc = None
-
 __all__ = ["ResourceProfiler", "maybe_phase", "peak_rss_kb"]
-
-_TOP_ALLOCATIONS = 5
 
 
 def _gc_collections() -> int:
@@ -52,15 +42,8 @@ def peak_rss_kb() -> Optional[int]:
 class ResourceProfiler:
     """Accumulates per-phase CPU and GC deltas for one unit of work."""
 
-    def __init__(self, track_malloc: bool = False) -> None:
+    def __init__(self) -> None:
         self._phases: Dict[str, Dict[str, Any]] = {}
-        self._track_malloc = bool(track_malloc and _tracemalloc is not None)
-        self._owns_tracemalloc = False
-
-    def start(self) -> None:
-        if self._track_malloc and not _tracemalloc.is_tracing():
-            _tracemalloc.start()
-            self._owns_tracemalloc = True
 
     @contextmanager
     def phase(self, name: str):
@@ -80,7 +63,7 @@ class ResourceProfiler:
             entry["gc_collections"] += _gc_collections() - gc_before
 
     def snapshot(self) -> Dict[str, Any]:
-        """Plain-data summary; stops tracemalloc if this profiler started it."""
+        """Plain-data summary of every phase measured so far."""
         phases = {
             name: {
                 "cpu_seconds": round(entry["cpu_seconds"], 6),
@@ -100,26 +83,6 @@ class ResourceProfiler:
         peak = peak_rss_kb()
         if peak is not None:
             data["peak_rss_kb"] = peak
-        if self._track_malloc and _tracemalloc.is_tracing():
-            current, traced_peak = _tracemalloc.get_traced_memory()
-            top = []
-            stats = _tracemalloc.take_snapshot().statistics("lineno")
-            for stat in stats[:_TOP_ALLOCATIONS]:
-                frame = stat.traceback[0]
-                top.append(
-                    {
-                        "location": f"{os.path.basename(frame.filename)}:{frame.lineno}",
-                        "size_kb": stat.size // 1024,
-                        "blocks": stat.count,
-                    }
-                )
-            data["tracemalloc"] = {
-                "current_kb": current // 1024,
-                "peak_kb": traced_peak // 1024,
-                "top": top,
-            }
-            if self._owns_tracemalloc:
-                _tracemalloc.stop()
         return data
 
 

@@ -96,9 +96,6 @@ class StudyConfig:
     #: collections, peak RSS) into ``CountryRun.resources`` and the
     #: study snapshot (``gamma study --profile``).
     profile: bool = False
-    #: Additionally track allocations with :mod:`tracemalloc` (slower;
-    #: ``gamma study --profile-mem``).  Implies ``profile``.
-    profile_mem: bool = False
 
     def __post_init__(self) -> None:
         check_backend(self.backend)

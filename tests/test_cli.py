@@ -1,7 +1,6 @@
 """CLI entry point."""
 
 import json
-from pathlib import Path
 
 import pytest
 
@@ -138,18 +137,26 @@ class TestFaultToleranceCLI:
         ("study", "--geoloc-engine"),
         ("study", "--exercise-parsers"),
         ("study", "--confidence"),
+        ("study", "--profile-mem"),
     ])
     def test_removed_engine_flags_are_rejected(self, command, flag, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main([command, "--countries", "CA", flag, "columnar"])
         assert excinfo.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_confidence_subcommand_is_removed(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["confidence", "--countries", "CA"])
         assert excinfo.value.code == 2
         assert "invalid choice: 'confidence'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand", ["baseline", "check"])
+    def test_metrics_baseline_and_check_are_removed(self, subcommand, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["metrics", subcommand, "metrics.json"])
+        assert excinfo.value.code == 2
+        assert f"invalid choice: '{subcommand}'" in capsys.readouterr().err
 
     def test_thread_backend_is_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -220,28 +227,6 @@ class TestMetricsCommands:
         out = capsys.readouterr().out
         assert "drift" in out and "regression(s)" in out
 
-    def test_baseline_roundtrip(self, snapshots, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        assert main(["metrics", "baseline", str(snapshots[0]),
-                     "--output", str(baseline)]) == 0
-        capsys.readouterr()
-        assert main(["metrics", "check", str(baseline),
-                     "--snapshot", str(snapshots[1])]) == 0
-        assert "baseline check(s) passed" in capsys.readouterr().out
-
-    def test_check_report_only_never_fails(self, snapshots, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        bench = tmp_path / "BENCH_x.json"
-        bench.write_text('{"speedup": 10.0}')
-        assert main(["metrics", "baseline", "--bench", str(bench),
-                     "--output", str(baseline)]) == 0
-        bench.write_text('{"speedup": 0.1}')  # collapse below the floor
-        capsys.readouterr()
-        assert main(["metrics", "check", str(baseline),
-                     "--bench", str(bench)]) == 1
-        assert main(["metrics", "check", str(baseline),
-                     "--bench", str(bench), "--report-only"]) == 0
-
     def test_prom_output(self, tmp_path, capsys):
         prom = tmp_path / "run.prom"
         assert main(["study", "--countries", "CA", "--no-progress",
@@ -250,38 +235,47 @@ class TestMetricsCommands:
 
         assert validate_exposition(prom.read_text()) == []
 
-
-class TestCommittedMetricsBaseline:
-    """The committed baseline against the CA,NZ,RW snapshot CI checks."""
-
-    BASELINE = Path(__file__).resolve().parents[1] / "baselines" / "metrics-baseline.json"
-
-    @pytest.fixture(scope="class")
-    def snapshot(self, tmp_path_factory):
-        path = tmp_path_factory.mktemp("baseline") / "metrics.json"
-        assert main(["study", "--countries", "CA,NZ,RW", "--no-progress",
-                     "--backend", "process", "--jobs", "2",
-                     "--metrics-out", str(path)]) == 0
-        return path
-
-    def test_check_passes(self, snapshot, capsys):
-        capsys.readouterr()
-        assert main(["metrics", "check", str(self.BASELINE),
-                     "--snapshot", str(snapshot)]) == 0
-        assert "[FAIL" not in capsys.readouterr().out
-
     def test_parent_snapshot_with_geoloc_engine_is_accepted(
-        self, snapshot, tmp_path, capsys
+        self, snapshots, tmp_path, capsys
     ):
         # Older snapshots recorded the constraint engine in meta/exec.
+        snapshot = snapshots[1]
         payload = json.loads(snapshot.read_text())
         payload["meta"]["geoloc_engine"] = "columnar"
         payload["exec"]["geoloc_engine"] = "columnar"
         parent = tmp_path / "parent.json"
         parent.write_text(json.dumps(payload))
         assert main(["metrics", "validate", str(parent)]) == 0
-        assert main(["metrics", "check", str(self.BASELINE),
-                     "--snapshot", str(parent)]) == 0
         assert main(["metrics", "diff", str(parent), str(snapshot)]) == 0
         assert main(["metrics", "diff", str(snapshot), str(parent)]) == 0
         assert "no regressions (snapshots agree)" in capsys.readouterr().out
+
+
+class TestUnreadableSnapshots:
+    """``gamma metrics`` reports a file it cannot read in one line, exit 1."""
+
+    @pytest.mark.parametrize("command,name,content,reason", [
+        ("validate", "bad.json", "not json at all\n", "not valid JSON"),
+        ("validate", "missing.prom", None, "No such file"),
+        ("validate", "latin1.json", b'{"meta": "\xe9"}', "not UTF-8 text"),
+        ("show", "run.prom", "# TYPE x counter\nx 1\n", "Prometheus exposition text"),
+        ("show", "list.json", "[1, 2]", "not a JSON object"),
+        ("diff", "missing.json", None, "No such file"),
+        ("diff", "run.prom", "x 1\n", "Prometheus exposition text"),
+    ])
+    def test_one_line_and_exit_1(self, command, name, content, reason, tmp_path, capsys):
+        path = tmp_path / name
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        elif content is not None:
+            path.write_text(content)
+        argv = ["metrics", command, str(path)]
+        if command == "diff":
+            readable = tmp_path / "old.json"
+            readable.write_text("{}")
+            argv = ["metrics", "diff", str(readable), str(path)]
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(f"cannot read snapshot: {path}: ")
+        assert reason in out
+        assert len(out.splitlines()) == 1

@@ -71,7 +71,7 @@ class TestBackendEquivalence:
 
     @pytest.mark.parametrize("keyword,value", [
         ("jobs", 1), ("backend", "serial"), ("on_error", "skip"),
-        ("max_retries", 0), ("profile", True), ("profile_mem", True),
+        ("max_retries", 0), ("profile", True),
         ("collect_metrics", False),
     ])
     def test_study_options_are_not_run_study_keywords(self, scenario, keyword, value):

@@ -10,6 +10,8 @@ assertion's comment) and update EXPERIMENTS.md to match.
 
 import pytest
 
+from repro import StudyConfig, run_study
+
 # Regenerate with:
 #   python - <<'PY'
 #   from repro import build_scenario, run_study
@@ -34,6 +36,68 @@ GOLDEN_TOP_HOSTING = {"DE": 269, "KE": 209, "FR": 135, "GB": 76, "US": 60}
 
 GOLDEN_ORG_COUNT = 76
 GOLDEN_FIRST_PARTY = (16, 713)  # (first-party sites, sites with non-local)
+
+# Every deterministic counter series of a CA,NZ,RW study: the funnel,
+# verdict, constraint-outcome and tracker counts. The serial and the
+# process backend must both give exactly these.
+# Regenerate with:
+#   python - <<'PY'
+#   from repro import StudyConfig, build_scenario, run_study
+#   from tests.test_golden_numbers import study_counters
+#   out = run_study(build_scenario(), countries=["CA", "NZ", "RW"],
+#                   config=StudyConfig(jobs=2, backend="process"))
+#   print(study_counters(out.metrics_snapshot))
+#   PY
+GOLDEN_CA_NZ_RW_METRICS = {
+    "geoloc_constraint_checks_total{constraint=destination,status=fail}": 34,
+    "geoloc_constraint_checks_total{constraint=destination,status=pass}": 244,
+    "geoloc_constraint_checks_total{constraint=rdns,status=fail}": 4,
+    "geoloc_constraint_checks_total{constraint=rdns,status=pass}": 175,
+    "geoloc_constraint_checks_total{constraint=rdns,status=skip}": 65,
+    "geoloc_constraint_checks_total{constraint=source,status=fail}": 195,
+    "geoloc_constraint_checks_total{constraint=source,status=pass}": 278,
+    "geoloc_countries_total": 3,
+    "geoloc_discards_total{constraint=destination}": 34,
+    "geoloc_discards_total{constraint=rdns}": 4,
+    "geoloc_discards_total{constraint=source}": 195,
+    "geoloc_funnel_total{stage=destination_traceroutes}": 278,
+    "geoloc_funnel_total{stage=discarded_destination}": 202,
+    "geoloc_funnel_total{stage=discarded_rdns}": 45,
+    "geoloc_funnel_total{stage=discarded_source}": 1033,
+    "geoloc_funnel_total{stage=local}": 1036,
+    "geoloc_funnel_total{stage=nonlocal_candidates}": 2765,
+    "geoloc_funnel_total{stage=total_hosts}": 3938,
+    "geoloc_funnel_total{stage=unlocated}": 137,
+    "geoloc_funnel_total{stage=verified_nonlocal}": 1485,
+    "geoloc_verdicts_total{status=discarded}": 233,
+    "geoloc_verdicts_total{status=local}": 325,
+    "geoloc_verdicts_total{status=nonlocal_verified}": 240,
+    "geoloc_verdicts_total{status=unlocated}": 19,
+    "study_countries_total": 3,
+    "study_sites_total{outcome=failed}": 13,
+    "study_sites_total{outcome=loaded}": 260,
+    "study_traceroutes_total{outcome=reached}": 2692,
+    "study_traceroutes_total{outcome=unreached}": 1231,
+    "tracker_hosts_total{method=global_list}": 150,
+    "tracker_hosts_total{method=manual}": 2,
+    "tracker_observations_total": 1130,
+    "tracker_sites_total{tracked=no}": 133,
+    "tracker_sites_total{tracked=yes}": 127,
+}
+
+
+def study_counters(snapshot):
+    """``{"name{label=value,...}": value}`` for every deterministic
+    (non-runtime) counter and gauge series of a study snapshot."""
+    counters = {}
+    for name, entry in snapshot["metrics"]["families"].items():
+        if entry.get("runtime", False) or entry["type"] == "histogram":
+            continue
+        for record in entry["series"]:
+            labels = sorted(record.get("labels", {}).items())
+            key = name + ("{%s}" % ",".join(f"{k}={v}" for k, v in labels) if labels else "")
+            counters[key] = record["value"]
+    return counters
 
 
 class TestGoldenNumbers:
@@ -68,3 +132,11 @@ class TestGoldenNumbers:
         first_party = study_full.first_party()
         assert (len(first_party.first_party_sites()),
                 first_party.sites_with_nonlocal()) == GOLDEN_FIRST_PARTY
+
+    @pytest.mark.parametrize("config", [
+        pytest.param(StudyConfig(backend="serial"), id="serial"),
+        pytest.param(StudyConfig(jobs=2, backend="process"), id="process-2"),
+    ])
+    def test_ca_nz_rw_metrics(self, scenario, config):
+        outcome = run_study(scenario, countries=["CA", "NZ", "RW"], config=config)
+        assert study_counters(outcome.metrics_snapshot) == GOLDEN_CA_NZ_RW_METRICS

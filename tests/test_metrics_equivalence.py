@@ -239,10 +239,3 @@ class TestTelemetryInvariance:
         for usage in resources.values():
             assert usage["cpu_seconds"] >= 0.0
             assert set(usage["phases"]) <= {"gamma", "source_traces", "geoloc", "join"}
-
-    def test_profile_mem_alone_enables_profiling(self, scenario):
-        outcome = _run(scenario, countries=["CA"], config=StudyConfig(profile_mem=True))
-        usage = outcome.metrics_snapshot["resources"]["CA"]
-        assert usage["cpu_seconds"] >= 0.0
-        assert usage["tracemalloc"]["peak_kb"] > 0
-        assert usage["tracemalloc"]["top"]

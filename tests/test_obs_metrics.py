@@ -23,8 +23,6 @@ from repro.obs.metrics import (
     MS_BUCKETS,
     SECONDS_BUCKETS,
     MetricsRegistry,
-    check_baseline,
-    derive_baseline,
     diff_snapshots,
     exponential_buckets,
     load_snapshot,
@@ -328,61 +326,6 @@ class TestDiff:
         assert any(f.severity == "drift" for f in findings)
 
 
-class TestBaseline:
-    BENCH = {"study": {"speedup": 2.0, "wall_seconds": 3.0}, "cache_hit_rate": 0.9}
-
-    def _snapshot(self, sites=100):
-        registry = MetricsRegistry()
-        registry.counter("study_sites_total").inc(sites)
-        registry.counter("phase_seconds_total", runtime=True).inc(5.0)
-        return registry.snapshot()
-
-    def test_derive_covers_metrics_and_bench_floors(self):
-        baseline = derive_baseline(
-            self._snapshot(), {"BENCH_x": self.BENCH}, margin=0.5
-        )
-        by_kind = {}
-        for check in baseline["checks"]:
-            by_kind.setdefault("bench" if "bench" in check else "metric", []).append(check)
-        # runtime families are never pinned; wall_seconds has no guard.
-        assert [c["metric"] for c in by_kind["metric"]] == ["study_sites_total"]
-        assert sorted(c["path"] for c in by_kind["bench"]) == [
-            "cache_hit_rate", "study.speedup",
-        ]
-        floor = next(c for c in by_kind["bench"] if c["path"] == "study.speedup")
-        assert floor["op"] == "min" and floor["value"] == 1.0
-
-    def test_check_passes_on_reference_inputs(self):
-        baseline = derive_baseline(self._snapshot(), {"BENCH_x": self.BENCH})
-        findings = check_baseline(
-            baseline, self._snapshot(), {"BENCH_x": self.BENCH}
-        )
-        assert findings and all(f.ok for f in findings)
-
-    def test_check_flags_drift_and_collapse(self):
-        baseline = derive_baseline(self._snapshot(100), {"BENCH_x": self.BENCH})
-        bad_bench = {"study": {"speedup": 0.4, "wall_seconds": 3.0}, "cache_hit_rate": 0.9}
-        findings = check_baseline(baseline, self._snapshot(101), {"BENCH_x": bad_bench})
-        failures = {f.target for f in findings if not f.ok}
-        assert failures == {"study_sites_total", "BENCH_x:study.speedup"}
-
-    def test_checks_without_target_are_skipped(self):
-        baseline = derive_baseline(self._snapshot(), {"BENCH_x": self.BENCH})
-        findings = check_baseline(baseline, snapshot=None, bench_files=None)
-        assert findings == []
-
-    def test_bench_keys_containing_dots_roundtrip(self):
-        # Real BENCH payloads key caches by dotted names ("atlas.dest_traces");
-        # derive/check must resolve those paths back despite the "." joiner.
-        bench = {"caches": {"atlas.dest_traces": {"hit_rate": 0.75}}}
-        baseline = derive_baseline(self._snapshot(), {"BENCH_p": bench})
-        floor = next(c for c in baseline["checks"] if "bench" in c)
-        assert floor["path"] == "caches.atlas.dest_traces.hit_rate"
-        findings = check_baseline(baseline, self._snapshot(), {"BENCH_p": bench})
-        dotted = next(f for f in findings if f.target == "BENCH_p:" + floor["path"])
-        assert dotted.ok, dotted.render()
-
-
 class _Tty(io.StringIO):
     def isatty(self):  # pragma: no cover - trivial
         return True
@@ -452,7 +395,6 @@ class TestProgressReporter:
 class TestResourceProfiler:
     def test_phases_accumulate(self):
         profiler = ResourceProfiler()
-        profiler.start()
         with profiler.phase("gamma"):
             sum(range(50_000))
         with profiler.phase("join"):
@@ -463,18 +405,6 @@ class TestResourceProfiler:
         assert snapshot["gc_collections"] >= 0
         for usage in snapshot["phases"].values():
             assert usage["cpu_seconds"] >= 0.0
-
-    def test_tracemalloc_section(self):
-        profiler = ResourceProfiler(track_malloc=True)
-        profiler.start()
-        with profiler.phase("alloc"):
-            blob = [bytes(1000) for _ in range(100)]
-        snapshot = profiler.snapshot()
-        assert blob is not None
-        section = snapshot.get("tracemalloc")
-        assert section is not None
-        assert section["peak_kb"] >= 0
-        assert isinstance(section.get("top", []), list)
 
     def test_maybe_phase_with_none_is_noop(self):
         with maybe_phase(None, "gamma"):
