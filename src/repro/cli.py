@@ -500,6 +500,22 @@ def _read_snapshot(path: Path) -> dict:
     return snapshot
 
 
+def _schema_problems(documents) -> bool:
+    """Print one ``SCHEMA:`` line per problem of each ``(path, snapshot)``;
+    True when any document is malformed.  ``show``/``diff`` take a study
+    snapshot or a bare registry snapshot (top-level ``families``)."""
+    from repro.obs.metrics import validate_metrics_snapshot, validate_study_snapshot
+
+    found = False
+    for path, snapshot in documents:
+        validate = (validate_metrics_snapshot if "families" in snapshot
+                    else validate_study_snapshot)
+        for problem in validate(snapshot):
+            print(f"SCHEMA: {path}: {problem}")
+            found = True
+    return found
+
+
 def _cmd_metrics(args: argparse.Namespace) -> int:
     try:
         return _run_metrics_command(args)
@@ -513,6 +529,8 @@ def _run_metrics_command(args: argparse.Namespace) -> int:
 
     if args.metrics_command == "show":
         snapshot = _read_snapshot(args.snapshot)
+        if _schema_problems([(args.snapshot, snapshot)]):
+            return 1
         meta = snapshot.get("meta", {})
         if meta:
             line = f"run: backend={meta.get('backend')} jobs={meta.get('jobs')} "
@@ -554,9 +572,11 @@ def _run_metrics_command(args: argparse.Namespace) -> int:
         return 0
 
     # diff
+    old, new = _read_snapshot(args.old), _read_snapshot(args.new)
+    if _schema_problems([(args.old, old), (args.new, new)]):
+        return 1
     findings = diff_snapshots(
-        _read_snapshot(args.old), _read_snapshot(args.new),
-        threshold=args.threshold, include_runtime=args.runtime,
+        old, new, threshold=args.threshold, include_runtime=args.runtime
     )
     for finding in findings:
         print(finding.render())

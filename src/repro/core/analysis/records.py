@@ -130,7 +130,6 @@ def build_country_result(
     identifier: TrackerIdentifier,
     directory: Optional[OrganizationDirectory] = None,
     tracer=None,
-    metrics=None,
 ) -> CountryStudyResult:
     """Join dataset + geolocation + identification into analysis records.
 
@@ -157,7 +156,7 @@ def build_country_result(
             return None
         # classify() memoises engine-wide, so hosts shared across
         # countries are classified once and counted as cache hits.
-        verdict = identifier.classify(host, country_code, tracer=tracer, metrics=metrics)
+        verdict = identifier.classify(host, country_code, tracer=tracer)
         verdicts[host] = verdict
         if not verdict.is_tracker:
             return None

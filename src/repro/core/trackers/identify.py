@@ -11,7 +11,8 @@ Mirrors section 4.2 of the paper:
 Classification is memoised: the ~100 sites per country repeat the same
 third-party hosts heavily, so :meth:`TrackerIdentifier.classify` keeps a
 read-through verdict cache (``trackers.verdicts``, owned by the
-identifier and reported per study through ``ExecMetrics``).  Verdicts are keyed per country only
+identifier; each study worker records the hits and misses its country
+caused, see :mod:`repro.exec.metrics`).  Verdicts are keyed per country only
 where a regional list exists — for every other country the verdict is
 country-independent, so one cache entry serves them all.  Memoisation
 never changes a verdict, only how often it is recomputed; the
@@ -94,7 +95,6 @@ class TrackerIdentifier:
         host: str,
         country_code: Optional[str] = None,
         tracer=None,
-        metrics=None,
     ) -> TrackerVerdict:
         """Classify one requested host observed in *country_code* (memoised).
 
@@ -103,42 +103,14 @@ class TrackerIdentifier:
         directory entry) that flagged it.  The verdict — and hence the
         event — is identical whether it came from the cache or a fresh
         classification, so journals stay backend-independent.
-
-        With a :class:`repro.obs.MetricsRegistry`, lookups are counted
-        by outcome (``memoised`` vs ``fresh``) and fresh classifications
-        count one filter-index consultation.  Both series are
-        **runtime** class: how many lookups the memo absorbs depends on
-        cache state and scheduling, and the join engine controls how
-        often repeats reach this method at all — only the verdicts
-        themselves are deterministic.
         """
         host = validate_hostname(host)
         # Regional lists are the only country-dependent layer, so countries
         # without one share a single country-independent cache entry.
         key_country = country_code if country_code in self._regional else None
-        if metrics is None:
-            verdict = self._cache.get(
-                (host, key_country), lambda: self.classify_uncached(host, country_code)
-            )
-        else:
-            computed = []
-
-            def _compute() -> TrackerVerdict:
-                computed.append(True)
-                metrics.counter(
-                    "tracker_index_lookups_total",
-                    help="filter-index consultations (uncached classifications)",
-                    runtime=True,
-                ).inc()
-                return self.classify_uncached(host, country_code)
-
-            verdict = self._cache.get((host, key_country), _compute)
-            metrics.counter(
-                "tracker_verdict_lookups_total",
-                {"outcome": "fresh" if computed else "memoised"},
-                help="verdict-cache lookups by outcome",
-                runtime=True,
-            ).inc()
+        verdict = self._cache.get(
+            (host, key_country), lambda: self.classify_uncached(host, country_code)
+        )
         if tracer is not None and verdict.is_tracker:
             tracer.event(
                 "tracker_match",

@@ -5,10 +5,12 @@ serial or process-pool backend (``StudyConfig.jobs`` /
 ``gamma study --jobs N``), merges results in stable country order so the
 outcome is byte-identical regardless of worker count, memoises the hot
 cross-country lookups, and accounts per-phase
-wall time so the speedup is observable.  Each ``CountryRun`` also ships
-back the memo-cache deltas its country caused (merged into
-``ExecMetrics`` the same way on both backends) and, when tracing is on, the country's span/event
-buffer for the run journal (:mod:`repro.obs`).  The fan-out is fault
+wall time so the speedup is observable.  Each ``CountryRun`` ships
+back its country's accounting — phase, CPU and memo-cache numbers — in
+its per-country metrics delta (merged into the run registry that
+``ExecMetrics`` reads, the same way on both backends) and, when tracing
+is on, the country's span/event buffer for the run journal
+(:mod:`repro.obs`).  The fan-out is fault
 tolerant: per-country retry/skip policies with deterministic backoff
 (:mod:`repro.exec.resilience`) and study-level checkpoint/resume
 (:mod:`repro.exec.checkpoint`).  On the process backend, each finished
@@ -37,7 +39,7 @@ from repro.exec.executor import (
     StudyExecutor,
     create_executor,
 )
-from repro.exec.metrics import CountryTimings, ExecMetrics, PhaseTimer
+from repro.exec.metrics import ExecMetrics
 
 _LAZY = {
     "CountryRun": "worker",
@@ -65,11 +67,9 @@ __all__ = [
     "CountryExecutionError",
     "CountryFailure",
     "CountryRun",
-    "CountryTimings",
     "ExecMetrics",
     "FaultInjector",
     "InjectedFaultError",
-    "PhaseTimer",
     "PickledCountryRun",
     "ProcessPoolStudyExecutor",
     "ReadThroughCache",

@@ -36,36 +36,7 @@ from __future__ import annotations
 import threading
 from typing import Callable, Dict, Hashable, Iterator, Optional, Tuple
 
-__all__ = [
-    "CACHE_DELTA_METRIC",
-    "CacheInfo",
-    "ReadThroughCache",
-    "cache_registry",
-    "record_cache_deltas",
-]
-
-#: Worker-side registry family for per-country cache counter movement.
-CACHE_DELTA_METRIC = "cache_delta_operations_total"
-
-
-def record_cache_deltas(registry, deltas: Dict[str, Dict[str, int]]) -> None:
-    """Fold per-country cache deltas into a metrics registry.
-
-    ``registry`` is a :class:`repro.obs.metrics.MetricsRegistry` (duck
-    typed to keep this module import-light).  The series are **runtime**
-    class: which country pays a miss depends on scheduling order, so
-    these counters sit outside the determinism contract — exactly like
-    the ``country_caches`` journal diagnostic built from the same deltas.
-    """
-    for name in sorted(deltas):
-        counters = deltas[name]
-        for op, key in (("hit", "hits"), ("miss", "misses")):
-            registry.counter(
-                CACHE_DELTA_METRIC,
-                {"cache": name, "op": op},
-                help="memo-cache lookups attributed to one country",
-                runtime=True,
-            ).inc(counters.get(key, 0))
+__all__ = ["CacheInfo", "ReadThroughCache", "cache_registry"]
 
 
 class CacheInfo:

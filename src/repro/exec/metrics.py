@@ -1,23 +1,24 @@
-"""Execution-layer accounting, backed by the metrics registry.
+"""Execution-layer accounting: one read-only view over the run registry.
 
-Workers time each phase of their country (Gamma run, source-trace
-selection, geolocation, analysis join) with a :class:`PhaseTimer`; the
-executor folds the per-country timings into one :class:`ExecMetrics`
-attached to the study outcome, alongside the end-to-end wall time of the
-fan-out itself.  ``cpu_seconds / wall_seconds`` — the CPU the countries
-actually got per second of fan-out — is then the observed parallel
-speedup: at most about 1.0 for a serial run, and at most
-``min(jobs, CPUs)`` for a parallel one.  (Summed per-country *wall*
-time would count a country waiting for a CPU as work, so ``--jobs 4``
-on two CPUs would report close to 4x.)
+Each country is accounted for once, by its worker, in the fresh
+per-country :class:`repro.obs.metrics.MetricsRegistry` it ships back as
+``CountryRun.metrics_delta``: every phase's wall seconds, the country's
+total seconds, its thread CPU seconds, and each memo cache's hits,
+misses and size (:func:`observe_phase`, :func:`close_country`).  The
+coordinator merges those deltas in input country order into one
+registry — a country resumed from a checkpoint contributes only its
+study-class families, so every runtime number describes the process
+that produced the snapshot — and records the fan-out wall time and the
+transport accounting there (:func:`record_wall`,
+:func:`record_transport`, :func:`record_decode`).  :class:`ExecMetrics`
+reads every number it reports from that one registry; nothing is
+recorded twice.
 
-Since PR 8 the numbers live in a :class:`repro.obs.metrics.MetricsRegistry`
-rather than ad-hoc dicts: every accessor below (``phase_seconds``,
-``country_seconds``, ``transport_bytes``, ``cache_infos``, …) is a live
-view over labeled registry series, so the same data feeds the
-``metrics.json`` run snapshot and the Prometheus export without a second
-bookkeeping path.  The dict-shaped API — and the exact ``to_dict()`` /
-``render()`` output — is unchanged.
+``cpu_seconds / wall_seconds`` — the CPU the countries actually got per
+second of fan-out — is the observed parallel speedup: at most about 1.0
+for a serial run, and at most ``min(jobs, CPUs)`` for a parallel one.
+(Summed per-country *wall* time would count a country waiting for a CPU
+as work, so ``--jobs 4`` on two CPUs would report close to 4x.)
 
 All series here are **runtime** class: wall/CPU seconds, cache hits and
 transport bytes depend on scheduling, so they are excluded from the
@@ -30,277 +31,185 @@ exported bundle so those stay bit-identical across runs and backends.
 
 from __future__ import annotations
 
-import time
-from collections.abc import MutableMapping
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, Optional
+from typing import Dict, Optional
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import SECONDS_BUCKETS, Histogram, MetricsRegistry
 
-__all__ = ["PhaseTimer", "CountryTimings", "ExecMetrics"]
+__all__ = [
+    "ExecMetrics",
+    "close_country",
+    "observe_phase",
+    "record_decode",
+    "record_transport",
+    "record_wall",
+]
 
 #: Canonical phase names, in pipeline order.
 PHASES = ("gamma", "source_traces", "geoloc", "join")
 
 # Registry family names for the execution layer.  Everything is
 # runtime-class: these describe how the run was scheduled, not the study.
-WALL_SECONDS = "exec_wall_seconds"
-AGGREGATE_SECONDS = "exec_aggregate_seconds_total"
-CPU_SECONDS = "exec_cpu_seconds_total"
-PHASE_SECONDS = "exec_phase_seconds_total"
+# Recorded per country by the worker:
+PHASE_SECONDS = "worker_phase_duration_seconds"
 COUNTRY_SECONDS = "exec_country_seconds_total"
+CPU_SECONDS = "exec_cpu_seconds_total"
+CACHE_OPERATIONS = "cache_delta_operations_total"
+CACHE_SIZE = "exec_cache_size"
+# Recorded by the coordinator:
+WALL_SECONDS = "exec_wall_seconds"
 TRANSPORT_BYTES = "exec_transport_bytes_total"
 TRANSPORT_ENCODE_SECONDS = "exec_transport_encode_seconds_total"
 TRANSPORT_DECODE_SECONDS = "exec_transport_decode_seconds_total"
-CACHE_OPERATIONS = "exec_cache_operations_total"
-CACHE_SIZE = "exec_cache_size"
 
 
-class PhaseTimer:
-    """Context-manager timer writing into a per-country timing dict."""
-
-    def __init__(self, sink: Dict[str, float], phase: str):
-        self._sink = sink
-        self._phase = phase
-        self._started: Optional[float] = None
-
-    def __enter__(self) -> "PhaseTimer":
-        self._started = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        assert self._started is not None
-        elapsed = time.perf_counter() - self._started
-        self._sink[self._phase] = self._sink.get(self._phase, 0.0) + elapsed
+# -- worker side ------------------------------------------------------
+def observe_phase(registry: MetricsRegistry, phase: str, seconds: float) -> None:
+    """Record one phase's wall seconds for the worker's country."""
+    registry.histogram(
+        PHASE_SECONDS, {"phase": phase}, buckets=SECONDS_BUCKETS, unit="seconds",
+        help="per-country phase wall time", runtime=True,
+    ).observe(seconds)
 
 
-@dataclass
-class CountryTimings:
-    """Wall-clock seconds spent on one country, split by phase, and the
-    CPU seconds the country's worker thread used."""
+def close_country(
+    registry: MetricsRegistry,
+    country_code: str,
+    cpu_seconds: float,
+    cache_deltas: Dict[str, Dict[str, int]],
+) -> None:
+    """Record a finished country's totals into its worker registry.
 
-    country_code: str
-    phase_seconds: Dict[str, float] = field(default_factory=dict)
-    cpu_seconds: float = 0.0
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(self.phase_seconds.values())
-
-    def timer(self, phase: str) -> PhaseTimer:
-        return PhaseTimer(self.phase_seconds, phase)
-
-
-class _SeriesView(MutableMapping):
-    """Live dict view over one single-label registry family.
-
-    Keys are the label values in first-registration order; reading
-    returns the series value, assignment overwrites it.  This keeps the
-    historic ``metrics.phase_seconds["gamma"] += …``-style API working
-    while the registry stays the single source of truth.
+    The country's seconds are the sum of its phase seconds, rounded to
+    6 places; *cache_deltas* maps each memo cache the country moved to
+    the ``hits``/``misses`` it caused and the ``size`` it left.  Merged
+    across countries, lookups add and size takes the largest population
+    any one country saw — for the per-run ``gamma.traces`` memo, the
+    per-country peak.
     """
+    total = sum(histogram.sum for _, histogram in registry.series(PHASE_SECONDS))
+    registry.counter(
+        COUNTRY_SECONDS, {"country": country_code},
+        help="per-country worker seconds", runtime=True,
+    ).inc(round(total, 6))
+    registry.counter(
+        CPU_SECONDS, help="summed per-country CPU seconds", unit="seconds",
+        runtime=True,
+    ).inc(cpu_seconds)
+    for name in sorted(cache_deltas):
+        counters = cache_deltas[name]
+        for op, key in (("hit", "hits"), ("miss", "misses")):
+            registry.counter(
+                CACHE_OPERATIONS, {"cache": name, "op": op},
+                help="memo-cache lookups attributed to one country", runtime=True,
+            ).inc(counters[key])
+        registry.gauge(
+            CACHE_SIZE, {"cache": name}, help="memo-cache population (max seen)",
+            runtime=True,
+        ).set(counters["size"])
 
-    def __init__(self, registry: MetricsRegistry, family: str, label: str, help_: str):
-        self._registry = registry
-        self._family = family
-        self._label = label
-        self._help = help_
 
-    def _counter(self, key: str):
-        return self._registry.counter(
-            self._family, {self._label: key}, help=self._help, runtime=True
-        )
+# -- coordinator side -------------------------------------------------
+def record_wall(registry: MetricsRegistry, seconds: float) -> None:
+    """Record the end-to-end wall time of the country fan-out."""
+    registry.gauge(
+        WALL_SECONDS, help="end-to-end fan-out wall time", unit="seconds",
+        runtime=True,
+    ).set(seconds)
 
-    def __getitem__(self, key: str):
-        value = self._registry.value(self._family, {self._label: key})
-        if value is None:
-            raise KeyError(key)
-        return value
 
-    def __setitem__(self, key: str, value) -> None:
-        self._counter(key).reset_to(value)
+def record_transport(registry: MetricsRegistry, shipped) -> None:
+    """Record one :class:`~repro.exec.transport.PickledCountryRun`'s
+    payload bytes and worker-side pickling seconds."""
+    registry.counter(
+        TRANSPORT_BYTES, {"country": shipped.country_code},
+        help="pickled run payload bytes", runtime=True,
+    ).inc(shipped.nbytes)
+    registry.counter(
+        TRANSPORT_ENCODE_SECONDS, help="worker-side pickling seconds",
+        unit="seconds", runtime=True,
+    ).inc(shipped.encode_seconds)
 
-    def __delitem__(self, key: str) -> None:  # pragma: no cover - unused
-        raise TypeError("metric series cannot be deleted")
 
-    def __iter__(self) -> Iterator[str]:
-        return (labels[self._label] for labels, _ in self._registry.series(self._family))
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self._registry.series(self._family))
-
-    def add(self, key: str, amount) -> None:
-        self._counter(key).inc(amount)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (dict, MutableMapping)):
-            return dict(self) == dict(other)
-        return NotImplemented  # pragma: no cover
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"_SeriesView({dict(self)!r})"
+def record_decode(registry: MetricsRegistry, seconds: float) -> None:
+    """Count one on-demand unpickle of a shipped run."""
+    registry.counter(
+        TRANSPORT_DECODE_SECONDS, help="coordinator-side unpickling seconds",
+        unit="seconds", runtime=True,
+    ).inc(seconds)
 
 
 class ExecMetrics:
-    """Execution-layer accounting for one study run.
-
-    The constructor signature and every public attribute predate the
-    registry; they are preserved exactly so call sites and rendered
-    output cannot drift.  ``registry`` may be passed to share a registry
-    created elsewhere (the coordinator does this to fold worker deltas
-    and execution accounting into one snapshot).
-    """
+    """Execution-layer accounting for one study run, read from *registry*
+    (the merged run registry; an empty one by default)."""
 
     def __init__(
         self,
         backend: str = "serial",
         jobs: int = 1,
-        wall_seconds: float = 0.0,
         registry: Optional[MetricsRegistry] = None,
     ):
         self.backend = backend
         self.jobs = jobs
         self.registry = registry if registry is not None else MetricsRegistry()
-        if wall_seconds:
-            self.wall_seconds = wall_seconds
+
+    def _scalar(self, name: str) -> float:
+        value = self.registry.value(name)
+        return float(value) if value is not None else 0.0
+
+    def _by_label(self, name: str, label: str) -> Dict[str, float]:
+        return {
+            labels[label]: metric.sum if isinstance(metric, Histogram) else metric.value
+            for labels, metric in self.registry.series(name)
+        }
 
     # -- scalar series ------------------------------------------------
     @property
     def wall_seconds(self) -> float:
         """End-to-end wall time of the country fan-out."""
-        value = self.registry.value(WALL_SECONDS)
-        return float(value) if value is not None else 0.0
-
-    @wall_seconds.setter
-    def wall_seconds(self, value: float) -> None:
-        self.registry.gauge(
-            WALL_SECONDS, help="end-to-end fan-out wall time", unit="seconds",
-            runtime=True,
-        ).set(value)
+        return self._scalar(WALL_SECONDS)
 
     @property
     def aggregate_seconds(self) -> float:
         """Sum of per-country wall times (what a serial run would pay)."""
-        value = self.registry.value(AGGREGATE_SECONDS)
-        return float(value) if value is not None else 0.0
+        return sum(self.country_seconds.values(), 0.0)
 
     @property
     def cpu_seconds(self) -> float:
         """Sum of per-country CPU seconds (worker thread CPU time)."""
-        value = self.registry.value(CPU_SECONDS)
-        return float(value) if value is not None else 0.0
+        return self._scalar(CPU_SECONDS)
 
     @property
     def transport_encode_seconds(self) -> float:
         """Worker-side pickling seconds, summed across countries."""
-        value = self.registry.value(TRANSPORT_ENCODE_SECONDS)
-        return float(value) if value is not None else 0.0
+        return self._scalar(TRANSPORT_ENCODE_SECONDS)
 
     @property
     def transport_decode_seconds(self) -> float:
         """Coordinator-side unpickling seconds so far: a pickled run is
         unpickled only when its dataset or geolocation is first read."""
-        value = self.registry.value(TRANSPORT_DECODE_SECONDS)
-        return float(value) if value is not None else 0.0
+        return self._scalar(TRANSPORT_DECODE_SECONDS)
 
-    # -- labeled series (live views) ----------------------------------
+    # -- labeled series -----------------------------------------------
     @property
-    def phase_seconds(self) -> _SeriesView:
+    def phase_seconds(self) -> Dict[str, float]:
         """Phase name -> seconds summed across countries."""
-        return _SeriesView(
-            self.registry, PHASE_SECONDS, "phase", "per-phase worker seconds"
-        )
+        return self._by_label(PHASE_SECONDS, "phase")
 
     @property
-    def country_seconds(self) -> _SeriesView:
+    def country_seconds(self) -> Dict[str, float]:
         """Country code -> that country's total seconds."""
-        return _SeriesView(
-            self.registry, COUNTRY_SECONDS, "country", "per-country worker seconds"
-        )
+        return self._by_label(COUNTRY_SECONDS, "country")
 
     @property
-    def transport_bytes(self) -> _SeriesView:
+    def transport_bytes(self) -> Dict[str, int]:
         """Country code -> pickled run payload bytes (process backend
         only; empty when results never crossed a process boundary)."""
-        return _SeriesView(
-            self.registry, TRANSPORT_BYTES, "country", "pickled run payload bytes"
-        )
-
-    # -- recording ----------------------------------------------------
-    def record_country(self, timings: CountryTimings, resumed: bool = False) -> None:
-        """Fold one country's timings in.  A *resumed* country (loaded
-        from a checkpoint) spent its CPU before this fan-out started, so
-        it adds nothing to ``cpu_seconds`` and hence to ``speedup``."""
-        # Accumulate the *rounded* total so that, with series preserving
-        # insertion order, ``sum(country_seconds.values())`` replays the
-        # exact float additions behind ``aggregate_seconds`` — the
-        # invariant the metrics tests lock down.
-        total = round(timings.total_seconds, 6)
-        self.country_seconds[timings.country_code] = total
-        self.registry.counter(
-            AGGREGATE_SECONDS, help="summed per-country worker seconds",
-            unit="seconds", runtime=True,
-        ).inc(total)
-        self.registry.counter(
-            CPU_SECONDS, help="summed per-country CPU seconds",
-            unit="seconds", runtime=True,
-        ).inc(0.0 if resumed else timings.cpu_seconds)
-        phases = self.phase_seconds
-        for phase, seconds in timings.phase_seconds.items():
-            phases.add(phase, seconds)
-
-    def record_transport(
-        self, country_code: str, nbytes: int, encode_seconds: float
-    ) -> None:
-        """Fold one country's pickled-run accounting into the metrics."""
-        self.transport_bytes[country_code] = nbytes
-        self.registry.counter(
-            TRANSPORT_ENCODE_SECONDS, help="worker-side pickling seconds",
-            unit="seconds", runtime=True,
-        ).inc(encode_seconds)
-
-    def record_decode(self, seconds: float) -> None:
-        """Count one on-demand unpickle of a shipped run."""
-        self.registry.counter(
-            TRANSPORT_DECODE_SECONDS, help="coordinator-side unpickling seconds",
-            unit="seconds", runtime=True,
-        ).inc(seconds)
-
-    def _cache_series(self, name: str, op: str):
-        return self.registry.counter(
-            CACHE_OPERATIONS, {"cache": name, "op": op},
-            help="memo-cache lookups by outcome", runtime=True,
-        )
-
-    def _cache_size(self, name: str):
-        return self.registry.gauge(
-            CACHE_SIZE, {"cache": name}, help="memo-cache population (max seen)",
-            runtime=True,
-        )
-
-    def merge_worker_caches(self, deltas: Iterable[Dict[str, dict]]) -> None:
-        """Fold per-country cache counter deltas into the run's metrics.
-
-        Each country ships back the hit/miss deltas it caused, in
-        whichever process ran it; their sum is the study's lookups on
-        every backend.  ``size`` is the largest population observed
-        after any one country (cache contents cannot be unioned from
-        counters alone) — for the per-run ``gamma.traces`` memo, the
-        per-country peak.
-        """
-        for delta in deltas:
-            for name, counters in delta.items():
-                self._cache_series(name, "hit").inc(counters.get("hits", 0))
-                self._cache_series(name, "miss").inc(counters.get("misses", 0))
-                size = self._cache_size(name)
-                size.set(max(size.value, counters.get("size", 0)))
+        return self._by_label(TRANSPORT_BYTES, "country")
 
     @property
     def cache_infos(self) -> Dict[str, dict]:
         """Cache name -> hit/miss counter snapshot (memoised lookup
-        layers), rebuilt from the registry series that
-        :meth:`merge_worker_caches` filled from the per-country deltas
-        shipped back with each ``CountryRun``."""
+        layers), summed over the countries measured in this run."""
         infos: Dict[str, dict] = {}
 
         def _entry(name: str) -> dict:
@@ -325,10 +234,6 @@ class ExecMetrics:
             return 1.0
         return self.cpu_seconds / self.wall_seconds
 
-    def registry_snapshot(self) -> dict:
-        """The underlying registry's plain-data snapshot."""
-        return self.registry.snapshot()
-
     def to_dict(self) -> dict:
         payload = {
             "backend": self.backend,
@@ -344,24 +249,26 @@ class ExecMetrics:
             "country_seconds": dict(sorted(self.country_seconds.items())),
             "caches": dict(sorted(self.cache_infos.items())),
         }
-        if self.transport_bytes:
-            payload["transport_bytes"] = dict(sorted(self.transport_bytes.items()))
+        transport_bytes = self.transport_bytes
+        if transport_bytes:
+            payload["transport_bytes"] = dict(sorted(transport_bytes.items()))
             payload["transport_encode_seconds"] = round(self.transport_encode_seconds, 4)
             payload["transport_decode_seconds"] = round(self.transport_decode_seconds, 4)
         return payload
 
     def render(self) -> str:
         """One human-readable block for the CLI study summary."""
+        aggregate = self.aggregate_seconds
         lines = [
             f"execution: backend={self.backend} jobs={self.jobs} "
-            f"wall={self.wall_seconds:.2f}s aggregate={self.aggregate_seconds:.2f}s "
+            f"wall={self.wall_seconds:.2f}s aggregate={aggregate:.2f}s "
             f"cpu={self.cpu_seconds:.2f}s speedup={self.speedup:.2f}x"
         ]
-        phase_seconds = dict(self.phase_seconds)
+        phase_seconds = self.phase_seconds
 
         def _phase_line(phase: str) -> str:
             seconds = phase_seconds[phase]
-            share = 100.0 * seconds / self.aggregate_seconds if self.aggregate_seconds else 0.0
+            share = 100.0 * seconds / aggregate if aggregate else 0.0
             return f"  {phase:<14} {seconds:8.2f}s {share:5.1f}%"
 
         for phase in PHASES:
@@ -369,7 +276,7 @@ class ExecMetrics:
                 lines.append(_phase_line(phase))
         for phase in sorted(set(phase_seconds) - set(PHASES)):
             lines.append(_phase_line(phase))
-        transport_bytes = dict(self.transport_bytes)
+        transport_bytes = self.transport_bytes
         if transport_bytes:
             total_bytes = sum(transport_bytes.values())
             lines.append(

@@ -4,9 +4,10 @@ On the process backend, :class:`TransportWorker` pickles each finished
 :class:`~repro.exec.worker.CountryRun` once (protocol 5) inside the pool
 worker and returns a :class:`PickledCountryRun` instead.  That
 descriptor carries what the coordinator merges and what every figure
-reads — the accounting fields (funnel, timings, cache deltas, events,
-metrics delta, resources, site count) and the joined ``result.sites``
-and ``tracker_verdicts`` — plus the payload bytes of the whole run.
+reads — the funnel, the events, the metrics delta (the country's one
+accounting channel), the resources and the site count, and the joined
+``result.sites`` and ``tracker_verdicts`` — plus the payload bytes of
+the whole run.
 
 The coordinator keeps the bytes and unpickles a country only when its
 dataset or geolocation is read (``outcome.datasets[cc]``,
@@ -42,8 +43,6 @@ class PickledCountryRun:
         self.country_code = run.country_code
         self.source_trace_origin = run.source_trace_origin
         self.funnel = run.funnel
-        self.timings = run.timings
-        self.cache_deltas = run.cache_deltas
         self.events = run.events
         self.metrics_delta = run.metrics_delta
         self.resources = run.resources
@@ -54,7 +53,7 @@ class PickledCountryRun:
         self.encode_seconds = encode_seconds
         self.payload: Optional[bytes] = payload
         #: Called with the unpickle seconds when :meth:`load` runs (the
-        #: coordinator points it at its ``ExecMetrics``).
+        #: coordinator points it at the run registry).
         self.on_load: Optional[Callable[[float], None]] = None
         self._run = None
 

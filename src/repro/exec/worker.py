@@ -8,28 +8,28 @@ serial ``run_study`` loop.  Both the instance and its
 :class:`CountryRun` result pickle, so the same worker drives the serial
 and process-pool backends unchanged.
 
-Observability rides along in picklable side channels on
-:class:`CountryRun`:
+Observability rides along on :class:`CountryRun`:
 
-* ``cache_deltas`` — the hit/miss deltas this country caused in the
-  memo caches: those the scenario lists (``Scenario.caches``),
-  snapshotted around the work, and the trace memo of the country's own
-  Gamma run, which starts empty.  On both backends these are the only
-  view of cache activity the coordinator merges into ``ExecMetrics``,
-  so a study's cache numbers count that study alone.
+* ``metrics_delta`` — the snapshot of a **fresh per-country**
+  :class:`repro.obs.MetricsRegistry` the worker recorded into (rather
+  than a before/after diff of shared state), so the delta holds exactly
+  this country's series: its study-class counters, and its whole
+  runtime accounting — each phase's wall seconds, the country's total
+  and CPU seconds, and the hit/miss movement and size of every memo
+  cache it touched (those the scenario lists in ``Scenario.caches``,
+  snapshotted around the work, and the trace memo of its own Gamma run,
+  which starts empty).  This is the only accounting channel: the
+  coordinator merges the deltas in input country order into the run
+  registry that :class:`repro.exec.ExecMetrics` reads.
 * ``events`` — the country's span/event buffer when tracing is enabled
   (``StudyWorker(..., trace=True)``), recorded by a private
   :class:`repro.obs.Tracer` whose paths root under ``study/<CC>``.
-* ``metrics_delta`` — the snapshot of a **fresh per-country**
-  :class:`repro.obs.MetricsRegistry` the worker recorded into (rather
-  than a before/after diff of shared state, the cache pattern), so the
-  delta holds exactly this country's series; the coordinator merges the
-  deltas in input country order.
-* ``timings`` — per-phase wall seconds and the country's CPU seconds
-  (its thread's CPU time).
 * ``resources`` — a :class:`repro.obs.ResourceProfiler` snapshot
   (per-phase CPU seconds, GC collections, peak RSS) when profiling is
   enabled via ``StudyConfig.profile``.
+
+One per-phase context (:func:`_phase`) times the phase into the
+registry, opens its tracer span and its profiler phase.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ from __future__ import annotations
 import time
 import traceback
 from collections import Counter
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 from repro.core.analysis.records import CountryStudyResult, build_country_result
@@ -45,9 +46,9 @@ from repro.core.gamma.config import GammaConfig
 from repro.core.gamma.output import VolunteerDataset, anonymize
 from repro.core.gamma.suite import GammaSuite
 from repro.core.geoloc.pipeline import DatasetGeolocation, GeolocationPipeline
-from repro.exec.cache import ReadThroughCache, record_cache_deltas
-from repro.exec.metrics import CountryTimings
-from repro.obs.metrics import SECONDS_BUCKETS, MetricsRegistry
+from repro.exec.cache import ReadThroughCache
+from repro.exec.metrics import close_country, observe_phase
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiling import ResourceProfiler, maybe_phase
 from repro.obs.tracer import Tracer, maybe_span
 
@@ -137,6 +138,21 @@ def _record_study_metrics(
         ).inc(count)
 
 
+@contextmanager
+def _phase(
+    name: str,
+    metrics: MetricsRegistry,
+    tracer: Optional[Tracer],
+    profiler: Optional[ResourceProfiler],
+):
+    """Run one pipeline phase: its wall seconds land in *metrics*, inside
+    its tracer span and its profiler phase."""
+    started = time.perf_counter()
+    with maybe_span(tracer, "phase", name), maybe_phase(profiler, name):
+        yield
+    observe_phase(metrics, name, time.perf_counter() - started)
+
+
 @dataclass
 class CountryRun:
     """Everything one country's worker produced."""
@@ -146,15 +162,11 @@ class CountryRun:
     geolocation: DatasetGeolocation
     result: CountryStudyResult
     source_trace_origin: str
-    timings: CountryTimings = field(default_factory=lambda: CountryTimings(""))
-    #: Memo-cache counter deltas caused by this country (in the worker's
-    #: own process — the coordinator merges these on every backend).
-    cache_deltas: Dict[str, Dict[str, int]] = field(default_factory=dict)
     #: Span/event buffer for the run journal (None when tracing is off).
     events: Optional[List[dict]] = None
-    #: Snapshot of the per-country metrics registry (None only for
-    #: hand-built runs).  Merged at the coordinator in input country
-    #: order — see ``repro.obs.metrics``.
+    #: Snapshot of the per-country metrics registry, the country's
+    #: accounting included (None only for hand-built runs).  Merged at
+    #: the coordinator in input country order — see ``repro.obs.metrics``.
     metrics_delta: Optional[dict] = None
     #: Resource-profiler snapshot (None unless profiling is enabled).
     resources: Optional[dict] = None
@@ -214,7 +226,6 @@ class StudyWorker:
         config = self._config
         volunteer = scenario.volunteers[country_code]
         targets = scenario.targets[country_code].without(sorted(volunteer.opted_out_sites))
-        timings = CountryTimings(country_code)
         cpu_started = time.thread_time()
         tracer = Tracer(root="study") if self._trace else None
         # Fresh per-country registry: its snapshot ships back as the
@@ -224,8 +235,7 @@ class StudyWorker:
         caches_before = _counters(scenario.caches)
 
         with maybe_span(tracer, "country", country_code):
-            with timings.timer("gamma"), maybe_span(tracer, "phase", "gamma"), \
-                    maybe_phase(profiler, "gamma"):
+            with _phase("gamma", metrics, tracer, profiler):
                 gamma = GammaSuite(
                     scenario.world,
                     scenario.catalog,
@@ -236,41 +246,32 @@ class StudyWorker:
                     volunteer, targets, visit_key=config.visit_key, tracer=tracer
                 )
 
-            with timings.timer("source_traces"), maybe_span(tracer, "phase", "source_traces"), \
-                    maybe_phase(profiler, "source_traces"):
+            with _phase("source_traces", metrics, tracer, profiler):
                 source_traces = build_source_traces(scenario, volunteer, dataset)
 
-            with timings.timer("geoloc"), maybe_span(tracer, "phase", "geoloc"), \
-                    maybe_phase(profiler, "geoloc"):
+            with _phase("geoloc", metrics, tracer, profiler):
                 pipeline = GeolocationPipeline.for_scenario(scenario, config.pipeline)
                 geolocation = pipeline.classify_dataset(
                     dataset, source_traces, tracer=tracer, metrics=metrics
                 )
 
-            with timings.timer("join"), maybe_span(tracer, "phase", "join"), \
-                    maybe_phase(profiler, "join"):
+            with _phase("join", metrics, tracer, profiler):
                 result = build_country_result(
                     dataset, geolocation, scenario.identifier, scenario.directory,
-                    tracer=tracer, metrics=metrics,
+                    tracer=tracer,
                 )
                 if config.anonymize_ips:
                     anonymize(dataset)
 
-        timings.cpu_seconds = time.thread_time() - cpu_started
+        cpu_seconds = time.thread_time() - cpu_started
         caches = scenario.caches
         if gamma.trace_cache is not None:
             caches += (gamma.trace_cache,)
         cache_deltas = _cache_deltas(caches_before, _counters(caches))
         _record_study_metrics(metrics, dataset, result)
-        # Runtime-class accounting: wall-clock phase durations and
-        # which country paid each cache miss depend on scheduling.
-        for phase, seconds in timings.phase_seconds.items():
-            metrics.histogram(
-                "worker_phase_duration_seconds", {"phase": phase},
-                buckets=SECONDS_BUCKETS, unit="seconds",
-                help="per-country phase wall time", runtime=True,
-            ).observe(seconds)
-        record_cache_deltas(metrics, cache_deltas)
+        # Runtime-class accounting: wall-clock seconds and which country
+        # paid each cache miss depend on scheduling.
+        close_country(metrics, country_code, cpu_seconds, cache_deltas)
         resources = profiler.snapshot() if profiler is not None else None
         if tracer is not None:
             tracer.event("country_caches", country=country_code, caches=cache_deltas)
@@ -285,8 +286,6 @@ class StudyWorker:
             geolocation=geolocation,
             result=result,
             source_trace_origin=source_traces.origin,
-            timings=timings,
-            cache_deltas=cache_deltas,
             events=tracer.events() if tracer is not None else None,
             metrics_delta=metrics.snapshot(),
             resources=resources,

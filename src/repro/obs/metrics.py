@@ -106,10 +106,6 @@ class Counter:
             raise ValueError("counters only go up")
         self.value = self.value + amount
 
-    def reset_to(self, value: float) -> None:
-        """Overwrite semantics for absolute re-recording (coordinator caches)."""
-        self.value = value
-
 
 class Gauge:
     """Point-in-time value.  Merges by ``max`` (peak semantics)."""
@@ -395,13 +391,20 @@ def validate_metrics_snapshot(snapshot: Mapping[str, Any]) -> List[str]:
         where = f"family {name!r}"
         if not _NAME_RE.match(str(name)):
             problems.append(f"{where}: invalid metric name")
+        if not isinstance(entry, Mapping):
+            problems.append(f"{where}: entry must be an object")
+            continue
         type_ = entry.get("type")
         if type_ not in ("counter", "gauge", "histogram"):
             problems.append(f"{where}: bad type {type_!r}")
             continue
         if type_ == "histogram":
             buckets = entry.get("buckets")
-            if not isinstance(buckets, list) or sorted(set(buckets)) != buckets:
+            if (
+                not isinstance(buckets, list)
+                or not all(isinstance(b, (int, float)) for b in buckets)
+                or sorted(set(buckets)) != buckets
+            ):
                 problems.append(f"{where}: buckets must be strictly increasing")
                 continue
         series = entry.get("series")
@@ -410,7 +413,13 @@ def validate_metrics_snapshot(snapshot: Mapping[str, Any]) -> List[str]:
             continue
         seen = set()
         for record in series:
+            if not isinstance(record, Mapping):
+                problems.append(f"{where}: series record must be an object")
+                continue
             labels = record.get("labels", {})
+            if not isinstance(labels, Mapping):
+                problems.append(f"{where}: labels must be an object")
+                continue
             if not all(_LABEL_RE.match(str(k)) for k in labels):
                 problems.append(f"{where}: invalid label name in {labels!r}")
             key = _label_key(labels)
@@ -421,13 +430,14 @@ def validate_metrics_snapshot(snapshot: Mapping[str, Any]) -> List[str]:
                 counts = record.get("counts")
                 if not isinstance(counts, list) or len(counts) != len(entry["buckets"]) + 1:
                     problems.append(f"{where}: counts length != buckets+1")
+                elif not all(isinstance(c, int) for c in counts):
+                    problems.append(f"{where}: counts must be integers")
                 elif record.get("count") != sum(counts):
                     problems.append(f"{where}: count != sum(counts)")
                 if not isinstance(record.get("sum"), (int, float)):
                     problems.append(f"{where}: histogram sum must be numeric")
-            else:
-                if not isinstance(record.get("value"), (int, float)):
-                    problems.append(f"{where}: value must be numeric")
+            elif not isinstance(record.get("value"), (int, float)):
+                problems.append(f"{where}: value must be numeric")
     return problems
 
 

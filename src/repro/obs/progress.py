@@ -13,7 +13,7 @@ from __future__ import annotations
 import sys
 import threading
 import time
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Optional
 
 __all__ = ["ProgressReporter"]
 
@@ -46,7 +46,6 @@ class ProgressReporter:
         self._done = 0
         self._failed = 0
         self._sites = 0
-        self._phase_seconds: Dict[str, float] = {}
         self._dirty_line = False
 
     # -- lifecycle ----------------------------------------------------
@@ -57,7 +56,6 @@ class ProgressReporter:
         self,
         country_code: str,
         sites: int = 0,
-        phase_seconds: Optional[Mapping[str, float]] = None,
         failed: bool = False,
         resumed: bool = False,
     ) -> None:
@@ -69,8 +67,6 @@ class ProgressReporter:
             self._sites += int(sites)
             if failed:
                 self._failed += 1
-            for phase, seconds in (phase_seconds or {}).items():
-                self._phase_seconds[phase] = self._phase_seconds.get(phase, 0.0) + seconds
             elapsed = max(self._clock() - self._started, 1e-9)
             rate = self._sites / elapsed
             remaining = self._total - self._done

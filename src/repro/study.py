@@ -31,6 +31,7 @@ import os
 import time
 from collections.abc import Mapping as _MappingABC
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
@@ -57,12 +58,17 @@ from repro.core.geoloc.pipeline import (
 from repro.core.geoloc.verdicts import merge_funnels
 from repro.exec.checkpoint import StudyCheckpoint
 from repro.exec.executor import check_backend, create_executor
-from repro.exec.metrics import ExecMetrics
+from repro.exec.metrics import ExecMetrics, record_decode, record_transport, record_wall
 from repro.exec.resilience import CountryFailure, ResilientWorker
 from repro.exec.transport import PickledCountryRun, TransportWorker
 from repro.exec.worker import CountryRun, StudyWorker
 from repro.obs.journal import SCHEMA_VERSION, RunJournal
-from repro.obs.metrics import build_study_snapshot, merge_snapshots, write_snapshot
+from repro.obs.metrics import (
+    MetricsRegistry,
+    build_study_snapshot,
+    strip_runtime,
+    write_snapshot,
+)
 from repro.obs.progress import ProgressReporter
 from repro.worldgen.builder import Scenario
 
@@ -148,9 +154,10 @@ class StudyOutcome:
     #: gracefully to the surviving countries in ``results``.
     failures: List[CountryFailure] = field(default_factory=list)
     #: The persistent run snapshot (``metrics.json`` shape, see
-    #: docs/data-formats.md): merged per-country metric deltas plus the
-    #: exec accounting and any resource profiles.  None only for
-    #: hand-built outcomes.  A measurement artefact like
+    #: docs/data-formats.md): the run registry ``metrics`` reads (merged
+    #: per-country deltas plus the coordinator's accounting) and the
+    #: resource profiles of the countries this run measured.  None only
+    #: for hand-built outcomes.  A measurement artefact like
     #: ``metrics``/``journal`` — never part of summaries or exports.
     metrics_snapshot: Optional[dict] = None
     #: Per-country geolocation funnels in merge (input-country) order,
@@ -271,18 +278,23 @@ def _merge_accounting(
     outcome: StudyOutcome, run, funnels: List[FunnelCounters],
     resumed: bool = False,
 ) -> None:
-    """Fold one completed country's side channels into the outcome.
+    """Fold one completed country's accounting into the outcome.
 
     *run* is a :class:`CountryRun` or a :class:`PickledCountryRun`;
     both carry the same accounting attributes, so nothing here unpickles.
+    A *resumed* country was measured by an earlier process: it merges
+    only its study-class families, so every runtime number in the
+    registry describes this run.
     """
     outcome.source_trace_origins[run.country_code] = run.source_trace_origin
-    outcome.metrics.record_country(run.timings, resumed=resumed)
-    if isinstance(run, PickledCountryRun):
-        outcome.metrics.record_transport(
-            run.country_code, run.nbytes, run.encode_seconds
+    registry = outcome.metrics.registry
+    if run.metrics_delta is not None:
+        registry.merge_snapshot(
+            strip_runtime(run.metrics_delta) if resumed else run.metrics_delta
         )
-        run.on_load = outcome.metrics.record_decode
+    if isinstance(run, PickledCountryRun):
+        record_transport(registry, run)
+        run.on_load = partial(record_decode, registry)
     funnels.append(run.funnel)
 
 
@@ -394,12 +406,11 @@ def run_study(
         def on_result(country_code: str, item: object) -> None:
             # Fires in completion order — observation only, the merge
             # below still walks input country order.
-            sites, phase_seconds = 0, None
+            sites = 0
             if isinstance(item, (CountryRun, PickledCountryRun)):
                 sites = item.site_count
-                phase_seconds = item.timings.phase_seconds
             reporter.country_done(
-                country_code, sites=sites, phase_seconds=phase_seconds,
+                country_code, sites=sites,
                 failed=isinstance(item, CountryFailure),
             )
 
@@ -413,14 +424,20 @@ def run_study(
     if reporter is not None:
         reporter.finish()
 
+    # The run registry: per-country deltas merged in input country order
+    # — fixed order is what keeps float sums (histogram totals) exact
+    # across backends and worker counts — plus the coordinator's own
+    # accounting.  ``outcome.metrics`` reads every number from it.
+    registry = MetricsRegistry()
     outcome = StudyOutcome(
         scenario=scenario,
         metrics=ExecMetrics(
-            backend=executor.name, jobs=executor.jobs, wall_seconds=wall_seconds
+            backend=executor.name, jobs=executor.jobs, registry=registry
         ),
     )
     # CountryRun | PickledCountryRun per completed country, input order.
     runs: Dict[str, object] = {}
+    resources_by_country: Dict[str, dict] = {}
     funnels: List[FunnelCounters] = []
     buffers: List[List[dict]] = []  # input country order: deterministic merge
     for country_code in countries:
@@ -444,29 +461,17 @@ def run_study(
             continue
         runs[country_code] = item
         _merge_accounting(outcome, item, funnels)
+        if item.resources is not None:
+            resources_by_country[country_code] = item.resources
         buffers.append(item.events or [])
+    record_wall(registry, wall_seconds)
     # Country-ordered views over the runs: a pickled run stays bytes
     # until something reads its dataset or geolocation.
     outcome.datasets = _RunMap(runs, "dataset")
     outcome.geolocations = _RunMap(runs, "geolocation")
     outcome.results = [run.result for run in runs.values()]
     outcome._funnels = funnels
-    # Memo-cache counters: each country measured its own deltas, in
-    # whichever process ran it, so both backends fold the same numbers.
-    outcome.metrics.merge_worker_caches(
-        run.cache_deltas for cc, run in runs.items() if cc not in resumed
-    )
 
-    # Merge the per-country registry deltas in input country order —
-    # fixed order is what keeps float sums (histogram totals) exact
-    # across backends and worker counts.
-    deltas = []
-    resources_by_country: Dict[str, dict] = {}
-    for country_code, run in runs.items():
-        if run.metrics_delta is not None:
-            deltas.append(run.metrics_delta)
-        if run.resources is not None:
-            resources_by_country[country_code] = run.resources
     meta = {
         "countries": list(countries),
         "backend": executor.name,
@@ -480,7 +485,7 @@ def run_study(
     outcome.metrics_snapshot = build_study_snapshot(
         meta,
         outcome.metrics.to_dict(),
-        merge_snapshots(deltas + [outcome.metrics.registry_snapshot()]),
+        registry.snapshot(),
         resources_by_country or None,
     )
     if checkpoint is not None:

@@ -227,6 +227,36 @@ class TestMetricsCommands:
         out = capsys.readouterr().out
         assert "drift" in out and "regression(s)" in out
 
+    def _corrupt(self, snapshots, tmp_path, family, value, name="bad.json"):
+        payload = json.loads(snapshots[0].read_text())
+        payload["metrics"]["families"][family]["series"][0]["value"] = value
+        path = tmp_path / name
+        path.write_text(json.dumps(payload))
+        return path
+
+    def test_show_rejects_family_without_type(self, tmp_path, capsys):
+        bare = tmp_path / "bare.json"
+        bare.write_text('{"families": {"x": {}}}')
+        assert main(["metrics", "show", str(bare)]) == 1
+        out = capsys.readouterr().out
+        assert f"SCHEMA: {bare}: family 'x': bad type None" in out
+        assert all(line.startswith("SCHEMA: ") for line in out.splitlines())
+
+    def test_show_rejects_non_numeric_counter(self, snapshots, tmp_path, capsys):
+        bad = self._corrupt(snapshots, tmp_path, "study_sites_total", "a")
+        assert main(["metrics", "show", str(bad)]) == 1
+        out = capsys.readouterr().out
+        assert out == f"SCHEMA: {bad}: family 'study_sites_total': value must be numeric\n"
+
+    def test_diff_runtime_rejects_non_numeric_counters(self, snapshots, tmp_path, capsys):
+        old = self._corrupt(snapshots, tmp_path, "exec_cpu_seconds_total", "a", "old.json")
+        new = self._corrupt(snapshots, tmp_path, "exec_cpu_seconds_total", "b", "new.json")
+        assert main(["metrics", "diff", "--runtime", str(old), str(new)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"SCHEMA: {path}: family 'exec_cpu_seconds_total': value must be numeric"
+            for path in (old, new)
+        ]
+
     def test_prom_output(self, tmp_path, capsys):
         prom = tmp_path / "run.prom"
         assert main(["study", "--countries", "CA", "--no-progress",

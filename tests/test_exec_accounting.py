@@ -1,0 +1,164 @@
+"""Each execution number is recorded once, in the per-country registry.
+
+A worker records its country's phase seconds, total and CPU seconds and
+memo-cache movement into the fresh registry it ships back; the
+coordinator merges those deltas into the run registry, and
+``snapshot["exec"]`` (``ExecMetrics.to_dict()``) only reads that
+registry.  These tests pin that every exec number equals the merged
+family it is read from, that the snapshot carries no family restating
+another, and that a resumed country adds no runtime series.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro import StudyConfig, run_study
+from repro.obs.metrics import strip_runtime
+
+COUNTRIES = ["CA", "NZ", "RW"]
+
+#: Every family of a serial CA,NZ,RW study snapshot.  A family that
+#: restates another (a phase, cache or aggregate total kept twice) must
+#: not come back.
+STUDY_FAMILIES = {
+    "cache_delta_operations_total",
+    "exec_cache_size",
+    "exec_country_seconds_total",
+    "exec_cpu_seconds_total",
+    "exec_wall_seconds",
+    "geoloc_constraint_checks_total",
+    "geoloc_countries_total",
+    "geoloc_discards_total",
+    "geoloc_evidence_ms",
+    "geoloc_funnel_total",
+    "geoloc_verdicts_total",
+    "study_countries_total",
+    "study_sites_total",
+    "study_traceroutes_total",
+    "tracker_hosts_total",
+    "tracker_observations_total",
+    "tracker_sites_total",
+    "worker_phase_duration_seconds",
+}
+#: What crossing the process boundary adds (nothing is unpickled before
+#: the snapshot is taken, so no decode seconds yet).
+TRANSPORT_FAMILIES = {
+    "exec_transport_bytes_total",
+    "exec_transport_encode_seconds_total",
+}
+
+
+def _series(snapshot, family, label):
+    """``{label value: value}`` of one merged family (histograms: sum)."""
+    entry = snapshot["metrics"]["families"].get(family, {"series": []})
+    return {
+        record.get("labels", {}).get(label): record.get("sum", record.get("value"))
+        for record in entry["series"]
+    }
+
+
+def _scalar(snapshot, family):
+    """The value of one unlabeled merged family."""
+    (record,) = snapshot["metrics"]["families"][family]["series"]
+    return record["value"]
+
+
+def _cache_family(snapshot):
+    """The cache numbers as the snapshot's families hold them."""
+    caches = {}
+    for record in snapshot["metrics"]["families"]["cache_delta_operations_total"]["series"]:
+        labels = record["labels"]
+        key = "hits" if labels["op"] == "hit" else "misses"
+        caches.setdefault(labels["cache"], {})[key] = record["value"]
+    for name, size in _series(snapshot, "exec_cache_size", "cache").items():
+        caches[name]["size"] = size
+    return caches
+
+
+@pytest.fixture(scope="module")
+def runs(scenario):
+    return {
+        "serial": run_study(scenario, countries=COUNTRIES),
+        "process-2": run_study(
+            scenario, countries=COUNTRIES,
+            config=StudyConfig(jobs=2, backend="process"),
+        ),
+    }
+
+
+class TestEachNumberOnce:
+    @pytest.mark.parametrize("name", ["serial", "process-2"])
+    def test_exec_reads_the_merged_families(self, runs, name):
+        outcome = runs[name]
+        snapshot = outcome.metrics_snapshot
+        exec_ = snapshot["exec"]
+        phases = _series(snapshot, "worker_phase_duration_seconds", "phase")
+        countries = _series(snapshot, "exec_country_seconds_total", "country")
+        assert outcome.metrics.phase_seconds == phases
+        assert exec_["phase_seconds"] == {
+            phase: round(seconds, 4) for phase, seconds in sorted(phases.items())
+        }
+        assert outcome.metrics.country_seconds == countries
+        assert exec_["country_seconds"] == dict(sorted(countries.items()))
+        assert sorted(countries) == sorted(COUNTRIES)
+        assert exec_["aggregate_seconds"] == round(sum(countries.values()), 4)
+        assert exec_["cpu_seconds"] == round(
+            _scalar(snapshot, "exec_cpu_seconds_total"), 4
+        )
+        assert exec_["wall_seconds"] == round(_scalar(snapshot, "exec_wall_seconds"), 4)
+        caches = _cache_family(snapshot)
+        assert {
+            cache: {key: info[key] for key in ("hits", "misses", "size")}
+            for cache, info in exec_["caches"].items()
+        } == caches
+        transport = _series(snapshot, "exec_transport_bytes_total", "country")
+        assert exec_.get("transport_bytes", {}) == dict(sorted(transport.items()))
+
+    def test_family_names_pinned(self, runs):
+        serial = runs["serial"].metrics_snapshot["metrics"]["families"]
+        process = runs["process-2"].metrics_snapshot["metrics"]["families"]
+        assert set(serial) == STUDY_FAMILIES
+        assert set(process) == STUDY_FAMILIES | TRANSPORT_FAMILIES
+
+    def test_one_phase_observation_per_country(self, runs):
+        families = runs["serial"].metrics_snapshot["metrics"]["families"]
+        for record in families["worker_phase_duration_seconds"]["series"]:
+            assert record["count"] == len(COUNTRIES)
+
+
+class TestResumedAccounting:
+    """Checkpoint CA,NZ, then resume CA,NZ,RW: only RW ran here."""
+
+    @pytest.fixture(scope="class")
+    def resumed(self, scenario, tmp_path_factory):
+        checkpoint_dir = tmp_path_factory.mktemp("ckpt")
+        run_study(scenario, countries=COUNTRIES[:2], checkpoint_dir=checkpoint_dir)
+        return run_study(
+            scenario, countries=COUNTRIES, checkpoint_dir=checkpoint_dir,
+            resume=True,
+        )
+
+    def test_cache_infos_equal_the_snapshot_cache_family(self, resumed):
+        snapshot = resumed.metrics_snapshot
+        assert {
+            cache: {key: info[key] for key in ("hits", "misses", "size")}
+            for cache, info in resumed.metrics.cache_infos.items()
+        } == _cache_family(snapshot)
+        assert snapshot["exec"]["caches"] == dict(
+            sorted(resumed.metrics.cache_infos.items())
+        )
+
+    def test_runtime_numbers_describe_this_process_only(self, resumed):
+        snapshot = resumed.metrics_snapshot
+        assert list(resumed.metrics.country_seconds) == ["RW"]
+        assert list(snapshot["exec"]["country_seconds"]) == ["RW"]
+        assert snapshot["meta"]["resumed"] == COUNTRIES[:2]
+        families = snapshot["metrics"]["families"]
+        for record in families["worker_phase_duration_seconds"]["series"]:
+            assert record["count"] == 1
+
+    def test_study_families_equal_an_uninterrupted_run(self, resumed, runs):
+        assert strip_runtime(resumed.metrics_snapshot["metrics"]) == strip_runtime(
+            runs["serial"].metrics_snapshot["metrics"]
+        )

@@ -2,9 +2,9 @@
 
 Covers the tracer's span/event mechanics, the journal's canonical
 assembly and timing-strip contract, the per-line event schema, the
-renderers, and the ExecMetrics satellites that ride along: the exact
-``aggregate_seconds`` invariant, the phase-share render column, and the
-per-worker cache-delta merge.
+renderers, and the ExecMetrics satellites that ride along, read from
+merged per-country registry deltas: the exact ``aggregate_seconds``
+invariant, the phase-share render column, and the cache-delta merge.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from repro.exec.metrics import CountryTimings, ExecMetrics
+from repro.exec.metrics import ExecMetrics, close_country, observe_phase, record_wall
 from repro.obs import (
     RunJournal,
     Tracer,
@@ -24,6 +24,7 @@ from repro.obs import (
     validate_journal,
     validate_record,
 )
+from repro.obs.metrics import MetricsRegistry
 
 
 class TestTracer:
@@ -213,33 +214,51 @@ class TestRenderers:
         assert "no site timings" in text
 
 
+def _country_delta(code, phases, cpu_seconds=0.0, caches=None):
+    """One country's worker registry snapshot, as a ``StudyWorker`` ships it."""
+    registry = MetricsRegistry()
+    for phase, seconds in phases.items():
+        observe_phase(registry, phase, seconds)
+    close_country(registry, code, cpu_seconds, caches or {})
+    return registry.snapshot()
+
+
+def _exec_metrics(deltas, wall_seconds=0.0, **kwargs):
+    """The coordinator's merge: deltas in order, then the wall time."""
+    registry = MetricsRegistry()
+    for delta in deltas:
+        registry.merge_snapshot(delta)
+    if wall_seconds:
+        record_wall(registry, wall_seconds)
+    return ExecMetrics(registry=registry, **kwargs)
+
+
 class TestExecMetricsSatellites:
     def test_aggregate_equals_sum_of_country_seconds_exactly(self):
-        metrics = ExecMetrics()
         # Values chosen to make naive float accumulation drift.
-        for code, seconds in [("AA", 0.1), ("BB", 0.2), ("CC", 0.30000007),
-                              ("DD", 1e-7), ("EE", 123.4567891)]:
-            timings = CountryTimings(code)
-            timings.phase_seconds["gamma"] = seconds
-            metrics.record_country(timings)
+        metrics = _exec_metrics(
+            _country_delta(code, {"gamma": seconds})
+            for code, seconds in [("AA", 0.1), ("BB", 0.2), ("CC", 0.30000007),
+                                  ("DD", 1e-7), ("EE", 123.4567891)]
+        )
+        assert list(metrics.country_seconds) == ["AA", "BB", "CC", "DD", "EE"]
         assert sum(metrics.country_seconds.values()) == metrics.aggregate_seconds
+        assert metrics.to_dict()["aggregate_seconds"] == round(
+            metrics.aggregate_seconds, 4
+        )
 
     def test_country_seconds_rounded_to_6_places(self):
-        metrics = ExecMetrics()
-        timings = CountryTimings("AA")
-        timings.phase_seconds["gamma"] = 0.123456789
-        metrics.record_country(timings)
+        metrics = _exec_metrics([_country_delta("AA", {"gamma": 0.123456789})])
         assert metrics.country_seconds["AA"] == 0.123457
         assert metrics.aggregate_seconds == 0.123457
+        # The phase itself keeps its unrounded seconds.
+        assert metrics.phase_seconds["gamma"] == 0.123456789
 
     def test_render_has_phase_share_and_speedup(self):
-        metrics = ExecMetrics(backend="process", jobs=2, wall_seconds=2.0)
-        for code, gamma, join in [("AA", 3.0, 1.0)]:
-            timings = CountryTimings(code)
-            timings.phase_seconds["gamma"] = gamma
-            timings.phase_seconds["join"] = join
-            timings.cpu_seconds = 3.0
-            metrics.record_country(timings)
+        metrics = _exec_metrics(
+            [_country_delta("AA", {"gamma": 3.0, "join": 1.0}, cpu_seconds=3.0)],
+            wall_seconds=2.0, backend="process", jobs=2,
+        )
         text = metrics.render()
         # Speedup is country CPU over fan-out wall, not summed wall time.
         assert "speedup=1.50x" in text
@@ -247,18 +266,20 @@ class TestExecMetricsSatellites:
         assert "join" in text and "25.0%" in text
 
     def test_render_with_zero_aggregate_does_not_divide(self):
-        metrics = ExecMetrics()
-        metrics.phase_seconds["gamma"] = 0.0
+        metrics = _exec_metrics([_country_delta("AA", {"gamma": 0.0})])
+        assert metrics.aggregate_seconds == 0.0
         assert "0.0%" in metrics.render()
+        assert "speedup=1.00x" in metrics.render()  # no wall time recorded
 
-    def test_merge_worker_caches_adds_deltas(self):
-        metrics = ExecMetrics(backend="process", jobs=2)
-        metrics.merge_worker_caches([
-            {"c": {"hits": 10, "misses": 5, "size": 4}},
-            {"c": {"hits": 3, "misses": 2, "size": 9}},
-            {"c": {"hits": 1, "misses": 0, "size": 2},
-             "fresh": {"hits": 7, "misses": 7, "size": 7}},
-        ])
+    def test_cache_deltas_add_and_size_takes_the_max(self):
+        metrics = _exec_metrics([
+            _country_delta("AA", {}, caches={"c": {"hits": 10, "misses": 5, "size": 4}}),
+            _country_delta("BB", {}, caches={"c": {"hits": 3, "misses": 2, "size": 9}}),
+            _country_delta("CC", {}, caches={
+                "c": {"hits": 1, "misses": 0, "size": 2},
+                "fresh": {"hits": 7, "misses": 7, "size": 7},
+            }),
+        ], backend="process", jobs=2)
         c = metrics.cache_infos["c"]
         assert (c["hits"], c["misses"]) == (14, 7)
         assert c["size"] == 9  # max population seen after any one country

@@ -273,6 +273,23 @@ class TestStudySnapshotDocument:
         document["kind"] = "other"
         assert validate_study_snapshot(document)
 
+    @pytest.mark.parametrize("families,problem", [
+        ({"x": 1}, "family 'x': entry must be an object"),
+        ({"study_sites_total": {"type": "counter", "series": [3]}},
+         "family 'study_sites_total': series record must be an object"),
+        ({"study_sites_total": {"type": "counter", "series": [{"labels": [1], "value": 1}]}},
+         "family 'study_sites_total': labels must be an object"),
+        ({"h": {"type": "histogram", "buckets": ["a", 1], "series": []}},
+         "family 'h': buckets must be strictly increasing"),
+        ({"h": {"type": "histogram", "buckets": [1.0],
+                "series": [{"counts": ["a", 1], "count": 1, "sum": 0.5}]}},
+         "family 'h': counts must be integers"),
+    ])
+    def test_non_object_entries_are_problems_not_crashes(self, families, problem):
+        document = self._study_snapshot()
+        document["metrics"]["families"] = families
+        assert validate_study_snapshot(document) == [problem]
+
     def test_write_and_load_json(self, tmp_path):
         document = self._study_snapshot()
         path = tmp_path / "metrics.json"

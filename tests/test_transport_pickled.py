@@ -50,12 +50,13 @@ from repro.core.trackers.identify import TrackerVerdict
 from repro.core.trackers.orgs import OrganizationDirectory, OrgEntry
 from repro.exec import transport
 from repro.exec.checkpoint import StudyCheckpoint
-from repro.exec.metrics import CountryTimings
+from repro.exec.metrics import close_country, observe_phase
 from repro.exec.resilience import CountryFailure
 from repro.exec.transport import PickledCountryRun, TransportWorker
 from repro.exec.worker import CountryRun, StudyWorker
 from repro.geodb.ipmap import GeoClaim
 from repro.netsim.geography import City
+from repro.obs.metrics import MetricsRegistry
 
 # -- strategies --------------------------------------------------------------
 
@@ -78,6 +79,7 @@ _floats = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False, width=64),
 )
 _counters = st.integers(min_value=0, max_value=2**40)
+_seconds = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
@@ -215,24 +217,25 @@ def country_runs(draw, shared=None):
             ))
         result.sites.append(site)
 
-    timings = CountryTimings(draw(_pooled), cpu_seconds=draw(_floats))
+    # The country's accounting rides in its registry delta.
+    country_code = draw(_pooled)
+    accounts = MetricsRegistry()
     for phase in draw(st.lists(_pooled, max_size=3, unique=True)):
-        timings.phase_seconds[phase] = draw(_floats)
+        observe_phase(accounts, phase, draw(_seconds))
+    close_country(accounts, country_code, draw(_seconds), {
+        name: {
+            "hits": draw(_counters), "misses": draw(_counters),
+            "size": draw(_counters),
+        }
+        for name in draw(st.lists(_pooled, max_size=2, unique=True))
+    })
 
     return CountryRun(
-        country_code=draw(_pooled),
+        country_code=country_code,
         dataset=dataset,
         geolocation=geolocation,
         result=result,
         source_trace_origin=draw(_pooled),
-        timings=timings,
-        cache_deltas={
-            name: {
-                "hits": draw(_counters), "misses": draw(_counters),
-                "size": draw(_counters),
-            }
-            for name in draw(st.lists(_pooled, max_size=2, unique=True))
-        },
         events=draw(st.one_of(
             st.none(),
             st.lists(
@@ -243,10 +246,7 @@ def country_runs(draw, shared=None):
                 max_size=2,
             ),
         )),
-        metrics_delta=draw(st.one_of(
-            st.none(),
-            st.fixed_dictionaries({"counters": st.just({}), "gauges": st.just({})}),
-        )),
+        metrics_delta=draw(st.one_of(st.none(), st.just(accounts.snapshot()))),
         resources=draw(st.one_of(
             st.none(), st.fixed_dictionaries({"cpu_s": _floats}),
         )),
@@ -263,8 +263,6 @@ def assert_runs_equal(loaded: CountryRun, original: CountryRun) -> None:
     assert loaded.result.tracker_verdicts == original.result.tracker_verdicts
     assert loaded.result.sites == original.result.sites
     assert loaded.source_trace_origin == original.source_trace_origin
-    assert loaded.timings == original.timings
-    assert loaded.cache_deltas == original.cache_deltas
     assert loaded.events == original.events
     assert loaded.metrics_delta == original.metrics_delta
     assert loaded.resources == original.resources
@@ -331,8 +329,6 @@ class TestRoundTripProperties:
         assert shipped.country_code == run.country_code
         assert shipped.source_trace_origin == run.source_trace_origin
         assert shipped.funnel == run.funnel
-        assert shipped.timings == run.timings
-        assert shipped.cache_deltas == run.cache_deltas
         assert shipped.events == run.events
         assert shipped.metrics_delta == run.metrics_delta
         assert shipped.resources == run.resources
