@@ -179,16 +179,14 @@ class ProcessPoolStudyExecutor(StudyExecutor):
 
     name = "process"
 
-    def __init__(self, jobs: int, start_method: Optional[str] = None):
+    def __init__(self, jobs: int):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         self.jobs = jobs
-        if start_method is None:
-            # fork (where available) inherits the installed worker for
-            # free; spawn pickles it once per worker process.
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        self.start_method = start_method
+        # fork (where available) inherits the installed worker for free;
+        # spawn pickles it once per worker process.
+        methods = multiprocessing.get_all_start_methods()
+        self.start_method = "fork" if "fork" in methods else methods[0]
 
     def map_countries(
         self,

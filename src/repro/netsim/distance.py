@@ -45,7 +45,7 @@ def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
 #: constantly across GeoDNS serving, probe selection, constraint checks
 #: and latency synthesis; the key is the raw coordinates (not city names)
 #: so ad-hoc test cities can never collide, and the value is exactly the
-#: uncached :func:`haversine_km` result.  Safe for concurrent readers.
+#: uncached :func:`haversine_km` result.  Each process fills its own copy.
 distance_cache = ReadThroughCache("netsim.distance", maxsize=262144)
 
 

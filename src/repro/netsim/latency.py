@@ -59,7 +59,7 @@ class LatencyModel:
         self._seed = seed
         # The inflation factor is a pure function of the (sorted) pair, so
         # the per-instance memo can never change a value — it only skips
-        # re-deriving the SHA-256-seeded draw.  Safe for concurrent readers.
+        # re-deriving the SHA-256-seeded draw.
         self._inflation_cache = ReadThroughCache(f"latency.inflation[{seed}]")
 
     def inflation(self, a: City, b: City) -> float:

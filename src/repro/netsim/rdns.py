@@ -49,7 +49,7 @@ class ReverseDNSService:
         #: the Google-in-Fujairah-but-PTR-says-Amsterdam cases of §4.1.3.
         self._overrides: Dict[str, Optional[str]] = {}
         # PTR generation is deterministic per address, so lookups memoise;
-        # style/override writers invalidate.  Safe for concurrent readers.
+        # style/override writers invalidate.
         self._cache = ReadThroughCache("netsim.rdns")
 
     @property

@@ -602,6 +602,17 @@ def validate_study_snapshot(snapshot: Mapping[str, Any]) -> List[str]:
     resources = snapshot.get("resources")
     if resources is not None and not isinstance(resources, Mapping):
         problems.append("resources must be an object when present")
+    elif resources:
+        for country, usage in resources.items():
+            where = f"resources[{country!r}]"
+            if not isinstance(usage, Mapping):
+                problems.append(f"{where} must be an object")
+                continue
+            if not isinstance(usage.get("cpu_seconds"), (int, float)):
+                problems.append(f"{where}.cpu_seconds must be a number")
+            for field in ("peak_rss_kb", "gc_collections"):
+                if field in usage and not isinstance(usage[field], int):
+                    problems.append(f"{where}.{field} must be an integer")
     return problems
 
 

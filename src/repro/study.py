@@ -298,6 +298,12 @@ def _merge_accounting(
     funnels.append(run.funnel)
 
 
+#: Journal diagnostics that describe the process which measured a
+#: country; a resumed country drops them, as it drops its runtime
+#: families, so a journal's numbers count this run's countries only.
+_EARLIER_PROCESS_EVENTS = frozenset({"country_caches", "country_resources"})
+
+
 def run_study(
     scenario: Scenario,
     countries: Optional[List[str]] = None,
@@ -445,7 +451,10 @@ def run_study(
             run = resumed[country_code]
             runs[country_code] = run
             _merge_accounting(outcome, run, funnels, resumed=True)
-            events = list(run.events or [])
+            events = [
+                event for event in run.events or ()
+                if event.get("ev") not in _EARLIER_PROCESS_EVENTS
+            ]
             if tracing:
                 events.append({
                     "ev": "country_resumed",

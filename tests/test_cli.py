@@ -248,6 +248,15 @@ class TestMetricsCommands:
         out = capsys.readouterr().out
         assert out == f"SCHEMA: {bad}: family 'study_sites_total': value must be numeric\n"
 
+    def test_show_rejects_non_object_resources_entry(self, snapshots, tmp_path, capsys):
+        payload = json.loads(snapshots[0].read_text())
+        payload["resources"] = {"CA": 1}
+        bad = tmp_path / "bad-resources.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["metrics", "show", str(bad)]) == 1
+        out = capsys.readouterr().out
+        assert out == f"SCHEMA: {bad}: resources['CA'] must be an object\n"
+
     def test_diff_runtime_rejects_non_numeric_counters(self, snapshots, tmp_path, capsys):
         old = self._corrupt(snapshots, tmp_path, "exec_cpu_seconds_total", "a", "old.json")
         new = self._corrupt(snapshots, tmp_path, "exec_cpu_seconds_total", "b", "new.json")

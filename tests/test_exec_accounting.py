@@ -14,6 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro import StudyConfig, run_study
+from repro.obs.journal import strip_timings
 from repro.obs.metrics import strip_runtime
 
 COUNTRIES = ["CA", "NZ", "RW"]
@@ -128,15 +129,47 @@ class TestEachNumberOnce:
 
 
 class TestResumedAccounting:
-    """Checkpoint CA,NZ, then resume CA,NZ,RW: only RW ran here."""
+    """Checkpoint CA,NZ, then resume CA,NZ,RW (traced, profiled): only
+    RW ran here."""
 
     @pytest.fixture(scope="class")
     def resumed(self, scenario, tmp_path_factory):
         checkpoint_dir = tmp_path_factory.mktemp("ckpt")
-        run_study(scenario, countries=COUNTRIES[:2], checkpoint_dir=checkpoint_dir)
+        config = StudyConfig(profile=True)
+        run_study(
+            scenario, countries=COUNTRIES[:2], config=config,
+            checkpoint_dir=checkpoint_dir, trace=True,
+        )
         return run_study(
-            scenario, countries=COUNTRIES, checkpoint_dir=checkpoint_dir,
-            resume=True,
+            scenario, countries=COUNTRIES, config=config,
+            checkpoint_dir=checkpoint_dir, resume=True, trace=True,
+        )
+
+    def test_journal_cache_records_describe_this_process_only(self, resumed):
+        records = [
+            record for record in resumed.journal.records
+            if record["ev"] == "country_caches"
+        ]
+        assert [record["country"] for record in records] == ["RW"]
+        totals = {}
+        for record in records:
+            for cache, delta in record["caches"].items():
+                hits, misses = totals.get(cache, (0, 0))
+                totals[cache] = (hits + delta["hits"], misses + delta["misses"])
+        assert totals == {
+            cache: (info["hits"], info["misses"])
+            for cache, info in resumed.metrics.cache_infos.items()
+        }
+        resources = [
+            record["country"] for record in resumed.journal.records
+            if record["ev"] == "country_resources"
+        ]
+        assert resources == ["RW"]
+
+    def test_stripped_journal_equals_an_uninterrupted_run(self, resumed, scenario):
+        uninterrupted = run_study(scenario, countries=COUNTRIES, trace=True)
+        assert strip_timings(resumed.journal.records) == strip_timings(
+            uninterrupted.journal.records
         )
 
     def test_cache_infos_equal_the_snapshot_cache_family(self, resumed):

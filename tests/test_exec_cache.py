@@ -8,17 +8,16 @@ and hit counters must actually move, or the "cache" is dead weight.
 
 from __future__ import annotations
 
+import io
+import multiprocessing
+import os
 import pickle
-import sys
 import threading
-import time
-import types
 
 import pytest
 
-from repro import build_scenario, run_study
+from repro import StudyConfig, build_scenario, run_study
 from repro.determinism import stable_rng
-import repro.exec.cache as cache_module
 from repro.exec.cache import ReadThroughCache, cache_registry
 from repro.longitudinal import LongitudinalStudy
 from repro.netsim.distance import city_distance_km, distance_cache, haversine_km
@@ -26,6 +25,7 @@ from repro.netsim.dns import NXDomain
 from repro.netsim.geography import default_registry
 from repro.netsim.latency import LatencyModel
 from repro.netsim.network import World
+from repro.obs.progress import ProgressReporter
 from tests.test_servers_dns import make_deployment
 
 
@@ -230,80 +230,8 @@ class TestGeoDNSAnswerCache:
         assert (answer.pop.country_code, answer.pop.name) == ("JO", "jo-resid")
 
 
-class TestReadThroughCacheConcurrency:
-    def test_each_key_computed_exactly_once_under_contention(self):
-        cache = ReadThroughCache("test.concurrency")
-        computed = []
-
-        def compute_for(key):
-            def compute():
-                computed.append(key)
-                return key * 2
-            return compute
-
-        keys = list(range(64))
-        errors = []
-
-        def hammer():
-            try:
-                for key in keys * 20:
-                    assert cache.get(key, compute_for(key)) == key * 2
-            except Exception as error:  # pragma: no cover - failure reporting
-                errors.append(error)
-
-        threads = [threading.Thread(target=hammer) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-        assert not errors
-        assert sorted(computed) == keys  # each key computed exactly once
-        info = cache.info()
-        assert info.misses == len(keys)
-        assert info.hits == 8 * 20 * len(keys) - len(keys)
-
-    def test_contended_misses_under_fast_switching(self):
-        # Computes yield mid-flight and the interpreter switches threads
-        # every microsecond, so most misses find a waiter attaching to
-        # the owner's flight: the lazily created wait primitive must
-        # still release every waiter with the one computed value.
-        cache = ReadThroughCache("test.concurrency.switching")
-        computed = []
-        keys = list(range(32))
-        workers = 12
-        errors = []
-
-        def compute_for(key):
-            def compute():
-                computed.append(key)
-                time.sleep(0.0005)
-                return key * 3
-            return compute
-
-        def hammer(offset):
-            try:
-                for _ in range(5):
-                    for key in keys[offset % 4::4] + keys:
-                        assert cache.get(key, compute_for(key)) == key * 3
-            except Exception as error:  # pragma: no cover - failure reporting
-                errors.append(error)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=hammer, args=(i,)) for i in range(workers)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert not errors
-        assert sorted(computed) == keys
-        lookups = workers * 5 * (len(keys) + len(keys) // 4)
-        info = cache.info()
-        assert (info.hits, info.misses) == (lookups - len(keys), len(keys))
+class TestReadThroughCache:
+    """The plain memo: FIFO bound, pickling, failures and exact counters."""
 
     def test_maxsize_evicts_oldest(self):
         cache = ReadThroughCache("test.evict", maxsize=2)
@@ -323,219 +251,73 @@ class TestReadThroughCacheConcurrency:
         assert (info.hits, info.misses, info.size) == (1, 1, 1)
         assert clone.get("k", lambda: "other") == "v"
 
-
-class TestReadThroughCacheSingleFlight:
-    """Computes run outside the lock, coordinated per key.
-
-    The original implementation held the cache lock *during* compute, so
-    one slow lookup stalled every other key.  These tests are the
-    regression net: distinct keys must compute concurrently, same-key
-    callers must share one compute, and an owner's failure must hand
-    ownership to a waiter instead of poisoning the key.
-    """
-
-    def test_distinct_keys_compute_concurrently(self):
-        # Each compute blocks until the *other* compute has started.
-        # Under lock-held-compute this deadlocks; under single-flight it
-        # completes immediately.
-        cache = ReadThroughCache("test.sf.parallel")
-        started_a = threading.Event()
-        started_b = threading.Event()
-        results = {}
-
-        def compute_a():
-            started_a.set()
-            assert started_b.wait(timeout=20), "compute 'b' never entered"
-            return "va"
-
-        def compute_b():
-            started_b.set()
-            assert started_a.wait(timeout=20), "compute 'a' never entered"
-            return "vb"
-
-        threads = [
-            threading.Thread(target=lambda: results.update(a=cache.get("a", compute_a))),
-            threading.Thread(target=lambda: results.update(b=cache.get("b", compute_b))),
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-        assert not any(thread.is_alive() for thread in threads), "computes serialised"
-        assert results == {"a": "va", "b": "vb"}
-        info = cache.info()
-        assert (info.hits, info.misses) == (0, 2)
-
-    def test_same_key_waiters_share_one_compute(self):
-        cache = ReadThroughCache("test.sf.shared")
-        in_compute = threading.Event()
-        release = threading.Event()
-        calls = []
-        results = []
-
-        def slow_compute():
-            calls.append(1)
-            in_compute.set()
-            assert release.wait(timeout=20)
-            return "value"
-
-        threads = [
-            threading.Thread(target=lambda: results.append(cache.get("k", slow_compute)))
-            for _ in range(6)
-        ]
-        threads[0].start()
-        assert in_compute.wait(timeout=20)
-        for thread in threads[1:]:  # all join while the owner is inside compute
-            thread.start()
-        release.set()
-        for thread in threads:
-            thread.join(timeout=30)
-        assert results == ["value"] * 6
-        assert len(calls) == 1  # one compute served every caller
-        info = cache.info()
-        assert (info.hits, info.misses) == (5, 1)
-
-    def test_owner_error_propagates_and_waiter_takes_over(self):
-        cache = ReadThroughCache("test.sf.errors")
-        in_compute = threading.Event()
-        release = threading.Event()
-        calls = []
-        outcome = {}
-
-        def failing_then_ok():
-            calls.append(1)
-            if len(calls) == 1:
-                in_compute.set()
-                assert release.wait(timeout=20)
-                raise RuntimeError("boom")
-            return 42
-
-        def owner():
-            try:
-                cache.get("k", failing_then_ok)
-            except RuntimeError as error:
-                outcome["owner_error"] = str(error)
-
-        def waiter():
-            outcome["waiter_value"] = cache.get("k", failing_then_ok)
-
-        owner_thread = threading.Thread(target=owner)
-        owner_thread.start()
-        assert in_compute.wait(timeout=20)
-        waiter_thread = threading.Thread(target=waiter)
-        waiter_thread.start()
-        release.set()
-        owner_thread.join(timeout=30)
-        waiter_thread.join(timeout=30)
-        assert outcome == {"owner_error": "boom", "waiter_value": 42}
-        assert len(calls) == 2  # the failure was retried, not cached
-        present, value = cache.peek("k")
-        assert present and value == 42
-
     def test_failed_compute_leaves_no_entry(self):
-        cache = ReadThroughCache("test.sf.clean")
+        cache = ReadThroughCache("test.clean")
         with pytest.raises(KeyError):
             cache.get("k", lambda: (_ for _ in ()).throw(KeyError("nope")))
         assert len(cache) == 0
         assert cache.get("k", lambda: "ok") == "ok"
-
-
-class TestReadThroughCacheResets:
-    """``clear()``/``invalidate()`` during a compute, and the lean miss."""
-
-    @staticmethod
-    def _start_old_compute(cache):
-        """Thread A inside ``get("k", compute_old)``; released on demand."""
-        in_compute = threading.Event()
-        release = threading.Event()
-        outcome = {}
-
-        def compute_old():
-            in_compute.set()
-            assert release.wait(timeout=20)
-            return "old"
-
-        thread = threading.Thread(target=lambda: outcome.update(a=cache.get("k", compute_old)))
-        thread.start()
-        assert in_compute.wait(timeout=20)
-        return thread, release, outcome
-
-    @pytest.mark.parametrize("reset", ["clear", "invalidate"])
-    def test_reset_during_compute_does_not_publish_the_stale_value(self, reset):
-        cache = ReadThroughCache("test.reset")
-        thread, release, outcome = self._start_old_compute(cache)
-        if reset == "clear":
-            cache.clear()
-        else:
-            cache.invalidate("k")
-        release.set()
-        thread.join(timeout=30)
-        assert outcome == {"a": "old"}  # the owner still answers its caller
-        assert cache.peek("k") == (False, None)
-        assert cache.get("k", lambda: "new") == "new"
-        assert cache.get("k", lambda: "other") == "new"
-
-    def test_waiter_of_a_cleared_flight_gets_the_owner_value(self):
-        cache = ReadThroughCache("test.reset.waiter")
-        thread, release, outcome = self._start_old_compute(cache)
-        waiter = threading.Thread(
-            target=lambda: outcome.update(b=cache.get("k", lambda: "waiter-computed"))
-        )
-        waiter.start()
-        deadline = time.monotonic() + 20
-        while cache._inflight["k"].event is None:  # until the waiter attaches
-            assert time.monotonic() < deadline, "waiter never attached"
-            waiter.join(timeout=0.001)
-        cache.clear()
-        release.set()
-        thread.join(timeout=30)
-        waiter.join(timeout=30)
-        assert outcome == {"a": "old", "b": "old"}
-        assert len(cache) == 0
-
-    def test_reset_does_not_drop_a_newer_flight(self):
-        # After the reset a second owner claims "k"; the first owner's
-        # completion must leave that claim (and its value) alone.
-        cache = ReadThroughCache("test.reset.newer")
-        thread, release, outcome = self._start_old_compute(cache)
-        cache.invalidate("k")
-        in_new = threading.Event()
-        release_new = threading.Event()
-
-        def compute_new():
-            in_new.set()
-            assert release_new.wait(timeout=20)
-            return "new"
-
-        second = threading.Thread(target=lambda: outcome.update(b=cache.get("k", compute_new)))
-        second.start()
-        assert in_new.wait(timeout=20)
-        release.set()
-        thread.join(timeout=30)
-        assert cache.peek("k") == (False, None)
-        release_new.set()
-        second.join(timeout=30)
-        assert outcome == {"a": "old", "b": "new"}
-        assert cache.peek("k") == (True, "new")
-
-    def test_uncontended_miss_creates_no_event(self, monkeypatch):
-        created = []
-
-        def counting_event():
-            created.append(1)
-            return threading.Event()
-
-        # Replace the module's ``threading`` name only, not the stdlib's.
-        monkeypatch.setattr(
-            cache_module, "threading",
-            types.SimpleNamespace(Event=counting_event, Lock=threading.Lock),
-        )
-        cache = ReadThroughCache("test.lean")
-        for key in range(50):
-            assert cache.get(key, lambda key=key: key) == key
-            assert cache.get(key, lambda: "recomputed") == key
-        with pytest.raises(RuntimeError):
-            cache.get("bad", lambda: (_ for _ in ()).throw(RuntimeError("boom")))
-        assert created == []
         info = cache.info()
-        assert (info.hits, info.misses) == (50, 51)
+        assert (info.hits, info.misses) == (0, 2)  # the failure was a miss
+
+    def test_counters_after_invalidate_and_clear(self):
+        cache = ReadThroughCache("test.reset")
+        for key in ("a", "b", "a"):
+            cache.get(key, lambda key=key: key.upper())
+        cache.invalidate("a")  # drops the entry, keeps counting
+        assert cache.peek("a") == (False, None)
+        assert cache.get("a", lambda: "again") == "again"
+        info = cache.info()
+        assert (info.hits, info.misses, info.size) == (1, 3, 2)
+        cache.clear()  # drops every entry and zeroes the counters
+        info = cache.info()
+        assert (info.hits, info.misses, info.size) == (0, 0, 0)
+        assert cache.get("b", lambda: "fresh") == "fresh"
+        info = cache.info()
+        assert (info.hits, info.misses, info.size) == (0, 1, 1)
+
+
+class TestCacheTraffic:
+    """Every memo lookup of a study runs on its process's main thread.
+
+    That is why a cache needs no lock: the serial backend runs on the
+    caller's thread, each pool worker is a process with its own copy of
+    every cache, and the pool's done-callback thread only reports
+    progress.
+    """
+
+    @pytest.mark.parametrize("config", [
+        StudyConfig(),
+        StudyConfig(jobs=2, backend="process"),
+    ], ids=["serial", "process-2"])
+    def test_every_lookup_runs_on_a_main_thread(self, scenario, config, monkeypatch, tmp_path):
+        coordinator = os.getpid()
+        calls = []  # thread ids of the coordinator's lookups
+        seen = set()  # (pid, on main thread) pairs already marked
+        original = ReadThroughCache.get
+
+        def recording_get(cache, key, compute):
+            if os.getpid() == coordinator:
+                calls.append(threading.get_ident())
+            else:
+                # A forked pool worker: one marker file per new pair.
+                pair = (os.getpid(), threading.current_thread() is threading.main_thread())
+                if pair not in seen:
+                    seen.add(pair)
+                    (tmp_path / "{}-{}".format(*pair)).touch()
+            return original(cache, key, compute)
+
+        monkeypatch.setattr(ReadThroughCache, "get", recording_get)
+        stream = io.StringIO()
+        run_study(
+            scenario, countries=["CA", "NZ"], config=config,
+            progress=ProgressReporter(2, stream=stream),
+        )
+        assert "2/2" in stream.getvalue()
+        assert set(calls) <= {threading.main_thread().ident}
+        workers = sorted(path.name for path in tmp_path.iterdir())
+        assert all(name.endswith("-True") for name in workers), workers
+        if config.backend != "process":
+            assert calls and not workers
+        elif "fork" in multiprocessing.get_all_start_methods():
+            assert workers  # the forked workers ran the recording get

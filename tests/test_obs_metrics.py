@@ -290,6 +290,20 @@ class TestStudySnapshotDocument:
         document["metrics"]["families"] = families
         assert validate_study_snapshot(document) == [problem]
 
+    @pytest.mark.parametrize("resources,problem", [
+        ({"CA": 1}, "resources['CA'] must be an object"),
+        ({"CA": {"gc_collections": 3}}, "resources['CA'].cpu_seconds must be a number"),
+        ({"CA": {"cpu_seconds": "0.5"}}, "resources['CA'].cpu_seconds must be a number"),
+        ({"CA": {"cpu_seconds": 0.5, "peak_rss_kb": 1.5}},
+         "resources['CA'].peak_rss_kb must be an integer"),
+        ({"CA": {"cpu_seconds": 0.5, "gc_collections": "3"}},
+         "resources['CA'].gc_collections must be an integer"),
+    ])
+    def test_malformed_resources_entries_are_problems(self, resources, problem):
+        document = self._study_snapshot()
+        document["resources"] = resources
+        assert validate_study_snapshot(document) == [problem]
+
     def test_write_and_load_json(self, tmp_path):
         document = self._study_snapshot()
         path = tmp_path / "metrics.json"
