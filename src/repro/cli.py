@@ -15,7 +15,7 @@ Subcommands mirror how the paper's artefacts are used:
 * ``gamma stability CC``  — multi-visit variability (the §7 follow-up).
 * ``gamma recruitment``   — the volunteer/consent ledger (§3.3-3.5).
 * ``gamma trace FILE``    — summarize a run journal written with
-  ``--trace`` (span tree, funnel drill-down, slowest sites, caches).
+  ``--trace`` (span tree, funnel drill-down, slowest sites, faults).
 * ``gamma metrics ...``   — inspect run metric snapshots: render one,
   validate it against the schema, diff two runs with regression verdicts.
 """
@@ -62,9 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     study = sub.add_parser("study", help="run the full methodology")
     study.add_argument("--countries", default=None,
                        help="comma-separated country codes (default: all 23)")
-    study.add_argument("--cache-stats", action="store_true",
-                       help="print hit/miss counters for every memo cache "
-                            "(verdicts, distance, traces, ...) after the summary")
     study.add_argument("--inject-fault", default=None, metavar="CC[:N]",
                        help="deterministic fault injection (testing/CI): fail "
                             "country CC on its first N attempts (omit :N for "
@@ -143,6 +140,13 @@ def _job_count(raw: str) -> int:
     return jobs
 
 
+def _retry_count(raw: str) -> int:
+    retries = int(raw)
+    if retries < 0:
+        raise argparse.ArgumentTypeError("must be >= 0")
+    return retries
+
+
 def _add_exec_arguments(parser: argparse.ArgumentParser) -> None:
     """``--jobs``/``--backend``: the parallel execution layer (repro.exec)."""
     parser.add_argument("--jobs", type=_job_count, default=1, metavar="N",
@@ -163,7 +167,7 @@ def _add_exec_arguments(parser: argparse.ArgumentParser) -> None:
                              "(default), skip = record the failure and keep "
                              "going, retry = deterministic exponential "
                              "backoff, then skip")
-    parser.add_argument("--max-retries", type=int, default=2, metavar="N",
+    parser.add_argument("--max-retries", type=_retry_count, default=2, metavar="N",
                         help="retries per country under --on-error retry "
                              "(default 2)")
     parser.add_argument("--checkpoint-dir", type=Path, default=None,
@@ -286,18 +290,6 @@ def _cmd_study(args: argparse.Namespace) -> int:
           f"{funnel.after_latency_constraints} after latency -> "
           f"{funnel.after_rdns} verified")
     print(f"\n{outcome.metrics.render()}")
-    if args.cache_stats:
-        # The per-country deltas merged into the run metrics: this
-        # study's lookups only, counted wherever each country ran.
-        print(render_table(
-            ["cache", "hits", "misses", "hit %", "size"],
-            [
-                (name, info["hits"], info["misses"],
-                 f"{100 * info['hit_rate']:.1f}", info["size"])
-                for name, info in sorted(outcome.metrics.cache_infos.items())
-            ],
-            title="Memo-cache statistics",
-        ))
     _print_failures(outcome)
     if args.trace is not None:
         print(f"\nrun journal written to {args.trace} "

@@ -7,7 +7,7 @@ fixed-width text: easy to diff, easy to eyeball against the paper.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.core.analysis.continents import ContinentFlowAnalysis
 from repro.core.analysis.flows import FlowAnalysis
@@ -16,6 +16,7 @@ from repro.core.analysis.organizations import OrganizationAnalysis
 from repro.core.analysis.perwebsite import PerWebsiteAnalysis
 from repro.core.analysis.policy import PolicyAnalysis
 from repro.core.analysis.prevalence import PrevalenceAnalysis
+from repro.core.analysis.stats import correlation_or_none
 
 __all__ = [
     "render_table",
@@ -46,6 +47,11 @@ def render_table(headers: Sequence[str], rows: Sequence[Sequence[object]], title
     return "\n".join(lines)
 
 
+def _fmt_correlation(compute: Callable[[], float]) -> str:
+    value = correlation_or_none(compute)
+    return "undefined" if value is None else f"{value:.2f}"
+
+
 def render_fig3(analysis: PrevalenceAnalysis) -> str:
     rows = [
         (r.country_code, f"{r.regional_pct:.1f}", f"{r.government_pct:.1f}", f"{r.combined_pct:.1f}")
@@ -62,7 +68,7 @@ def render_fig3(analysis: PrevalenceAnalysis) -> str:
         body
         + f"\nregional mean={summary_reg['mean']:.2f}% sigma={summary_reg['stdev']:.2f}%"
         + f"\ngovernment mean={summary_gov['mean']:.2f}% sigma={summary_gov['stdev']:.2f}%"
-        + f"\nreg/gov Pearson r={analysis.regional_government_correlation():.2f}"
+        + f"\nreg/gov Pearson r={_fmt_correlation(analysis.regional_government_correlation)}"
     )
 
 
@@ -154,4 +160,6 @@ def render_table1(analysis: PolicyAnalysis) -> str:
         rows,
         title="Table 1: data localization policy vs non-local tracker rate",
     )
-    return body + f"\nstrictness-vs-rate Spearman rho={analysis.strictness_correlation():.2f}"
+    return body + (
+        f"\nstrictness-vs-rate Spearman rho={_fmt_correlation(analysis.strictness_correlation)}"
+    )

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "mean",
     "stdev",
     "pearson",
     "spearman",
+    "correlation_or_none",
     "quantile",
     "BoxplotStats",
     "boxplot_stats",
@@ -72,6 +73,15 @@ def _ranks(values: Sequence[float]) -> List[float]:
 def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Spearman rank correlation (Pearson over fractional ranks)."""
     return pearson(_ranks(xs), _ranks(ys))
+
+
+def correlation_or_none(compute: Callable[[], float]) -> Optional[float]:
+    """*compute*'s coefficient, or None where it is undefined (fewer
+    than two points, or a constant sequence)."""
+    try:
+        return compute()
+    except ValueError:
+        return None
 
 
 def quantile(values: Sequence[float], q: float) -> float:

@@ -8,7 +8,9 @@ and downstream comparisons (e.g. longitudinal before/after diffs).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
+
+from repro.core.analysis.stats import correlation_or_none
 
 __all__ = ["StudySummary", "summarize_study"]
 
@@ -23,7 +25,9 @@ class StudySummary:
     regional_stdev_pct: float = 0.0
     government_mean_pct: float = 0.0
     government_stdev_pct: float = 0.0
-    reg_gov_pearson: float = 0.0
+    #: None when the correlation is undefined (fewer than two countries,
+    #: or one side constant) — as is ``policy_strictness_spearman``.
+    reg_gov_pearson: Optional[float] = 0.0
     combined_pct_by_country: Dict[str, float] = field(default_factory=dict)
     top_destinations: Dict[str, float] = field(default_factory=dict)
     central_hub_continent: Optional[str] = None
@@ -33,7 +37,7 @@ class StudySummary:
     sites_with_nonlocal: int = 0
     first_party_sites: int = 0
     funnel: Dict[str, int] = field(default_factory=dict)
-    policy_strictness_spearman: float = 0.0
+    policy_strictness_spearman: Optional[float] = 0.0
     source_trace_origins: Dict[str, str] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -56,6 +60,12 @@ class StudySummary:
         )
 
 
+def _correlation(compute: Callable[[], float]) -> Optional[float]:
+    """*compute*'s coefficient to 3 places, or None where it is undefined."""
+    value = correlation_or_none(compute)
+    return None if value is None else round(value, 3)
+
+
 def summarize_study(outcome) -> StudySummary:
     """Build a :class:`StudySummary` from a :class:`~repro.study.StudyOutcome`."""
     prevalence = outcome.prevalence()
@@ -72,7 +82,7 @@ def summarize_study(outcome) -> StudySummary:
         regional_stdev_pct=round(regional["stdev"], 2),
         government_mean_pct=round(government["mean"], 2),
         government_stdev_pct=round(government["stdev"], 2),
-        reg_gov_pearson=round(prevalence.regional_government_correlation(), 3),
+        reg_gov_pearson=_correlation(prevalence.regional_government_correlation),
         combined_pct_by_country={
             cc: round(pct, 2) for cc, pct in prevalence.combined_pct_by_country().items()
         },
@@ -95,6 +105,6 @@ def summarize_study(outcome) -> StudySummary:
             "after_latency_constraints": funnel.after_latency_constraints,
             "after_rdns": funnel.after_rdns,
         },
-        policy_strictness_spearman=round(outcome.policy().strictness_correlation(), 3),
+        policy_strictness_spearman=_correlation(outcome.policy().strictness_correlation),
         source_trace_origins=dict(outcome.source_trace_origins),
     )

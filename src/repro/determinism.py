@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-import threading
 from collections.abc import Sequence
 
 __all__ = [
@@ -53,32 +52,29 @@ def stable_rng(*parts: object) -> random.Random:
     return random.Random(stable_hash(*parts))
 
 
-#: Single-draw helpers reseed one long-lived generator per thread:
+#: Single-draw helpers reseed one long-lived module-level generator:
 #: ``Random.seed(n)`` installs the exact state ``Random(n)`` would, and
 #: the draw consumes it whole, so reuse is invisible in the results
-#: while skipping a generator allocation per call.
-_DRAW_LOCAL = threading.local()
+#: while skipping a generator allocation per call.  Every draw of a
+#: study runs on its process's main thread, so one generator serves.
+_DRAW_RNG = random.Random()
 
 
 def _seeded_draw_rng(seed: int) -> random.Random:
-    rng = getattr(_DRAW_LOCAL, "rng", None)
-    if rng is None:
-        rng = _DRAW_LOCAL.rng = random.Random()
-    rng.seed(seed)
-    return rng
+    _DRAW_RNG.seed(seed)
+    return _DRAW_RNG
 
 
 def stable_draw_rng(*parts: object) -> random.Random:
-    """A thread-local generator reseeded from *parts* — single-use.
+    """The shared draw generator reseeded from *parts* — single-use.
 
     State-identical to ``stable_rng(*parts)`` (``Random.seed(n)``
     installs exactly the state ``Random(n)`` starts with) but without
     allocating a generator per call — the win on hot paths that draw a
     short, fixed burst.  The caller must consume its draws immediately:
-    holding the generator across any other ``stable_*`` draw on the
-    same thread reseeds it out from under the holder.  When the
-    generator escapes to callers or draws interleave, use
-    :func:`stable_rng`.
+    holding the generator across any other ``stable_*`` draw reseeds
+    it out from under the holder.  When the generator escapes to
+    callers or draws interleave, use :func:`stable_rng`.
     """
     return _seeded_draw_rng(stable_hash(*parts))
 

@@ -234,28 +234,6 @@ class ExecMetrics:
             return 1.0
         return self.cpu_seconds / self.wall_seconds
 
-    def to_dict(self) -> dict:
-        payload = {
-            "backend": self.backend,
-            "jobs": self.jobs,
-            "wall_seconds": round(self.wall_seconds, 4),
-            "aggregate_seconds": round(self.aggregate_seconds, 4),
-            "cpu_seconds": round(self.cpu_seconds, 4),
-            "speedup": round(self.speedup, 3),
-            "phase_seconds": {
-                phase: round(seconds, 4)
-                for phase, seconds in sorted(self.phase_seconds.items())
-            },
-            "country_seconds": dict(sorted(self.country_seconds.items())),
-            "caches": dict(sorted(self.cache_infos.items())),
-        }
-        transport_bytes = self.transport_bytes
-        if transport_bytes:
-            payload["transport_bytes"] = dict(sorted(transport_bytes.items()))
-            payload["transport_encode_seconds"] = round(self.transport_encode_seconds, 4)
-            payload["transport_decode_seconds"] = round(self.transport_decode_seconds, 4)
-        return payload
-
     def render(self) -> str:
         """One human-readable block for the CLI study summary."""
         aggregate = self.aggregate_seconds

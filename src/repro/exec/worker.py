@@ -272,13 +272,6 @@ class StudyWorker:
         # Runtime-class accounting: wall-clock seconds and which country
         # paid each cache miss depend on scheduling.
         close_country(metrics, country_code, cpu_seconds, cache_deltas)
-        resources = profiler.snapshot() if profiler is not None else None
-        if tracer is not None:
-            tracer.event("country_caches", country=country_code, caches=cache_deltas)
-            if resources is not None:
-                tracer.event(
-                    "country_resources", country=country_code, resources=resources
-                )
 
         return CountryRun(
             country_code=country_code,
@@ -288,5 +281,5 @@ class StudyWorker:
             source_trace_origin=source_traces.origin,
             events=tracer.events() if tracer is not None else None,
             metrics_delta=metrics.snapshot(),
-            resources=resources,
+            resources=profiler.snapshot() if profiler is not None else None,
         )

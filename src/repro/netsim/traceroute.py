@@ -275,7 +275,7 @@ def _sample_probe_rtts(index: int, address: str, rtt_ms: float) -> tuple:
     """Derive the three per-probe samples for a gateway, destination or
     hand-built hop from a generator seeded by the hop itself."""
     # Three draws, consumed before the generator can be reseeded: the
-    # single-use thread-local fast path applies.
+    # single-use shared-generator fast path applies.
     rng = stable_draw_rng("probe-rtts", index, address, rtt_ms)
     return (
         max(0.05, rtt_ms + rng.uniform(-0.4, 0.4)),

@@ -15,8 +15,9 @@ Two classes of fields vary between otherwise-identical runs:
 
 * **timing fields** (``t``, ``dur``) on any record, plus the run
   record's environment fields (``backend``, ``jobs``, ``wall_seconds``);
-* **diagnostic records** (``country_caches``): cache hit/miss counts
-  legitimately depend on how work was scheduled across workers.
+* **diagnostic records** (``country_retry``, ``country_resumed``,
+  ``progress``): recovered faults, resumes and completion order describe
+  how the run unfolded, not what it measured.
 
 :func:`strip_timings` removes both.  The contract — locked down by
 ``tests/test_trace_determinism.py`` — is that after stripping, the
@@ -50,23 +51,13 @@ TIMING_FIELDS = frozenset({"t", "dur"})
 RUN_ENV_FIELDS = frozenset({"backend", "jobs", "wall_seconds", "resumed", "failed"})
 
 #: Event types that are runtime diagnostics: their payloads depend on
-#: how the run unfolded rather than on the study itself — cache hits
-#: shift between workers, retries and resumes record recovered faults
-#: that leave the artefacts untouched — so the strip operation removes
-#: the whole record.  ``country_failed`` is *not* here: a country that
-#: stayed down changes what the run produced, so it survives stripping.
-DIAGNOSTIC_EVENTS = frozenset(
-    {
-        "country_caches",
-        "country_retry",
-        "country_resumed",
-        # live progress and resource profiling (PR 8): completion order,
-        # rates, CPU seconds, and RSS all describe the execution, never
-        # the study — see docs/observability.md "Metrics".
-        "progress",
-        "country_resources",
-    }
-)
+#: how the run unfolded rather than on the study itself — retries and
+#: resumes record recovered faults that leave the artefacts untouched,
+#: live progress records completion order and rates — so the strip
+#: operation removes the whole record.  ``country_failed`` is *not*
+#: here: a country that stayed down changes what the run produced, so
+#: it survives stripping.
+DIAGNOSTIC_EVENTS = frozenset({"country_retry", "country_resumed", "progress"})
 
 
 def strip_timings(records: Iterable[dict]) -> List[dict]:

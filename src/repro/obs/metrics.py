@@ -568,7 +568,6 @@ def validate_exposition(text: str) -> List[str]:
 
 def build_study_snapshot(
     meta: Mapping[str, Any],
-    exec_metrics: Mapping[str, Any],
     metrics: Mapping[str, Any],
     resources: Optional[Mapping[str, Any]] = None,
 ) -> Dict[str, Any]:
@@ -577,7 +576,6 @@ def build_study_snapshot(
         "schema": SNAPSHOT_SCHEMA_VERSION,
         "kind": "gamma-metrics",
         "meta": dict(meta),
-        "exec": dict(exec_metrics),
         "metrics": dict(metrics),
     }
     if resources:
@@ -594,7 +592,7 @@ def validate_study_snapshot(snapshot: Mapping[str, Any]) -> List[str]:
         problems.append(f"schema must be {SNAPSHOT_SCHEMA_VERSION}")
     if snapshot.get("kind") != "gamma-metrics":
         problems.append("kind must be 'gamma-metrics'")
-    for section in ("meta", "exec", "metrics"):
+    for section in ("meta", "metrics"):
         if not isinstance(snapshot.get(section), Mapping):
             problems.append(f"missing or non-object section {section!r}")
     if isinstance(snapshot.get("metrics"), Mapping):

@@ -4,9 +4,9 @@ A :class:`ResourceProfiler` is created per country inside the worker
 (so process-backend numbers describe the worker interpreter that did
 the work) and snapshotted into ``CountryRun.resources``.  Everything it
 measures is wall-clock/OS state — runtime by definition — so snapshots
-live outside every determinism contract: they are folded into the
-study metrics snapshot and (under tracing) emitted as diagnostic
-``country_resources`` events, both of which are stripped.
+live outside every determinism contract: they are recorded only in the
+study metrics snapshot's ``resources`` section, never in the journal or
+the exported bundle.
 """
 
 from __future__ import annotations

@@ -24,7 +24,6 @@ __all__ = [
     "render_span_tree",
     "render_funnel",
     "render_slowest_sites",
-    "render_caches",
     "render_faults",
 ]
 
@@ -169,29 +168,6 @@ def render_slowest_sites(journal: RunJournal, top: int = 10) -> str:
     return "\n".join(lines)
 
 
-def render_caches(journal: RunJournal) -> str:
-    """Cache deltas summed over the per-country worker snapshots."""
-    totals: Dict[str, Dict[str, int]] = {}
-    for record in journal.events("country_caches"):
-        for name, info in record["caches"].items():
-            total = totals.setdefault(name, {"hits": 0, "misses": 0, "size": 0})
-            total["hits"] += info.get("hits", 0)
-            total["misses"] += info.get("misses", 0)
-            total["size"] = max(total["size"], info.get("size", 0))
-    lines = ["cache activity (worker-side deltas summed):"]
-    if not totals:
-        lines.append("  (no cache diagnostics in journal — stripped or untraced)")
-        return "\n".join(lines)
-    for name, total in sorted(totals.items()):
-        lookups = total["hits"] + total["misses"]
-        rate = 100.0 * total["hits"] / lookups if lookups else 0.0
-        lines.append(
-            f"  {name:<22} hits={total['hits']:<8} misses={total['misses']:<8} "
-            f"hit_rate={rate:5.1f}% size={total['size']}"
-        )
-    return "\n".join(lines)
-
-
 def render_faults(journal: RunJournal) -> str:
     """The fault-tolerance story: retries, permanent failures, resumes.
 
@@ -240,7 +216,6 @@ def render_journal(journal: RunJournal, top: int = 10) -> str:
         render_span_tree(journal),
         render_funnel(journal),
         render_slowest_sites(journal, top=top),
-        render_caches(journal),
         render_faults(journal),
     ]
     return "\n\n".join(sections)

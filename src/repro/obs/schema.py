@@ -83,10 +83,6 @@ EVENT_FIELDS: Dict[str, Dict[str, Tuple[tuple, bool]]] = {
         "country": (_STR, True),
         "funnel": (_DICT, True),
     },
-    "country_caches": {
-        "country": (_STR, True),
-        "caches": (_DICT, True),
-    },
     # Fault-tolerance story (docs/robustness.md): retries and resumes are
     # runtime diagnostics (stripped with the timings); a permanent
     # failure is part of what the run produced and survives stripping.
@@ -105,9 +101,9 @@ EVENT_FIELDS: Dict[str, Dict[str, Tuple[tuple, bool]]] = {
     "country_resumed": {
         "country": (_STR, True),
     },
-    # Telemetry diagnostics (docs/observability.md "Metrics"): live
-    # progress samples and per-country resource profiles are emitted in
-    # completion order and stripped with the other diagnostics.
+    # Telemetry diagnostic (docs/observability.md "Metrics"): live
+    # progress samples are emitted in completion order and stripped with
+    # the other diagnostics.
     "progress": {
         "country": (_STR, True),
         "done": (_INT, True),
@@ -117,10 +113,6 @@ EVENT_FIELDS: Dict[str, Dict[str, Tuple[tuple, bool]]] = {
         "sites_per_second": (_NUM, False),
         "eta_seconds": (_NUM, False),
         "resumed": (_BOOL, False),
-    },
-    "country_resources": {
-        "country": (_STR, True),
-        "resources": (_DICT, True),
     },
 }
 

@@ -62,7 +62,7 @@ from repro.exec.metrics import ExecMetrics, record_decode, record_transport, rec
 from repro.exec.resilience import CountryFailure, ResilientWorker
 from repro.exec.transport import PickledCountryRun, TransportWorker
 from repro.exec.worker import CountryRun, StudyWorker
-from repro.obs.journal import SCHEMA_VERSION, RunJournal
+from repro.obs.journal import DIAGNOSTIC_EVENTS, SCHEMA_VERSION, RunJournal
 from repro.obs.metrics import (
     MetricsRegistry,
     build_study_snapshot,
@@ -70,6 +70,7 @@ from repro.obs.metrics import (
     write_snapshot,
 )
 from repro.obs.progress import ProgressReporter
+from repro.obs.schema import EVENT_FIELDS
 from repro.worldgen.builder import Scenario
 
 __all__ = ["StudyConfig", "StudyOutcome", "run_study", "build_source_traces"]
@@ -298,12 +299,6 @@ def _merge_accounting(
     funnels.append(run.funnel)
 
 
-#: Journal diagnostics that describe the process which measured a
-#: country; a resumed country drops them, as it drops its runtime
-#: families, so a journal's numbers count this run's countries only.
-_EARLIER_PROCESS_EVENTS = frozenset({"country_caches", "country_resources"})
-
-
 def run_study(
     scenario: Scenario,
     countries: Optional[List[str]] = None,
@@ -451,9 +446,13 @@ def run_study(
             run = resumed[country_code]
             runs[country_code] = run
             _merge_accounting(outcome, run, funnels, resumed=True)
+            # Replay what the earlier process measured, not how its run
+            # unfolded: diagnostics, and event types this version no
+            # longer writes, stay behind with its runtime families.
             events = [
                 event for event in run.events or ()
-                if event.get("ev") not in _EARLIER_PROCESS_EVENTS
+                if event.get("ev") in EVENT_FIELDS
+                and event.get("ev") not in DIAGNOSTIC_EVENTS
             ]
             if tracing:
                 events.append({
@@ -492,10 +491,7 @@ def run_study(
     if outcome.failures:
         meta["failed"] = outcome.failed_countries()
     outcome.metrics_snapshot = build_study_snapshot(
-        meta,
-        outcome.metrics.to_dict(),
-        registry.snapshot(),
-        resources_by_country or None,
+        meta, registry.snapshot(), resources_by_country or None
     )
     if checkpoint is not None:
         write_snapshot(

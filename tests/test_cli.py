@@ -138,6 +138,7 @@ class TestFaultToleranceCLI:
         ("study", "--exercise-parsers"),
         ("study", "--confidence"),
         ("study", "--profile-mem"),
+        ("study", "--cache-stats"),
     ])
     def test_removed_engine_flags_are_rejected(self, command, flag, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -163,6 +164,12 @@ class TestFaultToleranceCLI:
             main(["study", "--countries", "CA", "--backend", "thread"])
         assert excinfo.value.code == 2
         assert "invalid choice: 'thread'" in capsys.readouterr().err
+
+    def test_negative_max_retries_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["study", "--countries", "RW", "--max-retries", "-1"])
+        assert excinfo.value.code == 2
+        assert "argument --max-retries: must be >= 0" in capsys.readouterr().err
 
     def test_resume_requires_checkpoint_dir(self):
         with pytest.raises(SystemExit, match="--resume requires --checkpoint-dir"):
@@ -274,17 +281,24 @@ class TestMetricsCommands:
 
         assert validate_exposition(prom.read_text()) == []
 
-    def test_parent_snapshot_with_geoloc_engine_is_accepted(
+    def test_older_snapshot_with_exec_section_is_accepted(
         self, snapshots, tmp_path, capsys
     ):
-        # Older snapshots recorded the constraint engine in meta/exec.
+        # Older snapshots restated the run's accounting in an "exec"
+        # section and recorded the constraint engine in meta/exec.
         snapshot = snapshots[1]
         payload = json.loads(snapshot.read_text())
+        assert sorted(payload) == ["kind", "meta", "metrics", "schema"]
         payload["meta"]["geoloc_engine"] = "columnar"
-        payload["exec"]["geoloc_engine"] = "columnar"
+        payload["exec"] = {
+            "backend": "process", "jobs": 2, "wall_seconds": 1.5,
+            "caches": {"trackers.verdicts": {"hits": 3, "misses": 1}},
+            "geoloc_engine": "columnar",
+        }
         parent = tmp_path / "parent.json"
         parent.write_text(json.dumps(payload))
         assert main(["metrics", "validate", str(parent)]) == 0
+        assert main(["metrics", "show", str(parent)]) == 0
         assert main(["metrics", "diff", str(parent), str(snapshot)]) == 0
         assert main(["metrics", "diff", str(snapshot), str(parent)]) == 0
         assert "no regressions (snapshots agree)" in capsys.readouterr().out

@@ -2,11 +2,12 @@
 
 A worker records its country's phase seconds, total and CPU seconds and
 memo-cache movement into the fresh registry it ships back; the
-coordinator merges those deltas into the run registry, and
-``snapshot["exec"]`` (``ExecMetrics.to_dict()``) only reads that
-registry.  These tests pin that every exec number equals the merged
-family it is read from, that the snapshot carries no family restating
-another, and that a resumed country adds no runtime series.
+coordinator merges those deltas into the run registry, which
+:class:`~repro.exec.ExecMetrics` only reads and the snapshot's
+``metrics`` section holds.  These tests pin that every ``ExecMetrics``
+number equals the merged family it is read from, that the snapshot
+carries no section or family restating another, and that a resumed
+country adds no runtime series.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import pytest
 from repro import StudyConfig, run_study
 from repro.obs.journal import strip_timings
 from repro.obs.metrics import strip_runtime
+from repro.obs.schema import validate_journal
 
 COUNTRIES = ["CA", "NZ", "RW"]
 
@@ -90,31 +92,33 @@ def runs(scenario):
 
 class TestEachNumberOnce:
     @pytest.mark.parametrize("name", ["serial", "process-2"])
-    def test_exec_reads_the_merged_families(self, runs, name):
-        outcome = runs[name]
-        snapshot = outcome.metrics_snapshot
-        exec_ = snapshot["exec"]
-        phases = _series(snapshot, "worker_phase_duration_seconds", "phase")
+    def test_exec_metrics_read_the_merged_families(self, runs, name):
+        metrics = runs[name].metrics
+        snapshot = runs[name].metrics_snapshot
         countries = _series(snapshot, "exec_country_seconds_total", "country")
-        assert outcome.metrics.phase_seconds == phases
-        assert exec_["phase_seconds"] == {
-            phase: round(seconds, 4) for phase, seconds in sorted(phases.items())
-        }
-        assert outcome.metrics.country_seconds == countries
-        assert exec_["country_seconds"] == dict(sorted(countries.items()))
         assert sorted(countries) == sorted(COUNTRIES)
-        assert exec_["aggregate_seconds"] == round(sum(countries.values()), 4)
-        assert exec_["cpu_seconds"] == round(
-            _scalar(snapshot, "exec_cpu_seconds_total"), 4
+        assert metrics.country_seconds == countries
+        assert metrics.aggregate_seconds == sum(countries.values())
+        assert metrics.phase_seconds == _series(
+            snapshot, "worker_phase_duration_seconds", "phase"
         )
-        assert exec_["wall_seconds"] == round(_scalar(snapshot, "exec_wall_seconds"), 4)
-        caches = _cache_family(snapshot)
+        assert metrics.cpu_seconds == _scalar(snapshot, "exec_cpu_seconds_total")
+        assert metrics.wall_seconds == _scalar(snapshot, "exec_wall_seconds")
         assert {
             cache: {key: info[key] for key in ("hits", "misses", "size")}
-            for cache, info in exec_["caches"].items()
-        } == caches
-        transport = _series(snapshot, "exec_transport_bytes_total", "country")
-        assert exec_.get("transport_bytes", {}) == dict(sorted(transport.items()))
+            for cache, info in metrics.cache_infos.items()
+        } == _cache_family(snapshot)
+        assert metrics.transport_bytes == _series(
+            snapshot, "exec_transport_bytes_total", "country"
+        )
+
+    @pytest.mark.parametrize("name", ["serial", "process-2"])
+    def test_snapshot_holds_the_registry_once(self, runs, name):
+        # No section restates the registry; ``resources`` appears only
+        # when profiling.
+        assert sorted(runs[name].metrics_snapshot) == [
+            "kind", "meta", "metrics", "schema",
+        ]
 
     def test_family_names_pinned(self, runs):
         serial = runs["serial"].metrics_snapshot["metrics"]["families"]
@@ -145,26 +149,9 @@ class TestResumedAccounting:
             checkpoint_dir=checkpoint_dir, resume=True, trace=True,
         )
 
-    def test_journal_cache_records_describe_this_process_only(self, resumed):
-        records = [
-            record for record in resumed.journal.records
-            if record["ev"] == "country_caches"
-        ]
-        assert [record["country"] for record in records] == ["RW"]
-        totals = {}
-        for record in records:
-            for cache, delta in record["caches"].items():
-                hits, misses = totals.get(cache, (0, 0))
-                totals[cache] = (hits + delta["hits"], misses + delta["misses"])
-        assert totals == {
-            cache: (info["hits"], info["misses"])
-            for cache, info in resumed.metrics.cache_infos.items()
-        }
-        resources = [
-            record["country"] for record in resumed.journal.records
-            if record["ev"] == "country_resources"
-        ]
-        assert resources == ["RW"]
+    def test_resources_describe_this_process_only(self, resumed):
+        assert list(resumed.metrics_snapshot["resources"]) == ["RW"]
+        assert validate_journal(resumed.journal.records) == []
 
     def test_stripped_journal_equals_an_uninterrupted_run(self, resumed, scenario):
         uninterrupted = run_study(scenario, countries=COUNTRIES, trace=True)
@@ -178,14 +165,13 @@ class TestResumedAccounting:
             cache: {key: info[key] for key in ("hits", "misses", "size")}
             for cache, info in resumed.metrics.cache_infos.items()
         } == _cache_family(snapshot)
-        assert snapshot["exec"]["caches"] == dict(
-            sorted(resumed.metrics.cache_infos.items())
-        )
 
     def test_runtime_numbers_describe_this_process_only(self, resumed):
         snapshot = resumed.metrics_snapshot
         assert list(resumed.metrics.country_seconds) == ["RW"]
-        assert list(snapshot["exec"]["country_seconds"]) == ["RW"]
+        assert list(
+            _series(snapshot, "exec_country_seconds_total", "country")
+        ) == ["RW"]
         assert snapshot["meta"]["resumed"] == COUNTRIES[:2]
         families = snapshot["metrics"]["families"]
         for record in families["worker_phase_duration_seconds"]["series"]:

@@ -16,7 +16,7 @@ import threading
 
 import pytest
 
-from repro import StudyConfig, build_scenario, run_study
+from repro import StudyConfig, build_scenario, determinism, run_study
 from repro.determinism import stable_rng
 from repro.exec.cache import ReadThroughCache, cache_registry
 from repro.longitudinal import LongitudinalStudy
@@ -74,10 +74,6 @@ class TestVerdictCacheSurfacing:
         rendered = study_small.metrics.render()
         assert "cache trackers.verdicts:" in rendered
         assert "hit_rate=" in rendered
-
-    def test_metrics_to_dict_includes_caches(self, study_small):
-        as_dict = study_small.metrics.to_dict()
-        assert "trackers.verdicts" in as_dict["caches"]
 
 
 class TestInflationCache:
@@ -278,25 +274,27 @@ class TestReadThroughCache:
 
 
 class TestCacheTraffic:
-    """Every memo lookup of a study runs on its process's main thread.
+    """Every memo lookup and seeded draw of a study runs on its process's
+    main thread.
 
-    That is why a cache needs no lock: the serial backend runs on the
-    caller's thread, each pool worker is a process with its own copy of
-    every cache, and the pool's done-callback thread only reports
-    progress.
+    That is why a cache needs no lock and the single-draw helpers share
+    one generator: the serial backend runs on the caller's thread, each
+    pool worker is a process with its own copy of every cache and of the
+    generator, and the pool's done-callback thread only reports progress.
     """
 
-    @pytest.mark.parametrize("config", [
-        StudyConfig(),
-        StudyConfig(jobs=2, backend="process"),
-    ], ids=["serial", "process-2"])
-    def test_every_lookup_runs_on_a_main_thread(self, scenario, config, monkeypatch, tmp_path):
+    @staticmethod
+    def _assert_main_thread_calls(owner, name, scenario, config, monkeypatch, tmp_path):
+        """Run a CA,NZ study with progress on and assert that every call
+        of ``owner.name`` ran on its process's main thread: the
+        coordinator records thread ids, each pool worker one
+        ``<pid>-<on main thread>`` marker file."""
         coordinator = os.getpid()
-        calls = []  # thread ids of the coordinator's lookups
+        calls = []
         seen = set()  # (pid, on main thread) pairs already marked
-        original = ReadThroughCache.get
+        original = getattr(owner, name)
 
-        def recording_get(cache, key, compute):
+        def recording(*args):
             if os.getpid() == coordinator:
                 calls.append(threading.get_ident())
             else:
@@ -305,19 +303,37 @@ class TestCacheTraffic:
                 if pair not in seen:
                     seen.add(pair)
                     (tmp_path / "{}-{}".format(*pair)).touch()
-            return original(cache, key, compute)
+            return original(*args)
 
-        monkeypatch.setattr(ReadThroughCache, "get", recording_get)
+        monkeypatch.setattr(owner, name, recording)
         stream = io.StringIO()
         run_study(
             scenario, countries=["CA", "NZ"], config=config,
             progress=ProgressReporter(2, stream=stream),
         )
         assert "2/2" in stream.getvalue()
-        assert set(calls) <= {threading.main_thread().ident}
         workers = sorted(path.name for path in tmp_path.iterdir())
-        assert all(name.endswith("-True") for name in workers), workers
+        assert set(calls) <= {threading.main_thread().ident}
+        assert all(marker.endswith("-True") for marker in workers), workers
         if config.backend != "process":
             assert calls and not workers
         elif "fork" in multiprocessing.get_all_start_methods():
-            assert workers  # the forked workers ran the recording get
+            assert workers  # the forked workers ran the recording call
+
+    @pytest.mark.parametrize("config", [
+        StudyConfig(),
+        StudyConfig(jobs=2, backend="process"),
+    ], ids=["serial", "process-2"])
+    def test_every_lookup_runs_on_a_main_thread(self, scenario, config, monkeypatch, tmp_path):
+        self._assert_main_thread_calls(
+            ReadThroughCache, "get", scenario, config, monkeypatch, tmp_path
+        )
+
+    @pytest.mark.parametrize("config", [
+        StudyConfig(),
+        StudyConfig(jobs=2, backend="process"),
+    ], ids=["serial", "process-2"])
+    def test_every_draw_runs_on_a_main_thread(self, scenario, config, monkeypatch, tmp_path):
+        self._assert_main_thread_calls(
+            determinism, "_seeded_draw_rng", scenario, config, monkeypatch, tmp_path
+        )

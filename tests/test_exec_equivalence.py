@@ -104,7 +104,6 @@ class TestMetricsShape:
             assert phase in metrics.phase_seconds
         assert metrics.wall_seconds > 0
         assert 0 < metrics.aggregate_seconds <= metrics.wall_seconds * 1.5
-        assert metrics.to_dict()["backend"] == "serial"
         assert 0 < metrics.cpu_seconds <= metrics.wall_seconds * 1.05
         assert study_small.metrics_snapshot["meta"]["cpus"] == os.cpu_count()
 

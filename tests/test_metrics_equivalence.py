@@ -216,7 +216,6 @@ class TestTelemetryInvariance:
         _, instrumented, reporter = plain_and_instrumented
         events = {record.get("ev") for record in instrumented.journal.records}
         assert "progress" in events
-        assert "country_resources" in events
         assert validate_journal(instrumented.journal.records) == []
         assert len(reporter.events()) == len(SMALL_COUNTRIES)
 

@@ -80,8 +80,8 @@ class TestJournal:
         buffer = [
             {"ev": "span", "kind": "country", "name": "CA", "span": "study/CA",
              "parent": "study", "t": 0.0, "dur": 1.0},
-            {"ev": "country_caches", "span": "study", "t": 1.0,
-             "country": "CA", "caches": {"c": {"hits": 1, "misses": 2, "size": 3}}},
+            {"ev": "country_retry", "span": "study/CA", "t": 1.0,
+             "country": "CA", "attempt": 1, "error": "boom", "delay_seconds": 0.1},
         ]
         tail = [{"ev": "span", "kind": "study", "name": "study", "span": "study",
                  "parent": "", "t": 0.0, "dur": 1.5}]
@@ -89,7 +89,7 @@ class TestJournal:
 
     def test_assemble_orders_run_buffers_tail(self):
         journal = self._journal()
-        assert [r["ev"] for r in journal] == ["run", "span", "country_caches", "span"]
+        assert [r["ev"] for r in journal] == ["run", "span", "country_retry", "span"]
         assert journal.run_record["backend"] == "serial"
 
     def test_strip_removes_timings_env_and_diagnostics(self):
@@ -126,7 +126,7 @@ class TestJournal:
 
     def test_filters(self):
         journal = self._journal()
-        assert len(journal.events("country_caches")) == 1
+        assert len(journal.events("country_retry")) == 1
         assert len(journal.spans("country")) == 1
         assert len(journal.spans()) == 2
 
@@ -243,9 +243,6 @@ class TestExecMetricsSatellites:
         )
         assert list(metrics.country_seconds) == ["AA", "BB", "CC", "DD", "EE"]
         assert sum(metrics.country_seconds.values()) == metrics.aggregate_seconds
-        assert metrics.to_dict()["aggregate_seconds"] == round(
-            metrics.aggregate_seconds, 4
-        )
 
     def test_country_seconds_rounded_to_6_places(self):
         metrics = _exec_metrics([_country_delta("AA", {"gamma": 0.123456789})])

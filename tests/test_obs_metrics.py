@@ -260,7 +260,6 @@ class TestStudySnapshotDocument:
 
         return build_study_snapshot(
             {"countries": ["CA"], "backend": "serial", "jobs": 1},
-            {"wall_seconds": 1.25},
             registry.snapshot(),
             {"CA": {"cpu_seconds": 0.5, "gc_collections": 3}},
         )

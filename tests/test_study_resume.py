@@ -18,6 +18,7 @@ import pytest
 
 from repro import FaultInjector, StudyConfig, run_study
 from repro.exec import CountryExecutionError, StudyCheckpoint
+from repro.obs.schema import validate_journal
 from tests.conftest import SMALL_COUNTRIES
 from tests.test_exec_equivalence import assert_outcomes_identical
 
@@ -167,6 +168,41 @@ class TestCheckpointStore:
         assert json.dumps(resumed.summary().to_dict()) == json.dumps(
             uninterrupted.summary().to_dict()
         )
+
+    def test_run_carrying_older_diagnostic_records_resumes(
+        self, scenario, uninterrupted, tmp_path
+    ):
+        # Older versions also journalled each country's cache deltas and
+        # resource profile (``country_caches``/``country_resources``);
+        # like a stored ``country_retry``, they describe the earlier
+        # process, so a resume replays none of them and the journal,
+        # timings included, still validates.
+        checkpoint_dir = tmp_path / "ckpt"
+        completed = SMALL_COUNTRIES[:INTERRUPT_AFTER]
+        run_study(scenario, countries=completed, config=StudyConfig(profile=True),
+                  checkpoint_dir=checkpoint_dir, trace=True)
+        checkpoint = StudyCheckpoint(checkpoint_dir)
+        older = {"country_caches", "country_resources", "country_retry"}
+        for cc in completed:
+            run = checkpoint.load(cc)
+            span = f"study/{cc}"
+            run.events.extend([
+                {"ev": "country_retry", "span": span, "t": 0.1, "country": cc,
+                 "attempt": 1, "error": "RuntimeError: transient"},
+                {"ev": "country_caches", "span": span, "t": 1.0, "country": cc,
+                 "caches": {"trackers.verdicts": {"hits": 5, "misses": 2, "size": 2}}},
+                {"ev": "country_resources", "span": span, "t": 1.0, "country": cc,
+                 "resources": run.resources},
+            ])
+            checkpoint.store(run)
+        resumed = run_study(
+            scenario, countries=SMALL_COUNTRIES, checkpoint_dir=checkpoint_dir,
+            resume=True, trace=True,
+        )
+        assert not list(checkpoint_dir.glob("*.corrupt"))
+        assert not older & {record["ev"] for record in resumed.journal.records}
+        assert validate_journal(resumed.journal.records) == []
+        assert_resume_equivalent(uninterrupted, resumed)
 
     def test_corrupt_run_file_is_quarantined_and_remeasured(
         self, scenario, uninterrupted, tmp_path

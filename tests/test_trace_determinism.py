@@ -133,11 +133,10 @@ class TestTraceCLI:
     def test_study_trace_roundtrip(self, tmp_path, capsys):
         journal_path = tmp_path / "run.jsonl"
         assert main(["study", "--countries", "CA", "--backend", "process",
-                     "--jobs", "2", "--trace", str(journal_path),
-                     "--cache-stats"]) == 0
+                     "--jobs", "2", "--trace", str(journal_path)]) == 0
         out = capsys.readouterr().out
         assert "run journal written" in out
-        assert "Memo-cache statistics" in out
+        assert "cache trackers.verdicts: hits=" in out
         assert "%" in out  # phase-share column in the metrics block
 
         assert main(["trace", str(journal_path), "--validate"]) == 0
@@ -148,7 +147,7 @@ class TestTraceCLI:
         assert "span tree" in rendered
         assert "funnel drill-down" in rendered
         assert "top 3 slowest site visits" in rendered
-        assert "cache activity" in rendered
+        assert "fault tolerance" in rendered
 
     def test_no_timings_flag_strips_journal(self, tmp_path, capsys):
         journal_path = tmp_path / "flat.jsonl"

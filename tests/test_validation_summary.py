@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro import build_scenario, run_study
+from repro.artifacts import export_study
 from repro.core.analysis.summary import summarize_study
 from repro.core.geoloc.validation import (
     ValidationCounts,
@@ -187,3 +188,28 @@ class TestStudySummary:
 
     def test_outcome_accessor(self, study_full):
         assert study_full.summary().countries == sorted(study_full.datasets)
+
+    def test_single_country_summary_has_no_correlations(self, scenario, tmp_path):
+        # Regression: one country gave "need at least two points".
+        outcome = run_study(scenario, countries=["RW"])
+        summary = outcome.summary()
+        assert summary.reg_gov_pearson is None
+        assert summary.policy_strictness_spearman is None
+        export_study(outcome, tmp_path)
+        payload = json.loads((tmp_path / "data" / "summary.json").read_text(encoding="utf-8"))
+        assert payload["countries"] == ["RW"]
+        assert payload["reg_gov_pearson"] is None
+        assert payload["policy_strictness_spearman"] is None
+
+    def test_constant_strictness_rank_leaves_spearman_undefined(self, scenario, tmp_path):
+        # Regression: CA and NZ share strictness rank 3, which gave
+        # "correlation undefined for constant sequences".
+        outcome = run_study(scenario, countries=["CA", "NZ"])
+        summary = outcome.summary()
+        assert summary.policy_strictness_spearman is None
+        assert isinstance(summary.reg_gov_pearson, float)
+        export_study(outcome, tmp_path)
+        payload = json.loads((tmp_path / "data" / "summary.json").read_text(encoding="utf-8"))
+        assert payload["policy_strictness_spearman"] is None
+        table1 = (tmp_path / "figures" / "table1_policy.txt").read_text(encoding="utf-8")
+        assert "Spearman rho=undefined" in table1
