@@ -62,10 +62,9 @@ def build_parser() -> argparse.ArgumentParser:
     study = sub.add_parser("study", help="run the full methodology")
     study.add_argument("--countries", default=None,
                        help="comma-separated country codes (default: all 23)")
-    study.add_argument("--inject-fault", default=None, metavar="CC[:N]",
+    study.add_argument("--inject-fault", default=None, metavar="CC[,CC...]",
                        help="deterministic fault injection (testing/CI): fail "
-                            "country CC on its first N attempts (omit :N for "
-                            "a permanent fault); comma-separate entries")
+                            "each named country every time it runs")
     _add_exec_arguments(study)
 
     figures = sub.add_parser("figures", help="regenerate every figure and table")
@@ -80,13 +79,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     whatif = sub.add_parser("whatif", help="longitudinal localization what-if")
     whatif.add_argument("country", choices=sorted(MEASUREMENT_COUNTRIES))
-    whatif.add_argument("--adoption", type=float, default=0.7,
+    whatif.add_argument("--adoption", type=_adoption_rate, default=0.7,
                         help="industry compliance rate (0, 1]")
 
     stability = sub.add_parser("stability", help="multi-visit variability for one country")
     stability.add_argument("country", choices=sorted(MEASUREMENT_COUNTRIES))
-    stability.add_argument("--visits", type=int, default=3)
-    stability.add_argument("--limit", type=int, default=30,
+    stability.add_argument("--visits", type=_positive_count, default=3,
+                           help="visits per site (default 3)")
+    stability.add_argument("--limit", type=_positive_count, default=30,
                            help="number of target sites to revisit")
 
     sub.add_parser("recruitment", help="print the volunteer/consent ledger")
@@ -140,11 +140,18 @@ def _job_count(raw: str) -> int:
     return jobs
 
 
-def _retry_count(raw: str) -> int:
-    retries = int(raw)
-    if retries < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return retries
+def _positive_count(raw: str) -> int:
+    count = int(raw)
+    if count < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return count
+
+
+def _adoption_rate(raw: str) -> float:
+    rate = float(raw)
+    if not 0.0 < rate <= 1.0:
+        raise argparse.ArgumentTypeError("must be in (0, 1]")
+    return rate
 
 
 def _add_exec_arguments(parser: argparse.ArgumentParser) -> None:
@@ -165,11 +172,7 @@ def _add_exec_arguments(parser: argparse.ArgumentParser) -> None:
                         default="raise",
                         help="per-country failure policy: raise = fail fast "
                              "(default), skip = record the failure and keep "
-                             "going, retry = deterministic exponential "
-                             "backoff, then skip")
-    parser.add_argument("--max-retries", type=_retry_count, default=2, metavar="N",
-                        help="retries per country under --on-error retry "
-                             "(default 2)")
+                             "going")
     parser.add_argument("--checkpoint-dir", type=Path, default=None,
                         metavar="DIR",
                         help="persist each completed country here (atomic, "
@@ -194,14 +197,29 @@ def _add_exec_arguments(parser: argparse.ArgumentParser) -> None:
                              "else = metrics.json document")
 
 
+def _check_countries(countries) -> None:
+    unknown = set(countries) - set(MEASUREMENT_COUNTRIES)
+    if unknown:
+        raise SystemExit(f"unknown measurement countries: {sorted(unknown)}")
+
+
 def _parse_countries(raw: Optional[str]) -> Optional[List[str]]:
     if raw is None:
         return None
     countries = [c.strip().upper() for c in raw.split(",") if c.strip()]
-    unknown = set(countries) - set(MEASUREMENT_COUNTRIES)
-    if unknown:
-        raise SystemExit(f"unknown measurement countries: {sorted(unknown)}")
+    _check_countries(countries)
     return countries
+
+
+def _parse_fault_injector(raw: Optional[str]) -> Optional[FaultInjector]:
+    if raw is None:
+        return None
+    try:
+        injector = FaultInjector.parse(raw)
+    except ValueError as error:
+        raise SystemExit(str(error))
+    _check_countries(injector.countries)
+    return injector
 
 
 def _cmd_volunteer(args: argparse.Namespace) -> int:
@@ -237,7 +255,6 @@ def _run_kwargs(args: argparse.Namespace) -> dict:
         jobs=args.jobs,
         backend=args.backend,
         on_error=args.on_error,
-        max_retries=args.max_retries,
         profile=args.profile,
     )
     return {
@@ -256,8 +273,8 @@ def _print_failures(outcome) -> None:
         return
     print()
     print(render_table(
-        ["country", "attempts", "error"],
-        [(f.country_code, f.attempts, f"{f.error_type}: {f.message}")
+        ["country", "error"],
+        [(f.country_code, f"{f.error_type}: {f.message}")
          for f in outcome.failures],
         title="Failed countries (excluded from the analyses above)",
     ))
@@ -265,12 +282,8 @@ def _print_failures(outcome) -> None:
 
 def _cmd_study(args: argparse.Namespace) -> int:
     countries = _parse_countries(args.countries)
+    injector = _parse_fault_injector(args.inject_fault)
     scenario = build_scenario()
-    try:
-        injector = (FaultInjector.parse(args.inject_fault)
-                    if args.inject_fault else None)
-    except ValueError as error:
-        raise SystemExit(str(error))
     outcome = run_study(
         scenario, countries=countries, fault_injector=injector,
         **_run_kwargs(args),

@@ -13,22 +13,19 @@ digest once.  Memoising partially-fed digest states per leading tuple
 does not pay: nearly half of the lookups miss, a miss builds, stores
 and copies a state, and even a hit costs as much as the one-shot digest
 of a short key string.
-``tests/test_determinism_fastpath.py`` pins :func:`stable_hash` and the
-single-draw helpers to reference implementations.
+``tests/test_determinism_fastpath.py`` pins :func:`stable_hash` and
+:func:`stable_draw_rng` to reference implementations.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from collections.abc import Sequence
 
 __all__ = [
     "stable_hash",
     "stable_rng",
     "stable_draw_rng",
-    "stable_uniform",
-    "stable_choice",
 ]
 
 
@@ -52,7 +49,7 @@ def stable_rng(*parts: object) -> random.Random:
     return random.Random(stable_hash(*parts))
 
 
-#: Single-draw helpers reseed one long-lived module-level generator:
+#: :func:`stable_draw_rng` reseeds one long-lived module-level generator:
 #: ``Random.seed(n)`` installs the exact state ``Random(n)`` would, and
 #: the draw consumes it whole, so reuse is invisible in the results
 #: while skipping a generator allocation per call.  Every draw of a
@@ -78,17 +75,3 @@ def stable_draw_rng(*parts: object) -> random.Random:
     """
     return _seeded_draw_rng(stable_hash(*parts))
 
-
-def stable_uniform(low: float, high: float, *parts: object) -> float:
-    """A single deterministic uniform draw in ``[low, high)`` keyed by *parts*."""
-    return _seeded_draw_rng(stable_hash("uniform", *parts)).uniform(low, high)
-
-
-def stable_choice(options, *parts: object):
-    """A single deterministic choice from *options* keyed by *parts*."""
-    if not options:
-        raise ValueError("cannot choose from an empty sequence")
-    rng = _seeded_draw_rng(stable_hash("choice", *parts))
-    if isinstance(options, Sequence):
-        return rng.choice(options)
-    return rng.choice(list(options))

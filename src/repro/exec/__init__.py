@@ -11,7 +11,7 @@ its per-country metrics delta (merged into the run registry that
 ``ExecMetrics`` reads, the same way on both backends) and, when tracing
 is on, the country's span/event buffer for the run journal
 (:mod:`repro.obs`).  The fan-out is fault
-tolerant: per-country retry/skip policies with deterministic backoff
+tolerant: a per-country raise/skip failure policy
 (:mod:`repro.exec.resilience`) and study-level checkpoint/resume
 (:mod:`repro.exec.checkpoint`).  On the process backend, each finished
 country crosses the pool boundary pickled once, and the coordinator
@@ -28,8 +28,6 @@ from repro.exec.resilience import (
     CountryFailure,
     FaultInjector,
     InjectedFaultError,
-    ResilientWorker,
-    backoff_delay,
 )
 from repro.exec.executor import (
     BACKENDS,
@@ -73,13 +71,11 @@ __all__ = [
     "PickledCountryRun",
     "ProcessPoolStudyExecutor",
     "ReadThroughCache",
-    "ResilientWorker",
     "SerialStudyExecutor",
     "StudyCheckpoint",
     "StudyExecutor",
     "StudyWorker",
     "TransportWorker",
-    "backoff_delay",
     "cache_registry",
     "create_executor",
 ]

@@ -109,9 +109,9 @@ class _ShippedResult(CountryStudyResult):
 class TransportWorker:
     """Pickle successful runs at the worker side of the pool boundary.
 
-    Wraps the (already resilient) per-country callable: a ``CountryRun``
-    comes back as a :class:`PickledCountryRun`; a ``CountryFailure``
-    manifest passes through untouched.
+    Wraps the per-country worker: a ``CountryRun`` comes back as a
+    :class:`PickledCountryRun`; a ``CountryFailure`` manifest passes
+    through untouched.
     """
 
     def __init__(self, call):

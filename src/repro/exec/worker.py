@@ -39,7 +39,7 @@ import traceback
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Union
 
 from repro.core.analysis.records import CountryStudyResult, build_country_result
 from repro.core.gamma.config import GammaConfig
@@ -48,6 +48,7 @@ from repro.core.gamma.suite import GammaSuite
 from repro.core.geoloc.pipeline import DatasetGeolocation, GeolocationPipeline
 from repro.exec.cache import ReadThroughCache
 from repro.exec.metrics import close_country, observe_phase
+from repro.exec.resilience import CountryFailure
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiling import ResourceProfiler, maybe_phase
 from repro.obs.tracer import Tracer, maybe_span
@@ -186,7 +187,8 @@ class StudyWorker:
     The worker is constructed once per study (and shipped once per
     process-pool worker); calling it with a country code is free of
     cross-country state, which is what makes out-of-order parallel
-    execution safe.
+    execution safe.  It also applies the study's failure policy and
+    persists each finished country to the checkpoint store, if any.
     """
 
     def __init__(
@@ -195,29 +197,44 @@ class StudyWorker:
         config: "StudyConfig",
         trace: bool = False,
         fault_injector=None,
+        checkpoint=None,
     ):
         self._scenario = scenario
         self._config = config
         self._trace = trace
         #: Deterministic test hook (:class:`repro.exec.resilience.FaultInjector`):
-        #: fail selected countries on selected attempts before any work runs.
+        #: fail selected countries before any work runs.
         self._fault_injector = fault_injector
+        #: :class:`repro.exec.checkpoint.StudyCheckpoint` every finished
+        #: run is stored to the moment it lands, or None.
+        self._checkpoint = checkpoint
 
     @property
     def scenario(self) -> "Scenario":
         return self._scenario
 
-    def __call__(self, country_code: str, attempt: int = 1) -> CountryRun:
+    def __call__(self, country_code: str) -> Union[CountryRun, CountryFailure]:
+        """The country's run; under ``on_error="skip"`` a failure comes
+        back as its :class:`CountryFailure` instead of raising."""
         try:
             if self._fault_injector is not None:
-                self._fault_injector.check(country_code, attempt)
-            return self._run(country_code)
+                self._fault_injector.check(country_code)
+            run = self._run(country_code)
         except Exception as error:
             # Pickled exceptions lose __traceback__ crossing the process
             # boundary; the formatted text rides on the instance (plain
             # attribute, preserved by pickle) for the failure manifest.
             error.worker_traceback = traceback.format_exc()
-            raise
+            if self._config.on_error == "raise":
+                raise
+            return CountryFailure.of(
+                country_code, error, error.worker_traceback, trace=self._trace
+            )
+        # Stored from inside the worker: the study can die at any point
+        # and lose at most the countries still in flight.
+        if self._checkpoint is not None:
+            self._checkpoint.store(run)
+        return run
 
     def _run(self, country_code: str) -> CountryRun:
         from repro.study import build_source_traces

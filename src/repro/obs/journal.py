@@ -15,9 +15,9 @@ Two classes of fields vary between otherwise-identical runs:
 
 * **timing fields** (``t``, ``dur``) on any record, plus the run
   record's environment fields (``backend``, ``jobs``, ``wall_seconds``);
-* **diagnostic records** (``country_retry``, ``country_resumed``,
-  ``progress``): recovered faults, resumes and completion order describe
-  how the run unfolded, not what it measured.
+* **diagnostic records** (``country_resumed``, ``progress``): resumes
+  and completion order describe how the run unfolded, not what it
+  measured.
 
 :func:`strip_timings` removes both.  The contract — locked down by
 ``tests/test_trace_determinism.py`` — is that after stripping, the
@@ -46,18 +46,16 @@ TIMING_FIELDS = frozenset({"t", "dur"})
 
 #: Fields of the ``run`` record that describe the execution environment
 #: rather than the study (they differ across backend/jobs combinations,
-#: and across interrupted/retried/uninterrupted executions of the same
-#: study).
+#: and across interrupted/uninterrupted executions of the same study).
 RUN_ENV_FIELDS = frozenset({"backend", "jobs", "wall_seconds", "resumed", "failed"})
 
 #: Event types that are runtime diagnostics: their payloads depend on
-#: how the run unfolded rather than on the study itself — retries and
-#: resumes record recovered faults that leave the artefacts untouched,
-#: live progress records completion order and rates — so the strip
-#: operation removes the whole record.  ``country_failed`` is *not*
-#: here: a country that stayed down changes what the run produced, so
-#: it survives stripping.
-DIAGNOSTIC_EVENTS = frozenset({"country_retry", "country_resumed", "progress"})
+#: how the run unfolded rather than on the study itself — resumes
+#: record countries loaded rather than re-measured, live progress
+#: records completion order and rates — so the strip operation removes
+#: the whole record.  ``country_failed`` is *not* here: a failed
+#: country changes what the run produced, so it survives stripping.
+DIAGNOSTIC_EVENTS = frozenset({"country_resumed", "progress"})
 
 
 def strip_timings(records: Iterable[dict]) -> List[dict]:

@@ -363,7 +363,7 @@ def strip_runtime(snapshot: Mapping[str, Any]) -> Dict[str, Any]:
 
     This is the metrics analogue of :func:`repro.obs.strip_timings` —
     what remains must be byte-identical across backends, jobs counts,
-    and retry histories of the same study.
+    and resumed or uninterrupted runs of the same study.
     """
     families = {
         name: entry

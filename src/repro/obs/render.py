@@ -169,27 +169,17 @@ def render_slowest_sites(journal: RunJournal, top: int = 10) -> str:
 
 
 def render_faults(journal: RunJournal) -> str:
-    """The fault-tolerance story: retries, permanent failures, resumes.
+    """The fault-tolerance story: failed and resumed countries.
 
-    Retry/resume records are diagnostics (stripped journals lack them);
+    Resume records are diagnostics (stripped journals lack them);
     ``country_failed`` records survive stripping, so a skipped country
     is always visible here.
     """
-    lines = ["fault tolerance (retries / failures / resumes):"]
+    lines = ["fault tolerance (failures / resumes):"]
     for record in journal.events("country_resumed"):
         lines.append(f"  resumed  {record['country']:<3} from checkpoint")
-    for record in journal.events("country_retry"):
-        delay = record.get("delay_seconds")
-        backoff = f" (backoff {delay:.3f}s)" if delay is not None else ""
-        lines.append(
-            f"  retry    {record['country']:<3} attempt {record['attempt']} "
-            f"failed: {record['error']}{backoff}"
-        )
     for record in journal.events("country_failed"):
-        lines.append(
-            f"  FAILED   {record['country']:<3} after {record['attempts']} "
-            f"attempt(s): {record['error']}"
-        )
+        lines.append(f"  FAILED   {record['country']:<3} {record['error']}")
     if len(lines) == 1:
         lines.append("  (no faults recorded)")
     return "\n".join(lines)

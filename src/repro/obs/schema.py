@@ -83,18 +83,11 @@ EVENT_FIELDS: Dict[str, Dict[str, Tuple[tuple, bool]]] = {
         "country": (_STR, True),
         "funnel": (_DICT, True),
     },
-    # Fault-tolerance story (docs/robustness.md): retries and resumes are
-    # runtime diagnostics (stripped with the timings); a permanent
-    # failure is part of what the run produced and survives stripping.
-    "country_retry": {
-        "country": (_STR, True),
-        "attempt": (_INT, True),
-        "error": (_STR, True),
-        "delay_seconds": (_NUM, False),
-    },
+    # Fault-tolerance story (docs/robustness.md): a resume is a runtime
+    # diagnostic (stripped with the timings); a failed country is part
+    # of what the run produced and survives stripping.
     "country_failed": {
         "country": (_STR, True),
-        "attempts": (_INT, True),
         "error": (_STR, True),
         "traceback": (_STR, False),
     },

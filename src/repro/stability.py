@@ -104,6 +104,8 @@ class VisitVariabilityStudy:
     ) -> List[SiteStability]:
         targets = self._scenario.targets[country_code].all_sites
         if limit is not None:
+            if limit < 0:
+                raise ValueError("limit must be >= 0")
             targets = targets[:limit]
         return [self.measure_site(url, country_code, visits) for url in targets]
 

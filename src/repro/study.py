@@ -16,10 +16,10 @@ worker count — the equivalence the test harness in
 ``tests/test_exec_equivalence.py`` locks down.
 
 The fan-out is fault tolerant (docs/robustness.md): a per-country
-failure policy (``StudyConfig.on_error="raise"|"skip"|"retry"`` with
-deterministic exponential backoff) lets a failing country be retried or
-recorded on :attr:`StudyOutcome.failures` while the rest of the study
-completes, and a checkpoint directory (``checkpoint_dir=``/``resume=``)
+failure policy (``StudyConfig.on_error="raise"|"skip"``) either fails
+fast or records a failing country on :attr:`StudyOutcome.failures`
+while the rest of the study completes, and a checkpoint directory
+(``checkpoint_dir=``/``resume=``)
 persists each completed country as it lands so an interrupted study
 resumes where it stopped — mirroring, at study level, Gamma's own per-site
 resume from section 3.3 of the paper.
@@ -59,7 +59,7 @@ from repro.core.geoloc.verdicts import merge_funnels
 from repro.exec.checkpoint import StudyCheckpoint
 from repro.exec.executor import check_backend, create_executor
 from repro.exec.metrics import ExecMetrics, record_decode, record_transport, record_wall
-from repro.exec.resilience import CountryFailure, ResilientWorker
+from repro.exec.resilience import CountryFailure, check_on_error
 from repro.exec.transport import PickledCountryRun, TransportWorker
 from repro.exec.worker import CountryRun, StudyWorker
 from repro.obs.journal import DIAGNOSTIC_EVENTS, SCHEMA_VERSION, RunJournal
@@ -91,14 +91,8 @@ class StudyConfig:
     backend: str = "auto"
     #: What a failing country does to the study: "raise" fails fast (the
     #: historical contract), "skip" records it on ``outcome.failures``
-    #: and keeps the rest, "retry" re-attempts with deterministic
-    #: exponential backoff before skipping (docs/robustness.md).
+    #: and keeps the rest (docs/robustness.md).
     on_error: str = "raise"
-    #: Retries per country under ``on_error="retry"`` (attempts = 1 + retries).
-    max_retries: int = 2
-    #: Base of the deterministic exponential backoff schedule, seconds.
-    #: ``0`` disables sleeping while keeping the schedule observable.
-    retry_base_delay: float = 0.1
     #: Profile per-country resource usage (CPU seconds per phase, GC
     #: collections, peak RSS) into ``CountryRun.resources`` and the
     #: study snapshot (``gamma study --profile``).
@@ -106,6 +100,7 @@ class StudyConfig:
 
     def __post_init__(self) -> None:
         check_backend(self.backend)
+        check_on_error(self.on_error)
 
 
 class _RunMap(_MappingABC):
@@ -149,9 +144,9 @@ class StudyOutcome:
     #: None when tracing was off.  Like ``metrics``, a measurement
     #: artefact: never part of summaries or exported bundles.
     journal: Optional[RunJournal] = None
-    #: Countries that stayed down under ``on_error="skip"``/``"retry"``,
-    #: in input country order: who failed, after how many attempts, with
-    #: the worker-side traceback.  Every analysis accessor degrades
+    #: Countries that failed under ``on_error="skip"``, in input country
+    #: order: who failed and with what error, with the worker-side
+    #: traceback.  Every analysis accessor degrades
     #: gracefully to the surviving countries in ``results``.
     failures: List[CountryFailure] = field(default_factory=list)
     #: The persistent run snapshot (``metrics.json`` shape, see
@@ -234,8 +229,8 @@ class StudyOutcome:
         for failure in self.failures:
             if failure.country_code == country_code:
                 raise KeyError(
-                    f"no result for {country_code}: country failed after "
-                    f"{failure.attempts} attempt(s) ({failure.error_type})"
+                    f"no result for {country_code}: country failed "
+                    f"({failure.error_type})"
                 )
         raise KeyError(f"no result for {country_code}")
 
@@ -328,11 +323,8 @@ def run_study(
     every backend and worker count.  The default (``trace=None``) skips
     all event collection; study artefacts never include the journal.
 
-    Under ``config.on_error="skip"``/``"retry"`` a country that stays
-    down is recorded on :attr:`StudyOutcome.failures` while every other
-    country completes; retry backoff is deterministic (seeded per country and
-    attempt), so a transient fault under ``"retry"`` leaves the outcome
-    byte-identical to a fault-free run.
+    Under ``config.on_error="skip"`` a failing country is recorded on
+    :attr:`StudyOutcome.failures` while every other country completes.
 
     *checkpoint_dir* persists each completed country the moment it
     lands (atomic write, one file per country); with *resume* the
@@ -363,16 +355,9 @@ def run_study(
         raise ValueError("resume=True requires checkpoint_dir")
 
     tracing = trace is not None and trace is not False
-    worker = StudyWorker(
-        scenario, config, trace=tracing, fault_injector=fault_injector
-    )
-    call = ResilientWorker(
-        worker,
-        on_error=config.on_error,
-        max_retries=config.max_retries,
-        base_delay=config.retry_base_delay,
+    call = StudyWorker(
+        scenario, config, trace=tracing, fault_injector=fault_injector,
         checkpoint=checkpoint,
-        trace=tracing,
     )
     if executor.name == "process":
         # Pickle each finished run once in the pool worker; the

@@ -2,11 +2,10 @@
 
 import random
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.determinism import stable_choice, stable_hash, stable_rng, stable_uniform
+from repro.determinism import stable_hash, stable_rng
 
 
 class TestStableHash:
@@ -45,27 +44,3 @@ class TestStableRng:
         a = stable_rng("seed", 1).random()
         b = stable_rng("seed", 2).random()
         assert a != b
-
-
-class TestStableUniform:
-    def test_within_bounds(self):
-        for i in range(50):
-            value = stable_uniform(2.0, 5.0, "k", i)
-            assert 2.0 <= value < 5.0
-
-    def test_deterministic(self):
-        assert stable_uniform(0, 1, "a") == stable_uniform(0, 1, "a")
-
-
-class TestStableChoice:
-    def test_choice_in_options(self):
-        options = ["x", "y", "z"]
-        assert stable_choice(options, "key") in options
-
-    def test_deterministic(self):
-        options = list(range(100))
-        assert stable_choice(options, "k") == stable_choice(options, "k")
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            stable_choice([], "k")

@@ -1,10 +1,10 @@
 """The determinism helpers vs their reference implementations.
 
 ``stable_hash`` digests the ``\\x1f``-joined string forms of its parts
-in one shot, and ``stable_uniform``/``stable_choice`` reseed one
-module-level generator instead of allocating a fresh ``random.Random``
-per draw.  Every value must equal what the reference — digest the
-joined string, seed a fresh generator — produces.  These properties pin
+in one shot, and ``stable_draw_rng`` reseeds one module-level
+generator instead of allocating a fresh ``random.Random`` per draw.
+Every value must equal what the reference — digest the joined string,
+seed a fresh generator — produces.  These properties pin
 that equivalence down, including for repeated keys.  (No thread draws:
 ``tests/test_exec_cache.py::TestCacheTraffic`` pins that every draw of
 a study runs on its process's main thread.)
@@ -15,11 +15,10 @@ from __future__ import annotations
 import hashlib
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.determinism import stable_choice, stable_hash, stable_rng, stable_uniform
+from repro.determinism import stable_draw_rng, stable_hash, stable_rng
 
 
 def reference_stable_hash(*parts: object) -> int:
@@ -74,36 +73,22 @@ class TestSingleDrawFastPath:
     @settings(max_examples=200, deadline=None)
     @given(_parts, st.floats(min_value=-1e6, max_value=1e6),
            st.floats(min_value=0.0, max_value=1e6))
-    def test_uniform_equals_reference(self, parts, low, span):
-        expected = random.Random(
-            reference_stable_hash("uniform", *parts)
-        ).uniform(low, low + span)
-        assert stable_uniform(low, low + span, *parts) == expected
-
-    @settings(max_examples=200, deadline=None)
-    @given(_parts, st.lists(st.integers(), min_size=1, max_size=20))
-    def test_choice_equals_reference(self, parts, options):
-        expected = random.Random(
-            reference_stable_hash("choice", *parts)
-        ).choice(list(options))
-        assert stable_choice(options, *parts) == expected
-        assert stable_choice(tuple(options), *parts) == expected
-
-    def test_choice_rejects_empty(self):
-        with pytest.raises(ValueError):
-            stable_choice([], "k")
+    def test_draw_rng_equals_reference(self, parts, low, span):
+        expected = random.Random(reference_stable_hash(*parts)).uniform(low, low + span)
+        assert stable_draw_rng(*parts).uniform(low, low + span) == expected
 
     def test_draws_do_not_disturb_each_other(self):
-        # Interleaving the shared draw helpers with fresh stable_rng
-        # generators must leave every value exactly as when called alone.
-        alone_uniform = stable_uniform(0.0, 1.0, "a")
-        alone_choice = stable_choice([1, 2, 3, 4], "b")
+        # Interleaving single draws from the shared generator with fresh
+        # stable_rng generators must leave every value exactly as when
+        # drawn alone.
+        alone_uniform = stable_draw_rng("a").uniform(0.0, 1.0)
+        alone_choice = stable_draw_rng("b").choice([1, 2, 3, 4])
         rng = stable_rng("seq")
         mixed = []
         for _ in range(3):
             mixed.append(rng.random())
-            assert stable_uniform(0.0, 1.0, "a") == alone_uniform
-            assert stable_choice([1, 2, 3, 4], "b") == alone_choice
+            assert stable_draw_rng("a").uniform(0.0, 1.0) == alone_uniform
+            assert stable_draw_rng("b").choice([1, 2, 3, 4]) == alone_choice
         fresh = stable_rng("seq")
         assert mixed == [fresh.random() for _ in range(3)]
 

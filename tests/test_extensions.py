@@ -115,6 +115,11 @@ class TestVisitVariability:
         with pytest.raises(ValueError):
             study.measure_site("google.com", "CA", visits=0)
 
+    def test_negative_limit_rejected(self, scenario):
+        study = VisitVariabilityStudy(scenario)
+        with pytest.raises(ValueError, match="limit must be >= 0"):
+            study.measure_country("RW", visits=1, limit=-1)
+
 
 class TestLongitudinal:
     @pytest.fixture()

@@ -423,7 +423,7 @@ class TestTransportWorker:
         assert_runs_equal(shipped.load(), real_run)
 
     def test_failure_manifest_passes_through(self):
-        failure = CountryFailure("CA", 3, "RuntimeError", "boom", "tb")
+        failure = CountryFailure("CA", "RuntimeError", "boom", "tb")
         assert TransportWorker(lambda country_code: failure)("CA") is failure
 
     def test_pickles_each_run_exactly_once(self, real_run, monkeypatch):
