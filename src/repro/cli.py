@@ -192,9 +192,8 @@ def _add_exec_arguments(parser: argparse.ArgumentParser) -> None:
                              "per phase, GC collections, peak RSS) into the "
                              "run snapshot")
     parser.add_argument("--metrics-out", type=Path, default=None, metavar="PATH",
-                        help="write the run metrics snapshot here: .prom "
-                             "suffix = Prometheus text exposition, anything "
-                             "else = metrics.json document")
+                        help="write the run metrics snapshot (a metrics.json "
+                             "document) here")
 
 
 def _check_countries(countries) -> None:
@@ -211,7 +210,11 @@ def _parse_countries(raw: Optional[str]) -> Optional[List[str]]:
     return countries
 
 
-def _parse_fault_injector(raw: Optional[str]) -> Optional[FaultInjector]:
+def _parse_fault_injector(
+    raw: Optional[str], countries: Optional[List[str]]
+) -> Optional[FaultInjector]:
+    """The ``--inject-fault`` countries, each one the study measures
+    (*countries*, or every measurement country when None)."""
     if raw is None:
         return None
     try:
@@ -219,6 +222,11 @@ def _parse_fault_injector(raw: Optional[str]) -> Optional[FaultInjector]:
     except ValueError as error:
         raise SystemExit(str(error))
     _check_countries(injector.countries)
+    outside = set(injector.countries) - set(countries or MEASUREMENT_COUNTRIES)
+    if outside:
+        raise SystemExit(
+            f"--inject-fault names countries outside the study: {sorted(outside)}"
+        )
     return injector
 
 
@@ -282,7 +290,7 @@ def _print_failures(outcome) -> None:
 
 def _cmd_study(args: argparse.Namespace) -> int:
     countries = _parse_countries(args.countries)
-    injector = _parse_fault_injector(args.inject_fault)
+    injector = _parse_fault_injector(args.inject_fault, countries)
     scenario = build_scenario()
     outcome = run_study(
         scenario, countries=countries, fault_injector=injector,
@@ -308,9 +316,8 @@ def _cmd_study(args: argparse.Namespace) -> int:
         print(f"\nrun journal written to {args.trace} "
               f"(summarize with: gamma trace {args.trace})")
     if args.metrics_out is not None:
-        hint = ("" if args.metrics_out.suffix == ".prom"
-                else f" (inspect with: gamma metrics show {args.metrics_out})")
-        print(f"metrics snapshot written to {args.metrics_out}{hint}")
+        print(f"metrics snapshot written to {args.metrics_out} "
+              f"(inspect with: gamma metrics show {args.metrics_out})")
     return 0
 
 
@@ -382,7 +389,7 @@ def _cmd_stability(args: argparse.Namespace) -> int:
     scenario = build_scenario()
     study = VisitVariabilityStudy(scenario)
     summary = study.country_summary(args.country, visits=args.visits, limit=args.limit)
-    print(f"{args.country} over {args.limit} sites x {args.visits} visits: "
+    print(f"{args.country} over {summary['sites']} sites x {args.visits} visits: "
           f"tracker-set Jaccard {summary['mean_jaccard']:.2f}; a single visit "
           f"misses {summary['missed_share']:.1%} of observable trackers")
     return 0
@@ -491,11 +498,6 @@ def _read_snapshot(path: Path) -> dict:
     """The metrics.json document at ``path``, or :class:`_UnreadableSnapshot`."""
     import json
 
-    if path.suffix == ".prom":
-        raise _UnreadableSnapshot(
-            f"{path}: Prometheus exposition text, not a metrics.json snapshot "
-            f"(only 'gamma metrics validate' reads .prom files)"
-        )
     try:
         snapshot = json.loads(_read_text(path))
     except ValueError as error:
@@ -555,18 +557,7 @@ def _run_metrics_command(args: argparse.Namespace) -> int:
         return 0
 
     if args.metrics_command == "validate":
-        path = args.snapshot
-        if path.suffix == ".prom":
-            from repro.obs.metrics import validate_exposition
-
-            problems = validate_exposition(_read_text(path))
-            if problems:
-                for problem in problems:
-                    print(f"SCHEMA: {problem}")
-                return 1
-            print("exposition OK: Prometheus text format parses")
-            return 0
-        snapshot = _read_snapshot(path)
+        snapshot = _read_snapshot(args.snapshot)
         problems = validate_study_snapshot(snapshot)
         if problems:
             for problem in problems:

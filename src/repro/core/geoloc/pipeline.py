@@ -22,7 +22,6 @@ computes each per claimed city once.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -47,7 +46,6 @@ from repro.core.geoloc.verdicts import (
 from repro.geodb.ipmap import IPMapService
 from repro.netsim.geography import City
 from repro.netsim.latency import LatencyModel
-from repro.obs.metrics import MS_BUCKETS, Histogram
 
 __all__ = [
     "ServerStatus",
@@ -140,7 +138,6 @@ class GeolocationPipeline:
         dataset: VolunteerDataset,
         source_traces: SourceTraces,
         tracer=None,
-        metrics=None,
     ) -> DatasetGeolocation:
         """Classify every contacted host; funnel-account the verdicts.
 
@@ -149,12 +146,6 @@ class GeolocationPipeline:
         constraint fired and the evidence values — plus one closing
         ``country_funnel`` event, making every exclusion in the paper's
         section-5 funnel auditable from the run journal.
-
-        With a :class:`repro.obs.MetricsRegistry` the same loop counts
-        verdict statuses, constraint outcomes and evidence latencies
-        into labeled series.  These are **study** metrics (deterministic
-        functions of the scenario, like the events): the simulated
-        network makes the latency histograms exact.
         """
         result = DatasetGeolocation(country_code=dataset.country_code)
         rdns_records: Dict[str, Optional[str]] = {}
@@ -177,33 +168,10 @@ class GeolocationPipeline:
             addresses, dataset.country_code, source_traces, rdns_records,
             result.funnel,
         )
-        # Each metric series is looked up once: counters are tallied here
-        # and added after the loop; evidence histograms observe in verdict
-        # order, which keeps their float sums bit-identical.
-        status_counts: Counter = Counter()
-        discard_counts: Counter = Counter()
-        check_counts: Counter = Counter()
-        evidence: Dict[str, Histogram] = {}
         for address, verdict in verdicts.items():
             result.verdicts[address] = verdict
             weight = sum(observation_counts.get(host, 1) for host in verdict.hosts)
             self._account(verdict, weight, result.funnel)
-            if metrics is not None:
-                status_counts[verdict.status] += 1
-                if verdict.discarded_by:
-                    discard_counts[verdict.discarded_by] += 1
-                for check in verdict.checks:
-                    check_counts[check.constraint, check.status] += 1
-                    observed = round_evidence_ms(check.observed_ms)
-                    if observed is not None:
-                        histogram = evidence.get(check.constraint)
-                        if histogram is None:
-                            histogram = evidence[check.constraint] = metrics.histogram(
-                                "geoloc_evidence_ms", {"constraint": check.constraint},
-                                buckets=MS_BUCKETS, unit="ms",
-                                help="constraint evidence latencies (simulated, deterministic)",
-                            )
-                        histogram.observe(observed)
             if tracer is not None:
                 tracer.event(
                     "geoloc_decision",
@@ -225,48 +193,11 @@ class GeolocationPipeline:
                         for check in verdict.checks
                     ],
                 )
-        funnel = result.funnel
-        funnel_stages = {
-            "total_hosts": funnel.total_hosts,
-            "unlocated": funnel.unlocated,
-            "local": funnel.local,
-            "nonlocal_candidates": funnel.nonlocal_candidates,
-            "discarded_source": funnel.discarded_source,
-            "discarded_destination": funnel.discarded_destination,
-            "discarded_rdns": funnel.discarded_rdns,
-            "verified_nonlocal": funnel.verified_nonlocal,
-            "destination_traceroutes": funnel.destination_traceroutes,
-        }
-        if metrics is not None:
-            for status, count in status_counts.items():
-                metrics.counter(
-                    "geoloc_verdicts_total", {"status": status},
-                    help="server verdicts by final status",
-                ).inc(count)
-            for constraint, count in discard_counts.items():
-                metrics.counter(
-                    "geoloc_discards_total", {"constraint": constraint},
-                    help="servers discarded, by the constraint that fired",
-                ).inc(count)
-            for (constraint, status), count in check_counts.items():
-                metrics.counter(
-                    "geoloc_constraint_checks_total",
-                    {"constraint": constraint, "status": status},
-                    help="constraint evaluations by outcome",
-                ).inc(count)
-            metrics.counter(
-                "geoloc_countries_total", help="datasets classified",
-            ).inc()
-            for stage, count in funnel_stages.items():
-                metrics.counter(
-                    "geoloc_funnel_total", {"stage": stage},
-                    help="section-5 funnel, host observations per stage",
-                ).inc(count)
         if tracer is not None:
             tracer.event(
                 "country_funnel",
                 country=dataset.country_code,
-                funnel=funnel_stages,
+                funnel=result.funnel.stages(),
             )
         return result
 

@@ -6,7 +6,7 @@ without importing the pipeline and the services it is built on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, Iterable, List, Optional
 
 from repro.core.geoloc.constraints import ConstraintResult
@@ -72,17 +72,16 @@ class FunnelCounters:
         """...and surviving reverse DNS too (the paper's ~4.7 K stage)."""
         return self.after_latency_constraints - self.discarded_rdns
 
+    def stages(self) -> Dict[str, int]:
+        """Every stage count by name, in field order: the one list the
+        ``country_funnel`` event, ``geoloc_funnel_total`` and
+        :meth:`merged_with` all read."""
+        return {stage.name: getattr(self, stage.name) for stage in fields(self)}
+
     def merged_with(self, other: "FunnelCounters") -> "FunnelCounters":
+        theirs = other.stages()
         return FunnelCounters(
-            total_hosts=self.total_hosts + other.total_hosts,
-            unlocated=self.unlocated + other.unlocated,
-            local=self.local + other.local,
-            nonlocal_candidates=self.nonlocal_candidates + other.nonlocal_candidates,
-            discarded_source=self.discarded_source + other.discarded_source,
-            discarded_destination=self.discarded_destination + other.discarded_destination,
-            discarded_rdns=self.discarded_rdns + other.discarded_rdns,
-            verified_nonlocal=self.verified_nonlocal + other.verified_nonlocal,
-            destination_traceroutes=self.destination_traceroutes + other.destination_traceroutes,
+            **{stage: count + theirs[stage] for stage, count in self.stages().items()}
         )
 
 

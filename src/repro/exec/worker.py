@@ -45,11 +45,12 @@ from repro.core.analysis.records import CountryStudyResult, build_country_result
 from repro.core.gamma.config import GammaConfig
 from repro.core.gamma.output import VolunteerDataset, anonymize
 from repro.core.gamma.suite import GammaSuite
+from repro.core.geoloc.constraints import round_evidence_ms
 from repro.core.geoloc.pipeline import DatasetGeolocation, GeolocationPipeline
 from repro.exec.cache import ReadThroughCache
 from repro.exec.metrics import close_country, observe_phase
 from repro.exec.resilience import CountryFailure
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MS_BUCKETS, Histogram, MetricsRegistry
 from repro.obs.profiling import ResourceProfiler, maybe_phase
 from repro.obs.tracer import Tracer, maybe_span
 
@@ -87,14 +88,18 @@ def _cache_deltas(
 
 
 def _record_study_metrics(
-    metrics: MetricsRegistry, dataset: VolunteerDataset, result: CountryStudyResult
+    metrics: MetricsRegistry,
+    dataset: VolunteerDataset,
+    geolocation: DatasetGeolocation,
+    result: CountryStudyResult,
 ) -> None:
     """Deterministic (study-class) series derived from the artefacts.
 
-    Everything here is a function of the dataset and the joined result —
-    *not* of how classification was scheduled or memoised — so the
-    counters land on identical totals for every backend and worker
-    count (which all produce byte-identical artefacts by contract).
+    Everything here is a function of the dataset, its geolocation and
+    the joined result — *not* of how classification was scheduled or
+    memoised — so the counters land on identical totals for every
+    backend and worker count (which all produce byte-identical artefacts
+    by contract).  This is the one place the study families are defined.
     """
     metrics.counter("study_countries_total", help="countries measured").inc()
     loaded = dataset.loaded_count
@@ -136,6 +141,52 @@ def _record_study_metrics(
         metrics.counter(
             "tracker_hosts_total", {"method": method},
             help="unique flagged hosts by identification method",
+        ).inc(count)
+
+    # Each series is looked up once: counters are tallied here and added
+    # after the loop; evidence histograms observe in verdict order, which
+    # keeps their float sums bit-identical.
+    status_counts: Counter = Counter()
+    discard_counts: Counter = Counter()
+    check_counts: Counter = Counter()
+    evidence: Dict[str, Histogram] = {}
+    for verdict in geolocation.verdicts.values():
+        status_counts[verdict.status] += 1
+        if verdict.discarded_by:
+            discard_counts[verdict.discarded_by] += 1
+        for check in verdict.checks:
+            check_counts[check.constraint, check.status] += 1
+            observed = round_evidence_ms(check.observed_ms)
+            if observed is not None:
+                histogram = evidence.get(check.constraint)
+                if histogram is None:
+                    histogram = evidence[check.constraint] = metrics.histogram(
+                        "geoloc_evidence_ms", {"constraint": check.constraint},
+                        buckets=MS_BUCKETS, unit="ms",
+                        help="constraint evidence latencies (simulated, deterministic)",
+                    )
+                histogram.observe(observed)
+    for status, count in status_counts.items():
+        metrics.counter(
+            "geoloc_verdicts_total", {"status": status},
+            help="server verdicts by final status",
+        ).inc(count)
+    for constraint, count in discard_counts.items():
+        metrics.counter(
+            "geoloc_discards_total", {"constraint": constraint},
+            help="servers discarded, by the constraint that fired",
+        ).inc(count)
+    for (constraint, status), count in check_counts.items():
+        metrics.counter(
+            "geoloc_constraint_checks_total",
+            {"constraint": constraint, "status": status},
+            help="constraint evaluations by outcome",
+        ).inc(count)
+    metrics.counter("geoloc_countries_total", help="datasets classified").inc()
+    for stage, count in geolocation.funnel.stages().items():
+        metrics.counter(
+            "geoloc_funnel_total", {"stage": stage},
+            help="section-5 funnel, host observations per stage",
         ).inc(count)
 
 
@@ -268,9 +319,7 @@ class StudyWorker:
 
             with _phase("geoloc", metrics, tracer, profiler):
                 pipeline = GeolocationPipeline.for_scenario(scenario, config.pipeline)
-                geolocation = pipeline.classify_dataset(
-                    dataset, source_traces, tracer=tracer, metrics=metrics
-                )
+                geolocation = pipeline.classify_dataset(dataset, source_traces, tracer=tracer)
 
             with _phase("join", metrics, tracer, profiler):
                 result = build_country_result(
@@ -285,7 +334,7 @@ class StudyWorker:
         if gamma.trace_cache is not None:
             caches += (gamma.trace_cache,)
         cache_deltas = _cache_deltas(caches_before, _counters(caches))
-        _record_study_metrics(metrics, dataset, result)
+        _record_study_metrics(metrics, dataset, geolocation, result)
         # Runtime-class accounting: wall-clock seconds and which country
         # paid each cache miss depend on scheduling.
         close_country(metrics, country_code, cpu_seconds, cache_deltas)

@@ -36,8 +36,6 @@ from repro.obs.metrics import (
     exponential_buckets,
     merge_snapshots,
     strip_runtime,
-    to_prometheus,
-    validate_exposition,
 )
 from repro.obs.profiling import ResourceProfiler, maybe_phase
 from repro.obs.progress import ProgressReporter
@@ -67,8 +65,6 @@ __all__ = [
     "render_journal",
     "strip_runtime",
     "strip_timings",
-    "to_prometheus",
-    "validate_exposition",
     "validate_journal",
     "validate_record",
 ]

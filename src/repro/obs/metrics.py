@@ -29,7 +29,6 @@ registries and snapshots across the process-pool boundary.
 from __future__ import annotations
 
 import json
-import math
 import re
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -47,8 +46,6 @@ __all__ = [
     "merge_snapshots",
     "strip_runtime",
     "validate_metrics_snapshot",
-    "to_prometheus",
-    "validate_exposition",
     "build_study_snapshot",
     "validate_study_snapshot",
     "write_snapshot",
@@ -127,7 +124,7 @@ class Histogram:
 
     ``bounds`` are *upper* bucket edges; ``counts`` has one extra slot
     for the implicit ``+Inf`` bucket.  Counts are non-cumulative in
-    memory and in snapshots; the Prometheus writer cumulates on export.
+    memory and in snapshots.
     """
 
     __slots__ = ("bounds", "counts", "sum", "count")
@@ -442,127 +439,6 @@ def validate_metrics_snapshot(snapshot: Mapping[str, Any]) -> List[str]:
 
 
 # ---------------------------------------------------------------------------
-# Prometheus text exposition
-
-
-def _escape_label_value(value: str) -> str:
-    return value.replace("\\", r"\\").replace("\n", r"\n").replace('"', r'\"')
-
-
-def _escape_help(value: str) -> str:
-    return value.replace("\\", r"\\").replace("\n", r"\n")
-
-
-def _format_value(value: float) -> str:
-    if isinstance(value, bool):  # pragma: no cover - defensive
-        return str(int(value))
-    if isinstance(value, int):
-        return str(value)
-    if math.isinf(value):
-        return "+Inf" if value > 0 else "-Inf"
-    if math.isnan(value):  # pragma: no cover - never produced here
-        return "NaN"
-    return repr(float(value))
-
-
-def _label_string(labels: Mapping[str, str], extra: Optional[Tuple[str, str]] = None) -> str:
-    pairs = [(k, str(v)) for k, v in labels.items()]
-    if extra is not None:
-        pairs.append(extra)
-    if not pairs:
-        return ""
-    body = ",".join(f'{k}="{_escape_label_value(v)}"' for k, v in pairs)
-    return "{" + body + "}"
-
-
-def to_prometheus(snapshot: Mapping[str, Any]) -> str:
-    """Render a registry snapshot as Prometheus text exposition format.
-
-    Histograms export cumulative ``_bucket`` samples with ``le`` labels
-    plus ``_sum`` / ``_count``, exactly as the scrape format specifies.
-    """
-    lines: List[str] = []
-    families = snapshot.get("families", {})
-    for name in sorted(families):
-        entry = families[name]
-        type_ = entry["type"]
-        help_ = entry.get("help", "")
-        if help_:
-            lines.append(f"# HELP {name} {_escape_help(help_)}")
-        lines.append(f"# TYPE {name} {type_}")
-        for record in entry["series"]:
-            labels = record.get("labels", {})
-            if type_ == "histogram":
-                bounds = entry["buckets"]
-                cumulative = 0
-                for bound, count in zip(bounds, record["counts"]):
-                    cumulative += count
-                    label_str = _label_string(labels, ("le", _format_value(float(bound))))
-                    lines.append(f"{name}_bucket{label_str} {_format_value(cumulative)}")
-                cumulative += record["counts"][-1]
-                label_str = _label_string(labels, ("le", "+Inf"))
-                lines.append(f"{name}_bucket{label_str} {_format_value(cumulative)}")
-                lines.append(f"{name}_sum{_label_string(labels)} {_format_value(record['sum'])}")
-                lines.append(f"{name}_count{_label_string(labels)} {_format_value(record['count'])}")
-            else:
-                lines.append(f"{name}{_label_string(labels)} {_format_value(record['value'])}")
-    return "\n".join(lines) + "\n" if lines else ""
-
-
-_SAMPLE_RE = re.compile(
-    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r"(?P<labels>\{[^{}]*\})?"
-    r" (?P<value>[-+]?(?:[0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?|Inf|NaN))"
-    r"(?: [-+]?[0-9]+)?$"
-)
-_LABEL_PAIR_RE = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
-
-
-def validate_exposition(text: str) -> List[str]:
-    """Line-level validation of Prometheus text format; returns problems."""
-    problems: List[str] = []
-    typed: Dict[str, str] = {}
-    seen_samples = set()
-    if text and not text.endswith("\n"):
-        problems.append("exposition must end with a newline")
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            parts = line.split(None, 3)
-            if len(parts) < 3 or parts[1] not in ("HELP", "TYPE"):
-                problems.append(f"line {lineno}: malformed comment {line!r}")
-            elif parts[1] == "TYPE":
-                if len(parts) < 4 or parts[3] not in ("counter", "gauge", "histogram", "summary", "untyped"):
-                    problems.append(f"line {lineno}: bad TYPE line {line!r}")
-                else:
-                    typed[parts[2]] = parts[3]
-            continue
-        match = _SAMPLE_RE.match(line)
-        if not match:
-            problems.append(f"line {lineno}: unparsable sample {line!r}")
-            continue
-        name = match.group("name")
-        label_body = match.group("labels") or ""
-        if label_body:
-            inner = label_body[1:-1].rstrip(",")
-            if inner:
-                consumed = ",".join(
-                    f'{k}="{v}"' for k, v in _LABEL_PAIR_RE.findall(inner)
-                )
-                if consumed != inner:
-                    problems.append(f"line {lineno}: malformed labels {label_body!r}")
-        base = re.sub(r"_(bucket|sum|count)$", "", name)
-        if base not in typed and name not in typed:
-            problems.append(f"line {lineno}: sample {name!r} precedes its # TYPE line")
-        sample_key = (name, label_body)
-        if sample_key in seen_samples:
-            problems.append(f"line {lineno}: duplicate sample {name}{label_body}")
-        seen_samples.add(sample_key)
-    return problems
-
-
-# ---------------------------------------------------------------------------
 # Study snapshots (metrics.json)
 
 
@@ -615,17 +491,12 @@ def validate_study_snapshot(snapshot: Mapping[str, Any]) -> List[str]:
 
 
 def write_snapshot(path, snapshot: Mapping[str, Any]) -> None:
-    """Write a snapshot: ``.prom`` suffix → exposition, else JSON."""
+    """Write a snapshot as a JSON document."""
     from pathlib import Path
 
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    if path.suffix == ".prom":
-        path.write_text(to_prometheus(snapshot.get("metrics", snapshot)), encoding="utf-8")
-    else:
-        path.write_text(
-            json.dumps(snapshot, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+    path.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def load_snapshot(path) -> Dict[str, Any]:
@@ -636,6 +507,17 @@ def load_snapshot(path) -> Dict[str, Any]:
 
 # ---------------------------------------------------------------------------
 # Run-over-run diff
+
+
+def _escape_label_value(value: str) -> str:
+    return value.replace("\\", r"\\").replace("\n", r"\n").replace('"', r'\"')
+
+
+def _label_string(labels: Mapping[str, str]) -> str:
+    if not labels:
+        return ""
+    body = ",".join(f'{k}="{_escape_label_value(str(v))}"' for k, v in labels.items())
+    return "{" + body + "}"
 
 
 class DiffFinding:

@@ -114,17 +114,20 @@ class VisitVariabilityStudy:
     ) -> Dict[str, float]:
         """Aggregate stability for one country.
 
-        Returns mean Jaccard, mean single-visit coverage, and the share of
-        tracker hosts a one-visit crawl (the paper's setup) would miss.
+        Returns the number of sites measured, mean Jaccard, mean
+        single-visit coverage, and the share of tracker hosts a one-visit
+        crawl (the paper's setup) would miss.
         """
         stabilities = self.measure_country(country_code, visits, limit)
         jaccards = [s.jaccard for s in stabilities if s.jaccard is not None]
         coverages = [s.single_visit_coverage for s in stabilities
                      if s.single_visit_coverage is not None]
         if not jaccards:
-            return {"mean_jaccard": 1.0, "mean_single_visit_coverage": 1.0, "missed_share": 0.0}
+            return {"sites": len(stabilities), "mean_jaccard": 1.0,
+                    "mean_single_visit_coverage": 1.0, "missed_share": 0.0}
         coverage = mean(coverages)
         return {
+            "sites": len(stabilities),
             "mean_jaccard": mean(jaccards),
             "mean_single_visit_coverage": coverage,
             "missed_share": 1.0 - coverage,

@@ -342,9 +342,9 @@ def run_study(
     the stream/clock); with tracing enabled the same completions land as
     diagnostic ``progress`` journal events.  The run snapshot is always
     built (``outcome.metrics_snapshot``); *metrics_out* writes it to a
-    path (``.prom`` suffix → Prometheus text exposition, otherwise JSON);
-    with a *checkpoint_dir* the snapshot is also written there as
-    ``metrics.json``.  None of these change any study artefact.
+    path as a JSON document; with a *checkpoint_dir* the snapshot is
+    also written there as ``metrics.json``.  None of these change any
+    study artefact.
     """
     config = config or StudyConfig()
     countries = countries or scenario.countries

@@ -73,6 +73,12 @@ class TestExtensionCommands:
         assert excinfo.value.code == 2
         assert "argument --visits: must be >= 1" in capsys.readouterr().err
 
+    def test_stability_reports_sites_measured_not_limit(self, scenario, capsys):
+        assert main(["stability", "RW", "--visits", "1", "--limit", "1000"]) == 0
+        sites = len(scenario.targets["RW"].all_sites)
+        assert sites < 1000
+        assert capsys.readouterr().out.startswith(f"RW over {sites} sites x 1 visits:")
+
     @pytest.mark.parametrize("limit", ["0", "-1"])
     def test_stability_limit_below_one_rejected(self, limit, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -209,6 +215,14 @@ class TestFaultToleranceCLI:
         with pytest.raises(SystemExit, match=r"unknown measurement countries: \['ZZ'\]"):
             main(["study", "--countries", "CA", "--inject-fault", "ZZ"])
 
+    def test_fault_outside_the_study_rejected(self):
+        # NZ is a measurement country, but this study never runs it: the
+        # fault would inject nothing.
+        with pytest.raises(
+            SystemExit, match=r"--inject-fault names countries outside the study: \['NZ'\]"
+        ):
+            main(["study", "--countries", "CA", "--inject-fault", "NZ"])
+
 
 class TestMetricsCommands:
     @pytest.fixture(scope="class")
@@ -230,6 +244,14 @@ class TestMetricsCommands:
 
     def test_validate(self, snapshots, capsys):
         assert main(["metrics", "validate", str(snapshots[0])]) == 0
+        assert "snapshot OK" in capsys.readouterr().out
+
+    def test_any_suffix_gets_the_json_document(self, tmp_path, capsys):
+        path = tmp_path / "run.prom"
+        assert main(["study", "--countries", "CA", "--no-progress",
+                     "--metrics-out", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["metrics", "validate", str(path)]) == 0
         assert "snapshot OK" in capsys.readouterr().out
 
     def test_validate_rejects_corrupt(self, snapshots, tmp_path, capsys):
@@ -303,14 +325,6 @@ class TestMetricsCommands:
             for path in (old, new)
         ]
 
-    def test_prom_output(self, tmp_path, capsys):
-        prom = tmp_path / "run.prom"
-        assert main(["study", "--countries", "CA", "--no-progress",
-                     "--metrics-out", str(prom)]) == 0
-        from repro.obs.metrics import validate_exposition
-
-        assert validate_exposition(prom.read_text()) == []
-
     def test_older_snapshot_with_exec_section_is_accepted(
         self, snapshots, tmp_path, capsys
     ):
@@ -341,10 +355,10 @@ class TestUnreadableSnapshots:
         ("validate", "bad.json", "not json at all\n", "not valid JSON"),
         ("validate", "missing.prom", None, "No such file"),
         ("validate", "latin1.json", b'{"meta": "\xe9"}', "not UTF-8 text"),
-        ("show", "run.prom", "# TYPE x counter\nx 1\n", "Prometheus exposition text"),
+        ("show", "run.prom", "# TYPE x counter\nx 1\n", "not valid JSON"),
         ("show", "list.json", "[1, 2]", "not a JSON object"),
         ("diff", "missing.json", None, "No such file"),
-        ("diff", "run.prom", "x 1\n", "Prometheus exposition text"),
+        ("diff", "run.prom", "x 1\n", "not valid JSON"),
     ])
     def test_one_line_and_exit_1(self, command, name, content, reason, tmp_path, capsys):
         path = tmp_path / name

@@ -104,6 +104,12 @@ class TestVisitVariability:
         assert summary["missed_share"] > 0.0  # a single crawl misses some
         assert summary["mean_jaccard"] < 1.0
 
+    def test_country_summary_counts_sites_measured(self, scenario):
+        study = VisitVariabilityStudy(scenario)
+        targets = len(scenario.targets["RW"].all_sites)
+        assert study.country_summary("RW", visits=1, limit=4)["sites"] == 4
+        assert study.country_summary("RW", visits=1, limit=targets + 1)["sites"] == targets
+
     def test_stable_market_near_perfect(self, scenario):
         # Canada's embeds are all always-on (no flaky long tail).
         study = VisitVariabilityStudy(scenario)

@@ -86,3 +86,22 @@ def test_derived_stages_consistent_after_merge():
     )
     assert merged.after_rdns == a.after_rdns + b.after_rdns
     assert merged.after_rdns == merged.verified_nonlocal
+
+
+def test_stages_name_every_field_in_field_order():
+    """``stages()`` is the one list of funnel stages that the
+    ``country_funnel`` journal event and ``geoloc_funnel_total`` read, so
+    its names and order are part of both formats."""
+    funnel = FunnelCounters(*range(1, len(FIELDS) + 1))
+    assert funnel.stages() == {
+        "total_hosts": 1,
+        "unlocated": 2,
+        "local": 3,
+        "nonlocal_candidates": 4,
+        "discarded_source": 5,
+        "discarded_destination": 6,
+        "discarded_rdns": 7,
+        "verified_nonlocal": 8,
+        "destination_traceroutes": 9,
+    }
+    assert list(funnel.stages()) == FIELDS

@@ -31,8 +31,6 @@ from repro.obs.metrics import (
     diff_snapshots,
     merge_snapshots,
     strip_runtime,
-    to_prometheus,
-    validate_exposition,
     validate_study_snapshot,
 )
 from repro.obs.progress import ProgressReporter
@@ -91,11 +89,6 @@ class TestBackendIndependence:
         )
         assert findings == [], [f.render() for f in findings]
 
-    def test_exposition_renders_and_validates(self, backend_runs):
-        text = to_prometheus(backend_runs["serial"].metrics_snapshot["metrics"])
-        assert validate_exposition(text) == []
-        assert "study_sites_total" in text
-
     def test_study_counts_match_artefacts(self, backend_runs):
         outcome = backend_runs["serial"]
         families = outcome.metrics_snapshot["metrics"]["families"]
@@ -111,8 +104,8 @@ class TestBackendIndependence:
             record["labels"]["stage"]: record["value"]
             for record in families["geoloc_funnel_total"]["series"]
         }
-        assert funnel["total_hosts"] == outcome.funnel().total_hosts
-        assert funnel["verified_nonlocal"] == outcome.funnel().verified_nonlocal
+        assert funnel == outcome.funnel().stages()
+        assert funnel["verified_nonlocal"] > 0
 
 
 def _oracle_country_snapshot(geolocation, result):

@@ -6,8 +6,7 @@ and commutative (completion order unobservable) — locked down here with
 hypothesis over dyadic-rational amounts (``k/1024``), which float
 addition handles exactly, so equality is exact rather than approximate.
 The progress reporter and resource profiler are exercised against fake
-clocks/streams; exposition and snapshot documents against their own
-validators.
+clocks/streams; snapshot documents against their own validators.
 """
 
 from __future__ import annotations
@@ -28,8 +27,6 @@ from repro.obs.metrics import (
     load_snapshot,
     merge_snapshots,
     strip_runtime,
-    to_prometheus,
-    validate_exposition,
     validate_metrics_snapshot,
     validate_study_snapshot,
     write_snapshot,
@@ -220,38 +217,6 @@ class TestMergeAlgebra:
         assert a == a_before and b == b_before
 
 
-class TestPrometheus:
-    def _snapshot(self):
-        registry = MetricsRegistry()
-        registry.counter(
-            "verdicts_total", {"status": "ok\nline"}, help='say "hi" \\ there'
-        ).inc(3)
-        registry.gauge("size", unit="bytes").set(2.5)
-        hist = registry.histogram("lat_seconds", buckets=(0.1, 1.0))
-        hist.observe(0.05)
-        hist.observe(5.0)
-        return registry.snapshot()
-
-    def test_exposition_shape(self):
-        text = to_prometheus(self._snapshot())
-        assert '# TYPE verdicts_total counter' in text
-        assert 'verdicts_total{status="ok\\nline"} 3' in text
-        assert 'lat_seconds_bucket{le="0.1"} 1' in text
-        assert 'lat_seconds_bucket{le="+Inf"} 2' in text  # cumulative
-        assert "lat_seconds_sum 5.05" in text
-        assert "lat_seconds_count 2" in text
-        assert text.endswith("\n")
-
-    def test_exposition_validates(self):
-        assert validate_exposition(to_prometheus(self._snapshot())) == []
-
-    def test_validator_rejects_garbage(self):
-        good = to_prometheus(self._snapshot())
-        assert validate_exposition(good + "not a sample line !\n")
-        assert validate_exposition("size 1\nsize 2\n")  # duplicate sample
-        assert validate_exposition(good.rstrip("\n"))  # no trailing newline
-
-
 class TestStudySnapshotDocument:
     def _study_snapshot(self):
         registry = MetricsRegistry()
@@ -303,6 +268,12 @@ class TestStudySnapshotDocument:
         document["resources"] = resources
         assert validate_study_snapshot(document) == [problem]
 
+    def test_write_is_json_whatever_the_suffix(self, tmp_path):
+        document = self._study_snapshot()
+        path = tmp_path / "metrics.prom"
+        write_snapshot(path, document)
+        assert json.loads(path.read_text()) == document
+
     def test_write_and_load_json(self, tmp_path):
         document = self._study_snapshot()
         path = tmp_path / "metrics.json"
@@ -312,11 +283,6 @@ class TestStudySnapshotDocument:
         text = path.read_text()
         write_snapshot(path, json.loads(json.dumps(document)))
         assert path.read_text() == text
-
-    def test_write_prom_variant(self, tmp_path):
-        path = tmp_path / "metrics.prom"
-        write_snapshot(path, self._study_snapshot())
-        assert validate_exposition(path.read_text()) == []
 
 
 class TestDiff:
@@ -354,6 +320,19 @@ class TestDiff:
         empty = MetricsRegistry().snapshot()
         findings = diff_snapshots(self._snapshot(), empty)
         assert any(f.severity == "drift" for f in findings)
+
+    def test_rendered_label_values_are_escaped(self):
+        # A finding is one line: quotes, backslashes and newlines in a
+        # label value render escaped.
+        def snapshot(value):
+            registry = MetricsRegistry()
+            registry.counter("verdicts_total", {"status": 'a"b\\c\nd'}).inc(value)
+            return registry.snapshot()
+
+        findings = diff_snapshots(snapshot(1), snapshot(2))
+        assert [f.render() for f in findings] == [
+            '[drift      ] verdicts_total{status="a\\"b\\\\c\\nd"}: 1 -> 2'
+        ]
 
 
 class _Tty(io.StringIO):
