@@ -14,6 +14,12 @@ Public API:
   geolocation framework.
 """
 
+from time import perf_counter as _perf_counter
+
+#: When this package began importing: ``gamma study`` reports its
+#: ``import`` phase from here.
+_IMPORT_STARTED = _perf_counter()
+
 from repro.core.gamma import GammaConfig, GammaSuite, Volunteer, VolunteerDataset
 from repro.core.geoloc import GeolocationPipeline, PipelineConfig, SourceTraces
 from repro.core.trackers import TrackerIdentifier

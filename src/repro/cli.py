@@ -25,9 +25,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from pathlib import Path
 from typing import List, Optional
 
+import repro
 from repro import GammaConfig, GammaSuite, StudyConfig, build_scenario, run_study
 from repro.artifacts import export_study
 from repro.exec.executor import BACKENDS
@@ -45,6 +47,10 @@ from repro.core.analysis.report import (
 from repro.netsim.geography import MEASUREMENT_COUNTRIES
 
 __all__ = ["main", "build_parser"]
+
+#: Seconds from the top of ``repro/__init__.py`` to the CLI being
+#: importable: the cold start a ``gamma`` command pays before any work.
+_IMPORT_SECONDS = time.perf_counter() - repro._IMPORT_STARTED
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -288,14 +294,24 @@ def _print_failures(outcome) -> None:
     ))
 
 
+def _cold_start_lines(build_seconds: float, render_seconds: float) -> str:
+    """The phases outside the fan-out ``wall``, as lines of the
+    ``execution:`` block."""
+    phases = (("import", _IMPORT_SECONDS), ("build", build_seconds), ("render", render_seconds))
+    return "\n".join(f"  {phase:<14} {seconds:8.2f}s" for phase, seconds in phases)
+
+
 def _cmd_study(args: argparse.Namespace) -> int:
     countries = _parse_countries(args.countries)
     injector = _parse_fault_injector(args.inject_fault, countries)
+    started = time.perf_counter()
     scenario = build_scenario()
+    build_seconds = time.perf_counter() - started
     outcome = run_study(
         scenario, countries=countries, fault_injector=injector,
         **_run_kwargs(args),
     )
+    started = time.perf_counter()
     rows = [
         (r.country_code, f"{r.regional_pct:.1f}", f"{r.government_pct:.1f}",
          f"{r.combined_pct:.1f}", outcome.source_trace_origins[r.country_code])
@@ -310,7 +326,9 @@ def _cmd_study(args: argparse.Namespace) -> int:
           f"{funnel.nonlocal_candidates} non-local -> "
           f"{funnel.after_latency_constraints} after latency -> "
           f"{funnel.after_rdns} verified")
+    render_seconds = time.perf_counter() - started
     print(f"\n{outcome.metrics.render()}")
+    print(_cold_start_lines(build_seconds, render_seconds))
     _print_failures(outcome)
     if args.trace is not None:
         print(f"\nrun journal written to {args.trace} "

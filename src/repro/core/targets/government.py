@@ -9,7 +9,7 @@ for "Google search for the government TLD".
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.domains import validate_hostname
 from repro.netsim.geography import Country
@@ -24,6 +24,13 @@ class TrancoLikeList:
 
     def __init__(self, domains: Sequence[str]):
         self._domains: List[str] = [validate_hostname(d) for d in domains]
+        # Each domain's dot-suffixes (``a.gov.th``: itself, ``gov.th``,
+        # ``th``), so a TLD filter is one set test per domain.  Suffixes
+        # many domains share are held once.
+        shared: Dict[str, str] = {}
+        self._suffixes: List[Tuple[str, ...]] = [
+            (d, *(shared.setdefault(s, s) for s in _parent_suffixes(d))) for d in self._domains
+        ]
 
     @classmethod
     def from_catalog(cls, catalog: SiteCatalog, coverage: float = 1.0) -> "TrancoLikeList":
@@ -43,11 +50,19 @@ class TrancoLikeList:
         return list(self._domains)
 
     def filtered_by_tlds(self, tlds: Iterable[str]) -> List[str]:
-        suffixes = tuple(t.lower().lstrip(".") for t in tlds)
-        return [d for d in self._domains if any(_ends_with_tld(d, s) for s in suffixes)]
+        wanted = {t.lower().lstrip(".") for t in tlds}
+        return [
+            d for d, suffixes in zip(self._domains, self._suffixes)
+            if not wanted.isdisjoint(suffixes)
+        ]
 
     def __len__(self) -> int:
         return len(self._domains)
+
+
+def _parent_suffixes(domain: str) -> List[str]:
+    labels = domain.split(".")
+    return [".".join(labels[i:]) for i in range(1, len(labels))]
 
 
 def _ends_with_tld(domain: str, suffix: str) -> bool:

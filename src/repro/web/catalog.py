@@ -21,6 +21,8 @@ class SiteCatalog:
     def __init__(self, websites: Iterable[Website] = ()):
         self._by_domain: Dict[str, Website] = {}
         self._by_country: Dict[str, List[Website]] = {}
+        #: Sites listed in other countries' markets, in insertion order.
+        self._multinational: List[Website] = []
         for site in websites:
             self.add(site)
 
@@ -29,6 +31,8 @@ class SiteCatalog:
             raise ValueError(f"website {site.domain!r} already in catalogue")
         self._by_domain[site.domain] = site
         self._by_country.setdefault(site.country_code, []).append(site)
+        if site.listed_in:
+            self._multinational.append(site)
         return site
 
     def get(self, domain: str) -> Website:
@@ -39,7 +43,15 @@ class SiteCatalog:
             raise KeyError(f"no website {domain!r} in catalogue") from None
 
     def has(self, domain: str) -> bool:
-        return domain in self._by_domain
+        """Whether :meth:`get` would find *domain*: names are normalised
+        the same way, so ``has("Example.COM")`` finds ``example.com``.
+        An invalid name is not in the catalogue."""
+        if domain in self._by_domain:
+            return True
+        try:
+            return validate_hostname(domain) in self._by_domain
+        except ValueError:
+            return False
 
     def in_country(self, country_code: str, category: Optional[str] = None) -> List[Website]:
         sites = self._by_country.get(country_code, [])
@@ -51,7 +63,7 @@ class SiteCatalog:
         """Sites visible in a country's market: its own sites plus any
         multi-national site whose ``listed_in`` includes the country."""
         sites = self.in_country(country_code, category)
-        for site in self._by_domain.values():
+        for site in self._multinational:
             if site.country_code != country_code and country_code in site.listed_in:
                 if category is None or site.category == category:
                     sites.append(site)

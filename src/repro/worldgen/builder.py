@@ -45,6 +45,7 @@ from repro.worldgen.profiles import PROFILES, CountryProfile
 from repro.worldgen.sites import (
     FOREIGN_HOSTING_ANCHORS,
     GeneratedSite,
+    OrgIndex,
     generate_country_sites,
     generate_global_sites,
 )
@@ -193,12 +194,13 @@ def build_scenario(
     )
 
     # 1. Organisations and their deployments.
-    specs = {spec.name: spec for spec in all_org_specs()}
+    spec_list = all_org_specs()
+    specs = {spec.name: spec for spec in spec_list}
     cloud_asns: Dict[str, int] = {}
-    for spec in all_org_specs():
+    for spec in spec_list:
         if spec.kind == OrgKind.CLOUD:
             _build_deployment(world, spec, cloud_asns)
-    for spec in all_org_specs():
+    for spec in spec_list:
         if spec.kind != OrgKind.CLOUD:
             _build_deployment(world, spec, cloud_asns)
 
@@ -218,12 +220,13 @@ def build_scenario(
         allocation = world.ips.allocate(asys.asn, city, label=f"{cc}-Telecom/access")
         volunteer_ips[cc] = str(allocation.address(10))
 
-    # 4. The web.
+    # 4. The web.  One org index serves every country's sites.
     profiles = {cc: PROFILES[cc] for cc in MEASUREMENT_COUNTRIES}
     catalog = SiteCatalog()
     generated: List[GeneratedSite] = []
+    index = OrgIndex(specs)
     for cc in MEASUREMENT_COUNTRIES:
-        generated.extend(generate_country_sites(profiles[cc], registry, specs))
+        generated.extend(generate_country_sites(profiles[cc], registry, specs, index=index))
     generated.extend(generate_global_sites(profiles, specs))
     for item in generated:
         catalog.add(item.website)
@@ -249,8 +252,8 @@ def build_scenario(
     targets = target_builder.build_all(countries)
 
     # 6. Identification.
-    global_lists, regional_lists, texts = build_filter_lists(all_org_specs())
-    directory = build_directory(all_org_specs())
+    global_lists, regional_lists, texts = build_filter_lists(spec_list)
+    directory = build_directory(spec_list)
     identifier = TrackerIdentifier(global_lists, regional_lists, directory)
 
     # 7. Measurement services.

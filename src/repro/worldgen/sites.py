@@ -10,7 +10,7 @@ webs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.determinism import stable_rng
 from repro.domains import PUBLIC_SUFFIXES
@@ -20,7 +20,13 @@ from repro.web.website import CATEGORY_GOVERNMENT, CATEGORY_REGIONAL, EmbeddedRe
 from repro.worldgen.orgspec import OrgKind, OrgSpec
 from repro.worldgen.profiles import CountryProfile
 
-__all__ = ["GeneratedSite", "generate_country_sites", "generate_global_sites", "FOREIGN_HOSTING_ANCHORS"]
+__all__ = [
+    "GeneratedSite",
+    "OrgIndex",
+    "generate_country_sites",
+    "generate_global_sites",
+    "FOREIGN_HOSTING_ANCHORS",
+]
 
 
 @dataclass(frozen=True)
@@ -89,11 +95,54 @@ def _poisson(rng, mean: float) -> int:
     return k
 
 
+class OrgIndex:
+    """The org-table lookups every site's embedding reads.
+
+    Built once per world build and handed to the site generators, so the
+    work that depends only on the org specs is not redone per site:
+
+    * each org's embeddable hosts, sorted once (``rng.sample`` over the
+      same sorted sequence draws the same hosts);
+    * the content orgs' names and draw weights;
+    * one shared unconditional :class:`EmbeddedResource` per org host and
+      per ``af.`` shard of the Nairobi-edge orgs.  They are frozen values
+      of their host alone, so every site that always loads a host can
+      hold the same one, and each hostname is validated once.
+    """
+
+    def __init__(self, specs: Dict[str, OrgSpec]):
+        self.specs = specs
+        self.hosts: Dict[str, Tuple[str, ...]] = {
+            name: tuple(sorted(spec.effective_hosts)) for name, spec in specs.items()
+        }
+        #: Orgs that operate the Nairobi edge and so serve ``af.`` shards.
+        self.kenya_edge = frozenset(name for name, spec in specs.items() if "KE" in spec.pops)
+        self.content_names: List[str] = sorted(
+            name for name, spec in specs.items() if spec.kind == OrgKind.CONTENT
+        )
+        # CloudMesh (the everywhere-CDN) is far more popular than the rest.
+        self.content_weights: List[float] = [
+            5.0 if name == "CloudMesh" else 1.0 for name in self.content_names
+        ]
+        shared = [host for hosts in self.hosts.values() for host in hosts]
+        shared += [f"af.{host}" for name in sorted(self.kenya_edge) for host in self.hosts[name]]
+        self._always: Dict[str, EmbeddedResource] = {
+            host: EmbeddedResource(host=host, kind=ResourceKind.SCRIPT) for host in dict.fromkeys(shared)
+        }
+
+    def resource(self, host: str, probability: float) -> EmbeddedResource:
+        """The script resource for *host*: the shared one when it always
+        loads, a fresh one when it carries a drawn load probability."""
+        if probability == 1.0:
+            return self._always[host]
+        return EmbeddedResource(host=host, kind=ResourceKind.SCRIPT, load_probability=probability)
+
+
 def _embedding_for(
     profile: CountryProfile,
     domain: str,
     category: str,
-    specs: Dict[str, OrgSpec],
+    index: OrgIndex,
 ) -> List[EmbeddedResource]:
     """Deterministic embedded-resource list for one site."""
     rng = stable_rng("embed", domain)
@@ -114,21 +163,18 @@ def _embedding_for(
     # Kenya (Figure 7).
     african_shards = profile.country in ("RW", "UG", "EG", "KE")
 
-    def embed_org(spec: OrgSpec, host_range: Tuple[int, int], flaky: bool = False) -> None:
-        hosts = list(spec.effective_hosts)
+    def embed_org(org_name: str, host_range: Tuple[int, int], flaky: bool = False) -> None:
+        hosts = index.hosts[org_name]
         count = min(len(hosts), rng.randint(*host_range))
         # Ad-auction-driven resources only win some visits; analytics
         # snippets load every time.  This is the visit-to-visit
         # variability the paper flags as a single-crawl limitation.
         probability = rng.uniform(0.75, 0.95) if flaky else 1.0
-        for host in rng.sample(sorted(hosts), count):
-            resources.append(EmbeddedResource(
-                host=host, kind=ResourceKind.SCRIPT, load_probability=probability,
-            ))
-            if african_shards and "KE" in spec.pops and rng.random() < 0.8:
-                resources.append(EmbeddedResource(
-                    host=f"af.{host}", kind=ResourceKind.SCRIPT, load_probability=probability,
-                ))
+        shards = african_shards and org_name in index.kenya_edge
+        for host in rng.sample(hosts, count):
+            resources.append(index.resource(host, probability))
+            if shards and rng.random() < 0.8:
+                resources.append(index.resource(f"af.{host}", probability))
 
     # Named-org adoption (majors, local trackers, regional orgs).
     adoption_iter = sorted(profile.major_adoption) if monetized else []
@@ -140,9 +186,9 @@ def _embedding_for(
             )
         if not allowed(org_name) or rng.random() >= probability:
             continue
-        spec = specs[org_name]
+        spec = index.specs[org_name]
         host_range = profile.major_hosts_range if spec.kind == OrgKind.MAJOR else (1, 2)
-        embed_org(spec, host_range)
+        embed_org(org_name, host_range)
 
     # Long-tail trackers.
     mean = profile.longtail_mean * (profile.gov_longtail_factor if is_gov else 1.0)
@@ -163,27 +209,28 @@ def _embedding_for(
                 picked.append(choice)
         for i, org_name in enumerate(picked):
             # Roughly a third of the long tail arrives via ad auctions.
-            embed_org(specs[org_name], (1, 2), flaky=(i % 3 == 2))
+            embed_org(org_name, (1, 2), flaky=(i % 3 == 2))
 
     # Non-tracking third parties.
-    content_names = sorted(n for n, s in specs.items() if s.kind == OrgKind.CONTENT)
-    if content_names and profile.content_mean > 0:
+    if index.content_names and profile.content_mean > 0:
         wanted = max(1, _poisson(rng, profile.content_mean))
-        # CloudMesh (the everywhere-CDN) is far more popular than the rest.
-        weights = [5.0 if name == "CloudMesh" else 1.0 for name in content_names]
         # dict.fromkeys, not set(): set iteration order depends on the
         # process hash seed and would leak nondeterminism into the rng
         # consumption order.
-        for org_name in dict.fromkeys(rng.choices(content_names, weights=weights, k=wanted)):
-            embed_org(specs[org_name], (1, 2))
+        picks = rng.choices(index.content_names, weights=index.content_weights, k=wanted)
+        for org_name in dict.fromkeys(picks):
+            embed_org(org_name, (1, 2))
     return resources
 
 
-def _hosting_for(country_code: str, domain: str, registry: GeoRegistry) -> str:
-    """Which hosting deployment serves a regional publisher site."""
+def _hosted_abroad(country_code: str, domain: str) -> bool:
+    """Whether a regional publisher site is served from a foreign anchor."""
     rng = stable_rng("hosting", domain)
-    if rng.random() >= _FOREIGN_HOSTING_RATE.get(country_code, 0.1):
-        return f"Hosting-{country_code}"
+    return rng.random() < _FOREIGN_HOSTING_RATE.get(country_code, 0.1)
+
+
+def _nearest_foreign_anchor(country_code: str, registry: GeoRegistry) -> str:
+    """The hosting org of the foreign anchor nearest the country's capital."""
     home = registry.country(country_code).capital
     nearest = min(
         FOREIGN_HOSTING_ANCHORS,
@@ -197,17 +244,25 @@ def generate_country_sites(
     registry: GeoRegistry,
     specs: Dict[str, OrgSpec],
     regional_candidates: int = 92,
+    index: Optional[OrgIndex] = None,
 ) -> List[GeneratedSite]:
     """All of one country's sites: regional candidates + government sites.
 
     More regional candidates than the 50-site quota are generated so the
     ranking/filtering pipeline has something to drop and back-fill
-    (including a few adult and banned sites).
+    (including a few adult and banned sites).  *index* is the
+    :class:`OrgIndex` of *specs*; a world build passes its one index to
+    every country, and it is built here when not given.
     """
+    if index is None:
+        index = OrgIndex(specs)
     country = registry.country(profile.country)
     cc = profile.country
     cctld = country.cctld.lstrip(".")
     generated: List[GeneratedSite] = []
+    # The nearest foreign anchor depends only on the country: found on
+    # the first site hosted abroad, then reused.
+    foreign_anchor: Optional[str] = None
 
     for i in range(regional_candidates):
         word = _SITE_WORDS[i % len(_SITE_WORDS)]
@@ -228,13 +283,18 @@ def generate_country_sites(
             country_code=cc,
             category=CATEGORY_REGIONAL,
             owner_org=f"Publisher {domain}",
-            embedded=_embedding_for(profile, domain, CATEGORY_REGIONAL, specs),
+            embedded=_embedding_for(profile, domain, CATEGORY_REGIONAL, index),
             complexity=1.0 + rng.random() * 1.5,
             adult=adult,
             banned=banned,
             popularity=popularity,
         )
-        generated.append(GeneratedSite(site, _hosting_for(cc, domain, registry)))
+        hosting = f"Hosting-{cc}"
+        if _hosted_abroad(cc, domain):
+            if foreign_anchor is None:
+                foreign_anchor = _nearest_foreign_anchor(cc, registry)
+            hosting = foreign_anchor
+        generated.append(GeneratedSite(site, hosting))
 
     gov_tld = country.gov_tlds[0].lstrip(".")
     for i in range(profile.gov_site_count):
@@ -246,7 +306,7 @@ def generate_country_sites(
             country_code=cc,
             category=CATEGORY_GOVERNMENT,
             owner_org=f"Government of {country.name}",
-            embedded=_embedding_for(profile, domain, CATEGORY_GOVERNMENT, specs),
+            embedded=_embedding_for(profile, domain, CATEGORY_GOVERNMENT, index),
             complexity=1.0 + rng.random() * 0.8,
             popularity=90.0 - 1.5 * i + rng.uniform(0, 1),
         )

@@ -95,6 +95,14 @@ class TestBrowserEngine:
         assert not record.loaded
         assert record.failure_reason == "dns_error"
 
+    def test_differently_cased_url_loads_the_site(self, mini_world):
+        world, catalog = mini_world
+        engine = BrowserEngine(world, catalog, BrowserConfig(default_failure_rate=0.0))
+        record = engine.load("WWW.SiamNews.co.th", REG.country("TH").capital)
+        assert record.failure_reason != "dns_error"
+        assert record.loaded
+        assert record.requested_hosts()[0] == "www.siamnews.co.th"
+
     def test_failure_rate_one_always_fails(self, mini_world):
         world, catalog = mini_world
         engine = BrowserEngine(world, catalog, BrowserConfig(default_failure_rate=0.99))

@@ -1,9 +1,16 @@
 """CLI entry point."""
 
 import json
+import os
+import re
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -42,6 +49,36 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "New Zealand" in out
         assert "Destinations" in out
+
+
+class TestColdStartReport:
+    """``gamma study`` accounts for its own cold start in the
+    ``execution:`` block: import, world build and table rendering, next
+    to the fan-out ``wall``."""
+
+    def test_phases_and_wall_cover_the_process(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        started = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "study", "--countries", "CA", "--no-progress"],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        measured = time.perf_counter() - started
+        block = done.stdout.split("\nexecution:", 1)[1].splitlines()[1:]
+        wall = float(re.search(r"\bwall=([0-9.]+)s", done.stdout).group(1))
+        phases = {}
+        for line in block:
+            if not line.startswith(" "):
+                break
+            name, _, rest = line.strip().partition(" ")
+            if name in ("import", "build", "render"):
+                phases[name] = float(rest.strip().rstrip("s"))
+        assert sorted(phases) == ["build", "import", "render"]
+        assert phases["import"] > 0 and phases["build"] > 0
+        # Each printed number is rounded to 10 ms.
+        reported = sum(phases.values()) + wall
+        assert reported <= measured + 0.005 * 4
+        assert reported >= 0.8 * measured, (phases, wall, measured)
 
 
 class TestExtensionCommands:

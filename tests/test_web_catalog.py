@@ -89,6 +89,15 @@ class TestSiteCatalog:
         assert catalog.has("news.example.com")
         assert len(catalog) == 1
 
+    def test_has_normalises_like_get(self):
+        catalog = SiteCatalog([make_site("Example.com")])
+        for name in ("example.com", "Example.com", "EXAMPLE.COM", "example.com."):
+            assert catalog.has(name), name
+            assert catalog.get(name).domain == "example.com"
+        assert not catalog.has("other.example")
+        assert not catalog.has("")
+        assert not catalog.has("bad..name")
+
     def test_duplicate_rejected(self):
         catalog = SiteCatalog([make_site()])
         with pytest.raises(ValueError):
@@ -116,6 +125,16 @@ class TestSiteCatalog:
         assert th_market == {"a.co.th", "google.example"}
         # Not listed in PK.
         assert {s.domain for s in catalog.market("PK")} == set()
+
+    def test_market_lists_globals_in_insertion_order(self):
+        catalog = SiteCatalog([
+            make_site("z.example", "US", listed_in=("TH",)),
+            make_site("a.co.th", "TH"),
+            make_site("m.example", "GB", listed_in=("TH", "EG")),
+            make_site("b.example", "US", listed_in=("EG",)),
+        ])
+        assert [s.domain for s in catalog.market("TH")] == ["a.co.th", "z.example", "m.example"]
+        assert [s.domain for s in catalog.market("EG")] == ["m.example", "b.example"]
 
     def test_market_does_not_duplicate_home_country(self):
         global_site = make_site("google.example", "US", listed_in=("TH",))
