@@ -4,7 +4,9 @@ The authors publish their tool and recorded data [2].  ``export_study``
 writes an equivalent artifact bundle: one (anonymised) volunteer dataset
 per country, per-country geolocation verdicts, the analysis summaries
 behind every figure/table, and a manifest.  ``load_datasets`` reads the
-datasets back for reanalysis.
+datasets back for reanalysis.  Both loaders build their objects with the
+cyclic collector paused (:func:`repro.gcpause.collector_paused`): they
+create no cycles, so its passes over the growing heap find nothing.
 
 Every file is UTF-8 whatever the locale.  Datasets and verdicts are
 compact JSON (an indented dump would leave the C encoder for the
@@ -36,6 +38,7 @@ from repro.core.gamma.output import VolunteerDataset
 from repro.core.geoloc.constraints import ConstraintResult
 from repro.core.geoloc.pipeline import DatasetGeolocation, FunnelCounters, ServerVerdict
 from repro.core.trackers.identify import TrackerIdentifier
+from repro.gcpause import collector_paused
 from repro.geodb.ipmap import GeoClaim
 from repro.netsim.geography import GeoRegistry
 from repro.study import StudyOutcome
@@ -174,42 +177,43 @@ def load_geolocations(directory: Path, registry: GeoRegistry) -> Dict[str, Datas
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text(encoding="utf-8"))
     geolocations: Dict[str, DatasetGeolocation] = {}
-    for cc in manifest["countries"]:
-        payload = json.loads(
-            (directory / "geolocation" / f"{cc}.json").read_text(encoding="utf-8")
-        )
-        funnel_data = payload.get("funnel", {})
-        geolocation = DatasetGeolocation(
-            country_code=cc,
-            funnel=FunnelCounters(
-                total_hosts=funnel_data.get("total_hosts", 0),
-                local=funnel_data.get("local", 0),
-                nonlocal_candidates=funnel_data.get("nonlocal_candidates", 0),
-                discarded_source=funnel_data.get("discarded_source", 0),
-                discarded_destination=funnel_data.get("discarded_destination", 0),
-                discarded_rdns=funnel_data.get("discarded_rdns", 0),
-                verified_nonlocal=funnel_data.get("verified_nonlocal", 0),
-            ),
-        )
-        for server in payload.get("servers", []):
-            claim = None
-            if server.get("claimed_city"):
-                claim = GeoClaim(server["address"], registry.city(server["claimed_city"]))
-            verdict = ServerVerdict(
-                address=server["address"],
-                hosts=list(server.get("hosts", [])),
-                status=server["status"],
-                claim=claim,
-                discarded_by=server.get("discarded_by", ""),
-                checks=[
-                    ConstraintResult(c["constraint"], c["status"], c.get("reason", ""))
-                    for c in server.get("checks", [])
-                ],
+    with collector_paused():
+        for cc in manifest["countries"]:
+            payload = json.loads(
+                (directory / "geolocation" / f"{cc}.json").read_text(encoding="utf-8")
             )
-            geolocation.verdicts[server["address"]] = verdict
-            for host in verdict.hosts:
-                geolocation.host_to_address.setdefault(host, verdict.address)
-        geolocations[cc] = geolocation
+            funnel_data = payload.get("funnel", {})
+            geolocation = DatasetGeolocation(
+                country_code=cc,
+                funnel=FunnelCounters(
+                    total_hosts=funnel_data.get("total_hosts", 0),
+                    local=funnel_data.get("local", 0),
+                    nonlocal_candidates=funnel_data.get("nonlocal_candidates", 0),
+                    discarded_source=funnel_data.get("discarded_source", 0),
+                    discarded_destination=funnel_data.get("discarded_destination", 0),
+                    discarded_rdns=funnel_data.get("discarded_rdns", 0),
+                    verified_nonlocal=funnel_data.get("verified_nonlocal", 0),
+                ),
+            )
+            for server in payload.get("servers", []):
+                claim = None
+                if server.get("claimed_city"):
+                    claim = GeoClaim(server["address"], registry.city(server["claimed_city"]))
+                verdict = ServerVerdict(
+                    address=server["address"],
+                    hosts=list(server.get("hosts", [])),
+                    status=server["status"],
+                    claim=claim,
+                    discarded_by=server.get("discarded_by", ""),
+                    checks=[
+                        ConstraintResult(c["constraint"], c["status"], c.get("reason", ""))
+                        for c in server.get("checks", [])
+                    ],
+                )
+                geolocation.verdicts[server["address"]] = verdict
+                for host in verdict.hosts:
+                    geolocation.host_to_address.setdefault(host, verdict.address)
+            geolocations[cc] = geolocation
     return geolocations
 
 
@@ -240,7 +244,8 @@ def load_datasets(directory: Path) -> Dict[str, VolunteerDataset]:
         raise FileNotFoundError(f"no manifest.json in {directory}")
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     datasets: Dict[str, VolunteerDataset] = {}
-    for cc in manifest["countries"]:
-        path = directory / "datasets" / f"{cc}.json"
-        datasets[cc] = VolunteerDataset.from_json(path.read_text(encoding="utf-8"))
+    with collector_paused():
+        for cc in manifest["countries"]:
+            path = directory / "datasets" / f"{cc}.json"
+            datasets[cc] = VolunteerDataset.from_json(path.read_text(encoding="utf-8"))
     return datasets

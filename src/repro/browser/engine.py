@@ -84,7 +84,12 @@ class BrowserEngine:
         return self._config
 
     def load(self, url: str, vantage_city: City, visit_key: str = "visit-1") -> PageLoadRecord:
-        """Visit *url* from *vantage_city* and return the full record."""
+        """Visit *url* from *vantage_city* and return the full record.
+
+        A catalogued site is seeded, rendered and recorded under its
+        canonical ``domain``, so differently-cased URLs of one site load
+        alike; an unknown name records a ``dns_error`` under *url*.
+        """
         country = vantage_city.country_code
         record = PageLoadRecord(
             url=url,
@@ -93,13 +98,14 @@ class BrowserEngine:
             loaded=False,
             render_time_s=0.0,
         )
-        rng = stable_rng("pageload", url, vantage_city.key, visit_key, self._config.browser)
-
         if not self._catalog.has(url):
             record.failure_reason = "dns_error"
             record.requests.append(NetworkRequest(url, "document", RequestStatus.DNS_ERROR))
             return record
         site = self._catalog.get(url)
+        url = site.domain
+        record.url = url
+        rng = stable_rng("pageload", url, vantage_city.key, visit_key, self._config.browser)
 
         if rng.random() < self._config.failure_rate(country):
             record.failure_reason = "connection_failure"

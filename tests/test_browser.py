@@ -91,9 +91,12 @@ class TestBrowserEngine:
     def test_unknown_site_fails(self, mini_world):
         world, catalog = mini_world
         engine = BrowserEngine(world, catalog, BrowserConfig(default_failure_rate=0.0))
-        record = engine.load("nonexistent.example", REG.country("TH").capital)
+        record = engine.load("Nonexistent.Example", REG.country("TH").capital)
         assert not record.loaded
         assert record.failure_reason == "dns_error"
+        # Not catalogued, so recorded under the name as given.
+        assert record.url == "Nonexistent.Example"
+        assert [r.host for r in record.requests] == ["Nonexistent.Example"]
 
     def test_differently_cased_url_loads_the_site(self, mini_world):
         world, catalog = mini_world
@@ -102,6 +105,22 @@ class TestBrowserEngine:
         assert record.failure_reason != "dns_error"
         assert record.loaded
         assert record.requested_hosts()[0] == "www.siamnews.co.th"
+
+    def test_url_casing_does_not_change_the_visit(self, mini_world):
+        world, catalog = mini_world
+        engine = BrowserEngine(world, catalog, BrowserConfig(default_failure_rate=0.5))
+        city = REG.country("TH").capital
+        for visit in ("visit-1", "visit-2", "visit-3", "visit-4"):
+            canonical = engine.load("www.siamnews.co.th", city, visit)
+            assert engine.load("WWW.SiamNews.CO.TH", city, visit) == canonical
+        assert canonical.url == "www.siamnews.co.th"
+
+    def test_default_targets_are_canonical_site_domains(self, scenario):
+        # The engine seeds with the site's domain, so a study's draws
+        # stay those of its target names only while the two agree.
+        for targets in scenario.targets.values():
+            for name in targets.all_sites:
+                assert scenario.catalog.get(name).domain == name
 
     def test_failure_rate_one_always_fails(self, mini_world):
         world, catalog = mini_world
