@@ -8,7 +8,7 @@ Public API:
   Atlas fallbacks, multi-constraint geolocation, tracker identification)
   and return a :class:`repro.StudyOutcome` exposing every figure/table
   analysis.
-* :class:`repro.GammaSuite` / :class:`repro.GammaConfig` — the
+* :class:`repro.GammaSuite` / :class:`repro.Volunteer` — the
   measurement tool itself, usable standalone.
 * :class:`repro.GeolocationPipeline` — the multi-constraint server
   geolocation framework.
@@ -20,7 +20,7 @@ from time import perf_counter as _perf_counter
 #: ``import`` phase from here.
 _IMPORT_STARTED = _perf_counter()
 
-from repro.core.gamma import GammaConfig, GammaSuite, Volunteer, VolunteerDataset
+from repro.core.gamma import GammaSuite, Volunteer, VolunteerDataset
 from repro.core.geoloc import GeolocationPipeline, PipelineConfig, SourceTraces
 from repro.core.trackers import TrackerIdentifier
 from repro.artifacts import export_study, load_datasets
@@ -48,7 +48,6 @@ __all__ = [
     "ExecMetrics",
     "FaultInjector",
     "StudyCheckpoint",
-    "GammaConfig",
     "GammaSuite",
     "GeolocationPipeline",
     "PipelineConfig",

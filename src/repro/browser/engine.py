@@ -14,7 +14,7 @@ requests matching a supplied blocklist, mirroring its shields.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Optional, Set
+from typing import Dict, Optional, Set
 
 from repro.determinism import stable_rng
 from repro.domains import registrable_domain
@@ -49,7 +49,6 @@ class BrowserConfig:
     """Per-session browser behaviour."""
 
     browser: str = BrowserKind.CHROME
-    wait_time_s: float = 20.0  # render wait (paper: double typical render time)
     hard_timeout_s: float = 180.0  # kill hung instances after this long
     #: country code -> probability a page visit fails outright; models the
     #: connection quality differences behind Figure 2(b).
@@ -61,8 +60,8 @@ class BrowserConfig:
     def __post_init__(self) -> None:
         if self.browser not in BrowserKind.ALL:
             raise ValueError(f"unsupported browser {self.browser!r}")
-        if self.wait_time_s <= 0 or self.hard_timeout_s <= 0:
-            raise ValueError("timeouts must be positive")
+        if self.hard_timeout_s <= 0:
+            raise ValueError("hard timeout must be positive")
         for country, rate in self.failure_rates.items():
             if not 0.0 <= rate < 1.0:
                 raise ValueError(f"failure rate for {country} must be in [0, 1)")
@@ -124,22 +123,6 @@ class BrowserEngine:
                 record.requests.append(self._fetch(host, "background", vantage_city, background=True))
         record.loaded = True
         return record
-
-    def load_many(
-        self,
-        urls: Iterable[str],
-        vantage_city: City,
-        visit_key: str = "visit-1",
-        progress: Optional[Callable[[str, PageLoadRecord], None]] = None,
-    ) -> Dict[str, PageLoadRecord]:
-        """Load each URL in order (Gamma's single-thread mode)."""
-        records: Dict[str, PageLoadRecord] = {}
-        for url in urls:
-            record = self.load(url, vantage_city, visit_key)
-            records[url] = record
-            if progress is not None:
-                progress(url, record)
-        return records
 
     # -- internals -----------------------------------------------------------
     def _fetch(self, host: str, kind: str, vantage_city: City, background: bool = False) -> NetworkRequest:

@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import List, Optional
 
 import repro
-from repro import GammaConfig, GammaSuite, StudyConfig, build_scenario, run_study
+from repro import GammaSuite, StudyConfig, build_scenario, run_study
 from repro.artifacts import export_study
 from repro.exec.executor import BACKENDS
 from repro.exec.resilience import ON_ERROR_POLICIES, FaultInjector
@@ -239,14 +239,9 @@ def _parse_fault_injector(
 def _cmd_volunteer(args: argparse.Namespace) -> int:
     scenario = build_scenario()
     volunteer = scenario.volunteers[args.country]
-    targets = scenario.targets[args.country].without(sorted(volunteer.opted_out_sites))
-    suite = GammaSuite(
-        scenario.world, scenario.catalog,
-        GammaConfig.study_defaults(os_name=volunteer.os_name),
-        browser_config=scenario.browser_config,
-    )
+    suite = GammaSuite(scenario.world, scenario.catalog, scenario.browser_config)
     print(f"Running Gamma for {volunteer.name} ({volunteer.city.key}, {volunteer.os_name})")
-    dataset = suite.run(volunteer, targets)
+    dataset = suite.run(volunteer, scenario.targets[args.country])
     counts = dataset.traceroute_counts()
     print(f"Loaded {dataset.loaded_count}/{dataset.attempted_count} sites "
           f"({dataset.load_success_pct():.0f}%), "

@@ -1,7 +1,5 @@
 """Gamma: the portable browser + IP-level measurement suite (section 3)."""
 
-from repro.core.gamma.checkpoint import Checkpoint
-from repro.core.gamma.config import GammaComponents, GammaConfig
 from repro.core.gamma.netinfo import NetInfoResult, NetworkInfoGatherer
 from repro.core.gamma.osadapt import (
     DarwinAdapter,
@@ -30,10 +28,7 @@ from repro.core.gamma.volunteer import Volunteer
 
 __all__ = [
     "ANONYMIZED_IP",
-    "Checkpoint",
     "DarwinAdapter",
-    "GammaComponents",
-    "GammaConfig",
     "GammaSuite",
     "LinuxAdapter",
     "NetInfoResult",

@@ -1,10 +1,16 @@
-"""Volunteer description: who runs Gamma, from where, with what consent."""
+"""Volunteer description: who runs Gamma, from where, with what consent.
+
+The volunteer owns every per-person setting of a Gamma run: the machine's
+OS (which picks ``traceroute`` or ``tracert``), the sites they declined
+to visit and whether they declined active probes (C3) altogether.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Set
 
+from repro.core.gamma.osadapt import adapter_for
 from repro.netsim.geography import City
 
 __all__ = ["Volunteer"]
@@ -24,9 +30,9 @@ class Volunteer:
     #: Egyptian volunteer in the paper).
     traceroute_opt_out: bool = False
 
+    def __post_init__(self) -> None:
+        adapter_for(self.os_name)  # raises ValueError on an unsupported OS
+
     @property
     def country_code(self) -> str:
         return self.city.country_code
-
-    def opted_out(self, url: str) -> bool:
-        return url in self.opted_out_sites

@@ -2,9 +2,9 @@
 
 A :class:`StudyCheckpoint` is a directory holding one pickled
 :class:`~repro.exec.worker.CountryRun` per completed country,
-``<CC>.run.pkl``, written atomically (temp file + ``os.replace``, the
-same pattern as the per-site :class:`repro.core.gamma.checkpoint.Checkpoint`)
-by the worker itself the moment the country finishes.
+``<CC>.run.pkl``, written atomically (temp file + ``os.replace``) by the
+worker itself the moment the country finishes.  Resume is per country:
+a country interrupted mid-run is measured again from its first site.
 ``run_study(checkpoint_dir=..., resume=True)`` loads the persisted runs,
 skips their countries, and merges them with fresh runs in input country
 order — byte-identical to an uninterrupted study, whichever backend ran

@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Union
 
 from repro.core.analysis.records import CountryStudyResult, build_country_result
-from repro.core.gamma.config import GammaConfig
 from repro.core.gamma.output import VolunteerDataset, anonymize
 from repro.core.gamma.suite import GammaSuite
 from repro.core.geoloc.constraints import round_evidence_ms
@@ -293,7 +292,6 @@ class StudyWorker:
         scenario = self._scenario
         config = self._config
         volunteer = scenario.volunteers[country_code]
-        targets = scenario.targets[country_code].without(sorted(volunteer.opted_out_sites))
         cpu_started = time.thread_time()
         tracer = Tracer(root="study") if self._trace else None
         # Fresh per-country registry: its snapshot ships back as the
@@ -305,13 +303,13 @@ class StudyWorker:
         with maybe_span(tracer, "country", country_code):
             with _phase("gamma", metrics, tracer, profiler):
                 gamma = GammaSuite(
-                    scenario.world,
-                    scenario.catalog,
-                    GammaConfig.study_defaults(os_name=volunteer.os_name),
-                    browser_config=scenario.browser_config,
+                    scenario.world, scenario.catalog, scenario.browser_config
                 )
                 dataset = gamma.run(
-                    volunteer, targets, visit_key=config.visit_key, tracer=tracer
+                    volunteer,
+                    scenario.targets[country_code],
+                    visit_key=config.visit_key,
+                    tracer=tracer,
                 )
 
             with _phase("source_traces", metrics, tracer, profiler):

@@ -54,10 +54,6 @@ EVENT_FIELDS: Dict[str, Dict[str, Tuple[tuple, bool]]] = {
         "background_hosts": (_INT, False),
         "hardcoded_domains": (_INT, False),
     },
-    "site_skip": {
-        "url": (_STR, True),
-        "reason": (_STR, True),
-    },
     "site_traceroutes": {
         "url": (_STR, True),
         "attempted": (_INT, True),

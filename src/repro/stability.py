@@ -102,7 +102,10 @@ class VisitVariabilityStudy:
         visits: int = 3,
         limit: Optional[int] = None,
     ) -> List[SiteStability]:
-        targets = self._scenario.targets[country_code].all_sites
+        volunteer = self._scenario.volunteers[country_code]
+        targets = self._scenario.targets[country_code].without(
+            sorted(volunteer.opted_out_sites)
+        ).all_sites
         if limit is not None:
             if limit < 0:
                 raise ValueError("limit must be >= 0")

@@ -50,7 +50,7 @@ class TestBrowserConfig:
 
     def test_invalid_timeouts(self):
         with pytest.raises(ValueError):
-            BrowserConfig(wait_time_s=0)
+            BrowserConfig(hard_timeout_s=0)
 
     def test_invalid_failure_rate(self):
         with pytest.raises(ValueError):
@@ -156,17 +156,6 @@ class TestBrowserEngine:
         record = engine.load("www.siamnews.co.th", REG.country("TH").capital)
         blocked = [r for r in record.requests if r.status == RequestStatus.BLOCKED]
         assert [r.host for r in blocked] == ["px.adorg.net"]
-
-    def test_load_many_and_progress(self, mini_world):
-        world, catalog = mini_world
-        engine = BrowserEngine(world, catalog, BrowserConfig(default_failure_rate=0.0))
-        seen = []
-        records = engine.load_many(
-            ["www.siamnews.co.th"], REG.country("TH").capital,
-            progress=lambda url, rec: seen.append(url),
-        )
-        assert seen == ["www.siamnews.co.th"]
-        assert records["www.siamnews.co.th"].loaded
 
     def test_deterministic(self, mini_world):
         world, catalog = mini_world

@@ -42,7 +42,7 @@ class TestRenderTiming:
         world, catalog = heavy_setup
         engine = BrowserEngine(
             world, catalog,
-            BrowserConfig(default_failure_rate=0.0, wait_time_s=1.0, hard_timeout_s=5.0),
+            BrowserConfig(default_failure_rate=0.0, hard_timeout_s=5.0),
         )
         record = engine.load("www.farnews.co.nz", REG.country("GB").capital)
         assert not record.loaded

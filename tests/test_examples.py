@@ -2,6 +2,7 @@
 
 import runpy
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -21,11 +22,15 @@ class TestExamples:
         assert "Prevalence of non-local trackers" in out
         assert "Geolocation funnel" in out
 
-    def test_run_gamma_volunteer(self, monkeypatch, capsys):
+    def test_run_gamma_volunteer(self, monkeypatch, capsys, tmp_path):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         out = run_example(monkeypatch, capsys, "run_gamma_volunteer.py", ["LB"])
-        assert "session 1" in out and "session 2 (resumed)" in out
+        assert "Volunteer vol-LB in Beirut, LB (linux," in out
+        assert "Dataset: " in out
         assert "Normalised traceroute record" in out
+        assert "(produced by 'traceroute' on linux)" in out
         assert "Full dataset written" in out
+        assert (tmp_path / "gamma-LB-dataset.json").is_file()
 
     def test_audit(self, monkeypatch, capsys):
         out = run_example(monkeypatch, capsys, "audit_data_localization.py", ["QA"])

@@ -121,6 +121,14 @@ class TestVisitVariability:
         with pytest.raises(ValueError):
             study.measure_site("google.com", "CA", visits=0)
 
+    @pytest.mark.parametrize("cc", ["EG", "RU", "PK", "TW"])
+    def test_opted_out_sites_not_visited(self, scenario, cc):
+        opted_out = scenario.volunteers[cc].opted_out_sites
+        assert opted_out
+        visited = [s.url for s in VisitVariabilityStudy(scenario).measure_country(cc, visits=1)]
+        assert not opted_out & set(visited)
+        assert visited == scenario.targets[cc].without(sorted(opted_out)).all_sites
+
     def test_negative_limit_rejected(self, scenario):
         study = VisitVariabilityStudy(scenario)
         with pytest.raises(ValueError, match="limit must be >= 0"):

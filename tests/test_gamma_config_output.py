@@ -1,10 +1,7 @@
-"""Gamma configuration, dataset model, OS adapters."""
-
-import dataclasses
+"""Gamma dataset model and OS adapters."""
 
 import pytest
 
-from repro.core.gamma.config import GammaComponents, GammaConfig
 from repro.core.gamma.osadapt import DarwinAdapter, LinuxAdapter, WindowsAdapter, adapter_for
 from repro.core.gamma.output import (
     ANONYMIZED_IP,
@@ -13,78 +10,6 @@ from repro.core.gamma.output import (
     anonymize,
 )
 from repro.core.gamma.parsers import NormalizedHop, NormalizedTraceroute
-
-#: One non-default value per GammaConfig field that
-#: ``without_traceroutes`` must carry over unchanged.
-NON_DEFAULT_FIELDS = {
-    "browser": "firefox",
-    "instances": 3,
-    "wait_time_s": 7.5,
-    "hard_timeout_s": 90.0,
-    "opted_out_sites": {"example.org"},
-    "os_name": "windows",
-    "probes_per_hop": 5,
-    "save_pages": True,
-}
-
-
-class TestGammaConfig:
-    def test_study_defaults_match_paper(self):
-        config = GammaConfig.study_defaults()
-        assert config.browser == "chrome"
-        assert config.instances == 1
-        assert config.wait_time_s == 20.0
-        assert config.hard_timeout_s == 180.0
-
-    def test_invalid_browser(self):
-        with pytest.raises(ValueError):
-            GammaConfig(browser="lynx")
-
-    def test_invalid_instances(self):
-        with pytest.raises(ValueError):
-            GammaConfig(instances=0)
-
-    def test_hard_timeout_must_cover_wait(self):
-        with pytest.raises(ValueError):
-            GammaConfig(wait_time_s=200, hard_timeout_s=100)
-
-    def test_c1_required(self):
-        with pytest.raises(ValueError):
-            GammaConfig(components=frozenset({GammaComponents.NETINFO}))
-
-    def test_unknown_component(self):
-        with pytest.raises(ValueError):
-            GammaConfig(components=frozenset({"C1", "C9"}))
-
-    def test_unknown_os(self):
-        with pytest.raises(ValueError):
-            GammaConfig(os_name="beos")
-
-    def test_without_traceroutes(self):
-        config = GammaConfig.study_defaults().without_traceroutes()
-        assert not config.traceroutes_enabled
-        assert config.netinfo_enabled
-
-    @pytest.mark.parametrize("name,value", sorted(NON_DEFAULT_FIELDS.items()))
-    def test_without_traceroutes_keeps_every_other_field(self, name, value):
-        config = GammaConfig(**{name: value}).without_traceroutes()
-        assert getattr(config, name) == value
-        assert not config.traceroutes_enabled
-
-    def test_without_traceroutes_covers_every_field(self):
-        # A field added later must join NON_DEFAULT_FIELDS to be checked.
-        names = {f.name for f in dataclasses.fields(GammaConfig)}
-        assert names - {"components"} == set(NON_DEFAULT_FIELDS)
-
-    def test_without_traceroutes_copies_opt_outs(self):
-        config = GammaConfig(opted_out_sites={"example.org"})
-        stripped = config.without_traceroutes()
-        stripped.opted_out_sites.add("example.com")
-        assert config.opted_out_sites == {"example.org"}
-
-    def test_component_flags(self):
-        config = GammaConfig.study_defaults()
-        assert config.traceroutes_enabled and config.netinfo_enabled
 
 
 class TestAdapters:

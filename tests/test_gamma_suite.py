@@ -1,16 +1,17 @@
-"""Gamma suite end-to-end: one volunteer, checkpointing, accommodations."""
+"""Gamma suite end-to-end: one volunteer, their settings and accommodations."""
+
+import importlib
 
 import pytest
 
-from repro.browser.engine import BrowserConfig
-from repro.core.gamma.checkpoint import Checkpoint
-from repro.core.gamma.config import GammaConfig
+from repro.browser.engine import BrowserConfig, BrowserEngine, BrowserKind
 from repro.core.gamma.probes import ProbeRunner
 from repro.core.gamma.suite import GammaSuite
 from repro.core.gamma.volunteer import Volunteer
 from repro.core.targets.builder import TargetList
-from repro.netsim.geography import default_registry
+from repro.netsim.geography import MEASUREMENT_COUNTRIES, default_registry
 from repro.netsim.network import World
+from repro.obs.schema import validate_record
 from repro.web.catalog import SiteCatalog
 from repro.web.website import CATEGORY_GOVERNMENT, CATEGORY_REGIONAL, EmbeddedResource, Website
 
@@ -46,11 +47,9 @@ def mini_setup():
     return world, catalog, targets, volunteer
 
 
-def _suite(world, catalog, **config_overrides):
+def _suite(world, catalog, save_pages=False):
     return GammaSuite(
-        world, catalog,
-        GammaConfig.study_defaults(**config_overrides),
-        browser_config=BrowserConfig(default_failure_rate=0.0),
+        world, catalog, BrowserConfig(default_failure_rate=0.0), save_pages=save_pages
     )
 
 
@@ -96,41 +95,11 @@ class TestGammaSuite:
         # C2 still ran.
         assert dataset.websites["site0.co.th"].dns
 
-    def test_checkpoint_resume_skips_done(self, mini_setup, tmp_path):
-        world, catalog, targets, volunteer = mini_setup
-        checkpoint = Checkpoint(path=tmp_path / "ckpt.json")
-        suite = _suite(world, catalog)
-        # First run: only the first site, then "interrupt".
-        partial_targets = TargetList("TH", regional=["site0.co.th"])
-        suite.run(volunteer, partial_targets, checkpoint=checkpoint)
-        assert checkpoint.is_done("site0.co.th")
-
-        # Resume with the full list: already-done sites are not revisited.
-        resumed = Checkpoint.load(tmp_path / "ckpt.json")
-        visited = []
-        dataset = suite.run(volunteer, targets, checkpoint=resumed,
-                            progress=lambda url, m: visited.append(url))
-        assert "site0.co.th" not in visited
-        assert set(dataset.websites) == {"site0.co.th", "site1.co.th", "health.go.th"}
-
-    def test_checkpoint_country_mismatch_raises(self, mini_setup, tmp_path):
-        world, catalog, targets, volunteer = mini_setup
-        checkpoint = Checkpoint(path=tmp_path / "ckpt.json")
-        _suite(world, catalog).run(volunteer, targets, checkpoint=checkpoint)
-        other = Volunteer(name="vol-JP", city=REG.country("JP").capital, ip="5.99.0.11")
-        with pytest.raises(ValueError):
-            _suite(world, catalog).run(other, targets, checkpoint=Checkpoint.load(tmp_path / "ckpt.json"))
-
-    def test_browser_mismatch_rejected(self, mini_setup):
-        world, catalog, _, _ = mini_setup
-        with pytest.raises(ValueError):
-            GammaSuite(world, catalog, GammaConfig.study_defaults(browser="firefox"),
-                       browser_config=BrowserConfig(browser="chrome"))
-
     def test_windows_volunteer_uses_tracert(self, mini_setup):
         world, catalog, targets, volunteer = mini_setup
         volunteer.os_name = "windows"
-        dataset = _suite(world, catalog, os_name="windows").run(volunteer, targets)
+        dataset = _suite(world, catalog).run(volunteer, targets)
+        assert dataset.os_name == "windows"
         for measurement in dataset.websites.values():
             for trace in measurement.traceroutes.values():
                 assert trace.tool == "tracert"
@@ -156,22 +125,6 @@ class TestProbeRunner:
         world, catalog, _, volunteer = mini_setup
         runner = ProbeRunner(world, "linux")
         assert runner.ping(volunteer.city, "8.8.8.8") is None
-
-
-class TestCheckpoint:
-    def test_save_without_path_raises(self):
-        with pytest.raises(ValueError):
-            Checkpoint().save()
-
-    def test_load_missing_file_returns_fresh(self, tmp_path):
-        checkpoint = Checkpoint.load(tmp_path / "absent.json")
-        assert not checkpoint.completed
-        assert checkpoint.partial_dataset() is None
-
-    def test_mark_done_persists(self, tmp_path):
-        checkpoint = Checkpoint(path=tmp_path / "c.json")
-        checkpoint.mark_done("a.com")
-        assert Checkpoint.load(tmp_path / "c.json").is_done("a.com")
 
 
 class TestPageSaving:
@@ -210,25 +163,107 @@ class TestPageSaving:
         assert dataset.websites["site0.co.th"].hardcoded_domains == []
 
 
-class TestParallelInstances:
-    def test_single_instance_preserves_list_order(self, mini_setup):
+class TestVisitOrder:
+    def test_sites_visited_in_list_order(self, mini_setup):
         world, catalog, targets, volunteer = mini_setup
-        visited = []
-        _suite(world, catalog).run(volunteer, targets,
-                                   progress=lambda url, m: visited.append(url))
-        assert visited == targets.all_sites
+        dataset = _suite(world, catalog).run(volunteer, targets)
+        assert list(dataset.websites) == targets.all_sites
 
-    def test_multiple_instances_interleave(self, mini_setup):
-        world, catalog, targets, volunteer = mini_setup
-        visited = []
-        _suite(world, catalog, instances=2).run(
-            volunteer, targets, progress=lambda url, m: visited.append(url))
-        # Stripes: [site0, health] and [site1]; interleaved order.
-        assert visited == ["site0.co.th", "site1.co.th", "health.go.th"]
-        assert set(visited) == set(targets.all_sites)
 
-    def test_results_independent_of_instance_count(self, mini_setup):
+class TestVolunteerSettings:
+    """The OS and the opt-outs come from the volunteer alone."""
+
+    def test_unknown_os_rejected(self):
+        with pytest.raises(ValueError, match="unsupported OS"):
+            Volunteer(name="vol-TH", city=REG.country("TH").capital, ip="5.99.0.10",
+                      os_name="beos")
+
+    @pytest.mark.parametrize("cc", sorted(MEASUREMENT_COUNTRIES))
+    def test_scenario_volunteer_sets_os_and_c3(self, scenario, cc):
+        volunteer = scenario.volunteers[cc]
+        targets = scenario.targets[cc]
+        first_three = targets.without(targets.all_sites[3:])
+        suite = GammaSuite(scenario.world, scenario.catalog, scenario.browser_config)
+        dataset = suite.run(volunteer, first_three)
+        assert dataset.os_name == volunteer.os_name
+        traces = [
+            trace
+            for measurement in dataset.websites.values()
+            for trace in measurement.traceroutes.values()
+        ]
+        assert bool(traces) == (not volunteer.traceroute_opt_out)
+        for trace in traces:
+            assert (trace.tool == "tracert") == (volunteer.os_name == "windows")
+
+    def test_scenario_volunteers_use_both_tools(self, scenario):
+        # The per-volunteer check above sees tracert and traceroute at work.
+        traced_os = {v.os_name for v in scenario.volunteers.values() if not v.traceroute_opt_out}
+        assert {"windows", "linux"} <= traced_os
+
+    @pytest.mark.parametrize("cc", ["EG", "PK", "RU", "TW"])
+    def test_scenario_run_drops_opt_outs(self, scenario, cc):
+        volunteer = scenario.volunteers[cc]
+        opted_out = volunteer.opted_out_sites
+        assert opted_out
+        targets = scenario.targets[cc]
+        kept = [url for url in targets.all_sites if url not in opted_out][:2]
+        offered = targets.without([url for url in targets.all_sites
+                                   if url not in opted_out and url not in kept])
+        assert opted_out <= set(offered.all_sites)
+        suite = GammaSuite(scenario.world, scenario.catalog, scenario.browser_config)
+        dataset = suite.run(volunteer, offered)
+        assert list(dataset.websites) == kept
+        assert dataset.attempted_count == len(kept)
+
+
+class TestBrowserSession:
+    """The browser session comes from the BrowserConfig alone."""
+
+    @pytest.mark.parametrize("browser", BrowserKind.ALL)
+    def test_dataset_browser_comes_from_browser_config(self, mini_setup, browser):
         world, catalog, targets, volunteer = mini_setup
-        serial = _suite(world, catalog).run(volunteer, targets)
-        parallel = _suite(world, catalog, instances=3).run(volunteer, targets)
-        assert serial.to_json() == parallel.to_json()
+        config = BrowserConfig(browser=browser, default_failure_rate=0.0)
+        dataset = GammaSuite(world, catalog, config).run(volunteer, targets)
+        assert dataset.browser == browser
+        assert dataset.loaded_count == len(targets.all_sites)
+
+
+class TestRemovedApi:
+    def test_gamma_config_is_gone(self):
+        with pytest.raises(ImportError):
+            from repro import GammaConfig  # noqa: F401
+
+    @pytest.mark.parametrize("module", ["repro.core.gamma.config", "repro.core.gamma.checkpoint"])
+    def test_removed_module_is_gone(self, module):
+        with pytest.raises(ImportError):
+            importlib.import_module(module)
+
+    def test_run_takes_no_checkpoint(self, mini_setup):
+        world, catalog, targets, volunteer = mini_setup
+        with pytest.raises(TypeError):
+            _suite(world, catalog).run(volunteer, targets, checkpoint=None)
+
+    def test_run_takes_no_progress_callback(self, mini_setup):
+        world, catalog, targets, volunteer = mini_setup
+        with pytest.raises(TypeError):
+            _suite(world, catalog).run(volunteer, targets, progress=lambda url, m: None)
+
+    def test_suite_takes_no_instance_count(self, mini_setup):
+        world, catalog, _, _ = mini_setup
+        with pytest.raises(TypeError):
+            GammaSuite(world, catalog, instances=2)
+
+    def test_engine_has_no_load_many(self):
+        assert not hasattr(BrowserEngine, "load_many")
+
+    def test_volunteer_has_no_opted_out_helper(self):
+        assert not hasattr(Volunteer, "opted_out")
+
+    def test_browser_config_has_no_render_wait(self):
+        with pytest.raises(TypeError):
+            BrowserConfig(wait_time_s=1)
+
+    def test_site_skip_event_is_gone(self):
+        assert validate_record({"ev": "site_skip", "url": "u", "reason": "r"}) == [
+            "record: unknown event type 'site_skip'"
+        ]

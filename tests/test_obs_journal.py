@@ -65,7 +65,7 @@ class TestTracer:
     def test_buffer_is_plain_json(self):
         tracer = Tracer(root="study")
         with tracer.span("country", "CA", origin="volunteer"):
-            tracer.event("site_skip", url="x.ca", reason="opted_out")
+            tracer.event("site_traceroutes", url="x.ca", attempted=2, reached=1)
         json.loads(json.dumps(tracer.events()))  # round-trips losslessly
 
     def test_maybe_span_is_noop_without_tracer(self):
@@ -157,8 +157,8 @@ class TestSchema:
         assert any("attempted" in p for p in problems)
 
     def test_undeclared_field_flagged(self):
-        problems = validate_record({"ev": "site_skip", "url": "u", "reason": "r",
-                                    "surprise": 1})
+        problems = validate_record({"ev": "site_traceroutes", "url": "u", "attempted": 1,
+                                    "reached": 0, "surprise": 1})
         assert any("surprise" in p for p in problems)
 
     def test_failure_records_carry_no_attempt_count(self):
@@ -173,7 +173,7 @@ class TestSchema:
         ]
 
     def test_journal_must_start_with_run_record(self):
-        records = [{"ev": "site_skip", "url": "u", "reason": "r"}]
+        records = [{"ev": "site_traceroutes", "url": "u", "attempted": 1, "reached": 0}]
         assert any("must start" in p for p in validate_journal(records))
 
     def test_unknown_span_kind_flagged(self):
