@@ -485,12 +485,7 @@ def _render_metric_families(snapshot, include_runtime: bool) -> str:
             labels = record.get("labels", {})
             label_str = ", ".join(f"{k}={v}" for k, v in labels.items())
             prefix = f"  {{{label_str}}}" if label_str else "  (no labels)"
-            if entry["type"] == "histogram":
-                lines.append(
-                    f"{prefix}: count={record['count']} sum={record['sum']:g}"
-                )
-            else:
-                lines.append(f"{prefix}: {record['value']:g}")
+            lines.append(f"{prefix}: {record['value']:g}")
     return "\n".join(lines)
 
 

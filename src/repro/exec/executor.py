@@ -4,9 +4,9 @@ All backends satisfy one contract: ``map_countries(worker, countries)``
 returns the worker's results **in input country order**, regardless of
 completion order — merging is therefore byte-identical across backends
 and worker counts.  An optional ``on_result`` callback observes results
-in *completion* order (live progress reporting); it runs outside the
-result path, its exceptions are swallowed, and nothing downstream may
-depend on its ordering.  A worker failure raises
+in *completion* order (live progress reporting); it runs on the
+caller's thread outside the result path, its exceptions are swallowed,
+and nothing downstream may depend on its ordering.  A worker failure raises
 :class:`CountryExecutionError` naming the earliest (in input order)
 failing country; remaining work is cancelled and the pool is always
 shut down, so a faulting study can neither deadlock nor leak workers.
@@ -88,19 +88,6 @@ def _notify(
         pass
 
 
-def _done_notifier(
-    on_result: Callable[[str, T], None], country_code: str
-) -> Callable[["concurrent.futures.Future"], None]:
-    """add_done_callback adapter: fires on success only, in completion order."""
-
-    def _callback(future: "concurrent.futures.Future") -> None:
-        if future.cancelled() or future.exception() is not None:
-            return
-        _notify(on_result, country_code, future.result())
-
-    return _callback
-
-
 class SerialStudyExecutor(StudyExecutor):
     """The reference backend: one country after another, in order."""
 
@@ -128,33 +115,33 @@ def _collect_in_order(
     pool: concurrent.futures.Executor,
     futures: Dict[str, "concurrent.futures.Future"],
     countries: Sequence[str],
+    on_result: Optional[Callable[[str, T], None]],
 ) -> List[T]:
     """Await all futures; return results in input order or fail fast.
 
-    On the first failure (earliest in input order) every pending future
-    is cancelled and the pool is drained before the error propagates, so
-    no worker outlives the study call.
+    Each success is passed to *on_result* on the caller's thread, in
+    completion order.  On the first failure every pending future is
+    cancelled and the pool is drained before the error for the earliest
+    failing country (in input order) propagates, so no worker outlives
+    the study call.
     """
-    def _failure(future: "concurrent.futures.Future") -> Optional[BaseException]:
-        if future.done() and not future.cancelled():
-            return future.exception()
-        return None
-
-    concurrent.futures.wait(
-        futures.values(), return_when=concurrent.futures.FIRST_EXCEPTION
-    )
-    if any(_failure(future) is not None for future in futures.values()):
+    country_of = {future: cc for cc, future in futures.items()}
+    for future in concurrent.futures.as_completed(country_of):
+        if future.exception() is None:
+            _notify(on_result, country_of[future], future.result())
+            continue
         # Cancel everything not yet started, then drain the in-flight
         # workers: an earlier-in-input-order country may still be running
         # and about to fail, and blaming it must not depend on timing.
         # Pool queues are FIFO, so if a later country ran at all, every
         # earlier country ran too — the scan below is deterministic.
-        for future in futures.values():
-            future.cancel()
+        for pending in futures.values():
+            pending.cancel()
         concurrent.futures.wait(futures.values())
         pool.shutdown(wait=True, cancel_futures=True)
         for country_code in countries:
-            error = _failure(futures[country_code])
+            done = futures[country_code]
+            error = None if done.cancelled() else done.exception()
             if error is not None:
                 raise CountryExecutionError(country_code, error) from error
     return [futures[country_code].result() for country_code in countries]
@@ -201,13 +188,8 @@ class ProcessPoolStudyExecutor(StudyExecutor):
             initializer=_install_process_worker,
             initargs=(worker,),
         ) as pool:
-            futures = {}
-            for cc in countries:
-                future = pool.submit(_invoke_process_worker, cc)
-                if on_result is not None:
-                    future.add_done_callback(_done_notifier(on_result, cc))
-                futures[cc] = future
-            return _collect_in_order(pool, futures, countries)
+            futures = {cc: pool.submit(_invoke_process_worker, cc) for cc in countries}
+            return _collect_in_order(pool, futures, countries, on_result)
 
 
 def create_executor(backend: str = "auto", jobs: Optional[int] = None) -> StudyExecutor:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.obs.metrics import SECONDS_BUCKETS, Histogram, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
     "ExecMetrics",
@@ -65,10 +65,10 @@ TRANSPORT_DECODE_SECONDS = "exec_transport_decode_seconds_total"
 # -- worker side ------------------------------------------------------
 def observe_phase(registry: MetricsRegistry, phase: str, seconds: float) -> None:
     """Record one phase's wall seconds for the worker's country."""
-    registry.histogram(
-        PHASE_SECONDS, {"phase": phase}, buckets=SECONDS_BUCKETS, unit="seconds",
+    registry.counter(
+        PHASE_SECONDS, {"phase": phase}, unit="seconds",
         help="per-country phase wall time", runtime=True,
-    ).observe(seconds)
+    ).inc(seconds)
 
 
 def close_country(
@@ -86,7 +86,7 @@ def close_country(
     any one country saw — for the per-run ``gamma.traces`` memo, the
     per-country peak.
     """
-    total = sum(histogram.sum for _, histogram in registry.series(PHASE_SECONDS))
+    total = sum(counter.value for _, counter in registry.series(PHASE_SECONDS))
     registry.counter(
         COUNTRY_SECONDS, {"country": country_code},
         help="per-country worker seconds", runtime=True,
@@ -157,10 +157,7 @@ class ExecMetrics:
         return float(value) if value is not None else 0.0
 
     def _by_label(self, name: str, label: str) -> Dict[str, float]:
-        return {
-            labels[label]: metric.sum if isinstance(metric, Histogram) else metric.value
-            for labels, metric in self.registry.series(name)
-        }
+        return {labels[label]: metric.value for labels, metric in self.registry.series(name)}
 
     # -- scalar series ------------------------------------------------
     @property

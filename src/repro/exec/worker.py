@@ -44,12 +44,11 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Union
 from repro.core.analysis.records import CountryStudyResult, build_country_result
 from repro.core.gamma.output import VolunteerDataset, anonymize
 from repro.core.gamma.suite import GammaSuite
-from repro.core.geoloc.constraints import round_evidence_ms
 from repro.core.geoloc.pipeline import DatasetGeolocation, GeolocationPipeline
 from repro.exec.cache import ReadThroughCache
 from repro.exec.metrics import close_country, observe_phase
 from repro.exec.resilience import CountryFailure
-from repro.obs.metrics import MS_BUCKETS, Histogram, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiling import ResourceProfiler, maybe_phase
 from repro.obs.tracer import Tracer, maybe_span
 
@@ -143,28 +142,16 @@ def _record_study_metrics(
         ).inc(count)
 
     # Each series is looked up once: counters are tallied here and added
-    # after the loop; evidence histograms observe in verdict order, which
-    # keeps their float sums bit-identical.
+    # after the loop.
     status_counts: Counter = Counter()
     discard_counts: Counter = Counter()
     check_counts: Counter = Counter()
-    evidence: Dict[str, Histogram] = {}
     for verdict in geolocation.verdicts.values():
         status_counts[verdict.status] += 1
         if verdict.discarded_by:
             discard_counts[verdict.discarded_by] += 1
         for check in verdict.checks:
             check_counts[check.constraint, check.status] += 1
-            observed = round_evidence_ms(check.observed_ms)
-            if observed is not None:
-                histogram = evidence.get(check.constraint)
-                if histogram is None:
-                    histogram = evidence[check.constraint] = metrics.histogram(
-                        "geoloc_evidence_ms", {"constraint": check.constraint},
-                        buckets=MS_BUCKETS, unit="ms",
-                        help="constraint evidence latencies (simulated, deterministic)",
-                    )
-                histogram.observe(observed)
     for status, count in status_counts.items():
         metrics.counter(
             "geoloc_verdicts_total", {"status": status},
@@ -324,8 +311,7 @@ class StudyWorker:
                     dataset, geolocation, scenario.identifier, scenario.directory,
                     tracer=tracer,
                 )
-                if config.anonymize_ips:
-                    anonymize(dataset)
+                anonymize(dataset)
 
         cpu_seconds = time.thread_time() - cpu_started
         caches = scenario.caches

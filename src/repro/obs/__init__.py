@@ -31,15 +31,13 @@ from repro.obs.journal import (
 from repro.obs.metrics import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
-    exponential_buckets,
     merge_snapshots,
     strip_runtime,
 )
 from repro.obs.profiling import ResourceProfiler, maybe_phase
 from repro.obs.progress import ProgressReporter
-from repro.obs.render import funnel_from_journal, render_faults, render_journal
+from repro.obs.render import render_faults, render_journal
 from repro.obs.schema import validate_journal, validate_record
 from repro.obs.tracer import Tracer, maybe_span
 
@@ -47,7 +45,6 @@ __all__ = [
     "Counter",
     "DIAGNOSTIC_EVENTS",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "ProgressReporter",
     "RUN_ENV_FIELDS",
@@ -56,8 +53,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "TIMING_FIELDS",
     "Tracer",
-    "exponential_buckets",
-    "funnel_from_journal",
     "maybe_phase",
     "maybe_span",
     "merge_snapshots",

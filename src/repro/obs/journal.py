@@ -14,10 +14,10 @@ Line order *is* the sequence — records carry no sequence numbers.
 Two classes of fields vary between otherwise-identical runs:
 
 * **timing fields** (``t``, ``dur``) on any record, plus the run
-  record's environment fields (``backend``, ``jobs``, ``wall_seconds``);
-* **diagnostic records** (``country_resumed``, ``progress``): resumes
-  and completion order describe how the run unfolded, not what it
-  measured.
+  record's environment fields (``backend``, ``jobs``, ``resumed``,
+  ``failed``) — the run's wall time is the ``study`` span's ``dur``;
+* **diagnostic records** (``country_resumed``): a resume describes how
+  the run unfolded, not what it measured.
 
 :func:`strip_timings` removes both.  The contract — locked down by
 ``tests/test_trace_determinism.py`` — is that after stripping, the
@@ -47,15 +47,15 @@ TIMING_FIELDS = frozenset({"t", "dur"})
 #: Fields of the ``run`` record that describe the execution environment
 #: rather than the study (they differ across backend/jobs combinations,
 #: and across interrupted/uninterrupted executions of the same study).
-RUN_ENV_FIELDS = frozenset({"backend", "jobs", "wall_seconds", "resumed", "failed"})
+RUN_ENV_FIELDS = frozenset({"backend", "jobs", "resumed", "failed"})
 
 #: Event types that are runtime diagnostics: their payloads depend on
 #: how the run unfolded rather than on the study itself — resumes
-#: record countries loaded rather than re-measured, live progress
-#: records completion order and rates — so the strip operation removes
-#: the whole record.  ``country_failed`` is *not* here: a failed
-#: country changes what the run produced, so it survives stripping.
-DIAGNOSTIC_EVENTS = frozenset({"country_resumed", "progress"})
+#: record countries loaded rather than re-measured — so the strip
+#: operation removes the whole record.  ``country_failed`` is *not*
+#: here: a failed country changes what the run produced, so it
+#: survives stripping.
+DIAGNOSTIC_EVENTS = frozenset({"country_resumed"})
 
 
 def strip_timings(records: Iterable[dict]) -> List[dict]:

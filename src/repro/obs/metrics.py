@@ -14,9 +14,9 @@ Two classes of series coexist in one registry:
 
 * **study metrics** (``runtime=False``, the default) are deterministic
   functions of the study inputs — verdict statuses, funnel stages,
-  constraint outcomes, tracker attributions, simulated evidence
-  latencies.  These must match exactly between equivalent runs and are
-  what ``gamma metrics diff`` compares strictly.
+  constraint outcomes, tracker attributions.  These must match exactly
+  between equivalent runs and are what ``gamma metrics diff`` compares
+  strictly.
 * **runtime metrics** (``runtime=True``) measure *how* the run was
   obtained — wall/CPU seconds, cache hits, transport bytes.  They vary
   with scheduling and are excluded from determinism contracts
@@ -30,18 +30,13 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 __all__ = [
     "METRICS_SCHEMA_VERSION",
     "SNAPSHOT_SCHEMA_VERSION",
-    "SECONDS_BUCKETS",
-    "MS_BUCKETS",
-    "BYTES_BUCKETS",
-    "exponential_buckets",
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "merge_snapshots",
     "strip_runtime",
@@ -54,34 +49,11 @@ __all__ = [
     "DiffFinding",
 ]
 
-METRICS_SCHEMA_VERSION = 1
+METRICS_SCHEMA_VERSION = 2
 SNAPSHOT_SCHEMA_VERSION = 1
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
-
-
-def exponential_buckets(start: float, factor: float, count: int) -> Tuple[float, ...]:
-    """``count`` upper bounds growing geometrically from ``start``.
-
-    Bounds are rounded to 9 significant decimals so the same call always
-    produces the same floats regardless of platform printf quirks.
-    """
-    if start <= 0 or factor <= 1.0 or count < 1:
-        raise ValueError("exponential_buckets requires start>0, factor>1, count>=1")
-    bounds = []
-    value = float(start)
-    for _ in range(count):
-        bounds.append(float(f"{value:.9g}"))
-        value *= factor
-    return tuple(bounds)
-
-
-#: Default bucket ladders.  Fixed (never derived from observed data) so
-#: histograms from different runs always merge and diff cleanly.
-SECONDS_BUCKETS = exponential_buckets(0.001, 2.0, 18)  # 1ms .. ~131s
-MS_BUCKETS = exponential_buckets(1.0, 2.0, 14)  # 1ms .. ~8.2s
-BYTES_BUCKETS = exponential_buckets(1024.0, 4.0, 10)  # 1KiB .. 1GiB
 
 
 def _label_key(labels: Optional[Mapping[str, Any]]) -> Tuple[Tuple[str, str], ...]:
@@ -119,53 +91,15 @@ class Gauge:
         self.value = self.value + amount
 
 
-class Histogram:
-    """Fixed-bound histogram with per-bucket counts, sum and count.
-
-    ``bounds`` are *upper* bucket edges; ``counts`` has one extra slot
-    for the implicit ``+Inf`` bucket.  Counts are non-cumulative in
-    memory and in snapshots.
-    """
-
-    __slots__ = ("bounds", "counts", "sum", "count")
-
-    def __init__(self, bounds: Sequence[float]) -> None:
-        self.bounds = tuple(float(b) for b in bounds)
-        if list(self.bounds) != sorted(set(self.bounds)):
-            raise ValueError("histogram bounds must be strictly increasing")
-        self.counts = [0] * (len(self.bounds) + 1)
-        self.sum = 0.0
-        self.count = 0
-
-    def observe(self, value: float) -> None:
-        index = len(self.bounds)
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                index = i
-                break
-        self.counts[index] += 1
-        self.sum += float(value)
-        self.count += 1
-
-
 class _Family:
-    __slots__ = ("name", "type", "help", "unit", "runtime", "buckets", "series")
+    __slots__ = ("name", "type", "help", "unit", "runtime", "series")
 
-    def __init__(
-        self,
-        name: str,
-        type_: str,
-        help_: str,
-        unit: str,
-        runtime: bool,
-        buckets: Optional[Tuple[float, ...]],
-    ) -> None:
+    def __init__(self, name: str, type_: str, help_: str, unit: str, runtime: bool) -> None:
         self.name = name
         self.type = type_
         self.help = help_
         self.unit = unit
         self.runtime = runtime
-        self.buckets = buckets
         self.series: Dict[Tuple[Tuple[str, str], ...], Any] = {}
 
 
@@ -181,23 +115,12 @@ class MetricsRegistry:
         self._families: Dict[str, _Family] = {}
 
     # -- registration -------------------------------------------------
-    def _family(
-        self,
-        name: str,
-        type_: str,
-        help_: str,
-        unit: str,
-        runtime: bool,
-        buckets: Optional[Sequence[float]] = None,
-    ) -> _Family:
+    def _family(self, name: str, type_: str, help_: str, unit: str, runtime: bool) -> _Family:
         family = self._families.get(name)
         if family is None:
             if not _NAME_RE.match(name):
                 raise ValueError(f"invalid metric name: {name!r}")
-            family = _Family(
-                name, type_, help_, unit, runtime,
-                tuple(float(b) for b in buckets) if buckets else None,
-            )
+            family = _Family(name, type_, help_, unit, runtime)
             self._families[name] = family
         elif family.type != type_:
             raise ValueError(
@@ -238,20 +161,6 @@ class MetricsRegistry:
         family = self._family(name, "gauge", help, unit, runtime)
         return self._series(family, labels, Gauge)
 
-    def histogram(
-        self,
-        name: str,
-        labels: Optional[Mapping[str, Any]] = None,
-        buckets: Sequence[float] = SECONDS_BUCKETS,
-        help: str = "",
-        unit: str = "",
-        runtime: bool = False,
-    ) -> Histogram:
-        family = self._family(name, "histogram", help, unit, runtime, buckets)
-        if tuple(float(b) for b in buckets) != family.buckets:
-            raise ValueError(f"histogram {name!r} re-registered with different buckets")
-        return self._series(family, labels, lambda: Histogram(family.buckets))
-
     # -- introspection ------------------------------------------------
     def families(self) -> Iterator[str]:
         return iter(self._families)
@@ -271,8 +180,6 @@ class MetricsRegistry:
         metric = family.series.get(_label_key(labels))
         if metric is None:
             return None
-        if isinstance(metric, Histogram):
-            return metric.sum
         return metric.value
 
     # -- snapshot / merge ---------------------------------------------
@@ -288,27 +195,20 @@ class MetricsRegistry:
                 entry["unit"] = family.unit
             if family.runtime:
                 entry["runtime"] = True
-            if family.type == "histogram":
-                entry["buckets"] = list(family.buckets or ())
             series_out: List[Dict[str, Any]] = []
             for key in sorted(family.series):
                 metric = family.series[key]
                 record: Dict[str, Any] = {}
                 if key:
                     record["labels"] = dict(key)
-                if isinstance(metric, Histogram):
-                    record["counts"] = list(metric.counts)
-                    record["sum"] = metric.sum
-                    record["count"] = metric.count
-                else:
-                    record["value"] = metric.value
+                record["value"] = metric.value
                 series_out.append(record)
             entry["series"] = series_out
             families[name] = entry
         return {"schema": METRICS_SCHEMA_VERSION, "families": families}
 
     def merge_snapshot(self, snapshot: Mapping[str, Any]) -> None:
-        """Fold a snapshot in: counters add, gauges max, histograms add.
+        """Fold a snapshot in: counters add, gauges max.
 
         Addition order is fixed — families in sorted-name order, series
         in sorted-label order — so merging the same snapshots in the
@@ -321,7 +221,6 @@ class MetricsRegistry:
             help_ = entry.get("help", "")
             unit = entry.get("unit", "")
             runtime = bool(entry.get("runtime", False))
-            buckets = entry.get("buckets")
             for record in entry["series"]:
                 labels = record.get("labels")
                 if type_ == "counter":
@@ -331,17 +230,6 @@ class MetricsRegistry:
                 elif type_ == "gauge":
                     gauge = self.gauge(name, labels, help=help_, unit=unit, runtime=runtime)
                     gauge.set(max(gauge.value, record["value"]))
-                elif type_ == "histogram":
-                    histogram = self.histogram(
-                        name, labels, buckets=buckets, help=help_, unit=unit, runtime=runtime
-                    )
-                    counts = record["counts"]
-                    if len(counts) != len(histogram.counts):
-                        raise ValueError(f"histogram {name!r} bucket count mismatch")
-                    for i, c in enumerate(counts):
-                        histogram.counts[i] += c
-                    histogram.sum += record["sum"]
-                    histogram.count += record["count"]
                 else:  # pragma: no cover - schema guards upstream
                     raise ValueError(f"unknown metric type {type_!r}")
 
@@ -392,18 +280,9 @@ def validate_metrics_snapshot(snapshot: Mapping[str, Any]) -> List[str]:
             problems.append(f"{where}: entry must be an object")
             continue
         type_ = entry.get("type")
-        if type_ not in ("counter", "gauge", "histogram"):
+        if type_ not in ("counter", "gauge"):
             problems.append(f"{where}: bad type {type_!r}")
             continue
-        if type_ == "histogram":
-            buckets = entry.get("buckets")
-            if (
-                not isinstance(buckets, list)
-                or not all(isinstance(b, (int, float)) for b in buckets)
-                or sorted(set(buckets)) != buckets
-            ):
-                problems.append(f"{where}: buckets must be strictly increasing")
-                continue
         series = entry.get("series")
         if not isinstance(series, list):
             problems.append(f"{where}: series must be a list")
@@ -423,17 +302,7 @@ def validate_metrics_snapshot(snapshot: Mapping[str, Any]) -> List[str]:
             if key in seen:
                 problems.append(f"{where}: duplicate series {labels!r}")
             seen.add(key)
-            if type_ == "histogram":
-                counts = record.get("counts")
-                if not isinstance(counts, list) or len(counts) != len(entry["buckets"]) + 1:
-                    problems.append(f"{where}: counts length != buckets+1")
-                elif not all(isinstance(c, int) for c in counts):
-                    problems.append(f"{where}: counts must be integers")
-                elif record.get("count") != sum(counts):
-                    problems.append(f"{where}: count != sum(counts)")
-                if not isinstance(record.get("sum"), (int, float)):
-                    problems.append(f"{where}: histogram sum must be numeric")
-            elif not isinstance(record.get("value"), (int, float)):
+            if not isinstance(record.get("value"), (int, float)):
                 problems.append(f"{where}: value must be numeric")
     return problems
 
@@ -537,14 +406,10 @@ class DiffFinding:
 
 
 def _series_values(entry: Mapping[str, Any]) -> Dict[Tuple[Tuple[str, str], ...], Any]:
-    out = {}
-    for record in entry.get("series", []):
-        key = _label_key(record.get("labels"))
-        if entry.get("type") == "histogram":
-            out[key] = (record.get("sum", 0.0), record.get("count", 0), tuple(record.get("counts", ())))
-        else:
-            out[key] = record.get("value", 0)
-    return out
+    return {
+        _label_key(record.get("labels")): record.get("value", 0)
+        for record in entry.get("series", [])
+    }
 
 
 def _metric_families(snapshot: Mapping[str, Any]) -> Mapping[str, Any]:
@@ -596,16 +461,14 @@ def diff_snapshots(
                         DiffFinding("drift", name, labels, f"{old_value!r} -> {new_value!r}")
                     )
                 continue
-            old_scalar = old_value[0] if isinstance(old_value, tuple) else old_value
-            new_scalar = new_value[0] if isinstance(new_value, tuple) else new_value
-            if old_scalar is None or new_scalar is None:
+            if old_value is None or new_value is None:
                 findings.append(DiffFinding("change", name, labels, "series appeared/vanished"))
                 continue
-            if old_scalar == new_scalar:
+            if old_value == new_value:
                 continue
-            base = abs(old_scalar) if old_scalar else 1.0
-            relative = (new_scalar - old_scalar) / base
-            detail = f"{old_scalar:g} -> {new_scalar:g} ({relative:+.1%})"
+            base = abs(old_value) if old_value else 1.0
+            relative = (new_value - old_value) / base
+            detail = f"{old_value:g} -> {new_value:g} ({relative:+.1%})"
             if relative > threshold:
                 findings.append(DiffFinding("regression", name, labels, detail))
             elif relative < -threshold:

@@ -2,18 +2,17 @@
 
 The reporter is a *consumer* of executor completion callbacks — it
 never touches results, only counts them — so enabling it cannot change
-what a study produces.  Completion callbacks fire from pool threads in
-completion order, which is scheduling-dependent; everything the
-reporter emits (stderr lines, journal ``progress`` events) is therefore
-diagnostic and stripped by :func:`repro.obs.strip_timings`.
+what a study produces.  Callbacks arrive on the coordinator's thread in
+completion order, which is scheduling-dependent, so the reporter writes
+to stderr only; a country's completion is journalled once, as its
+``country`` span.
 """
 
 from __future__ import annotations
 
 import sys
-import threading
 import time
-from typing import Any, Dict, List, Optional
+from typing import Optional
 
 __all__ = ["ProgressReporter"]
 
@@ -25,23 +24,13 @@ class ProgressReporter:
 
     On a TTY the line is redrawn in place (``\\r``); otherwise each
     completion appends a full line, which keeps piped stderr readable.
-    When ``record_events`` is set the reporter also buffers journal
-    ``progress`` event dicts for the study tail.
     """
 
-    def __init__(
-        self,
-        total: int,
-        stream=None,
-        record_events: bool = False,
-        clock=None,
-    ) -> None:
+    def __init__(self, total: int, stream=None, clock=None) -> None:
         self._total = max(int(total), 0)
         self._stream = stream if stream is not None else sys.stderr
         self._clock = clock or time.perf_counter
         self._isatty = bool(getattr(self._stream, "isatty", lambda: False)())
-        self._lock = threading.Lock()
-        self._events: Optional[List[Dict[str, Any]]] = [] if record_events else None
         self._started: Optional[float] = None
         self._done = 0
         self._failed = 0
@@ -59,64 +48,40 @@ class ProgressReporter:
         failed: bool = False,
         resumed: bool = False,
     ) -> None:
-        """Record one finished country; thread-safe (pool callbacks)."""
-        with self._lock:
-            if self._started is None:
-                self.start()
-            self._done += 1
-            self._sites += int(sites)
-            if failed:
-                self._failed += 1
-            elapsed = max(self._clock() - self._started, 1e-9)
-            rate = self._sites / elapsed
-            remaining = self._total - self._done
-            eta = (elapsed / self._done) * remaining if self._done else 0.0
-            self._emit_line(country_code, elapsed, rate, eta, failed, resumed)
-            if self._events is not None:
-                event: Dict[str, Any] = {
-                    "ev": "progress",
-                    "span": "study",
-                    "t": round(elapsed, 6),
-                    "country": country_code,
-                    "done": self._done,
-                    "total": self._total,
-                    "sites": self._sites,
-                    "failed": self._failed,
-                    "sites_per_second": round(rate, 3),
-                    "eta_seconds": round(eta, 3),
-                }
-                if resumed:
-                    event["resumed"] = True
-                self._events.append(event)
+        """Record one finished country."""
+        if self._started is None:
+            self.start()
+        self._done += 1
+        self._sites += int(sites)
+        if failed:
+            self._failed += 1
+        elapsed = max(self._clock() - self._started, 1e-9)
+        rate = self._sites / elapsed
+        remaining = self._total - self._done
+        eta = (elapsed / self._done) * remaining if self._done else 0.0
+        self._emit_line(country_code, rate, eta, failed, resumed)
 
     def finish(self) -> None:
-        with self._lock:
-            if self._dirty_line:
-                self._stream.write("\n")
-                self._stream.flush()
-                self._dirty_line = False
-            if self._started is None:
-                return
-            elapsed = max(self._clock() - self._started, 1e-9)
-            summary = (
-                f"progress: {self._done}/{self._total} countries, "
-                f"{self._sites} sites in {elapsed:.1f}s "
-                f"({self._sites / elapsed:.1f} sites/s)"
-            )
-            if self._failed:
-                summary += f", {self._failed} failed"
-            self._write(summary + "\n")
-
-    # -- journal ------------------------------------------------------
-    def events(self) -> List[Dict[str, Any]]:
-        """Buffered ``progress`` journal events (diagnostic, stripped)."""
-        return list(self._events or ())
+        if self._dirty_line:
+            self._stream.write("\n")
+            self._stream.flush()
+            self._dirty_line = False
+        if self._started is None:
+            return
+        elapsed = max(self._clock() - self._started, 1e-9)
+        summary = (
+            f"progress: {self._done}/{self._total} countries, "
+            f"{self._sites} sites in {elapsed:.1f}s "
+            f"({self._sites / elapsed:.1f} sites/s)"
+        )
+        if self._failed:
+            summary += f", {self._failed} failed"
+        self._write(summary + "\n")
 
     # -- rendering ----------------------------------------------------
     def _emit_line(
         self,
         country_code: str,
-        elapsed: float,
         rate: float,
         eta: float,
         failed: bool,

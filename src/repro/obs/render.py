@@ -4,12 +4,9 @@ Everything here is a pure function of the journal records, so the same
 renderers work on live journals (with timings) and stripped ones
 (``--no-timings`` — durations display as ``-``).
 
-:func:`funnel_from_journal` rebuilds the paper's section-5 funnel from
-the per-host ``geoloc_decision`` events alone; by construction its
-counts equal :meth:`repro.study.StudyOutcome.funnel` exactly, which the
-determinism suite asserts.  A ``country_funnel`` event recorded by the
-pipeline provides an independent cross-check (drift between the two
-would mean the decision events no longer cover every host).
+The funnel drill-down prints the ``country_funnel`` events: the
+section-5 counts the geolocation pipeline wrote for each country, the
+same numbers as :meth:`repro.study.StudyOutcome.funnel`.
 """
 
 from __future__ import annotations
@@ -19,7 +16,6 @@ from typing import Dict, List, Optional
 from repro.obs.journal import RunJournal
 
 __all__ = [
-    "funnel_from_journal",
     "render_journal",
     "render_span_tree",
     "render_funnel",
@@ -27,66 +23,17 @@ __all__ = [
     "render_faults",
 ]
 
-_FUNNEL_KEYS = (
-    "total_hosts",
-    "unlocated",
-    "local",
-    "nonlocal_candidates",
-    "discarded_source",
-    "discarded_destination",
-    "discarded_rdns",
-    "verified_nonlocal",
-    "destination_traceroutes",
+#: Drill-down columns: (header, funnel stage, width).
+_FUNNEL_COLUMNS = (
+    ("total", "total_hosts", 7),
+    ("unloc", "unlocated", 6),
+    ("local", "local", 6),
+    ("nonlocal", "nonlocal_candidates", 8),
+    ("-src", "discarded_source", 6),
+    ("-dst", "discarded_destination", 6),
+    ("-rdns", "discarded_rdns", 6),
+    ("verified", "verified_nonlocal", 8),
 )
-
-
-def _decision_country(record: dict) -> str:
-    """Country code from a decision event's span path (``study/CC/...``)."""
-    parts = record.get("span", "").split("/")
-    return parts[1] if len(parts) > 1 else "?"
-
-
-def funnel_from_journal(journal: RunJournal) -> Dict[str, Dict[str, int]]:
-    """Per-country funnel counters rebuilt from ``geoloc_decision`` events.
-
-    Returns ``{country: {counter: value}}`` plus an ``"ALL"`` merge.
-    ``destination_traceroutes`` is probe accounting, not a per-host
-    decision, so it is taken from the ``country_funnel`` events.
-    """
-    per_country: Dict[str, Dict[str, int]] = {}
-    for record in journal.events("geoloc_decision"):
-        counters = per_country.setdefault(
-            _decision_country(record), {key: 0 for key in _FUNNEL_KEYS}
-        )
-        weight = record["weight"]
-        status = record["status"]
-        counters["total_hosts"] += weight
-        if status == "unlocated":
-            counters["unlocated"] += weight
-        elif status == "local":
-            counters["local"] += weight
-        else:
-            counters["nonlocal_candidates"] += weight
-            if status == "discarded":
-                by = record.get("discarded_by") or ""
-                if by in ("source", "destination", "rdns"):
-                    counters[f"discarded_{by}"] += weight
-            elif status == "nonlocal_verified":
-                counters["verified_nonlocal"] += weight
-    for record in journal.events("country_funnel"):
-        counters = per_country.setdefault(
-            record["country"], {key: 0 for key in _FUNNEL_KEYS}
-        )
-        counters["destination_traceroutes"] = record["funnel"].get(
-            "destination_traceroutes", 0
-        )
-    merged = {key: 0 for key in _FUNNEL_KEYS}
-    for counters in per_country.values():
-        for key in _FUNNEL_KEYS:
-            merged[key] += counters[key]
-    result = dict(sorted(per_country.items()))
-    result["ALL"] = merged
-    return result
 
 
 def _fmt_seconds(value: Optional[float], width: int = 8) -> str:
@@ -137,20 +84,28 @@ def render_span_tree(journal: RunJournal) -> str:
 
 
 def render_funnel(journal: RunJournal) -> str:
-    """Per-country + merged funnel drill-down table."""
-    funnels = funnel_from_journal(journal)
-    header = (
-        f"  {'country':<8} {'total':>7} {'unloc':>6} {'local':>6} {'nonlocal':>8} "
-        f"{'-src':>6} {'-dst':>6} {'-rdns':>6} {'verified':>8}"
-    )
-    lines = ["funnel drill-down (host observations):", header]
-    for country, c in funnels.items():
-        lines.append(
-            f"  {country:<8} {c['total_hosts']:>7} {c['unlocated']:>6} "
-            f"{c['local']:>6} {c['nonlocal_candidates']:>8} "
-            f"{c['discarded_source']:>6} {c['discarded_destination']:>6} "
-            f"{c['discarded_rdns']:>6} {c['verified_nonlocal']:>8}"
-        )
+    """Per-country + merged funnel drill-down table, from the pipeline's
+    ``country_funnel`` events."""
+    rows = {
+        record["country"]: record["funnel"]
+        for record in journal.events("country_funnel")
+    }
+    merged: Dict[str, int] = {}
+    for funnel in rows.values():
+        for stage, count in funnel.items():
+            merged[stage] = merged.get(stage, 0) + count
+    rows = dict(sorted(rows.items()))
+    rows["ALL"] = merged
+    lines = [
+        "funnel drill-down (host observations):",
+        f"  {'country':<8}" + "".join(
+            f" {header:>{width}}" for header, _, width in _FUNNEL_COLUMNS
+        ),
+    ]
+    for country, funnel in rows.items():
+        lines.append(f"  {country:<8}" + "".join(
+            f" {funnel.get(stage, 0):>{width}}" for _, stage, width in _FUNNEL_COLUMNS
+        ))
     return "\n".join(lines)
 
 
@@ -197,8 +152,9 @@ def render_journal(journal: RunJournal, top: int = 10) -> str:
         env_bits.append(f"backend={run['backend']}")
     if "jobs" in run:
         env_bits.append(f"jobs={run['jobs']}")
-    if "wall_seconds" in run:
-        env_bits.append(f"wall={run['wall_seconds']:.2f}s")
+    study = next((span for span in journal.spans("study") if "dur" in span), None)
+    if study is not None:
+        env_bits.append(f"wall={study['dur']:.2f}s")
     if env_bits:
         headline.append(" ".join(env_bits))
     sections = [

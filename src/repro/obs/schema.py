@@ -34,7 +34,6 @@ EVENT_FIELDS: Dict[str, Dict[str, Tuple[tuple, bool]]] = {
         "countries": (_LIST, True),
         "backend": (_STR, False),
         "jobs": (_INT, False),
-        "wall_seconds": (_NUM, False),
         "resumed": (_LIST, False),
         "failed": (_LIST, False),
     },
@@ -89,19 +88,6 @@ EVENT_FIELDS: Dict[str, Dict[str, Tuple[tuple, bool]]] = {
     },
     "country_resumed": {
         "country": (_STR, True),
-    },
-    # Telemetry diagnostic (docs/observability.md "Metrics"): live
-    # progress samples are emitted in completion order and stripped with
-    # the other diagnostics.
-    "progress": {
-        "country": (_STR, True),
-        "done": (_INT, True),
-        "total": (_INT, True),
-        "sites": (_INT, False),
-        "failed": (_INT, False),
-        "sites_per_second": (_NUM, False),
-        "eta_seconds": (_NUM, False),
-        "resumed": (_BOOL, False),
     },
 }
 

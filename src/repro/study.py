@@ -61,14 +61,9 @@ from repro.exec.executor import check_backend, create_executor
 from repro.exec.metrics import ExecMetrics, record_decode, record_transport, record_wall
 from repro.exec.resilience import CountryFailure, check_on_error
 from repro.exec.transport import PickledCountryRun, TransportWorker
-from repro.exec.worker import CountryRun, StudyWorker
+from repro.exec.worker import CountryRun, StudyWorker, _record_study_metrics
 from repro.obs.journal import DIAGNOSTIC_EVENTS, SCHEMA_VERSION, RunJournal
-from repro.obs.metrics import (
-    MetricsRegistry,
-    build_study_snapshot,
-    strip_runtime,
-    write_snapshot,
-)
+from repro.obs.metrics import MetricsRegistry, build_study_snapshot, write_snapshot
 from repro.obs.progress import ProgressReporter
 from repro.obs.schema import EVENT_FIELDS
 from repro.worldgen.builder import Scenario
@@ -83,8 +78,6 @@ class StudyConfig:
     #: Geolocation tunables (constraint thresholds and toggles).
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     visit_key: str = "visit-1"
-    #: Anonymise volunteer IPs after analysis (section 3.5).
-    anonymize_ips: bool = True
     #: Per-country workers: 1 = serial, N > 1 = parallel, 0 = one per CPU.
     jobs: int = 1
     #: Execution backend: "auto", "serial", or "process".
@@ -278,16 +271,19 @@ def _merge_accounting(
 
     *run* is a :class:`CountryRun` or a :class:`PickledCountryRun`;
     both carry the same accounting attributes, so nothing here unpickles.
-    A *resumed* country was measured by an earlier process: it merges
-    only its study-class families, so every runtime number in the
-    registry describes this run.
+    A *resumed* country was measured by an earlier process: its
+    study-class families are recomputed from the loaded run and its
+    stored delta is not read, so every runtime number in the registry
+    describes this run, whatever families the earlier version recorded.
     """
     outcome.source_trace_origins[run.country_code] = run.source_trace_origin
     registry = outcome.metrics.registry
-    if run.metrics_delta is not None:
-        registry.merge_snapshot(
-            strip_runtime(run.metrics_delta) if resumed else run.metrics_delta
-        )
+    if resumed:
+        study = MetricsRegistry()
+        _record_study_metrics(study, run.dataset, run.geolocation, run.result)
+        registry.merge_snapshot(study.snapshot())
+    elif run.metrics_delta is not None:
+        registry.merge_snapshot(run.metrics_delta)
     if isinstance(run, PickledCountryRun):
         record_transport(registry, run)
         run.on_load = partial(record_decode, registry)
@@ -339,8 +335,7 @@ def run_study(
 
     *progress* streams one status line per completed country to stderr
     (pass a preconfigured :class:`repro.obs.ProgressReporter` to control
-    the stream/clock); with tracing enabled the same completions land as
-    diagnostic ``progress`` journal events.  The run snapshot is always
+    the stream/clock).  The run snapshot is always
     built (``outcome.metrics_snapshot``); *metrics_out* writes it to a
     path as a JSON document; with a *checkpoint_dir* the snapshot is
     also written there as ``metrics.json``.  None of these change any
@@ -378,7 +373,7 @@ def run_study(
         reporter = (
             progress
             if isinstance(progress, ProgressReporter)
-            else ProgressReporter(len(countries), record_events=tracing)
+            else ProgressReporter(len(countries))
         )
         reporter.start()
         for country_code in countries:
@@ -411,8 +406,7 @@ def run_study(
         reporter.finish()
 
     # The run registry: per-country deltas merged in input country order
-    # — fixed order is what keeps float sums (histogram totals) exact
-    # across backends and worker counts — plus the coordinator's own
+    # — fixed order is what keeps float sums exact — plus the coordinator's own
     # accounting.  ``outcome.metrics`` reads every number from it.
     registry = MetricsRegistry()
     outcome = StudyOutcome(
@@ -492,7 +486,6 @@ def run_study(
             "countries": list(countries),
             "backend": executor.name,
             "jobs": executor.jobs,
-            "wall_seconds": round(wall_seconds, 6),
         }
         # Environment fields (stripped with the timings): how this
         # particular execution unfolded, not what the study measured.
@@ -509,10 +502,6 @@ def run_study(
             "t": 0.0,
             "dur": round(wall_seconds, 6),
         }
-        if reporter is not None:
-            # Diagnostic tail before the study span; stripped with the
-            # timings, so journal byte-equality is progress-independent.
-            buffers.append(reporter.events())
         outcome.journal = RunJournal.assemble(
             run_record,
             buffers,

@@ -94,6 +94,8 @@ class Scenario:
         A study reports its own share of their counters."""
         return (
             self.world.dns.answer_cache,
+            self.world.latency.inflation_cache,
+            self.world.rdns.lookup_cache,
             self.identifier.verdict_cache,
             self.atlas.dest_trace_cache,
             distance_cache,

@@ -1,11 +1,13 @@
 """A study's cache numbers count that study, on the scenario it ran on.
 
 Every memo cache belongs to the object that fills it: GeoDNS answers to
-the world's resolver, verdicts to the scenario's tracker identifier,
-destination traces to its measurement service, first-observation traces
-to one country's probe runner.  The study metrics fold per-country
+the world's resolver, path inflation to its latency model, PTR records
+to its reverse-DNS service, verdicts to the scenario's tracker
+identifier, destination traces to its measurement service,
+first-observation traces to one country's probe runner.  The study metrics fold per-country
 deltas of exactly those caches, the same way on every backend, so:
 
+* a study reports every memo its scenario owns, and its trace memo;
 * a study on one of two live scenarios reports that scenario's lookups;
 * serial and process runs report the same lookups for caches whose
   lookups do not depend on scheduling;
@@ -35,6 +37,20 @@ def _lookups(outcome, name: str) -> int:
 def second_scenario(scenario):
     """Built after the session scenario and kept alive beside it."""
     return build_scenario()
+
+
+class TestEveryMemoReported:
+    @pytest.mark.parametrize("config", BACKENDS)
+    def test_ca_study_reports_all_scenario_memos(self, scenario, config):
+        outcome = run_study(scenario, countries=["CA"], config=config)
+        names = {cache.name for cache in scenario.caches}
+        assert names == {
+            "netsim.geodns", "latency.inflation[latency]", "netsim.rdns",
+            "trackers.verdicts", "atlas.dest_traces", "netsim.distance",
+        }
+        assert set(outcome.metrics.cache_infos) == names | {"gamma.traces"}
+        for name in outcome.metrics.cache_infos:
+            assert _lookups(outcome, name) > 0, name
 
 
 class TestFirstOfTwoScenarios:

@@ -297,6 +297,35 @@ class TestMetricsCommands:
         assert main(["metrics", "validate", str(bad)]) == 1
         assert "SCHEMA:" in capsys.readouterr().out
 
+    def test_validate_rejects_schema_1_snapshot(self, snapshots, tmp_path, capsys):
+        # Schema 1 registries could hold histogram families, as the
+        # evidence-latency and phase-seconds families once were.
+        payload = json.loads(snapshots[0].read_text())
+        payload["metrics"]["schema"] = 1
+        payload["metrics"]["families"]["geoloc_evidence_ms"] = {
+            "type": "histogram", "unit": "ms", "buckets": [1.0, 2.0],
+            "series": [{"labels": {"constraint": "source"},
+                        "counts": [0, 1, 0], "sum": 1.5, "count": 1}],
+        }
+        old = tmp_path / "schema1.json"
+        old.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["metrics", "validate", str(old)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "SCHEMA: schema must be 2",
+            "SCHEMA: family 'geoloc_evidence_ms': bad type 'histogram'",
+        ]
+
+    def test_show_runtime_prints_phase_seconds_as_counter(self, snapshots, capsys):
+        assert main(["metrics", "show", str(snapshots[0]), "--runtime"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        start = lines.index(
+            "worker_phase_duration_seconds [counter] (runtime) — per-country phase wall time"
+        )
+        phases = [line.split("}")[0].strip() for line in lines[start + 1:start + 5]]
+        assert phases == ["{phase=gamma", "{phase=geoloc", "{phase=join",
+                          "{phase=source_traces"]
+
     def test_show(self, snapshots, capsys):
         assert main(["metrics", "show", str(snapshots[0])]) == 0
         out = capsys.readouterr().out

@@ -15,6 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro import StudyConfig, run_study
+from repro.exec.metrics import PHASES
 from repro.obs.journal import strip_timings
 from repro.obs.metrics import strip_runtime
 from repro.obs.schema import validate_journal
@@ -33,7 +34,6 @@ STUDY_FAMILIES = {
     "geoloc_constraint_checks_total",
     "geoloc_countries_total",
     "geoloc_discards_total",
-    "geoloc_evidence_ms",
     "geoloc_funnel_total",
     "geoloc_verdicts_total",
     "study_countries_total",
@@ -53,10 +53,10 @@ TRANSPORT_FAMILIES = {
 
 
 def _series(snapshot, family, label):
-    """``{label value: value}`` of one merged family (histograms: sum)."""
+    """``{label value: value}`` of one merged family."""
     entry = snapshot["metrics"]["families"].get(family, {"series": []})
     return {
-        record.get("labels", {}).get(label): record.get("sum", record.get("value"))
+        record.get("labels", {}).get(label): record["value"]
         for record in entry["series"]
     }
 
@@ -126,10 +126,19 @@ class TestEachNumberOnce:
         assert set(serial) == STUDY_FAMILIES
         assert set(process) == STUDY_FAMILIES | TRANSPORT_FAMILIES
 
-    def test_one_phase_observation_per_country(self, runs):
-        families = runs["serial"].metrics_snapshot["metrics"]["families"]
-        for record in families["worker_phase_duration_seconds"]["series"]:
-            assert record["count"] == len(COUNTRIES)
+    @pytest.mark.parametrize("name", ["serial", "process-2"])
+    def test_phase_seconds_are_a_counter_summing_to_country_seconds(self, runs, name):
+        # Each phase's seconds summed over countries; how many countries
+        # is ``exec_country_seconds_total``'s to say.
+        snapshot = runs[name].metrics_snapshot
+        entry = snapshot["metrics"]["families"]["worker_phase_duration_seconds"]
+        assert (entry["type"], entry["runtime"]) == ("counter", True)
+        phases = _series(snapshot, "worker_phase_duration_seconds", "phase")
+        assert sorted(phases) == sorted(PHASES)
+        countries = _series(snapshot, "exec_country_seconds_total", "country")
+        assert sum(phases.values()) == pytest.approx(
+            sum(countries.values()), abs=1e-6 * len(COUNTRIES)
+        )
 
 
 class TestResumedAccounting:
@@ -173,9 +182,10 @@ class TestResumedAccounting:
             _series(snapshot, "exec_country_seconds_total", "country")
         ) == ["RW"]
         assert snapshot["meta"]["resumed"] == COUNTRIES[:2]
-        families = snapshot["metrics"]["families"]
-        for record in families["worker_phase_duration_seconds"]["series"]:
-            assert record["count"] == 1
+        phases = _series(snapshot, "worker_phase_duration_seconds", "phase")
+        assert sum(phases.values()) == pytest.approx(
+            resumed.metrics.country_seconds["RW"], abs=1e-6
+        )
 
     def test_study_families_equal_an_uninterrupted_run(self, resumed, runs):
         assert strip_runtime(resumed.metrics_snapshot["metrics"]) == strip_runtime(

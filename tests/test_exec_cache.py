@@ -280,7 +280,8 @@ class TestCacheTraffic:
     That is why a cache needs no lock and the single-draw helpers share
     one generator: the serial backend runs on the caller's thread, each
     pool worker is a process with its own copy of every cache and of the
-    generator, and the pool's done-callback thread only reports progress.
+    generator, and completions are reported on the coordinator's main
+    thread.
     """
 
     @staticmethod
@@ -319,6 +320,27 @@ class TestCacheTraffic:
             assert calls and not workers
         elif "fork" in multiprocessing.get_all_start_methods():
             assert workers  # the forked workers ran the recording call
+
+    @pytest.mark.parametrize("config", [
+        StudyConfig(),
+        StudyConfig(jobs=2, backend="process"),
+    ], ids=["serial", "process-2"])
+    def test_progress_is_reported_on_the_coordinator_main_thread(
+        self, scenario, config, monkeypatch
+    ):
+        threads = []
+        original = ProgressReporter.country_done
+
+        def recording(self, *args, **kwargs):
+            threads.append(threading.get_ident())
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ProgressReporter, "country_done", recording)
+        run_study(
+            scenario, countries=["CA", "NZ"], config=config,
+            progress=ProgressReporter(2, stream=io.StringIO()),
+        )
+        assert threads == [threading.main_thread().ident] * 2
 
     @pytest.mark.parametrize("config", [
         StudyConfig(),

@@ -91,7 +91,7 @@ def study_counters(snapshot):
     (non-runtime) counter and gauge series of a study snapshot."""
     counters = {}
     for name, entry in snapshot["metrics"]["families"].items():
-        if entry.get("runtime", False) or entry["type"] == "histogram":
+        if entry.get("runtime", False):
             continue
         for record in entry["series"]:
             labels = sorted(record.get("labels", {}).items())

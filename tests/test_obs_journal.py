@@ -17,7 +17,6 @@ from repro.exec.metrics import ExecMetrics, close_country, observe_phase, record
 from repro.obs import (
     RunJournal,
     Tracer,
-    funnel_from_journal,
     maybe_span,
     render_journal,
     strip_timings,
@@ -25,6 +24,7 @@ from repro.obs import (
     validate_record,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.render import render_funnel
 
 
 class TestTracer:
@@ -76,7 +76,7 @@ class TestTracer:
 class TestJournal:
     def _journal(self) -> RunJournal:
         run = {"ev": "run", "schema": 1, "countries": ["CA"], "backend": "serial",
-               "jobs": 1, "wall_seconds": 1.5}
+               "jobs": 1}
         buffer = [
             {"ev": "span", "kind": "country", "name": "CA", "span": "study/CA",
              "parent": "study", "t": 0.0, "dur": 1.0},
@@ -98,7 +98,7 @@ class TestJournal:
         for record in stripped:
             assert "t" not in record and "dur" not in record
         run = stripped[0]
-        for key in ("backend", "jobs", "wall_seconds"):
+        for key in ("backend", "jobs"):
             assert key not in run
         assert run["countries"] == ["CA"]
 
@@ -181,47 +181,72 @@ class TestSchema:
                                     "span": "n", "parent": ""})
         assert any("galaxy" in p for p in problems)
 
+    def test_progress_and_wall_seconds_are_not_journal_fields(self):
+        # A country's completion is its ``country`` span and the run's
+        # wall time the ``study`` span's ``dur``; journals that restate
+        # them no longer validate.
+        progress = {"ev": "progress", "span": "study", "country": "CA",
+                    "done": 1, "total": 1}
+        assert validate_record(progress) == ["record: unknown event type 'progress'"]
+        run = {"ev": "run", "schema": 1, "countries": ["CA"], "wall_seconds": 1.5}
+        assert validate_record(run) == ["record (run): undeclared field 'wall_seconds'"]
+
 
 class TestRenderers:
-    def _decision(self, country, status, weight, by=None):
-        return {
-            "ev": "geoloc_decision", "span": f"study/{country}/geoloc",
-            "address": "9.9.9.9", "hosts": ["h"], "weight": weight,
-            "status": status, "discarded_by": by,
-        }
+    @staticmethod
+    def _funnel(country, **stages):
+        return {"ev": "country_funnel", "span": f"study/{country}/geoloc",
+                "country": country, "funnel": stages}
 
-    def test_funnel_from_decisions(self):
+    def test_funnel_drilldown_prints_country_funnel_events(self):
+        # The pipeline's own counts, sorted by country and summed: the
+        # decision events are not recounted (this one disagrees).
         journal = RunJournal([
-            {"ev": "run", "schema": 1, "countries": ["CA"]},
-            self._decision("CA", "local", 3),
-            self._decision("CA", "unlocated", 1),
-            self._decision("CA", "nonlocal_verified", 4),
-            self._decision("CA", "discarded", 2, by="source"),
-            self._decision("CA", "discarded", 1, by="rdns"),
-            {"ev": "country_funnel", "span": "study/CA/geoloc", "country": "CA",
-             "funnel": {"destination_traceroutes": 5}},
+            {"ev": "run", "schema": 1, "countries": ["NZ", "CA"]},
+            {"ev": "geoloc_decision", "span": "study/NZ/geoloc", "address": "9.9.9.9",
+             "hosts": ["h"], "weight": 99, "status": "local"},
+            self._funnel("NZ", total_hosts=11, unlocated=1, local=3,
+                         nonlocal_candidates=7, discarded_source=2,
+                         discarded_destination=0, discarded_rdns=1,
+                         verified_nonlocal=4, destination_traceroutes=5),
+            self._funnel("CA", total_hosts=2, unlocated=0, local=2,
+                         nonlocal_candidates=0, discarded_source=0,
+                         discarded_destination=0, discarded_rdns=0,
+                         verified_nonlocal=0, destination_traceroutes=0),
         ])
-        funnel = funnel_from_journal(journal)["CA"]
-        assert funnel["total_hosts"] == 11
-        assert funnel["local"] == 3
-        assert funnel["unlocated"] == 1
-        assert funnel["nonlocal_candidates"] == 7
-        assert funnel["discarded_source"] == 2
-        assert funnel["discarded_rdns"] == 1
-        assert funnel["verified_nonlocal"] == 4
-        assert funnel["destination_traceroutes"] == 5
-        assert funnel_from_journal(journal)["ALL"]["total_hosts"] == 11
+        assert render_funnel(journal).splitlines() == [
+            "funnel drill-down (host observations):",
+            "  country    total  unloc  local nonlocal   -src   -dst  -rdns verified",
+            "  CA             2      0      2        0      0      0      0        0",
+            "  NZ            11      1      3        7      2      0      1        4",
+            "  ALL           13      1      5        7      2      0      1        4",
+        ]
+
+    def test_funnel_drilldown_without_countries_prints_zero_total(self):
+        journal = RunJournal([{"ev": "run", "schema": 1, "countries": []}])
+        assert render_funnel(journal).splitlines()[-1] == (
+            "  ALL            0      0      0        0      0      0      0        0"
+        )
+
+    def test_headline_wall_is_the_study_span(self):
+        journal = RunJournal([
+            {"ev": "run", "schema": 1, "countries": ["CA"], "backend": "serial",
+             "jobs": 1},
+            {"ev": "span", "kind": "study", "name": "study", "span": "study",
+             "parent": "", "t": 0.0, "dur": 0.5},
+        ])
+        assert render_journal(journal).splitlines()[1] == "backend=serial jobs=1 wall=0.50s"
 
     def test_render_journal_handles_stripped_journal(self):
         journal = RunJournal(strip_timings([
             {"ev": "run", "schema": 1, "countries": ["CA"], "backend": "serial",
-             "jobs": 1, "wall_seconds": 0.5},
+             "jobs": 1},
             {"ev": "span", "kind": "study", "name": "study", "span": "study",
              "parent": "", "t": 0.0, "dur": 0.5},
         ]))
         text = render_journal(journal)
         assert "run journal" in text
-        assert "backend=" not in text  # env fields stripped
+        assert "backend=" not in text and "wall=" not in text  # env and timings stripped
         assert "no site timings" in text
 
 

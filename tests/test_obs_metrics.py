@@ -19,11 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.metrics import (
-    MS_BUCKETS,
-    SECONDS_BUCKETS,
+    METRICS_SCHEMA_VERSION,
     MetricsRegistry,
     diff_snapshots,
-    exponential_buckets,
     load_snapshot,
     merge_snapshots,
     strip_runtime,
@@ -33,27 +31,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.profiling import ResourceProfiler, maybe_phase
 from repro.obs.progress import ProgressReporter
-
-
-class TestBuckets:
-    def test_exponential_buckets_values(self):
-        assert exponential_buckets(1.0, 2.0, 4) == (1.0, 2.0, 4.0, 8.0)
-
-    def test_fixed_bucket_sets_are_deterministic(self):
-        # The shared bucket vocabularies are part of the snapshot schema:
-        # histograms only merge when bounds match exactly.
-        assert SECONDS_BUCKETS[0] == 0.001
-        assert len(SECONDS_BUCKETS) == 18
-        assert MS_BUCKETS[0] == 1.0
-        assert list(SECONDS_BUCKETS) == sorted(SECONDS_BUCKETS)
-
-    def test_bad_buckets_rejected(self):
-        with pytest.raises(ValueError):
-            exponential_buckets(0.0, 2.0, 4)
-        with pytest.raises(ValueError):
-            exponential_buckets(1.0, 1.0, 4)
-        with pytest.raises(ValueError):
-            exponential_buckets(1.0, 2.0, 0)
 
 
 class TestRegistry:
@@ -78,26 +55,11 @@ class TestRegistry:
         gauge.inc(3)
         assert registry.value("size") == 10
 
-    def test_histogram_observe(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("lat", buckets=(1.0, 10.0, 100.0))
-        for value in (0.5, 5.0, 50.0, 500.0):
-            hist.observe(value)
-        assert hist.counts == [1, 1, 1, 1]  # one per bucket + overflow
-        assert hist.count == 4
-        assert hist.sum == 555.5
-
     def test_type_mismatch_raises(self):
         registry = MetricsRegistry()
         registry.counter("x_total")
         with pytest.raises(ValueError):
             registry.gauge("x_total")
-
-    def test_histogram_bucket_mismatch_raises(self):
-        registry = MetricsRegistry()
-        registry.histogram("h", buckets=(1.0, 2.0))
-        with pytest.raises(ValueError):
-            registry.histogram("h", buckets=(1.0, 3.0))
 
     def test_missing_series_reads_none(self):
         registry = MetricsRegistry()
@@ -118,26 +80,19 @@ class TestRegistry:
         assert labels == [{"a": "1"}, {"b": "2"}]
         assert validate_metrics_snapshot(snapshot) == []
 
-    def test_merge_counters_gauges_histograms(self):
-        def build(counter, gauge, observations):
+    def test_merge_counters_and_gauges(self):
+        def build(counter, gauge):
             registry = MetricsRegistry()
             registry.counter("c_total").inc(counter)
             registry.gauge("g").set(gauge)
-            hist = registry.histogram("h", buckets=(1.0, 10.0))
-            for value in observations:
-                hist.observe(value)
             return registry.snapshot()
 
-        merged = merge_snapshots(
-            [build(3, 5, [0.5, 20.0]), build(4, 2, [5.0])]
-        )
-        families = merged["families"]
+        families = merge_snapshots([build(3, 5), build(4, 2)])["families"]
         assert families["c_total"]["series"][0]["value"] == 7
         assert families["g"]["series"][0]["value"] == 5  # gauges merge by max
-        record = families["h"]["series"][0]
-        assert record["counts"] == [1, 1, 1]
-        assert record["count"] == 3
-        assert record["sum"] == 25.5
+
+    def test_registry_has_counters_and_gauges_only(self):
+        assert not hasattr(MetricsRegistry(), "histogram")
 
     def test_strip_runtime(self):
         registry = MetricsRegistry()
@@ -146,12 +101,13 @@ class TestRegistry:
         stripped = strip_runtime(registry.snapshot())
         assert list(stripped["families"]) == ["study_total"]
 
-    def test_validator_catches_corrupt_histogram(self):
-        registry = MetricsRegistry()
-        registry.histogram("h", buckets=(1.0,)).observe(0.5)
-        snapshot = registry.snapshot()
-        snapshot["families"]["h"]["series"][0]["count"] = 99
-        assert validate_metrics_snapshot(snapshot)
+    def test_schema_1_snapshot_is_rejected(self):
+        # Schema 1 registries could hold histogram families; schema 2
+        # holds counters and gauges only.
+        snapshot = MetricsRegistry().snapshot()
+        assert snapshot["schema"] == METRICS_SCHEMA_VERSION == 2
+        snapshot["schema"] = 1
+        assert validate_metrics_snapshot(snapshot) == ["schema must be 2"]
 
 
 # Dyadic rationals: exactly representable, and bounded sums of them are
@@ -168,18 +124,14 @@ def _registry_from(entries) -> dict:
         labels = LABELS[label_index]
         if kind == 0:
             registry.counter(family, labels).inc(amount)
-        elif kind == 1:
-            registry.gauge(family + "_g", labels).set(amount)
         else:
-            registry.histogram(
-                family + "_h", labels, buckets=(1.0, 64.0, 512.0)
-            ).observe(amount)
+            registry.gauge(family + "_g", labels).set(amount)
     return registry.snapshot()
 
 
 snapshots = st.lists(
     st.tuples(
-        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=0, max_value=1),
         st.sampled_from(FAMILIES),
         st.integers(min_value=0, max_value=len(LABELS) - 1),
         dyadic,
@@ -243,11 +195,11 @@ class TestStudySnapshotDocument:
          "family 'study_sites_total': series record must be an object"),
         ({"study_sites_total": {"type": "counter", "series": [{"labels": [1], "value": 1}]}},
          "family 'study_sites_total': labels must be an object"),
-        ({"h": {"type": "histogram", "buckets": ["a", 1], "series": []}},
-         "family 'h': buckets must be strictly increasing"),
         ({"h": {"type": "histogram", "buckets": [1.0],
-                "series": [{"counts": ["a", 1], "count": 1, "sum": 0.5}]}},
-         "family 'h': counts must be integers"),
+                "series": [{"counts": [1, 0], "count": 1, "sum": 0.5}]}},
+         "family 'h': bad type 'histogram'"),
+        ({"study_sites_total": {"type": "counter", "series": [{"value": "1"}]}},
+         "family 'study_sites_total': value must be numeric"),
     ])
     def test_non_object_entries_are_problems_not_crashes(self, families, problem):
         document = self._study_snapshot()
@@ -373,22 +325,12 @@ class TestProgressReporter:
         reporter.finish()
         assert stream.getvalue().count("\r") >= 2
 
-    def test_events_recorded_with_running_totals(self):
-        reporter = ProgressReporter(
-            2, stream=io.StringIO(), record_events=True, clock=self._clock()
-        )
-        reporter.start()
-        reporter.country_done("CA", sites=100, resumed=True)
-        reporter.country_done("NZ", sites=20, failed=True)
-        events = reporter.events()
-        assert [e["ev"] for e in events] == ["progress", "progress"]
-        assert events[0]["resumed"] is True
-        assert events[1] == {
-            "ev": "progress", "span": "study", "t": events[1]["t"],
-            "country": "NZ", "done": 2, "total": 2, "sites": 120,
-            "failed": 1, "sites_per_second": events[1]["sites_per_second"],
-            "eta_seconds": 0.0,
-        }
+    def test_reporter_writes_no_journal_events(self):
+        # A country's completion is journalled once, as its ``country``
+        # span; the reporter only writes its stream.
+        with pytest.raises(TypeError):
+            ProgressReporter(2, stream=io.StringIO(), record_events=True)
+        assert not hasattr(ProgressReporter(1, stream=io.StringIO()), "events")
 
     def test_broken_stream_never_raises(self):
         class Broken(io.StringIO):

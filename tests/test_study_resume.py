@@ -18,6 +18,7 @@ import pytest
 
 from repro import FaultInjector, StudyConfig, run_study
 from repro.exec import CountryExecutionError, StudyCheckpoint
+from repro.obs.metrics import strip_runtime, validate_study_snapshot
 from repro.obs.schema import validate_journal
 from tests.conftest import SMALL_COUNTRIES
 from tests.test_exec_equivalence import assert_outcomes_identical
@@ -196,6 +197,51 @@ class TestCheckpointStore:
         assert json.dumps(resumed.summary().to_dict()) == json.dumps(
             uninterrupted.summary().to_dict()
         )
+
+    def test_run_carrying_histogram_families_resumes(
+        self, scenario, uninterrupted, tmp_path
+    ):
+        # Older versions recorded each constraint's evidence latencies
+        # and each phase's seconds as histogram families in the stored
+        # metrics delta.  A resume recomputes the country's study
+        # families from the run itself and never reads that delta.
+        checkpoint_dir = tmp_path / "ckpt"
+        completed = SMALL_COUNTRIES[:INTERRUPT_AFTER]
+        run_study(scenario, countries=completed,
+                  checkpoint_dir=checkpoint_dir, trace=True)
+        checkpoint = StudyCheckpoint(checkpoint_dir)
+        for cc in completed:
+            run = checkpoint.load(cc)
+            families = run.metrics_delta["families"]
+            families["geoloc_evidence_ms"] = {
+                "type": "histogram", "unit": "ms",
+                "help": "constraint evidence latencies (simulated, deterministic)",
+                "buckets": [1.0, 2.0, 4.0],
+                "series": [{"labels": {"constraint": "source"},
+                            "counts": [0, 1, 0, 1], "sum": 9.5, "count": 2}],
+            }
+            families["worker_phase_duration_seconds"] = {
+                "type": "histogram", "unit": "seconds", "runtime": True,
+                "buckets": [0.001, 0.002],
+                "series": [{"labels": {"phase": "gamma"},
+                            "counts": [0, 0, 1], "sum": 0.25, "count": 1}],
+            }
+            checkpoint.store(run)
+        resumed = run_study(
+            scenario, countries=SMALL_COUNTRIES, checkpoint_dir=checkpoint_dir,
+            resume=True, trace=True,
+        )
+        assert not list(checkpoint_dir.glob("*.corrupt"))
+        assert [r["country"] for r in resumed.journal.events("country_resumed")] \
+            == completed
+        assert_resume_equivalent(uninterrupted, resumed)
+        assert json.dumps(resumed.summary().to_dict()) == json.dumps(
+            uninterrupted.summary().to_dict()
+        )
+        assert strip_runtime(resumed.metrics_snapshot["metrics"]) == strip_runtime(
+            uninterrupted.metrics_snapshot["metrics"]
+        )
+        assert validate_study_snapshot(resumed.metrics_snapshot) == []
 
     def test_run_carrying_older_diagnostic_records_resumes(
         self, scenario, uninterrupted, tmp_path

@@ -16,7 +16,8 @@ import pytest
 
 from repro import StudyConfig, run_study, strip_timings
 from repro.cli import main
-from repro.obs import RunJournal, funnel_from_journal, validate_journal
+from repro.obs import RunJournal, validate_journal
+from repro.obs.render import render_funnel
 from tests.test_exec_equivalence import assert_outcomes_identical
 
 #: Three countries exercising the interesting paths: a tracker-local
@@ -28,6 +29,51 @@ TRACE_COUNTRIES = ["CA", "QA", "EG"]
 @pytest.fixture(scope="module")
 def traced_serial(scenario):
     return run_study(scenario, countries=TRACE_COUNTRIES, trace=True)
+
+
+@pytest.fixture(scope="module")
+def traced_process(scenario):
+    return run_study(
+        scenario, countries=TRACE_COUNTRIES,
+        config=StudyConfig(jobs=2, backend="process"), trace=True,
+    )
+
+
+#: The funnel stages ``gamma trace`` prints, in column order.
+DRILLDOWN_STAGES = (
+    "total_hosts", "unlocated", "local", "nonlocal_candidates",
+    "discarded_source", "discarded_destination", "discarded_rdns",
+    "verified_nonlocal",
+)
+
+
+def _drilldown_rows(journal):
+    """``{country: {stage: count}}`` parsed from the printed drill-down."""
+    rows = {}
+    for line in render_funnel(journal).splitlines()[2:]:
+        country, *counts = line.split()
+        rows[country] = dict(zip(DRILLDOWN_STAGES, map(int, counts)))
+    return rows
+
+
+def _funnel_from_decisions(journal, cc):
+    """The oracle: one country's per-host funnel stages re-derived from
+    the weights of its ``geoloc_decision`` events alone."""
+    funnel = dict.fromkeys(DRILLDOWN_STAGES, 0)
+    for record in journal.events("geoloc_decision"):
+        if record["span"] != f"study/{cc}/geoloc":
+            continue
+        weight, status = record["weight"], record["status"]
+        funnel["total_hosts"] += weight
+        if status in ("unlocated", "local"):
+            funnel[status] += weight
+            continue
+        funnel["nonlocal_candidates"] += weight
+        if status == "discarded":
+            funnel[f"discarded_{record['discarded_by']}"] += weight
+        elif status == "nonlocal_verified":
+            funnel["verified_nonlocal"] += weight
+    return funnel
 
 
 class TestJournalDeterminism:
@@ -74,11 +120,22 @@ class TestJournalCoverage:
             }
             assert recorded == set(traced_serial.geolocations[cc].verdicts), cc
 
-    def test_funnel_drilldown_equals_outcome_funnel(self, traced_serial):
-        merged = funnel_from_journal(traced_serial.journal)["ALL"]
-        funnel = traced_serial.funnel()
-        for key, value in merged.items():
-            assert value == getattr(funnel, key), key
+    @pytest.mark.parametrize("traced", ["traced_serial", "traced_process"])
+    def test_funnel_drilldown_equals_outcome_funnel(self, request, traced):
+        outcome = request.getfixturevalue(traced)
+        journal = outcome.journal
+        rows = _drilldown_rows(journal)
+        assert list(rows) == sorted(TRACE_COUNTRIES) + ["ALL"]
+        recorded = {r["country"]: r["funnel"] for r in journal.events("country_funnel")}
+        for cc in TRACE_COUNTRIES:
+            stages = outcome.geolocations[cc].funnel.stages()
+            assert recorded[cc] == stages, cc
+            printed = {stage: stages[stage] for stage in DRILLDOWN_STAGES}
+            assert rows[cc] == printed, cc
+            # The decision events cover every host the funnel counts.
+            assert _funnel_from_decisions(journal, cc) == printed, cc
+        merged = outcome.funnel().stages()
+        assert rows["ALL"] == {stage: merged[stage] for stage in DRILLDOWN_STAGES}
 
     def test_span_tree_covers_every_country_and_phase(self, traced_serial):
         journal = traced_serial.journal
