@@ -4,9 +4,14 @@ The authors publish their tool and recorded data [2].  ``export_study``
 writes an equivalent artifact bundle: one (anonymised) volunteer dataset
 per country, per-country geolocation verdicts, the analysis summaries
 behind every figure/table, and a manifest.  ``load_datasets`` reads the
-datasets back for reanalysis.  Both loaders build their objects with the
-cyclic collector paused (:func:`repro.gcpause.collector_paused`): they
-create no cycles, so its passes over the growing heap find nothing.
+datasets back for reanalysis.  The dataset and verdict writers and both
+loaders run with the cyclic collector paused
+(:func:`repro.gcpause.collector_paused`): the payloads they build hold
+no cycles, so its passes over the growing heap find nothing.
+
+Each dataset file keeps one trace table (``"traces"``) that its sites
+reference by index (:meth:`VolunteerDataset.to_json`), so a trace that
+several sites embed is stored once.
 
 Every file is UTF-8 whatever the locale.  Datasets and verdicts are
 compact JSON (an indented dump would leave the C encoder for the
@@ -85,13 +90,14 @@ def export_study(outcome: StudyOutcome, directory: Path) -> List[Path]:
     (directory / "geolocation").mkdir(parents=True, exist_ok=True)
     written: List[Path] = []
 
-    for cc, dataset in sorted(outcome.datasets.items()):
-        path = directory / "datasets" / f"{cc}.json"
-        path.write_text(dataset.to_json(), encoding="utf-8")
-        written.append(path)
-        geo_path = directory / "geolocation" / f"{cc}.json"
-        geo_path.write_text(json.dumps(_verdicts_payload(outcome, cc)), encoding="utf-8")
-        written.append(geo_path)
+    with collector_paused():
+        for cc, dataset in sorted(outcome.datasets.items()):
+            path = directory / "datasets" / f"{cc}.json"
+            path.write_text(dataset.to_json(), encoding="utf-8")
+            written.append(path)
+            geo_path = directory / "geolocation" / f"{cc}.json"
+            geo_path.write_text(json.dumps(_verdicts_payload(outcome, cc)), encoding="utf-8")
+            written.append(geo_path)
 
     figures = {
         "fig3_prevalence.txt": render_fig3(outcome.prevalence()),
@@ -247,5 +253,10 @@ def load_datasets(directory: Path) -> Dict[str, VolunteerDataset]:
     with collector_paused():
         for cc in manifest["countries"]:
             path = directory / "datasets" / f"{cc}.json"
-            datasets[cc] = VolunteerDataset.from_json(path.read_text(encoding="utf-8"))
+            try:
+                datasets[cc] = VolunteerDataset.from_json(path.read_text(encoding="utf-8"))
+            except json.JSONDecodeError:
+                raise  # a damaged file keeps the decoder's own error
+            except ValueError as error:  # an older layout or a bad reference
+                raise ValueError(f"{path}: {error}") from error
     return datasets

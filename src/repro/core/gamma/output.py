@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.gamma.parsers import NormalizedTraceroute
 from repro.core.slotstate import install_slot_state
@@ -34,10 +34,6 @@ class WebsiteMeasurement:
     rdns: Dict[str, Optional[str]] = field(default_factory=dict)  # IP -> PTR
     traceroutes: Dict[str, NormalizedTraceroute] = field(default_factory=dict)  # IP -> trace
     failure_reason: Optional[str] = None
-    #: Saved page source (only when the run enables page saving).
-    page_html: Optional[str] = None
-    #: Domains found hardcoded in the page markup but never requested.
-    hardcoded_domains: List[str] = field(default_factory=list)
 
     @property
     def resolved_addresses(self) -> List[str]:
@@ -49,59 +45,15 @@ class WebsiteMeasurement:
                 seen.setdefault(address, None)
         return list(seen)
 
-    def to_dict(self) -> dict:
-        return self._payload(NormalizedTraceroute.to_dict)
 
-    def _payload(self, trace_payload: Callable[[NormalizedTraceroute], dict]) -> dict:
-        return {
-            "url": self.url,
-            "category": self.category,
-            "loaded": self.loaded,
-            "failure_reason": self.failure_reason,
-            "requested_hosts": list(self.requested_hosts),
-            "background_hosts": list(self.background_hosts),
-            "dns": dict(self.dns),
-            "rdns": dict(self.rdns),
-            "traceroutes": {ip: trace_payload(tr) for ip, tr in self.traceroutes.items()},
-            "page_html": self.page_html,
-            "hardcoded_domains": list(self.hardcoded_domains),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "WebsiteMeasurement":
-        return cls._from_payload(payload, lambda ip, entry: NormalizedTraceroute.from_dict(entry))
-
-    @classmethod
-    def _from_payload(
-        cls,
-        payload: dict,
-        trace_from: Callable[[str, dict], NormalizedTraceroute],
-    ) -> "WebsiteMeasurement":
-        return cls(
-            url=payload["url"],
-            category=payload["category"],
-            loaded=payload["loaded"],
-            failure_reason=payload.get("failure_reason"),
-            requested_hosts=list(payload.get("requested_hosts", [])),
-            background_hosts=list(payload.get("background_hosts", [])),
-            dns=dict(payload.get("dns", {})),
-            rdns=dict(payload.get("rdns", {})),
-            traceroutes={
-                ip: trace_from(ip, entry)
-                for ip, entry in payload.get("traceroutes", {}).items()
-            },
-            page_html=payload.get("page_html"),
-            hardcoded_domains=list(payload.get("hardcoded_domains", [])),
-        )
-
-
-# Pickle state stays the historical field-ordered dict so pre-slots
-# checkpoints load and fresh pickle bytes are unchanged.
+# Pickle state is a field-ordered dict of exactly these fields.  A
+# checkpoint written while measurements still carried the saved-page
+# fields (``page_html``, ``hardcoded_domains``) fails to load and is
+# quarantined, and its country is measured again.
 install_slot_state(
     WebsiteMeasurement,
     ("url", "category", "loaded", "requested_hosts", "background_hosts",
-     "dns", "rdns", "traceroutes", "failure_reason", "page_html",
-     "hardcoded_domains"),
+     "dns", "rdns", "traceroutes", "failure_reason"),
 )
 
 
@@ -160,20 +112,39 @@ class VolunteerDataset:
         return list(hosts)
 
     def to_json(self) -> str:
-        """Compact JSON with sorted keys.
+        """Compact JSON with sorted keys and one trace table.
 
-        The per-run trace memo hands one trace object to every site that
-        embeds the same address, so each distinct object's dict is built
-        once and shared; the encoded text is the same either way.
+        ``"traces"`` holds each distinct trace object once, in the order
+        the file first references it (sites by URL, addresses in sorted
+        order); each site's ``"traceroutes"`` maps an address to its
+        index there.  The per-run trace memo hands one trace object to
+        every site that embeds the same address, so the table is as long
+        as the dataset has trace objects.
         """
-        built: Dict[int, dict] = {}
-
-        def trace_payload(trace: NormalizedTraceroute) -> dict:
-            payload = built.get(id(trace))
-            if payload is None:
-                payload = built[id(trace)] = trace.to_dict()
-            return payload
-
+        table: List[dict] = []
+        slots: Dict[int, int] = {}
+        websites = {}
+        for url in sorted(self.websites):
+            measurement = self.websites[url]
+            references = {}
+            for ip in sorted(measurement.traceroutes):
+                trace = measurement.traceroutes[ip]
+                slot = slots.get(id(trace))
+                if slot is None:
+                    slot = slots[id(trace)] = len(table)
+                    table.append(trace.to_dict())
+                references[ip] = slot
+            websites[url] = {
+                "url": measurement.url,
+                "category": measurement.category,
+                "loaded": measurement.loaded,
+                "failure_reason": measurement.failure_reason,
+                "requested_hosts": measurement.requested_hosts,
+                "background_hosts": measurement.background_hosts,
+                "dns": measurement.dns,
+                "rdns": measurement.rdns,
+                "traceroutes": references,
+            }
         return json.dumps(
             {
                 "country": self.country_code,
@@ -181,9 +152,8 @@ class VolunteerDataset:
                 "volunteer_ip": self.volunteer_ip,
                 "os": self.os_name,
                 "browser": self.browser,
-                "websites": {
-                    url: m._payload(trace_payload) for url, m in self.websites.items()
-                },
+                "traces": table,
+                "websites": websites,
             },
             sort_keys=True,
         )
@@ -192,12 +162,18 @@ class VolunteerDataset:
     def from_json(cls, text: str) -> "VolunteerDataset":
         """Parse :meth:`to_json` output (indented or compact).
 
-        Sites that stored the same trace for an address share one
-        :class:`NormalizedTraceroute`, as in the live dataset.  A later
-        site's entry is reused only when it equals the address's first
-        entry, so a bundle edited by hand keeps each distinct trace.
+        Each ``"traces"`` entry becomes one :class:`NormalizedTraceroute`
+        that every site referencing it shares, as in the live dataset.
+        A dataset without the table (the older layout, traces inline per
+        site) or with a reference outside it raises ``ValueError``.
         """
         payload = json.loads(text)
+        if "traces" not in payload:
+            raise ValueError(
+                'dataset has no "traces" table (inline per-site traces '
+                "are an older layout; re-export it)"
+            )
+        traces = [NormalizedTraceroute.from_dict(entry) for entry in payload["traces"]]
         dataset = cls(
             country_code=payload["country"],
             city_key=payload["city"],
@@ -205,18 +181,24 @@ class VolunteerDataset:
             os_name=payload["os"],
             browser=payload["browser"],
         )
-        first: Dict[str, Tuple[dict, NormalizedTraceroute]] = {}
-
-        def trace_from(ip: str, entry: dict) -> NormalizedTraceroute:
-            seen = first.get(ip)
-            if seen is not None and seen[0] == entry:
-                return seen[1]
-            trace = NormalizedTraceroute.from_dict(entry)
-            first.setdefault(ip, (entry, trace))
-            return trace
-
-        for url, entry in payload.get("websites", {}).items():
-            dataset.websites[url] = WebsiteMeasurement._from_payload(entry, trace_from)
+        count = len(traces)
+        for url, entry in payload["websites"].items():
+            references = entry["traceroutes"]
+            if not all(
+                type(slot) is int and 0 <= slot < count for slot in references.values()
+            ):
+                raise ValueError(f"site {url!r} references a trace outside the table")
+            dataset.websites[url] = WebsiteMeasurement(
+                url=entry["url"],
+                category=entry["category"],
+                loaded=entry["loaded"],
+                failure_reason=entry["failure_reason"],
+                requested_hosts=entry["requested_hosts"],
+                background_hosts=entry["background_hosts"],
+                dns=entry["dns"],
+                rdns=entry["rdns"],
+                traceroutes={ip: traces[slot] for ip, slot in references.items()},
+            )
         return dataset
 
 

@@ -23,7 +23,6 @@ from repro.core.targets.builder import TargetList
 from repro.exec.cache import ReadThroughCache
 from repro.netsim.network import World
 from repro.web.catalog import SiteCatalog
-from repro.web.html import extract_domains_from_html, render_page_html
 from repro.web.website import CATEGORY_GOVERNMENT, CATEGORY_REGIONAL
 
 __all__ = ["GammaSuite"]
@@ -37,14 +36,9 @@ class GammaSuite:
         world: World,
         catalog: SiteCatalog,
         browser_config: Optional[BrowserConfig] = None,
-        save_pages: bool = False,
     ):
         self._world = world
-        self._catalog = catalog
         self._browser = BrowserEngine(world, catalog, browser_config)
-        #: Save full page sources and scrape them for hardcoded domains
-        #: (section 3: C1 saves webpages; C2 resolves hardcoded domains too).
-        self._save_pages = save_pages
         # The suite records only DNS and reverse DNS, so C2 runs without
         # ASN annotation.
         self._netinfo = NetworkInfoGatherer(world)
@@ -114,7 +108,6 @@ class GammaSuite:
             failure_reason=measurement.failure_reason or None,
             requested_hosts=len(measurement.requested_hosts),
             background_hosts=len(measurement.background_hosts),
-            hardcoded_domains=len(measurement.hardcoded_domains),
         )
         if measurement.traceroutes:
             tracer.event(
@@ -149,15 +142,7 @@ class GammaSuite:
         measurement.background_hosts = [
             r.host for r in record.successful_requests() if r.background
         ]
-        if self._save_pages and self._catalog.has(url):
-            site = self._catalog.get(url)
-            measurement.page_html = render_page_html(site, visit_key, volunteer.country_code)
-            mentioned = extract_domains_from_html(measurement.page_html)
-            measurement.hardcoded_domains = sorted(
-                mentioned - set(measurement.requested_hosts)
-            )
-        hosts = list(measurement.requested_hosts) + measurement.hardcoded_domains
-        info = self._netinfo.gather(hosts, volunteer.city)
+        info = self._netinfo.gather(measurement.requested_hosts, volunteer.city)
         measurement.dns = info.dns
         measurement.rdns = info.rdns
 

@@ -6,6 +6,11 @@ companies and to label domains the filter lists missed.  It is built
 from published (world-model) data, *not* from simulation ground truth at
 query time, so the identification stage exercises the same lookup the
 authors performed.
+
+:meth:`OrganizationDirectory.org_for_host` is memoised per hostname in a
+read-through cache the directory owns (``trackers.orgs``): the analyses
+ask about the same site and tracker hosts many times over.  ``add``
+clears it, so an answer never outlives the entries it came from.
 """
 
 from __future__ import annotations
@@ -14,8 +19,12 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
 from repro.domains import is_subdomain, registrable_domain, validate_hostname
+from repro.exec.cache import ReadThroughCache
 
 __all__ = ["OrgEntry", "OrganizationDirectory"]
+
+#: Name of the memoised hostname -> organisation cache.
+ORG_CACHE_NAME = "trackers.orgs"
 
 
 @dataclass(frozen=True)
@@ -46,6 +55,7 @@ class OrganizationDirectory:
     def __init__(self, entries: Iterable[OrgEntry] = ()):
         self._by_name: Dict[str, OrgEntry] = {}
         self._by_domain: Dict[str, OrgEntry] = {}
+        self._owners = ReadThroughCache(ORG_CACHE_NAME)
         for entry in entries:
             self.add(entry)
 
@@ -60,9 +70,17 @@ class OrganizationDirectory:
                     f"domain {domain} claimed by both {self._by_domain[domain].name} and {entry.name}"
                 )
             self._by_domain[domain] = entry
+        self._owners.clear()
+
+    @property
+    def owner_cache(self) -> ReadThroughCache:
+        return self._owners
 
     def org_for_host(self, host: str) -> Optional[OrgEntry]:
-        """Owner of *host*, matched at the registrable-domain level."""
+        """Owner of *host*, matched at the registrable-domain level (memoised)."""
+        return self._owners.get(host, lambda: self._lookup(host))
+
+    def _lookup(self, host: str) -> Optional[OrgEntry]:
         host = validate_hostname(host)
         if host in self._by_domain:
             return self._by_domain[host]

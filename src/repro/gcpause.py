@@ -1,13 +1,14 @@
 """Pause CPython's cyclic garbage collector around bulk, acyclic builds.
 
-Reloading a bundle allocates hundreds of thousands of container
-objects in one go.  Each allocation burst trips the collector's
-generation thresholds, and every full pass walks the whole live heap —
-the study already in memory plus the half-built datasets — only to find
-nothing: the bundle loaders create no reference cycles, so reference
-counting frees everything they drop.  Pausing the
-collector for the build skips those passes; the objects stay tracked,
-and the next pass after the block sees them as usual.
+Writing or reloading a bundle allocates hundreds of thousands of
+container objects in one go.  Each allocation burst trips the
+collector's generation thresholds, and every full pass walks the whole
+live heap — the study already in memory plus the half-built payloads or
+datasets — only to find nothing: the bundle writers and loaders create
+no reference cycles, so reference counting frees everything they
+drop.  Pausing the collector for the build skips those passes; the
+objects stay tracked, and the next pass after the block sees them as
+usual.
 
 The pause is scoped to one call: it restores the caller's state (a
 collector the caller had switched off stays off), on exceptions too.

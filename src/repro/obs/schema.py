@@ -51,7 +51,6 @@ EVENT_FIELDS: Dict[str, Dict[str, Tuple[tuple, bool]]] = {
         "failure_reason": (_OPT_STR, False),
         "requested_hosts": (_INT, False),
         "background_hosts": (_INT, False),
-        "hardcoded_domains": (_INT, False),
     },
     "site_traceroutes": {
         "url": (_STR, True),

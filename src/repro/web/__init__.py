@@ -1,7 +1,6 @@
 """Synthetic web: websites, embedded resources, and the site catalogue."""
 
 from repro.web.catalog import SiteCatalog
-from repro.web.html import extract_domains_from_html, render_page_html
 from repro.web.website import (
     CATEGORY_GOVERNMENT,
     CATEGORY_REGIONAL,
@@ -17,6 +16,4 @@ __all__ = [
     "ResourceKind",
     "SiteCatalog",
     "Website",
-    "extract_domains_from_html",
-    "render_page_html",
 ]

@@ -97,6 +97,7 @@ class Scenario:
             self.world.latency.inflation_cache,
             self.world.rdns.lookup_cache,
             self.identifier.verdict_cache,
+            self.directory.owner_cache,
             self.atlas.dest_trace_cache,
             distance_cache,
         )

@@ -278,7 +278,6 @@ class TestSlotsPickleCompat:
                 "url": "a.example", "category": "regional", "loaded": True,
                 "requested_hosts": [], "background_hosts": [], "dns": {},
                 "rdns": {}, "traceroutes": {}, "failure_reason": None,
-                "page_html": "", "hardcoded_domains": [],
             },
         ),
     ]

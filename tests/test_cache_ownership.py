@@ -3,7 +3,8 @@
 Every memo cache belongs to the object that fills it: GeoDNS answers to
 the world's resolver, path inflation to its latency model, PTR records
 to its reverse-DNS service, verdicts to the scenario's tracker
-identifier, destination traces to its measurement service,
+identifier, hostname owners to its organisation directory, destination
+traces to its measurement service,
 first-observation traces to one country's probe runner.  The study metrics fold per-country
 deltas of exactly those caches, the same way on every backend, so:
 
@@ -41,12 +42,16 @@ def second_scenario(scenario):
 
 class TestEveryMemoReported:
     @pytest.mark.parametrize("config", BACKENDS)
-    def test_ca_study_reports_all_scenario_memos(self, scenario, config):
+    def test_ca_study_reports_all_scenario_memos(self, config):
+        # A fresh scenario: once its verdict memo is warm, a study asks
+        # the directory nothing and moves no ``trackers.orgs`` counter.
+        scenario = build_scenario()
         outcome = run_study(scenario, countries=["CA"], config=config)
         names = {cache.name for cache in scenario.caches}
         assert names == {
             "netsim.geodns", "latency.inflation[latency]", "netsim.rdns",
-            "trackers.verdicts", "atlas.dest_traces", "netsim.distance",
+            "trackers.verdicts", "trackers.orgs", "atlas.dest_traces",
+            "netsim.distance",
         }
         assert set(outcome.metrics.cache_infos) == names | {"gamma.traces"}
         for name in outcome.metrics.cache_infos:

@@ -47,10 +47,8 @@ def mini_setup():
     return world, catalog, targets, volunteer
 
 
-def _suite(world, catalog, save_pages=False):
-    return GammaSuite(
-        world, catalog, BrowserConfig(default_failure_rate=0.0), save_pages=save_pages
-    )
+def _suite(world, catalog):
+    return GammaSuite(world, catalog, BrowserConfig(default_failure_rate=0.0))
 
 
 class TestGammaSuite:
@@ -125,42 +123,6 @@ class TestProbeRunner:
         world, catalog, _, volunteer = mini_setup
         runner = ProbeRunner(world, "linux")
         assert runner.ping(volunteer.city, "8.8.8.8") is None
-
-
-class TestPageSaving:
-    def test_save_pages_records_html_and_hardcoded_domains(self, mini_setup):
-        world, catalog, targets, volunteer = mini_setup
-        dataset = _suite(world, catalog, save_pages=True).run(volunteer, targets)
-        measurement = dataset.websites["site0.co.th"]
-        assert measurement.page_html is not None
-        assert "px.adorg.net" in measurement.page_html
-        assert measurement.hardcoded_domains  # partner links, never requested
-        for domain in measurement.hardcoded_domains:
-            assert domain not in measurement.requested_hosts
-
-    def test_hardcoded_domains_resolved_by_c2(self, mini_setup):
-        world, catalog, targets, volunteer = mini_setup
-        dataset = _suite(world, catalog, save_pages=True).run(volunteer, targets)
-        measurement = dataset.websites["site0.co.th"]
-        # partner<N>.site0.co.th is under the publisher's registrable
-        # domain, so GeoDNS resolves it; the external mirror does not.
-        resolved = set(measurement.dns)
-        assert any(d.startswith("partner") for d in resolved if d in measurement.hardcoded_domains)
-        assert "mirror.archive-example.org" not in resolved
-
-    def test_page_html_roundtrips_through_json(self, mini_setup):
-        world, catalog, targets, volunteer = mini_setup
-        from repro.core.gamma.output import VolunteerDataset
-
-        dataset = _suite(world, catalog, save_pages=True).run(volunteer, targets)
-        back = VolunteerDataset.from_json(dataset.to_json())
-        assert back.websites["site0.co.th"].page_html == dataset.websites["site0.co.th"].page_html
-
-    def test_default_study_config_skips_pages(self, mini_setup):
-        world, catalog, targets, volunteer = mini_setup
-        dataset = _suite(world, catalog).run(volunteer, targets)
-        assert dataset.websites["site0.co.th"].page_html is None
-        assert dataset.websites["site0.co.th"].hardcoded_domains == []
 
 
 class TestVisitOrder:

@@ -1,23 +1,25 @@
 """``collector_paused``: the cyclic collector is off inside bulk loads and
 back in the caller's state after them.
 
-The pause is only free if the paused loaders create no reference
-cycles: otherwise the pass it skips would have reclaimed something, and
-the garbage would wait for the next one.  ``TestNoCyclesToDefer`` pins
-that premise on a real bundle, and on an unpickled country run (which
-is not paused yet, but would need the same premise to be).
+The pause is only free if the paused writers and loaders create no
+reference cycles: otherwise the pass it skips would have reclaimed
+something, and the garbage would wait for the next one.
+``TestNoCyclesToDefer`` pins that premise on a real export and bundle,
+and on an unpickled country run (which is not paused yet, but would
+need the same premise to be).
 """
 
 from __future__ import annotations
 
 import gc
+import json
 import pickle
 import shutil
 
 import pytest
 
 from repro import StudyConfig, export_study, run_study
-from repro.artifacts import load_datasets, load_geolocations
+from repro.artifacts import _verdicts_payload, load_datasets, load_geolocations
 from repro.exec.worker import StudyWorker
 from repro.gcpause import collector_paused
 
@@ -113,7 +115,37 @@ class TestLoadersPause:
         assert gc.isenabled()
 
 
+class TestExportPauses:
+    def test_datasets_are_serialised_with_the_collector_off(
+        self, scenario, tmp_path, monkeypatch
+    ):
+        from repro.core.gamma.output import VolunteerDataset
+
+        outcome = run_study(scenario, countries=["NZ", "RW"])
+        seen = []
+        to_json = VolunteerDataset.to_json
+
+        def watched(self):
+            seen.append(gc.isenabled())
+            return to_json(self)
+
+        monkeypatch.setattr(VolunteerDataset, "to_json", watched)
+        export_study(outcome, tmp_path / "bundle")
+        assert seen == [False, False]
+        assert gc.isenabled()
+
+
 class TestNoCyclesToDefer:
+    def test_dataset_and_verdict_writers_leave_no_cyclic_garbage(
+        self, scenario, collector_off
+    ):
+        outcome = run_study(scenario, countries=["NZ", "RW"])
+        gc.collect()
+        for cc, dataset in outcome.datasets.items():
+            assert dataset.to_json()
+            assert json.dumps(_verdicts_payload(outcome, cc))
+        assert gc.collect() == 0
+
     def test_bundle_load_leaves_no_cyclic_garbage(self, bundle, scenario, collector_off):
         gc.collect()
         datasets = load_datasets(bundle)

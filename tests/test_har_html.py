@@ -1,4 +1,4 @@
-"""HAR 1.2 export/import and page-source synthesis/scraping."""
+"""HAR 1.2 export/import."""
 
 import json
 
@@ -6,8 +6,6 @@ import pytest
 
 from repro.browser.har import NetworkRequest, PageLoadRecord, RequestStatus
 from repro.browser.harformat import from_har, to_har, to_har_json
-from repro.web.html import extract_domains_from_html, render_page_html
-from repro.web.website import CATEGORY_REGIONAL, EmbeddedResource, ResourceKind, Website
 
 
 @pytest.fixture()
@@ -76,50 +74,3 @@ class TestHARExport:
         back = from_har(json.dumps(har))
         assert back.requests[0].status == RequestStatus.OK
         assert back.requests[2].status == RequestStatus.DNS_ERROR
-
-
-class TestPageHTML:
-    @pytest.fixture()
-    def site(self):
-        return Website(
-            domain="www.siamnews.co.th", country_code="TH",
-            category=CATEGORY_REGIONAL, owner_org="Siam Publishing",
-            embedded=[
-                EmbeddedResource(host="px.adorg.net", kind=ResourceKind.SCRIPT),
-                EmbeddedResource(host="img.adorg.net", kind=ResourceKind.IMAGE),
-                EmbeddedResource(host="au-only.adorg.net", countries=("AU",)),
-            ],
-        )
-
-    def test_renders_fired_resources_as_tags(self, site):
-        html = render_page_html(site, country_code="TH")
-        assert '<script src="https://px.adorg.net/tag.js"></script>' in html
-        assert '<img src="https://img.adorg.net/px.gif"' in html
-
-    def test_geo_gated_resource_absent(self, site):
-        th = render_page_html(site, country_code="TH")
-        au = render_page_html(site, country_code="AU")
-        assert "au-only.adorg.net" not in th
-        assert "au-only.adorg.net" in au
-
-    def test_contains_hardcoded_partner_links(self, site):
-        html = render_page_html(site, country_code="TH")
-        assert "mirror.archive-example.org" in html
-
-    def test_deterministic(self, site):
-        assert render_page_html(site, "v1", "TH") == render_page_html(site, "v1", "TH")
-
-    def test_extraction_finds_requested_and_hardcoded(self, site):
-        html = render_page_html(site, country_code="TH")
-        domains = extract_domains_from_html(html)
-        assert "px.adorg.net" in domains
-        assert f"static.{site.domain}" in domains
-        assert "mirror.archive-example.org" in domains  # hardcoded only
-
-    def test_extraction_ignores_file_names(self):
-        domains = extract_domains_from_html("<script src='app.min.js'></script>")
-        assert "app.min.js" not in domains
-
-    def test_extraction_handles_bare_hostnames(self):
-        domains = extract_domains_from_html("<p>contact us at support.example.co.uk</p>")
-        assert "support.example.co.uk" in domains

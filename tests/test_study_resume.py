@@ -17,6 +17,7 @@ import pickle
 import pytest
 
 from repro import FaultInjector, StudyConfig, run_study
+from repro.core.gamma.output import WebsiteMeasurement
 from repro.exec import CountryExecutionError, StudyCheckpoint
 from repro.obs.metrics import strip_runtime, validate_study_snapshot
 from repro.obs.schema import validate_journal
@@ -295,6 +296,33 @@ class TestCheckpointStore:
         assert "CA" not in [
             r["country"] for r in resumed.journal.events("country_resumed")
         ]
+
+    def test_run_carrying_saved_page_fields_is_quarantined_and_remeasured(
+        self, scenario, uninterrupted, tmp_path, monkeypatch
+    ):
+        # Older versions stored ``page_html``/``hardcoded_domains`` on
+        # every site measurement.  Measurements have no such slots any
+        # more, so such a run fails to load, is quarantined, and its
+        # country is measured again.
+        checkpoint_dir = tmp_path / "ckpt"
+        run_study(scenario, countries=["CA"], checkpoint_dir=checkpoint_dir)
+        checkpoint = StudyCheckpoint(checkpoint_dir)
+        run = checkpoint.load("CA")
+        current = WebsiteMeasurement.__getstate__
+        monkeypatch.setattr(
+            WebsiteMeasurement, "__getstate__",
+            lambda self: {**current(self), "page_html": None, "hardcoded_domains": []},
+        )
+        checkpoint.store(run)
+        monkeypatch.undo()
+        assert b"hardcoded_domains" in checkpoint.path_for("CA").read_bytes()
+        resumed = run_study(
+            scenario, countries=SMALL_COUNTRIES, checkpoint_dir=checkpoint_dir,
+            resume=True, trace=True,
+        )
+        assert (checkpoint_dir / "CA.run.pkl.corrupt").exists()
+        assert not resumed.journal.events("country_resumed")
+        assert_resume_equivalent(uninterrupted, resumed)
 
     def test_wrong_country_payload_is_quarantined(self, scenario, tmp_path):
         checkpoint_dir = tmp_path / "ckpt"

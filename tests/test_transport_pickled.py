@@ -115,8 +115,6 @@ def _measurements(draw, traces):
             if traces else {}
         ),
         failure_reason=draw(_opt_pooled),
-        page_html=draw(_opt_pooled),
-        hardcoded_domains=draw(st.lists(_pooled, max_size=2)),
     )
 
 
