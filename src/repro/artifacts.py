@@ -3,9 +3,10 @@
 The authors publish their tool and recorded data [2].  ``export_study``
 writes an equivalent artifact bundle: one (anonymised) volunteer dataset
 per country, per-country geolocation verdicts, the analysis summaries
-behind every figure/table, and a manifest.  ``load_datasets`` reads the
-datasets back for reanalysis.  The dataset and verdict writers and both
-loaders run with the cyclic collector paused
+behind every figure/table, and a manifest.  ``reanalyze`` rebuilds the
+study from those files alone, so ``render_figures`` and
+``summarize_study`` of it equal the live study's.  The dataset and
+verdict writers and both loaders run with the cyclic collector paused
 (:func:`repro.gcpause.collector_paused`): the payloads they build hold
 no cycles, so its passes over the growing heap find nothing.
 
@@ -34,7 +35,7 @@ from repro.core.analysis.report import (
     render_fig8,
     render_table1,
 )
-from repro.core.analysis.records import CountryStudyResult, build_country_result
+from repro.core.analysis.records import build_country_result
 from repro.core.analysis.sankey import Flow
 from repro.core.analysis.summary import summarize_study
 from repro.core.analysis.svgfig import svg_flow_diagram, svg_grouped_bars
@@ -42,13 +43,13 @@ from repro.core.analysis.tabular import flows_csv, flows_geojson, hosting_csv, p
 from repro.core.gamma.output import VolunteerDataset
 from repro.core.geoloc.constraints import ConstraintResult
 from repro.core.geoloc.pipeline import DatasetGeolocation, FunnelCounters, ServerVerdict
-from repro.core.trackers.identify import TrackerIdentifier
 from repro.gcpause import collector_paused
 from repro.geodb.ipmap import GeoClaim
 from repro.netsim.geography import GeoRegistry
 from repro.study import StudyOutcome
+from repro.worldgen.builder import Scenario
 
-__all__ = ["export_study", "load_datasets", "load_geolocations", "reanalyze"]
+__all__ = ["export_study", "load_datasets", "load_geolocations", "reanalyze", "render_figures"]
 
 
 def _verdicts_payload(outcome: StudyOutcome, country_code: str) -> dict:
@@ -83,6 +84,19 @@ def _verdicts_payload(outcome: StudyOutcome, country_code: str) -> dict:
     }
 
 
+def render_figures(outcome: StudyOutcome) -> Dict[str, str]:
+    """Every text figure and table, keyed by its file name under ``figures/``."""
+    return {
+        "fig3_prevalence.txt": render_fig3(outcome.prevalence()),
+        "fig4_per_website.txt": render_fig4(outcome.per_website()),
+        "fig5_flows.txt": render_fig5(outcome.flows()),
+        "fig6_continents.txt": render_fig6(outcome.continents()),
+        "fig7_hosting.txt": render_fig7(outcome.hosting()),
+        "fig8_organizations.txt": render_fig8(outcome.organizations()),
+        "table1_policy.txt": render_table1(outcome.policy()),
+    }
+
+
 def export_study(outcome: StudyOutcome, directory: Path) -> List[Path]:
     """Write the full artifact bundle under *directory*; returns the files."""
     directory = Path(directory)
@@ -99,18 +113,9 @@ def export_study(outcome: StudyOutcome, directory: Path) -> List[Path]:
             geo_path.write_text(json.dumps(_verdicts_payload(outcome, cc)), encoding="utf-8")
             written.append(geo_path)
 
-    figures = {
-        "fig3_prevalence.txt": render_fig3(outcome.prevalence()),
-        "fig4_per_website.txt": render_fig4(outcome.per_website()),
-        "fig5_flows.txt": render_fig5(outcome.flows()),
-        "fig6_continents.txt": render_fig6(outcome.continents()),
-        "fig7_hosting.txt": render_fig7(outcome.hosting()),
-        "fig8_organizations.txt": render_fig8(outcome.organizations()),
-        "table1_policy.txt": render_table1(outcome.policy()),
-    }
     figures_dir = directory / "figures"
     figures_dir.mkdir(parents=True, exist_ok=True)
-    for name, body in figures.items():
+    for name, body in render_figures(outcome).items():
         path = figures_dir / name
         path.write_text(body + "\n", encoding="utf-8")
         written.append(path)
@@ -223,23 +228,32 @@ def load_geolocations(directory: Path, registry: GeoRegistry) -> Dict[str, Datas
     return geolocations
 
 
-def reanalyze(
-    directory: Path,
-    identifier: TrackerIdentifier,
-    registry: GeoRegistry,
-) -> List[CountryStudyResult]:
-    """Re-run the section-6 analyses from a published bundle alone.
+def reanalyze(directory: Path, scenario: Scenario) -> StudyOutcome:
+    """Rebuild a study from a published bundle alone.
 
     This is the reuse path the paper advertises for its artefacts:
     anyone with the datasets, the verdict evidence, and public tracker
-    lists can regenerate every figure without re-measuring.
+    lists can regenerate every figure and the summary without
+    re-measuring.  *scenario* supplies the tracker identifier and the
+    city registry; the source-trace origins come from the manifest.
     """
+    directory = Path(directory)
     datasets = load_datasets(directory)
-    geolocations = load_geolocations(directory, registry)
-    return [
-        build_country_result(datasets[cc], geolocations[cc], identifier)
-        for cc in sorted(datasets)
-    ]
+    geolocations = load_geolocations(directory, scenario.world.geo)
+    manifest = json.loads((directory / "manifest.json").read_text(encoding="utf-8"))
+    origins = manifest["source_trace_origins"]
+    # The manifest's "countries" are sorted; its origins keep the study's
+    # country order, which the figure rows follow.
+    return StudyOutcome(
+        scenario=scenario,
+        datasets={cc: datasets[cc] for cc in origins},
+        geolocations={cc: geolocations[cc] for cc in origins},
+        results=[
+            build_country_result(datasets[cc], geolocations[cc], scenario.identifier)
+            for cc in origins
+        ],
+        source_trace_origins=origins,
+    )
 
 
 def load_datasets(directory: Path) -> Dict[str, VolunteerDataset]:

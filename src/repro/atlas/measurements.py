@@ -8,11 +8,10 @@ engine over the same latency/address substrate.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Optional
 
 from repro.atlas.probes import Probe, ProbeMesh
 from repro.exec.cache import ReadThroughCache
-from repro.netsim.geography import City
 from repro.netsim.network import World
 from repro.netsim.traceroute import TracerouteBlocking, TracerouteEngine, TracerouteResult
 
@@ -60,24 +59,3 @@ class AtlasMeasurementService:
             (probe.probe_id, target_ip),
             lambda: self.traceroute(probe, target_ip, f"dest:{target_ip}"),
         )
-
-    def traceroute_from_country(
-        self,
-        country_code: str,
-        target_ip: str,
-        near_city: Optional[City] = None,
-        measurement_key: str = "",
-    ) -> Optional[TracerouteResult]:
-        """Trace from a probe in *country_code* (or its fallback neighbour)."""
-        probe, _used = self.mesh.probe_for_country(country_code, near_city)
-        if probe is None:
-            return None
-        return self.traceroute(probe, target_ip, measurement_key)
-
-    def bulk_traceroute(
-        self, probe: Probe, targets: List[str], measurement_key: str = ""
-    ) -> Dict[str, TracerouteResult]:
-        return {
-            target: self.traceroute(probe, target, f"{measurement_key}:{i}")
-            for i, target in enumerate(targets)
-        }

@@ -7,7 +7,6 @@ from repro.browser.engine import (
     BrowserKind,
 )
 from repro.browser.har import NetworkRequest, PageLoadRecord, RequestStatus
-from repro.browser.harformat import from_har, to_har, to_har_json
 
 __all__ = [
     "CHROMEDRIVER_BACKGROUND_HOSTS",
@@ -17,7 +16,4 @@ __all__ = [
     "NetworkRequest",
     "PageLoadRecord",
     "RequestStatus",
-    "from_har",
-    "to_har",
-    "to_har_json",
 ]

@@ -75,46 +75,3 @@ class PageLoadRecord:
             if request.address is not None:
                 addresses.setdefault(request.host, request.address)
         return addresses
-
-    def to_dict(self) -> dict:
-        """JSON-serialisable form (Gamma's on-disk output schema)."""
-        return {
-            "url": self.url,
-            "country": self.country_code,
-            "browser": self.browser,
-            "loaded": self.loaded,
-            "render_time_s": round(self.render_time_s, 3),
-            "failure_reason": self.failure_reason,
-            "requests": [
-                {
-                    "host": r.host,
-                    "kind": r.kind,
-                    "status": r.status,
-                    "address": r.address,
-                    "background": r.background,
-                }
-                for r in self.requests
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "PageLoadRecord":
-        record = cls(
-            url=payload["url"],
-            country_code=payload["country"],
-            browser=payload["browser"],
-            loaded=payload["loaded"],
-            render_time_s=payload["render_time_s"],
-            failure_reason=payload.get("failure_reason"),
-        )
-        for entry in payload.get("requests", []):
-            record.requests.append(
-                NetworkRequest(
-                    host=entry["host"],
-                    kind=entry["kind"],
-                    status=entry["status"],
-                    address=entry.get("address"),
-                    background=entry.get("background", False),
-                )
-            )
-        return record

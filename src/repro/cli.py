@@ -31,19 +31,10 @@ from typing import List, Optional
 
 import repro
 from repro import GammaSuite, StudyConfig, build_scenario, run_study
-from repro.artifacts import export_study
+from repro.artifacts import export_study, render_figures
 from repro.exec.executor import BACKENDS
 from repro.exec.resilience import ON_ERROR_POLICIES, FaultInjector
-from repro.core.analysis.report import (
-    render_fig3,
-    render_fig4,
-    render_fig5,
-    render_fig6,
-    render_fig7,
-    render_fig8,
-    render_table,
-    render_table1,
-)
+from repro.core.analysis.report import render_table
 from repro.netsim.geography import MEASUREMENT_COUNTRIES
 
 __all__ = ["main", "build_parser"]
@@ -337,16 +328,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
 def _cmd_figures(args: argparse.Namespace) -> int:
     scenario = build_scenario()
     outcome = run_study(scenario, **_run_kwargs(args))
-    sections = [
-        render_fig3(outcome.prevalence()),
-        render_fig4(outcome.per_website()),
-        render_fig5(outcome.flows()),
-        render_fig6(outcome.continents()),
-        render_fig7(outcome.hosting()),
-        render_fig8(outcome.organizations()),
-        render_table1(outcome.policy()),
-    ]
-    print(("\n\n" + "=" * 72 + "\n\n").join(sections))
+    print(("\n\n" + "=" * 72 + "\n\n").join(render_figures(outcome).values()))
     _print_failures(outcome)
     return 0
 

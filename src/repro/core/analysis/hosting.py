@@ -10,7 +10,7 @@ France even though France serves far more websites.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.core.analysis.records import CountryStudyResult
 
@@ -70,12 +70,3 @@ class HostingAnalysis:
         return sorted(
             dest for dest, n in self.domains_per_destination().items() if n == count
         )
-
-    def global_south_destinations(self, registry, exclude_continents: Optional[Sequence[str]] = None) -> Dict[str, int]:
-        """Hosting counts restricted to non-Europe/North-America destinations."""
-        skip = set(exclude_continents or ("Europe", "North America"))
-        return {
-            dest: count
-            for dest, count in self.domains_per_destination().items()
-            if registry.continent_of(dest) not in skip
-        }

@@ -5,7 +5,6 @@ from repro.core.gamma.osadapt import (
     DarwinAdapter,
     LinuxAdapter,
     OSAdapter,
-    PingResult,
     WindowsAdapter,
     adapter_for,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "NormalizedHop",
     "NormalizedTraceroute",
     "OSAdapter",
-    "PingResult",
     "ProbeRunner",
     "Volunteer",
     "VolunteerDataset",

@@ -10,39 +10,12 @@ handles — is produced and parsed verbatim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
-
 from repro.core.gamma.normalize import normalize_direct
 from repro.core.gamma.parsers import NormalizedTraceroute
-from repro.determinism import stable_rng
 from repro.netsim.geography import City
-from repro.netsim.latency import LatencyModel
 from repro.netsim.traceroute import TracerouteEngine, render_linux, render_windows
 
-__all__ = ["PingResult", "OSAdapter", "LinuxAdapter", "WindowsAdapter", "DarwinAdapter", "adapter_for"]
-
-
-@dataclass(frozen=True)
-class PingResult:
-    """ICMP echo summary."""
-
-    target: str
-    sent: int
-    received: int
-    rtts_ms: tuple
-
-    @property
-    def loss_pct(self) -> float:
-        if self.sent == 0:
-            return 100.0
-        return 100.0 * (self.sent - self.received) / self.sent
-
-    @property
-    def avg_rtt_ms(self) -> float:
-        if not self.rtts_ms:
-            raise ValueError("no RTT samples")
-        return sum(self.rtts_ms) / len(self.rtts_ms)
+__all__ = ["OSAdapter", "LinuxAdapter", "WindowsAdapter", "DarwinAdapter", "adapter_for"]
 
 
 class OSAdapter:
@@ -67,25 +40,6 @@ class OSAdapter:
         ``tests/test_gamma_normalize.py`` lock down per platform format.
         """
         return normalize_direct(engine.trace(source, target_ip, key), self.render_format)
-
-    def ping(
-        self,
-        latency: LatencyModel,
-        source: City,
-        target_city: City,
-        target_ip: str,
-        count: int = 4,
-    ) -> PingResult:
-        """Platform-independent ping synthesis."""
-        rng = stable_rng("ping", source.key, target_ip)
-        rtts: List[float] = []
-        received = 0
-        for i in range(count):
-            if rng.random() < 0.02:  # occasional loss
-                continue
-            received += 1
-            rtts.append(round(latency.rtt_ms(source, target_city, f"ping:{target_ip}:{i}"), 3))
-        return PingResult(target=target_ip, sent=count, received=received, rtts_ms=tuple(rtts))
 
 
 class LinuxAdapter(OSAdapter):

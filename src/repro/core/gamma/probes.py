@@ -1,6 +1,6 @@
 """Component C3: active measurement probes.
 
-Launches traceroutes (and pings) through the OS adapter so the stored
+Launches traceroutes through the OS adapter so the stored
 record is the normalised JSON schema regardless of platform.  Two fast
 paths keep C3 — the scaling bottleneck of a study — off the profile:
 
@@ -23,14 +23,13 @@ paths keep C3 — the scaling bottleneck of a study — off the profile:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable
 
-from repro.core.gamma.osadapt import OSAdapter, PingResult, adapter_for
+from repro.core.gamma.osadapt import OSAdapter, adapter_for
 from repro.core.gamma.parsers import NormalizedTraceroute
 from repro.exec.cache import ReadThroughCache
 from repro.netsim.geography import City
 from repro.netsim.network import World
-from repro.netsim.tls import TLSEndpointInfo, TLSInspector
 
 __all__ = ["ProbeRunner", "TRACE_CACHE_NAME"]
 
@@ -44,7 +43,6 @@ class ProbeRunner:
     def __init__(self, world: World, os_name: str = "linux"):
         self._world = world
         self._adapter: OSAdapter = adapter_for(os_name)
-        self._tls = TLSInspector(world)
         self._traces = ReadThroughCache(TRACE_CACHE_NAME)
 
     @property
@@ -86,16 +84,3 @@ class ProbeRunner:
                 ),
             )
         return results
-
-    def ping(
-        self, source_city: City, target_ip: str, count: int = 4
-    ) -> Optional[PingResult]:
-        """ICMP echo probe; ``None`` for addresses outside the served space."""
-        target_city = self._world.ips.true_city(target_ip)
-        if target_city is None:
-            return None
-        return self._adapter.ping(self._world.latency, source_city, target_city, target_ip, count)
-
-    def tls(self, target_ip: str, sni: Optional[str] = None) -> Optional[TLSEndpointInfo]:
-        """testssl.sh-style TLS parameter probe (section 3, component C3)."""
-        return self._tls.probe(target_ip, sni)

@@ -1,7 +1,7 @@
 """Indexed ABP host matching: suffix maps plus compiled fragment gates.
 
-The naive matcher in :mod:`repro.core.trackers.filterlist` scans every
-rule of every list per lookup — O(lists × rules) with a full exception
+The naive matcher (kept as the test oracle in ``tests/filter_oracle.py``)
+scans every rule of every list per lookup — O(lists × rules) with a full exception
 rescan, which dominates per-country study work at EasyList scale
 (tens of thousands of rules).  This module replaces the scan with an
 index that answers the same question in O(host labels):
@@ -19,7 +19,7 @@ index that answers the same question in O(host labels):
   run to recover the first-matching rule.
 * **List-global exception index** — exception rules from *all* lists are
   pooled into one suffix set + fragment gate checked first, mirroring
-  the ad-blocker semantics of :meth:`FilterSet.match_naive`.
+  the ad-blocker semantics of the naive scan.
 
 Equivalence with the naive scan is the load-bearing property: verdicts
 must be byte-identical, including *which* rule object is attributed
@@ -175,7 +175,7 @@ class FilterSetIndex:
         return self._exception_gate is not None and bool(self._exception_gate.search(host))
 
     def match(self, host: str) -> Optional[FilterMatch]:
-        """Byte-identical to ``FilterSet.match_naive`` in O(labels)."""
+        """Byte-identical to the naive scan in O(labels)."""
         host = validate_hostname(host)
         suffixes = host_suffixes(host)
         if self.is_excepted(host, suffixes):

@@ -18,9 +18,9 @@ exception rule suppresses any blocking match from the same list set.
 ``FilterSet.match`` runs on the indexed engine in
 :mod:`repro.core.trackers.filterindex` (a reversed-label suffix index
 plus a compiled fragment matcher, O(host labels) per lookup).  The
-original linear scan survives as :meth:`FilterSet.match_naive` and is
-kept byte-identical to the index by the equivalence suite in
-``tests/test_filterindex.py``.
+original linear scan is kept in ``tests/filter_oracle.py``, and the
+equivalence suite in ``tests/test_filterindex.py`` holds the index
+byte-identical to it.
 """
 
 from __future__ import annotations
@@ -162,18 +162,6 @@ class FilterList:
     def network_rules(self) -> List[FilterRule]:
         return [r for r in self.rules if r.is_network_rule]
 
-    def block_match(self, host: str) -> Optional[FilterRule]:
-        """First blocking rule matching *host*, unless an exception covers it."""
-        host = validate_hostname(host)
-        blocking: Optional[FilterRule] = None
-        for rule in self.rules:
-            if rule.is_exception:
-                if rule.matches_host(host):
-                    return None
-            elif blocking is None and rule.matches_host(host):
-                blocking = rule
-        return blocking
-
 
 @dataclass(frozen=True)
 class FilterMatch:
@@ -225,23 +213,10 @@ class FilterSet:
 
         Exceptions are list-global: an exception in *any* list suppresses
         blocking matches from every list, mirroring ad-blocker semantics.
-        Runs on the suffix/fragment index; byte-identical to
-        :meth:`match_naive`.
+        Runs on the suffix/fragment index; byte-identical to the
+        linear-scan oracle in ``tests/filter_oracle.py``.
         """
         return self.index.match(host)
-
-    def match_naive(self, host: str) -> Optional[FilterMatch]:
-        """Reference linear scan — the oracle the index is tested against."""
-        host = validate_hostname(host)
-        for filter_list in self._lists:
-            for rule in filter_list.rules:
-                if rule.is_exception and rule.matches_host(host):
-                    return None
-        for filter_list in self._lists:
-            rule = filter_list.block_match(host)
-            if rule is not None:
-                return FilterMatch(list_name=filter_list.name, rule=rule)
-        return None
 
     def __len__(self) -> int:
         return len(self._lists)

@@ -153,15 +153,6 @@ class TrackerIdentifier:
         """Convenience: the memoised verdict's boolean."""
         return self.classify(host, country_code).is_tracker
 
-    def org_name_for(self, host: str, verdict: Optional[TrackerVerdict] = None) -> Optional[str]:
-        """Directory attribution for *host*, preferring the verdict's org."""
-        if verdict is not None and verdict.org_name is not None:
-            return verdict.org_name
-        if self._directory is None:
-            return None
-        entry = self._directory.org_for_host(host)
-        return entry.name if entry is not None else None
-
     def _verdict(self, host: str, method: str, list_name: str) -> TrackerVerdict:
         org_name = None
         if self._directory is not None:

@@ -31,9 +31,7 @@ from repro.netsim.ip import IPSpace, PrefixAllocation
 from repro.netsim.latency import LatencyModel
 from repro.netsim.network import World
 from repro.netsim.rdns import RDNSStyle, ReverseDNSService
-from repro.netsim.resolver import StubResolver
 from repro.netsim.servers import Deployment, Organization, PoP, ServingPolicy
-from repro.netsim.tls import TLSEndpointInfo, TLSInspector
 from repro.netsim.traceroute import (
     TracerouteBlocking,
     TracerouteEngine,
@@ -65,9 +63,6 @@ __all__ = [
     "RDNSStyle",
     "ReverseDNSService",
     "ServingPolicy",
-    "StubResolver",
-    "TLSEndpointInfo",
-    "TLSInspector",
     "TracerouteBlocking",
     "TracerouteEngine",
     "TracerouteHop",

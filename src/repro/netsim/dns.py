@@ -34,7 +34,6 @@ class DNSAnswer:
     addresses: tuple  # tuple[str, ...]
     org_name: str
     pop: PoP
-    ttl: int = 300
 
     @property
     def address(self) -> str:

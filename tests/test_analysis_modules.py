@@ -335,3 +335,26 @@ class TestSlotsPickleCompat:
         assert record.tracker_count == 1
         assert record.destination_countries() == ["US"]
         assert "_derived" not in record.__getstate__()
+
+
+class TestCountryResultViews:
+    def test_sites_in_filters_by_category(self, results):
+        nz = results[0]
+        assert [s.url for s in nz.sites_in("regional")] == ["a.co.nz", "b.co.nz", "c.co.nz"]
+        assert [s.url for s in nz.government_sites] == ["health.govt.nz"]
+        assert nz.regional_sites == nz.sites_in("regional")
+        everything = nz.sites_in()
+        assert everything == nz.sites and everything is not nz.sites
+
+    def test_nonlocal_tracker_hosts_unique_in_first_seen_order(self, results):
+        nz, ca = results
+        assert nz.nonlocal_tracker_hosts() == ["t1.ads.example", "t2.ads.example"]
+        assert ca.nonlocal_tracker_hosts() == []
+
+    def test_site_tracker_counts(self, results):
+        a, b, c, _ = results[0].sites
+        assert (a.has_nonlocal_tracker, a.tracker_count) == (True, 2)
+        assert (b.has_nonlocal_tracker, b.tracker_count) == (True, 1)
+        assert (c.has_nonlocal_tracker, c.tracker_count) == (False, 0)
+        assert a.destination_countries() == ["AU", "US"]
+        assert a.organizations() == ["Google", "Heap"]

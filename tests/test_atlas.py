@@ -98,22 +98,3 @@ class TestMeasurementService:
             for i in range(10)
         )
         assert reached
-
-    def test_traceroute_from_country_fallback(self):
-        world = World(geo=REG)
-        allocation = world.ips.allocate(1, REG.city("Frankfurt, DE"), label="X/fra1")
-        service = AtlasMeasurementService(world)
-        result = service.traceroute_from_country("QA", str(allocation.address(1)))
-        assert result is not None
-        assert result.source_city.country_code in ("SA", "AE")
-
-    def test_bulk_traceroute(self):
-        world = World(geo=REG)
-        targets = [
-            str(world.ips.allocate(1, REG.city("Frankfurt, DE"), label=f"X/f{i}").address(1))
-            for i in range(3)
-        ]
-        service = AtlasMeasurementService(world)
-        probe = service.mesh.probes_in("FR")[0]
-        results = service.bulk_traceroute(probe, targets)
-        assert set(results) == set(targets)

@@ -166,22 +166,55 @@ class TestBrowserEngine:
 
 
 class TestPageLoadRecord:
-    def test_json_roundtrip(self):
-        record = PageLoadRecord(
-            url="x.com", country_code="TH", browser="chrome", loaded=True,
-            render_time_s=3.21,
-            requests=[NetworkRequest("a.com", "script", RequestStatus.OK, "5.0.0.1"),
-                      NetworkRequest("b.com", "script", RequestStatus.DNS_ERROR)],
-        )
-        back = PageLoadRecord.from_dict(record.to_dict())
-        assert back.url == "x.com"
-        assert back.requests[0].address == "5.0.0.1"
-        assert back.requests[1].status == RequestStatus.DNS_ERROR
-
     def test_host_addresses_skips_failures(self):
         record = PageLoadRecord(
             url="x.com", country_code="TH", browser="chrome", loaded=True, render_time_s=1,
             requests=[NetworkRequest("a.com", "script", RequestStatus.OK, "5.0.0.1"),
                       NetworkRequest("b.com", "script", RequestStatus.REFUSED)],
         )
+        assert record.host_addresses() == {"a.com": "5.0.0.1"}
+
+    @staticmethod
+    def _record(requests):
+        return PageLoadRecord(url="x.com", country_code="TH", browser="chrome",
+                              loaded=True, render_time_s=1, requests=requests)
+
+    def test_only_ok_requests_succeed(self):
+        assert NetworkRequest("a.com", "script", RequestStatus.OK).succeeded
+        for status in (RequestStatus.DNS_ERROR, RequestStatus.BLOCKED, RequestStatus.REFUSED):
+            assert not NetworkRequest("a.com", "script", status).succeeded
+
+    def test_successful_requests_keep_background_by_default(self):
+        telemetry = NetworkRequest("update.browser.com", "background", RequestStatus.OK,
+                                   "5.0.0.9", background=True)
+        page = NetworkRequest("a.com", "script", RequestStatus.OK, "5.0.0.1")
+        record = self._record([telemetry, page,
+                               NetworkRequest("b.com", "image", RequestStatus.BLOCKED)])
+        assert record.successful_requests() == [telemetry, page]
+        assert record.successful_requests(include_background=False) == [page]
+
+    def test_requested_hosts_unique_in_first_seen_order(self):
+        record = self._record([
+            NetworkRequest("b.com", "script", RequestStatus.OK, "5.0.0.2"),
+            NetworkRequest("a.com", "image", RequestStatus.OK, "5.0.0.1"),
+            NetworkRequest("b.com", "xhr", RequestStatus.OK, "5.0.0.2"),
+            NetworkRequest("c.com", "xhr", RequestStatus.DNS_ERROR),
+        ])
+        assert record.requested_hosts() == ["b.com", "a.com"]
+
+    def test_requested_hosts_drop_background_unless_asked(self):
+        record = self._record([
+            NetworkRequest("bg.browser.com", "background", RequestStatus.OK, "5.0.0.9",
+                           background=True),
+            NetworkRequest("a.com", "script", RequestStatus.OK, "5.0.0.1"),
+        ])
+        assert record.requested_hosts() == ["a.com"]
+        assert record.requested_hosts(include_background=True) == ["bg.browser.com", "a.com"]
+
+    def test_host_addresses_keep_the_first_address_per_host(self):
+        record = self._record([
+            NetworkRequest("a.com", "script", RequestStatus.OK, "5.0.0.1"),
+            NetworkRequest("a.com", "image", RequestStatus.OK, "5.0.0.7"),
+            NetworkRequest("b.com", "image", RequestStatus.OK, None),
+        ])
         assert record.host_addresses() == {"a.com": "5.0.0.1"}

@@ -88,6 +88,21 @@ class TestLocalTrackers:
         assert metrika and metrika[0].domestically_owned
 
 
+    def test_domestic_ownership_needs_a_known_home(self):
+        from repro.core.analysis.localtrackers import LocalTrackerRecord
+
+        assert LocalTrackerRecord("h.example", "RU", None, None).domestically_owned is None
+        assert LocalTrackerRecord("h.example", "IN", "Google", "US").domestically_owned is False
+        assert LocalTrackerRecord("h.example", "RU", "Metrika", "RU").domestically_owned is True
+
+    def test_records_follow_local_tracker_hosts(self, study_full):
+        analysis = study_full.local_trackers()
+        for cc in ("RU", "IN", "CA"):
+            records = analysis.records(cc)
+            assert [r.host for r in records] == analysis.local_tracker_hosts(cc)
+            assert all(r.country_code == cc for r in records)
+            assert sum(analysis.ownership(cc).values()) == len(records)
+
 class TestVisitVariability:
     def test_multi_visit_site(self, scenario):
         study = VisitVariabilityStudy(scenario)
@@ -133,6 +148,39 @@ class TestVisitVariability:
         study = VisitVariabilityStudy(scenario)
         with pytest.raises(ValueError, match="limit must be >= 0"):
             study.measure_country("RW", visits=1, limit=-1)
+
+
+class TestStabilityMeasures:
+    @staticmethod
+    def _stability(*visits):
+        from repro.stability import SiteStability
+
+        return SiteStability(url="a.ca", country_code="CA", visits=len(visits),
+                             per_visit_hosts=tuple(visits))
+
+    def test_identical_visits_are_perfectly_stable(self):
+        stability = self._stability(("t1.example", "t2.example"), ("t1.example", "t2.example"))
+        assert stability.jaccard == 1.0
+        assert stability.single_visit_coverage == 1.0
+
+    def test_disjoint_visits_share_nothing(self):
+        stability = self._stability(("t1.example",), ("t2.example",))
+        assert stability.union_hosts == {"t1.example", "t2.example"}
+        assert stability.intersection_hosts == set()
+        assert stability.jaccard == 0.0
+        assert stability.single_visit_coverage == 0.5
+
+    def test_partial_overlap(self):
+        stability = self._stability(("t1.example", "t2.example"), ("t1.example",))
+        assert stability.intersection_hosts == {"t1.example"}
+        assert stability.jaccard == 0.5
+        assert stability.single_visit_coverage == 0.75
+
+    def test_no_trackers_gives_no_ratio(self):
+        for stability in (self._stability((), ()), self._stability()):
+            assert stability.intersection_hosts == set()
+            assert stability.jaccard is None
+            assert stability.single_visit_coverage is None
 
 
 class TestLongitudinal:
@@ -288,13 +336,78 @@ class TestReanalysis:
                 assert rebuilt.verdicts[address].claimed_country == verdict.claimed_country
 
     def test_reanalysis_matches_in_memory_figures(self, scenario, study_small, tmp_path):
-        from repro.artifacts import export_study, reanalyze
-        from repro.core.analysis.prevalence import PrevalenceAnalysis
+        from repro.artifacts import export_study, reanalyze, render_figures
+        from repro.core.analysis.summary import summarize_study
 
         export_study(study_small, tmp_path / "bundle")
-        results = reanalyze(tmp_path / "bundle", scenario.identifier, scenario.world.geo)
-        from_disk = {
-            r.country_code: r.combined_pct for r in PrevalenceAnalysis(results).per_country()
-        }
-        in_memory = study_small.prevalence().combined_pct_by_country()
-        assert from_disk == in_memory
+        reread = reanalyze(tmp_path / "bundle", scenario)
+        assert reread.prevalence().combined_pct_by_country() == (
+            study_small.prevalence().combined_pct_by_country()
+        )
+        assert reread.source_trace_origins == study_small.source_trace_origins
+        assert summarize_study(reread).to_dict() == summarize_study(study_small).to_dict()
+        assert render_figures(reread) == render_figures(study_small)
+
+
+    @pytest.fixture(scope="class")
+    def bundle(self, study_small, tmp_path_factory):
+        from repro.artifacts import export_study
+
+        directory = tmp_path_factory.mktemp("reanalysis") / "bundle"
+        export_study(study_small, directory)
+        return directory
+
+    def test_reanalysis_keeps_the_study_country_order(self, scenario, study_small, bundle):
+        from repro.artifacts import reanalyze
+
+        reread = reanalyze(bundle, scenario)
+        order = list(study_small.source_trace_origins)
+        assert list(reread.datasets) == list(reread.geolocations) == order
+        assert [r.country_code for r in reread.results] == order
+        # The bundle carries these funnel counters (not ``unlocated`` or
+        # ``destination_traceroutes``).
+        bundled = ("total_hosts", "local", "nonlocal_candidates", "discarded_source",
+                   "discarded_destination", "discarded_rdns", "verified_nonlocal")
+        for cc in order:
+            rebuilt, original = reread.geolocations[cc].funnel, study_small.geolocations[cc].funnel
+            assert [getattr(rebuilt, f) for f in bundled] == [getattr(original, f) for f in bundled]
+
+    def test_reanalysis_rebuilds_every_site_record(self, scenario, study_small, bundle):
+        from repro.artifacts import reanalyze
+
+        def rows(outcome):
+            # Datasets are written sorted, so a country's sites reload in
+            # URL order rather than visit order.
+            return {
+                result.country_code: sorted(
+                    (s.url, s.category, [(t.host, t.destination_country, t.org_name)
+                                         for t in s.trackers])
+                    for s in result.sites
+                )
+                for result in outcome.results
+            }
+
+        assert rows(reanalyze(bundle, scenario)) == rows(study_small)
+
+    def test_origins_come_from_the_manifest(self, scenario, bundle, tmp_path):
+        import shutil
+
+        from repro.artifacts import reanalyze
+
+        copy = tmp_path / "bundle"
+        shutil.copytree(bundle, copy)
+        manifest = json.loads((copy / "manifest.json").read_text(encoding="utf-8"))
+        origins = manifest["source_trace_origins"]
+        edited = {cc: "atlas:SA" if cc == "QA" else origin for cc, origin in origins.items()}
+        assert "QA" in origins and edited != origins
+        manifest["source_trace_origins"] = edited
+        (copy / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        assert reanalyze(copy, scenario).source_trace_origins == edited
+
+    def test_exported_figures_are_render_figures(self, study_small, bundle):
+        from repro.artifacts import render_figures
+
+        figures = render_figures(study_small)
+        assert sorted(p.name for p in (bundle / "figures").glob("*.txt")) == sorted(figures)
+        for name, body in figures.items():
+            assert (bundle / "figures" / name).read_text(encoding="utf-8") == body + "\n"

@@ -3,8 +3,8 @@ memoised verdict cache.
 
 The load-bearing property is byte-identical verdicts: ``FilterSet.match``
 (suffix index + fragment gates) must return exactly what
-``FilterSet.match_naive`` (the original O(lists × rules) scan, kept as
-the reference oracle) returns — same ``FilterMatch``, same attributed
+``tests.filter_oracle.match_naive`` (the original O(lists × rules) scan,
+kept as the reference oracle) returns — same ``FilterMatch``, same attributed
 rule object — over arbitrary rule sets and hostnames.
 """
 
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.trackers.filterindex import FilterSetIndex, host_suffixes
+from repro.core.trackers.filterindex import FilterListIndex, FilterSetIndex, host_suffixes
 from repro.core.trackers.filterlist import (
     FilterList,
     FilterSet,
@@ -25,6 +25,7 @@ from repro.core.trackers.filterlist import (
 )
 from repro.core.trackers.identify import TrackerIdentifier
 from repro.core.trackers.orgs import OrganizationDirectory, OrgEntry
+from tests.filter_oracle import match_naive
 
 # ---------------------------------------------------------------------------
 # Generators: ABP-ish rule lines and hostnames drawn from a shared pool of
@@ -85,14 +86,14 @@ class TestEquivalence:
     @settings(max_examples=300, deadline=None)
     @given(_filter_set(), _hostname())
     def test_indexed_matches_naive(self, fset, host):
-        assert fset.match(host) == fset.match_naive(host)
+        assert fset.match(host) == match_naive(fset, host)
 
     @settings(max_examples=100, deadline=None)
     @given(_filter_set(), st.lists(_hostname(), min_size=1, max_size=8))
     def test_equivalence_over_host_batches(self, fset, hosts):
         for host in hosts:
             indexed = fset.match(host)
-            naive = fset.match_naive(host)
+            naive = match_naive(fset, host)
             assert indexed == naive
             if indexed is not None:
                 # Byte-identical attribution: the very same rule line.
@@ -109,21 +110,21 @@ class TestPrecedence:
         fset = FilterSet([FilterList.parse("t", text)])
         match = fset.match("x.sub.ads.example")
         assert match.rule.raw == "||sub.ads.example^"
-        assert match == fset.match_naive("x.sub.ads.example")
+        assert match == match_naive(fset, "x.sub.ads.example")
 
     def test_fragment_rule_before_domain_rule_wins(self):
         text = "ads.example.\n||cdn.ads.example.net^\n"
         fset = FilterSet([FilterList.parse("t", text)])
         match = fset.match("cdn.ads.example.net")
         assert match.rule.kind == RuleKind.SUBSTRING
-        assert match == fset.match_naive("cdn.ads.example.net")
+        assert match == match_naive(fset, "cdn.ads.example.net")
 
     def test_domain_rule_before_fragment_rule_wins(self):
         text = "||cdn.ads.example.net^\nads.example.\n"
         fset = FilterSet([FilterList.parse("t", text)])
         match = fset.match("cdn.ads.example.net")
         assert match.rule.kind == RuleKind.DOMAIN_BLOCK
-        assert match == fset.match_naive("cdn.ads.example.net")
+        assert match == match_naive(fset, "cdn.ads.example.net")
 
     def test_exception_is_list_global(self):
         blocker = FilterList.parse("a", "||cdn.example^\n")
@@ -135,7 +136,7 @@ class TestPrecedence:
         text = "||telemetry.example.net^\n@@telemetry.example.\n"
         fset = FilterSet([FilterList.parse("t", text)])
         assert fset.match("telemetry.example.net") is None
-        assert fset.match_naive("telemetry.example.net") is None
+        assert match_naive(fset, "telemetry.example.net") is None
 
     def test_first_list_wins(self):
         fset = FilterSet([
@@ -177,7 +178,7 @@ class TestIndexMechanics:
         restored = pickle.loads(pickle.dumps(fset))
         for host in ["ads.example", "x.track.example.net", "safe.example",
                      "a.optout.example.org", "other.org"]:
-            assert restored.match(host) == fset.match_naive(host)
+            assert restored.match(host) == match_naive(fset, host)
 
     def test_standalone_index_pickles(self):
         lists = [FilterList.parse("l", "||ads.example^\ntrack.example.\n")]
@@ -190,6 +191,26 @@ class TestIndexMechanics:
         fset = FilterSet()
         assert fset.match("anything.example") is None
         assert fset.index.stats()["indexed_rules"] == 0
+
+    def test_list_index_first_block_takes_the_earliest_rule(self):
+        host = "ads.track.example.org"
+        fragment_first = FilterList.parse("l", "track.example.\n||ads.track.example.org^\n")
+        domain_first = FilterList.parse("l", "||ads.track.example.org^\ntrack.example.\n")
+        for flist in (fragment_first, domain_first):
+            index = FilterListIndex.build(flist)
+            assert index.rule_count == 2
+            assert index.first_block(host, host_suffixes(host)) is flist.rules[0]
+        index = FilterListIndex.build(domain_first)
+        assert index.first_block("other.org", host_suffixes("other.org")) is None
+
+    def test_set_index_exceptions_by_domain_and_fragment(self):
+        index = FilterSetIndex.build(
+            [FilterList.parse("l", "||ads.example^\n@@||safe.example^\n@@optout.example.\n")]
+        )
+        assert index.is_excepted("cdn.safe.example")
+        assert index.is_excepted("a.optout.example.org")
+        assert not index.is_excepted("ads.example")
+        assert index.is_excepted("safe.example", host_suffixes("safe.example"))
 
     def test_stats_shape(self):
         text = "||ads.example^\n||ads.example^\ntrack.example.\n@@||safe.example^\n"

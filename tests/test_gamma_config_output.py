@@ -27,6 +27,18 @@ class TestAdapters:
         assert adapter_for("windows").traceroute_command == "tracert"
         assert adapter_for("darwin").traceroute_command == "traceroute"
 
+    def test_render_formats(self):
+        assert adapter_for("linux").render_format == "linux"
+        assert adapter_for("windows").render_format == "windows"
+        # macOS traceroute prints the Linux layout.
+        assert adapter_for("darwin").render_format == "linux"
+
+    def test_base_adapter_has_no_raw_tool(self):
+        from repro.core.gamma.osadapt import OSAdapter
+
+        with pytest.raises(NotImplementedError):
+            OSAdapter().raw_traceroute(None, None, "5.0.0.1", "k")
+
 
 def _measurement(url="x.co.th", loaded=True):
     trace = NormalizedTraceroute(

@@ -6,7 +6,7 @@ structured trace and both OS text formats — including unresponsive
 ``* * *`` hops, traces that never reach the destination, sub-millisecond
 ``<1 ms`` tracert cells, and the all-star traces a blocked source
 produces.  The round trip itself stays in the tree as the oracle these
-properties compare against (the same pattern ``FilterSet.match_naive``
+properties compare against (the same pattern ``tests/filter_oracle.py``
 serves for the indexed matcher).
 """
 

@@ -5,7 +5,6 @@ import importlib
 import pytest
 
 from repro.browser.engine import BrowserConfig, BrowserEngine, BrowserKind
-from repro.core.gamma.probes import ProbeRunner
 from repro.core.gamma.suite import GammaSuite
 from repro.core.gamma.volunteer import Volunteer
 from repro.core.targets.builder import TargetList
@@ -107,22 +106,6 @@ class TestGammaSuite:
         a = _suite(world, catalog).run(volunteer, targets)
         b = _suite(world, catalog).run(volunteer, targets)
         assert a.to_json() == b.to_json()
-
-
-class TestProbeRunner:
-    def test_ping(self, mini_setup):
-        world, catalog, _, volunteer = mini_setup
-        runner = ProbeRunner(world, "linux")
-        target = next(iter(world.ips)).address(1)
-        result = runner.ping(volunteer.city, str(target))
-        assert result.sent == 4
-        assert result.received > 0
-        assert result.avg_rtt_ms > 0
-
-    def test_ping_unknown_target(self, mini_setup):
-        world, catalog, _, volunteer = mini_setup
-        runner = ProbeRunner(world, "linux")
-        assert runner.ping(volunteer.city, "8.8.8.8") is None
 
 
 class TestVisitOrder:
@@ -229,3 +212,60 @@ class TestRemovedApi:
         assert validate_record({"ev": "site_skip", "url": "u", "reason": "r"}) == [
             "record: unknown event type 'site_skip'"
         ]
+
+
+class TestProbeRunner:
+    """C3's runner: one OS tool per volunteer, one trace per address."""
+
+    @staticmethod
+    def _targets(world, count):
+        allocation = world.ips.allocate(count, REG.city("Frankfurt, DE"), label="X/fra1")
+        return [str(allocation.address(i + 1)) for i in range(count)]
+
+    def test_unknown_os_rejected(self):
+        from repro.core.gamma.probes import ProbeRunner
+
+        with pytest.raises(ValueError, match="unsupported OS"):
+            ProbeRunner(World(geo=REG), "plan9")
+
+    @pytest.mark.parametrize("os_name,tool", [("linux", "traceroute"), ("windows", "tracert")])
+    def test_trace_names_the_volunteers_tool(self, os_name, tool):
+        from repro.core.gamma.probes import ProbeRunner
+
+        world = World(geo=REG)
+        runner = ProbeRunner(world, os_name)
+        assert runner.adapter.name == os_name
+        trace = runner.traceroute(REG.country("TH").capital, self._targets(world, 1)[0], "k")
+        assert trace.tool == tool
+
+    def test_traceroute_is_the_adapters_normalised_trace(self):
+        from repro.core.gamma.probes import ProbeRunner
+
+        world = World(geo=REG)
+        runner = ProbeRunner(world, "windows")
+        city = REG.country("TH").capital
+        target = self._targets(world, 1)[0]
+        direct = runner.adapter.normalized_traceroute(world.traceroute, city, target, "k")
+        assert runner.traceroute(city, target, "k").to_dict() == direct.to_dict()
+
+    def test_traceroute_many_keys_follow_the_input_order(self):
+        from repro.core.gamma.probes import ProbeRunner
+
+        world = World(geo=REG)
+        targets = self._targets(world, 3)
+        runner = ProbeRunner(world, "linux")
+        traces = runner.traceroute_many(REG.country("TH").capital, list(reversed(targets)), "s")
+        assert list(traces) == list(reversed(targets))
+        assert all(traces[ip].target == ip for ip in targets)
+
+    def test_repeated_address_in_one_call_replays_the_first_trace(self):
+        from repro.core.gamma.probes import ProbeRunner
+
+        world = World(geo=REG)
+        target = self._targets(world, 1)[0]
+        runner = ProbeRunner(world, "linux")
+        city = REG.country("TH").capital
+        traces = runner.traceroute_many(city, [target, target], "s")
+        assert traces == {target: runner.traceroute(city, target, "s:0")}
+        info = runner.trace_cache.info()
+        assert (info.hits, info.misses) == (1, 1)

@@ -179,3 +179,58 @@ class TestGeoDNS:
     def test_all_registered_domains(self):
         resolver, _ = self._resolver()
         assert resolver.all_registered_domains() == ["testorg.com"]
+
+    def test_answer_address_is_the_first_address(self):
+        resolver, _ = self._resolver()
+        city = REG.country("DE").capital
+        answer = resolver.resolve("x.testorg.com", city)
+        assert answer.address == answer.addresses[0]
+        assert resolver.resolve_address("x.testorg.com", city) == answer.address
+
+    def test_repeat_resolution_is_served_from_the_memo(self):
+        resolver, _ = self._resolver()
+        city = REG.country("DE").capital
+        first = resolver.resolve("x.testorg.com", city)
+        assert resolver.resolve("x.testorg.com", city) is first
+        info = resolver.answer_cache.info()
+        assert (info.hits, info.misses) == (1, 1)
+
+    def test_memoised_nxdomain_raises_with_the_same_arguments(self):
+        resolver, _ = self._resolver()
+        city = REG.country("DE").capital
+        raised = []
+        for _ in range(2):
+            with pytest.raises(NXDomain) as caught:
+                resolver.resolve("unknown.example", city)
+            raised.append(caught.value.args)
+        assert raised[0] == raised[1] == ("unknown.example",)
+        assert resolver.answer_cache.info().hits == 1
+
+    def test_refusal_is_memoised_and_raised_again(self):
+        resolver = GeoDNSResolver()
+        deployment = make_deployment(["FR"], policy=ServingPolicy(exclusions={"DE": {"FR"}}))
+        resolver.register("testorg.com", deployment)
+        city = REG.country("DE").capital
+        for _ in range(2):
+            with pytest.raises(LookupError) as caught:
+                resolver.resolve("x.testorg.com", city)
+            assert not isinstance(caught.value, NXDomain)
+        assert resolver.answer_cache.info().hits == 1
+
+    def test_malformed_hostname_is_not_memoised(self):
+        resolver, _ = self._resolver()
+        city = REG.country("DE").capital
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                resolver.resolve("bad host..com", city)
+        assert len(resolver.answer_cache) == 0
+
+    def test_register_clears_the_memo(self):
+        resolver, _ = self._resolver()
+        city = REG.country("DE").capital
+        resolver.resolve("x.testorg.com", city)
+        assert len(resolver.answer_cache) == 1
+        special = make_deployment(["US"], org_name="Special", domains=("special.net",))
+        resolver.register("x.testorg.com", special, exact=True)
+        assert len(resolver.answer_cache) == 0
+        assert resolver.resolve("x.testorg.com", city).org_name == "Special"

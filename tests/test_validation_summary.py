@@ -1,4 +1,4 @@
-"""Validation utilities, scenario self-check, stub resolver, summary."""
+"""Validation utilities, scenario self-check, summary."""
 
 import json
 
@@ -17,14 +17,7 @@ from repro.core.geoloc.verdicts import (
     ServerStatus,
     ServerVerdict,
 )
-from repro.netsim.dns import NXDomain
-from repro.netsim.geography import default_registry
-from repro.netsim.resolver import StubResolver
 from repro.worldgen.selfcheck import check_scenario
-
-from tests.test_servers_dns import make_deployment
-
-REG = default_registry()
 
 
 class TestValidationCounts:
@@ -124,54 +117,6 @@ class TestSelfCheck:
             assert any("not in served space" in p for p in problems)
         finally:
             volunteer.ip = original
-
-
-class TestStubResolver:
-    @pytest.fixture()
-    def resolver(self):
-        from repro.netsim.dns import GeoDNSResolver
-
-        upstream = GeoDNSResolver()
-        deployment = make_deployment(["FR", "SG"], org_name="AdOrg", domains=("adorg.net",))
-        upstream.register("adorg.net", deployment)
-        return StubResolver(upstream=upstream, client_city=REG.country("TH").capital)
-
-    def test_caches_positive_answers(self, resolver):
-        first = resolver.resolve("px.adorg.net")
-        second = resolver.resolve("px.adorg.net")
-        assert first.address == second.address
-        assert resolver.stats == (1, 1)
-
-    def test_ttl_expiry_refetches(self, resolver):
-        resolver.resolve("px.adorg.net")
-        resolver.advance(301)  # past the 300 s default TTL
-        resolver.resolve("px.adorg.net")
-        assert resolver.stats == (0, 2)
-
-    def test_negative_caching(self, resolver):
-        with pytest.raises(NXDomain):
-            resolver.resolve("nope.example")
-        with pytest.raises(NXDomain):
-            resolver.resolve("nope.example")
-        assert resolver.stats == (1, 1)
-
-    def test_negative_ttl_expiry(self, resolver):
-        with pytest.raises(NXDomain):
-            resolver.resolve("nope.example")
-        resolver.advance(61)
-        with pytest.raises(NXDomain):
-            resolver.resolve("nope.example")
-        assert resolver.stats == (0, 2)
-
-    def test_flush(self, resolver):
-        resolver.resolve("px.adorg.net")
-        assert resolver.cached_hosts() == 1
-        resolver.flush()
-        assert resolver.cached_hosts() == 0
-
-    def test_time_flows_forward(self, resolver):
-        with pytest.raises(ValueError):
-            resolver.advance(-1)
 
 
 class TestStudySummary:
