@@ -23,6 +23,7 @@ for people to read.  Readers accept either form.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 from typing import Dict, List
 
@@ -57,15 +58,7 @@ def _verdicts_payload(outcome: StudyOutcome, country_code: str) -> dict:
     return {
         "country": country_code,
         "source_traces": outcome.source_trace_origins.get(country_code, ""),
-        "funnel": {
-            "total_hosts": geolocation.funnel.total_hosts,
-            "local": geolocation.funnel.local,
-            "nonlocal_candidates": geolocation.funnel.nonlocal_candidates,
-            "discarded_source": geolocation.funnel.discarded_source,
-            "discarded_destination": geolocation.funnel.discarded_destination,
-            "discarded_rdns": geolocation.funnel.discarded_rdns,
-            "verified_nonlocal": geolocation.funnel.verified_nonlocal,
-        },
+        "funnel": geolocation.funnel.stages(),
         "servers": [
             {
                 "address": verdict.address,
@@ -197,13 +190,8 @@ def load_geolocations(directory: Path, registry: GeoRegistry) -> Dict[str, Datas
             geolocation = DatasetGeolocation(
                 country_code=cc,
                 funnel=FunnelCounters(
-                    total_hosts=funnel_data.get("total_hosts", 0),
-                    local=funnel_data.get("local", 0),
-                    nonlocal_candidates=funnel_data.get("nonlocal_candidates", 0),
-                    discarded_source=funnel_data.get("discarded_source", 0),
-                    discarded_destination=funnel_data.get("discarded_destination", 0),
-                    discarded_rdns=funnel_data.get("discarded_rdns", 0),
-                    verified_nonlocal=funnel_data.get("verified_nonlocal", 0),
+                    **{stage.name: funnel_data.get(stage.name, 0)
+                       for stage in fields(FunnelCounters)}
                 ),
             )
             for server in payload.get("servers", []):

@@ -7,7 +7,9 @@ browser session (browser, hard timeout, failure rates) comes from the
 :class:`~repro.browser.engine.BrowserConfig`, the OS, site opt-outs and
 C3 opt-out from the :class:`~repro.core.gamma.volunteer.Volunteer`.
 Resuming an interrupted study is per country
-(:class:`repro.exec.checkpoint.StudyCheckpoint`).
+(:class:`repro.exec.checkpoint.StudyCheckpoint`).  Given the scenario's
+:class:`~repro.core.gamma.probes.TraceCarry`, a run replays the traces
+its volunteer's previous run launched under the same measurement keys.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Dict, Optional
 from repro.browser.engine import BrowserConfig, BrowserEngine
 from repro.core.gamma.netinfo import NetworkInfoGatherer
 from repro.core.gamma.output import VolunteerDataset, WebsiteMeasurement
-from repro.core.gamma.probes import ProbeRunner
+from repro.core.gamma.probes import ProbeRunner, TraceCarry
 from repro.core.gamma.volunteer import Volunteer
 from repro.core.targets.builder import TargetList
 from repro.exec.cache import ReadThroughCache
@@ -36,8 +38,10 @@ class GammaSuite:
         world: World,
         catalog: SiteCatalog,
         browser_config: Optional[BrowserConfig] = None,
+        carry: Optional[TraceCarry] = None,
     ):
         self._world = world
+        self._carry = carry
         self._browser = BrowserEngine(world, catalog, browser_config)
         # The suite records only DNS and reverse DNS, so C2 runs without
         # ASN annotation.
@@ -71,11 +75,12 @@ class GammaSuite:
             os_name=volunteer.os_name,
             browser=self._browser.config.browser,
         )
-        # One runner per run: its trace memo dies with the run.
+        # One runner per run: its trace memo dies with the run, and its
+        # launches replace the volunteer's carried run when it ends.
         self._prober = prober = (
             None
             if volunteer.traceroute_opt_out
-            else ProbeRunner(self._world, volunteer.os_name)
+            else ProbeRunner(self._world, volunteer.os_name, self._carry, volunteer.name)
         )
 
         categories: Dict[str, str] = {}
@@ -96,6 +101,8 @@ class GammaSuite:
                     )
                     self._emit_site_events(tracer, measurement)
             dataset.add(measurement)
+        if prober is not None:
+            prober.carry_forward()
         return dataset
 
     @staticmethod

@@ -290,7 +290,8 @@ class StudyWorker:
         with maybe_span(tracer, "country", country_code):
             with _phase("gamma", metrics, tracer, profiler):
                 gamma = GammaSuite(
-                    scenario.world, scenario.catalog, scenario.browser_config
+                    scenario.world, scenario.catalog, scenario.browser_config,
+                    carry=scenario.trace_carry,
                 )
                 dataset = gamma.run(
                     volunteer,

@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TracerouteHop:
     """One TTL step.  ``address is None`` renders as ``*`` probes.
 
@@ -129,9 +129,10 @@ class TracerouteEngine:
         return self._blocking
 
     def trace(self, source_city: City, target_ip: str, measurement_key: str = "") -> TracerouteResult:
-        rng = stable_rng("trace", source_city.key, target_ip, measurement_key)
         if self._blocking.source_blocked(source_city.country_code):
-            return self._failed_trace(source_city, target_ip, rng, hops_before_loss=0)
+            # Nothing leaves the host, so nothing is drawn.
+            return self._failed_trace(source_city, target_ip, None, hops_before_loss=0)
+        rng = stable_rng("trace", source_city.key, target_ip, measurement_key)
 
         destination_city = self._ipspace.true_city(target_ip)
         if destination_city is None or self._blocking.destination_unreachable(

@@ -11,11 +11,12 @@ and one volunteer per measurement country.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.atlas.measurements import AtlasMeasurementService
 from repro.atlas.probes import ProbeMesh
 from repro.browser.engine import BrowserConfig
+from repro.core.gamma.probes import TraceCarry
 from repro.core.gamma.volunteer import Volunteer
 from repro.core.geoloc.latency_stats import StatsChain, default_stats_chain
 from repro.core.targets.builder import TargetList, TargetListBuilder
@@ -82,16 +83,19 @@ class Scenario:
     target_builder: TargetListBuilder
     filter_list_texts: Dict[str, str] = field(default_factory=dict)
     org_specs: Dict[str, OrgSpec] = field(default_factory=dict)
+    #: Each volunteer's last Gamma run of traces, replayed on a revisit.
+    trace_carry: TraceCarry = field(default_factory=TraceCarry)
 
     @property
     def countries(self) -> List[str]:
         return sorted(self.volunteers)
 
     @property
-    def caches(self) -> Tuple[ReadThroughCache, ...]:
-        """The memo caches this scenario's services own, plus the pure
-        process-wide ``netsim.distance`` memo every scenario shares.
-        A study reports its own share of their counters."""
+    def caches(self) -> Tuple[Union[ReadThroughCache, TraceCarry], ...]:
+        """The memo caches this scenario's services own, its trace
+        carry, and the pure process-wide ``netsim.distance`` memo every
+        scenario shares.  A study reports its own share of their
+        counters."""
         return (
             self.world.dns.answer_cache,
             self.world.latency.inflation_cache,
@@ -99,6 +103,7 @@ class Scenario:
             self.identifier.verdict_cache,
             self.directory.owner_cache,
             self.atlas.dest_trace_cache,
+            self.trace_carry,
             distance_cache,
         )
 

@@ -4,8 +4,9 @@ Every memo cache belongs to the object that fills it: GeoDNS answers to
 the world's resolver, path inflation to its latency model, PTR records
 to its reverse-DNS service, verdicts to the scenario's tracker
 identifier, hostname owners to its organisation directory, destination
-traces to its measurement service,
-first-observation traces to one country's probe runner.  The study metrics fold per-country
+traces to its measurement service, each volunteer's last run of traces
+to the scenario's trace carry, first-observation traces to one
+country's probe runner.  The study metrics fold per-country
 deltas of exactly those caches, the same way on every backend, so:
 
 * a study reports every memo its scenario owns, and its trace memo;
@@ -51,7 +52,7 @@ class TestEveryMemoReported:
         assert names == {
             "netsim.geodns", "latency.inflation[latency]", "netsim.rdns",
             "trackers.verdicts", "trackers.orgs", "atlas.dest_traces",
-            "netsim.distance",
+            "gamma.carry", "netsim.distance",
         }
         assert set(outcome.metrics.cache_infos) == names | {"gamma.traces"}
         for name in outcome.metrics.cache_infos:

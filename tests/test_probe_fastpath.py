@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 
-from repro import StudyConfig, run_study
+from repro import StudyConfig, build_scenario, run_study
 from repro.atlas.measurements import DEST_TRACE_CACHE_NAME
 from repro.core.gamma.parsers import parse_traceroute_output
 from repro.core.gamma.probes import TRACE_CACHE_NAME, ProbeRunner
@@ -52,9 +52,11 @@ class TestParserOracleEquivalence:
             parsed.append(runner.adapter.traceroute_command)
             return parse_traceroute_output(raw)
 
+        # A fresh scenario: on the session one, traces its volunteers'
+        # earlier runs launched would be replayed from the carry unparsed.
         with monkeypatch.context() as patch:
             patch.setattr(ProbeRunner, "traceroute", render_then_parse)
-            oracle = run_study(scenario, countries=COUNTRIES, config=StudyConfig())
+            oracle = run_study(build_scenario(), countries=COUNTRIES, config=StudyConfig())
         # Both text formats went through the parsers.
         assert {"traceroute", "tracert"} <= set(parsed)
         assert_outcomes_identical(fast, oracle)

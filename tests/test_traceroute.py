@@ -1,5 +1,6 @@
 """Traceroute synthesis, blocking, and raw-output rendering."""
 
+import pickle
 import re
 
 import pytest
@@ -9,8 +10,10 @@ from repro.netsim.geography import default_registry
 from repro.netsim.ip import IPSpace
 from repro.netsim.latency import LatencyModel
 from repro.netsim.routing import hop_count_for_distance, path_fractions
+from repro.netsim import traceroute as traceroute_module
 from repro.netsim.traceroute import (
     TracerouteBlocking,
+    TracerouteHop,
     TracerouteEngine,
     render_linux,
     render_windows,
@@ -103,6 +106,23 @@ class TestTracerouteEngine:
         assert not result.reached
         assert all(not h.responded for h in result.hops)
 
+    def test_blocked_source_trace_is_pinned_and_draws_nothing(self, monkeypatch):
+        space = IPSpace()
+        allocation = space.allocate(5, REG.city("Frankfurt, DE"), label="X/fra1")
+        engine = TracerouteEngine(
+            LatencyModel(), space, TracerouteBlocking(blocked_source_countries={"AU"}),
+        )
+
+        def no_generator(*parts):
+            raise AssertionError(f"blocked trace seeded a generator: {parts}")
+
+        monkeypatch.setattr(traceroute_module, "stable_rng", no_generator)
+        result = engine.trace(REG.city("Sydney, AU"), str(allocation.address(1)), "k")
+        assert result.reached is False
+        assert [(h.index, h.address, h.rtt_ms) for h in result.hops] == [
+            (i, None, None) for i in range(1, 6)
+        ]
+
     def test_deterministic(self, engine_and_target):
         engine, target, _ = engine_and_target
         a = engine.trace(REG.city("London, GB"), target, "k")
@@ -121,6 +141,20 @@ class TestTracerouteEngine:
         result = engine.trace(REG.city("London, GB"), target)
         assert result.first_hop_rtt <= result.last_hop_rtt
         assert result.destination_rtt == result.last_hop_rtt
+
+
+class TestHopRecord:
+    def test_hops_are_slotted(self):
+        assert not hasattr(TracerouteHop(1, "10.0.0.1", 1.5), "__dict__")
+
+    def test_pickle_round_trip_keeps_every_field(self, engine_and_target):
+        # A spawn-started pool pickles the scenario's trace memos.
+        engine, target, _ = engine_and_target
+        result = engine.trace(REG.city("London, GB"), target, "k")
+        hops = pickle.loads(pickle.dumps(result.hops))
+        assert hops == result.hops
+        assert [h.probes for h in hops] == [h.probes for h in result.hops]
+        assert any(h.probes is not None for h in hops)
 
 
 class TestRendering:
