@@ -5,11 +5,15 @@ track their cost so substrate changes that would blow up study runtime
 get caught in review.
 """
 
-from repro.core.gamma.parsers import parse_linux_traceroute, parse_windows_tracert
 from repro.netsim.distance import haversine_km
 from repro.netsim.geography import default_registry
 from repro.netsim.latency import LatencyModel
-from repro.netsim.traceroute import render_linux, render_windows
+from tests.trace_oracle import (
+    parse_linux_traceroute,
+    parse_windows_tracert,
+    render_linux,
+    render_windows,
+)
 
 REG = default_registry()
 MODEL = LatencyModel()

@@ -5,7 +5,7 @@ The traceroute portability layer historically produced every
 text (``traceroute`` / ``tracert``) and re-parsing it.  The direct
 normaliser (:mod:`repro.core.gamma.normalize`) constructs the identical
 record straight from the structured result; the round trip survives as
-the correctness oracle in the tests.
+the correctness oracle in ``tests/trace_oracle.py``.
 
 Two measurements:
 
@@ -32,10 +32,9 @@ from pathlib import Path
 from repro import StudyConfig, run_study
 from repro.atlas.measurements import DEST_TRACE_CACHE_NAME
 from repro.core.gamma.normalize import normalize_direct
-from repro.core.gamma.parsers import parse_traceroute_output
 from repro.core.gamma.probes import TRACE_CACHE_NAME
-from repro.netsim.traceroute import render_linux, render_windows
 from benchmarks._emit import emit, record_history
+from tests.trace_oracle import parse_traceroute_output, render_linux, render_windows
 
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_probe.json"
 

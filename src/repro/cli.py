@@ -251,12 +251,16 @@ def _run_kwargs(args: argparse.Namespace) -> dict:
     progress = args.progress
     if progress is None:  # default: live line only on an interactive stderr
         progress = sys.stderr.isatty()
-    config = StudyConfig(
-        jobs=args.jobs,
-        backend=args.backend,
-        on_error=args.on_error,
-        profile=args.profile,
-    )
+    try:
+        config = StudyConfig(
+            jobs=args.jobs,
+            backend=args.backend,
+            on_error=args.on_error,
+            profile=args.profile,
+        )
+    except ValueError as error:  # a flag combination the study rejects
+        print(f"gamma {args.command}: error: {error}", file=sys.stderr)
+        raise SystemExit(2)
     return {
         "config": config,
         "trace": args.trace,
@@ -290,12 +294,13 @@ def _cold_start_lines(build_seconds: float, render_seconds: float) -> str:
 def _cmd_study(args: argparse.Namespace) -> int:
     countries = _parse_countries(args.countries)
     injector = _parse_fault_injector(args.inject_fault, countries)
+    run_kwargs = _run_kwargs(args)
     started = time.perf_counter()
     scenario = build_scenario()
     build_seconds = time.perf_counter() - started
     outcome = run_study(
         scenario, countries=countries, fault_injector=injector,
-        **_run_kwargs(args),
+        **run_kwargs,
     )
     started = time.perf_counter()
     rows = [
@@ -326,8 +331,8 @@ def _cmd_study(args: argparse.Namespace) -> int:
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
-    scenario = build_scenario()
-    outcome = run_study(scenario, **_run_kwargs(args))
+    run_kwargs = _run_kwargs(args)
+    outcome = run_study(build_scenario(), **run_kwargs)
     print(("\n\n" + "=" * 72 + "\n\n").join(render_figures(outcome).values()))
     _print_failures(outcome)
     return 0
@@ -358,8 +363,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    scenario = build_scenario()
-    outcome = run_study(scenario, **_run_kwargs(args))
+    run_kwargs = _run_kwargs(args)
+    outcome = run_study(build_scenario(), **run_kwargs)
     files = export_study(outcome, args.directory)
     print(f"Wrote {len(files)} files under {args.directory}")
     _print_failures(outcome)

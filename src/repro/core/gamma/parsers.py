@@ -1,28 +1,22 @@
-"""Parsers for OS-native traceroute output.
+"""The normalised traceroute record.
 
 Section 3 of the paper: Gamma shells out to ``traceroute`` on Linux and
 ``tracert`` on Windows, then normalises both into "an identical structure
-JSON file with hop and RTT information".  These parsers implement that
-normalisation: each accepts the raw text of its tool and produces the
-same :class:`NormalizedTraceroute` structure.
+JSON file with hop and RTT information".  :class:`NormalizedTraceroute`
+and its :class:`NormalizedHop` rows are that structure, whatever the
+tool; :mod:`repro.core.gamma.normalize` builds them from the engine's
+traces.
 """
 
 from __future__ import annotations
 
-import re
 import statistics
 from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.core.slotstate import install_slot_state
 
-__all__ = [
-    "NormalizedHop",
-    "NormalizedTraceroute",
-    "parse_linux_traceroute",
-    "parse_windows_tracert",
-    "parse_traceroute_output",
-]
+__all__ = ["NormalizedHop", "NormalizedTraceroute"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,95 +100,3 @@ class NormalizedTraceroute:
 install_slot_state(NormalizedHop, ("hop", "address", "rtts_ms"))
 install_slot_state(NormalizedTraceroute, ("target", "reached", "hops", "tool"))
 
-
-_LINUX_HEADER_RE = re.compile(r"^traceroute to (\S+) \((\S+)\)")
-_LINUX_HOP_RE = re.compile(r"^\s*(\d+)\s+(.*)$")
-_LINUX_RTT_RE = re.compile(r"([\d.]+)\s*ms")
-_LINUX_ADDR_RE = re.compile(r"(\d{1,3}(?:\.\d{1,3}){3})")
-
-_WIN_HEADER_RE = re.compile(r"^Tracing route to (\S+)")
-_WIN_HOP_RE = re.compile(r"^\s*(\d+)\s+(.*)$")
-_WIN_RTT_RE = re.compile(r"(?:<\s*(\d+)|(\d+))\s*ms")
-
-
-def parse_linux_traceroute(text: str) -> NormalizedTraceroute:
-    """Parse GNU ``traceroute`` output into the normalised schema."""
-    target = ""
-    hops: List[NormalizedHop] = []
-    for line in text.splitlines():
-        header = _LINUX_HEADER_RE.match(line)
-        if header:
-            target = header.group(2)
-            continue
-        hop_match = _LINUX_HOP_RE.match(line)
-        if not hop_match:
-            continue
-        index = int(hop_match.group(1))
-        rest = hop_match.group(2)
-        if rest.replace("*", "").strip() == "":
-            hops.append(NormalizedHop(hop=index, address=None))
-            continue
-        address_match = _LINUX_ADDR_RE.search(rest)
-        rtts = tuple(float(v) for v in _LINUX_RTT_RE.findall(rest))
-        hops.append(
-            NormalizedHop(
-                hop=index,
-                address=address_match.group(1) if address_match else None,
-                rtts_ms=rtts,
-            )
-        )
-    if not target:
-        raise ValueError("not traceroute output: missing header line")
-    reached = bool(hops) and hops[-1].address == target
-    return NormalizedTraceroute(target=target, reached=reached, hops=hops, tool="traceroute")
-
-
-def parse_windows_tracert(text: str) -> NormalizedTraceroute:
-    """Parse Windows ``tracert`` output into the normalised schema."""
-    target = ""
-    hops: List[NormalizedHop] = []
-    complete = False
-    for line in text.splitlines():
-        header = _WIN_HEADER_RE.match(line.strip())
-        if header:
-            target = header.group(1)
-            continue
-        if line.strip() == "Trace complete.":
-            complete = True
-            continue
-        hop_match = _WIN_HOP_RE.match(line)
-        if not hop_match:
-            continue
-        index = int(hop_match.group(1))
-        rest = hop_match.group(2)
-        if "Request timed out" in rest:
-            hops.append(NormalizedHop(hop=index, address=None))
-            continue
-        rtts: List[float] = []
-        for lt_value, value in _WIN_RTT_RE.findall(rest):
-            if lt_value:
-                rtts.append(float(lt_value) / 2.0)  # "<1 ms" -> 0.5 ms estimate
-            else:
-                rtts.append(float(value))
-        address_match = _LINUX_ADDR_RE.search(rest)
-        hops.append(
-            NormalizedHop(
-                hop=index,
-                address=address_match.group(1) if address_match else None,
-                rtts_ms=tuple(rtts),
-            )
-        )
-    if not target:
-        raise ValueError("not tracert output: missing header line")
-    reached = complete and bool(hops) and hops[-1].address == target
-    return NormalizedTraceroute(target=target, reached=reached, hops=hops, tool="tracert")
-
-
-def parse_traceroute_output(text: str) -> NormalizedTraceroute:
-    """Auto-detect the tool from the output and parse accordingly."""
-    stripped = text.lstrip()
-    if stripped.startswith("traceroute to"):
-        return parse_linux_traceroute(text)
-    if stripped.startswith("Tracing route to"):
-        return parse_windows_tracert(text)
-    raise ValueError("unrecognised traceroute output format")

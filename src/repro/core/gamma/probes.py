@@ -1,16 +1,15 @@
 """Component C3: active measurement probes.
 
-Launches traceroutes through the OS adapter so the stored
-record is the normalised JSON schema regardless of platform.  Three fast
-paths keep C3 — the scaling bottleneck of a study — off the profile:
+Launches traceroutes from the volunteer's city and stores each as the
+normalised JSON schema, whatever the volunteer's OS.  Three fast paths
+keep C3 — the scaling bottleneck of a study — off the profile:
 
-* **Direct normalisation**: the adapter constructs the
-  :class:`NormalizedTraceroute` straight from the structured trace via
-  :mod:`repro.core.gamma.normalize`, reproducing its platform's lossy
-  text quantisation exactly.  The historical *render text → parse text*
-  round trip (``OSAdapter.raw_traceroute`` +
-  :func:`~repro.core.gamma.parsers.parse_traceroute_output`) stays
-  public and serves the tests as the correctness oracle.
+* **Direct normalisation**: the runner builds the
+  :class:`NormalizedTraceroute` straight from the engine's structured
+  trace with its OS's normaliser (:mod:`repro.core.gamma.normalize`),
+  which reproduces the quantisation that OS's tool prints.  The text
+  renderers and parsers it is proven equal to live in
+  ``tests/trace_oracle.py``.
 * **Per-run trace memo**: within one run the same third-party
   address is embedded by many sites, and downstream consumers
   (:func:`repro.study.build_source_traces`) only ever keep the *first*
@@ -35,7 +34,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Tuple
 
-from repro.core.gamma.osadapt import OSAdapter, adapter_for
+from repro.core.gamma.normalize import _NORMALIZERS
 from repro.core.gamma.parsers import NormalizedTraceroute
 from repro.exec.cache import CacheInfo, ReadThroughCache
 from repro.netsim.geography import City
@@ -132,15 +131,15 @@ class ProbeRunner:
         volunteer: str = "",
     ):
         self._world = world
-        self._adapter: OSAdapter = adapter_for(os_name)
+        try:
+            self._normalize = _NORMALIZERS[os_name]
+        except KeyError:
+            raise ValueError(f"unsupported OS {os_name!r}") from None
+        self._os_name = os_name
         self._traces = ReadThroughCache(TRACE_CACHE_NAME)
         self._carry = carry if carry is not None else TraceCarry()
         self._volunteer = volunteer
         self._launches: Launches = {}
-
-    @property
-    def adapter(self) -> OSAdapter:
-        return self._adapter
 
     @property
     def trace_cache(self) -> ReadThroughCache:
@@ -148,10 +147,8 @@ class ProbeRunner:
         return self._traces
 
     def traceroute(self, source_city: City, target_ip: str, key: str = "") -> NormalizedTraceroute:
-        """One traceroute, via the platform tool, normalised."""
-        return self._adapter.normalized_traceroute(
-            self._world.traceroute, source_city, target_ip, key
-        )
+        """One traceroute, normalised as the volunteer's OS tool prints it."""
+        return self._normalize(self._world.traceroute.trace(source_city, target_ip, key))
 
     def traceroute_many(
         self,
@@ -182,7 +179,7 @@ class ProbeRunner:
         """A memo miss: the carried trace if it was launched the same
         way, else a new launch under ``f"{key_prefix}:{index}"``."""
         trace = self._carry.replay(
-            self._volunteer, self._adapter.name, target_ip, source_city.key, key_prefix, index
+            self._volunteer, self._os_name, target_ip, source_city.key, key_prefix, index
         )
         if trace is None:
             trace = self.traceroute(source_city, target_ip, f"{key_prefix}:{index}")
@@ -191,4 +188,4 @@ class ProbeRunner:
 
     def carry_forward(self) -> None:
         """Install this run's launches as the volunteer's carried run."""
-        self._carry.keep(self._volunteer, self._adapter.name, self._launches)
+        self._carry.keep(self._volunteer, self._os_name, self._launches)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Set
 
-from repro.core.gamma.osadapt import adapter_for
+from repro.core.gamma.normalize import _NORMALIZERS
 from repro.netsim.geography import City
 
 __all__ = ["Volunteer"]
@@ -31,7 +31,8 @@ class Volunteer:
     traceroute_opt_out: bool = False
 
     def __post_init__(self) -> None:
-        adapter_for(self.os_name)  # raises ValueError on an unsupported OS
+        if self.os_name not in _NORMALIZERS:
+            raise ValueError(f"unsupported OS {self.os_name!r}")
 
     @property
     def country_code(self) -> str:

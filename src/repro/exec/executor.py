@@ -197,9 +197,10 @@ def create_executor(backend: str = "auto", jobs: Optional[int] = None) -> StudyE
 
     ``jobs=None`` means one job and ``0`` one worker per CPU;
     ``backend="auto"`` picks serial for one job and the process pool
-    otherwise.
+    otherwise.  The serial backend runs one job and rejects any other
+    count.
     """
-    check_backend(backend)
+    check_backend(backend, jobs)
     if jobs is None:
         jobs = 1
     elif jobs == 0:
@@ -213,9 +214,12 @@ def create_executor(backend: str = "auto", jobs: Optional[int] = None) -> StudyE
     return ProcessPoolStudyExecutor(jobs)
 
 
-def check_backend(backend: str) -> None:
-    """Reject a backend outside :data:`BACKENDS`, naming the valid ones."""
+def check_backend(backend: str, jobs: Optional[int] = None) -> None:
+    """Reject a backend outside :data:`BACKENDS`, naming the valid ones,
+    and the serial backend with any job count but one (``None`` is one)."""
     if backend not in BACKENDS:
         raise ValueError(
             f"unknown backend {backend!r}; expected one of {', '.join(BACKENDS)}"
         )
+    if backend == "serial" and jobs not in (None, 1):
+        raise ValueError(f"backend 'serial' runs one job, not jobs={jobs}")

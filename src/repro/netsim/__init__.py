@@ -37,8 +37,6 @@ from repro.netsim.traceroute import (
     TracerouteEngine,
     TracerouteHop,
     TracerouteResult,
-    render_linux,
-    render_windows,
 )
 
 __all__ = [
@@ -78,6 +76,4 @@ __all__ = [
     "hint_for_city",
     "max_feasible_distance_km",
     "min_rtt_ms",
-    "render_linux",
-    "render_windows",
 ]

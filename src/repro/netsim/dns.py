@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.determinism import stable_hash
 from repro.domains import registrable_domain, validate_hostname
@@ -145,9 +145,3 @@ class GeoDNSResolver:
             return True
         except (ipaddress.AddressValueError, ValueError):
             return False
-
-    def owner_org(self, hostname: str) -> Optional[str]:
-        try:
-            return self.deployment_for(hostname).org.name
-        except NXDomain:
-            return None

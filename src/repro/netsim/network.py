@@ -10,11 +10,11 @@ as the paper's tooling sees the real Internet.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.netsim.asn import ASRegistry
 from repro.netsim.dns import GeoDNSResolver
-from repro.netsim.geography import City, GeoRegistry, default_registry
+from repro.netsim.geography import GeoRegistry, default_registry
 from repro.netsim.ip import IPSpace
 from repro.netsim.latency import LatencyModel
 from repro.netsim.rdns import ReverseDNSService
@@ -60,20 +60,3 @@ class World:
         for domain in deployment.org.domains:
             self.dns.register(domain, deployment)
         return deployment
-
-    def org_for_domain(self, hostname: str) -> Optional[Organization]:
-        org_name = self.dns.owner_org(hostname)
-        return self.organizations.get(org_name) if org_name else None
-
-    # -- ground-truth helpers (used by geo DBs and test oracles) ------------
-    def true_city_of_ip(self, address: str) -> Optional[City]:
-        return self.ips.true_city(address)
-
-    def true_country_of_ip(self, address: str) -> Optional[str]:
-        return self.ips.true_country(address)
-
-    def continent_of(self, country_code: str) -> str:
-        return self.geo.continent_of(country_code)
-
-    def tracker_organizations(self) -> List[Organization]:
-        return [org for org in self.organizations.values() if org.is_tracker]

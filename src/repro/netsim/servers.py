@@ -33,9 +33,6 @@ class Organization:
     #: True for infrastructure providers (clouds/CDNs) that host others.
     is_cloud: bool = False
 
-    def owns_domain(self, registrable_domain: str) -> bool:
-        return registrable_domain in self.domains
-
 
 @dataclass(frozen=True)
 class PoP:

@@ -1,12 +1,13 @@
-"""Traceroute synthesis and raw-output rendering.
+"""Traceroute synthesis.
 
 The engine produces a structured :class:`TracerouteResult` for a trace
-from a city to an IP, plus *raw textual renderings* in both the Linux
-``traceroute`` and Windows ``tracert`` formats.  Gamma's portability layer
-(section 3 of the paper) parses whichever format the "OS" produced and
-normalises both into one JSON schema — so the parsing/normalisation code
-under test is exercised against realistically messy output, including
-unresponsive ``*`` hops and traces that never reach the destination.
+from a city to an IP: the hops a ``traceroute`` / ``tracert`` run would
+print, with three per-probe RTT samples each, unresponsive ``*`` hops
+and traces that never reach the destination.  Gamma's normaliser
+(:mod:`repro.core.gamma.normalize`) turns a result into the record each
+OS tool's printout would normalise to, reproducing that tool's printed
+quantisation; ``tests/trace_oracle.py`` holds the text renderers and
+parsers it is proven equal to.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ __all__ = [
     "TracerouteResult",
     "TracerouteBlocking",
     "TracerouteEngine",
-    "render_linux",
-    "render_windows",
     "probe_rtts",
 ]
 
@@ -193,39 +192,6 @@ class TracerouteEngine:
         return TracerouteResult(target=target_ip, source_city=source_city, reached=False, hops=hops)
 
 
-def render_linux(result: TracerouteResult, max_hops: int = 30) -> str:
-    """Render in the GNU ``traceroute`` text format Gamma parses on Linux."""
-    lines = [f"traceroute to {result.target} ({result.target}), {max_hops} hops max, 60 byte packets"]
-    for hop in result.hops:
-        if not hop.responded:
-            lines.append(f"{hop.index:2d}  * * *")
-            continue
-        rtts = probe_rtts(hop)
-        rtt_text = "  ".join(f"{value:.3f} ms" for value in rtts)
-        lines.append(f"{hop.index:2d}  {hop.address} ({hop.address})  {rtt_text}")
-    return "\n".join(lines) + "\n"
-
-
-def render_windows(result: TracerouteResult, max_hops: int = 30) -> str:
-    """Render in the Windows ``tracert`` text format Gamma parses there."""
-    lines = [
-        "",
-        f"Tracing route to {result.target} over a maximum of {max_hops} hops",
-        "",
-    ]
-    for hop in result.hops:
-        if not hop.responded:
-            lines.append(f"  {hop.index:2d}     *        *        *     Request timed out.")
-            continue
-        cells = []
-        for value in probe_rtts(hop):
-            cells.append("<1 ms" if value < 1.0 else f"{int(round(value)):d} ms")
-        lines.append(f"  {hop.index:2d}  {cells[0]:>8} {cells[1]:>8} {cells[2]:>8}  {hop.address}")
-    lines.append("")
-    lines.append("Trace complete." if result.reached else "Unable to resolve target system name or trace aborted.")
-    return "\n".join(lines) + "\n"
-
-
 #: splitmix64 (Steele, Lea & Flood 2014): its Weyl increment and the two
 #: multipliers of its output finaliser.
 _MASK64 = (1 << 64) - 1
@@ -293,9 +259,8 @@ def _responded_hop(index: int, address: str, rtt_ms: float) -> TracerouteHop:
 def probe_rtts(hop: TracerouteHop) -> List[float]:
     """Three per-probe RTT samples around the hop's canonical RTT.
 
-    Shared by both text renderers and by the direct normaliser
-    (:mod:`repro.core.gamma.normalize`), which must quantise exactly the
-    samples the renderers would have printed.  Engine-built hops carry
+    The samples the normaliser (:mod:`repro.core.gamma.normalize`)
+    quantises as each OS tool would print them.  Engine-built hops carry
     their samples (:attr:`TracerouteHop.probes`), and only the engine
     knows a transit hop's; hops built without them derive theirs here
     from the hop's index, address and RTT.

@@ -92,7 +92,7 @@ class StudyConfig:
     profile: bool = False
 
     def __post_init__(self) -> None:
-        check_backend(self.backend)
+        check_backend(self.backend, self.jobs)
         check_on_error(self.on_error)
 
 

@@ -230,6 +230,23 @@ class TestFaultToleranceCLI:
         assert excinfo.value.code == 2
         assert "invalid choice: 'thread'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["study", "figures", "export"])
+    @pytest.mark.parametrize("jobs", ["2", "0"])
+    def test_serial_backend_with_many_jobs_is_a_usage_error(
+        self, command, jobs, capsys, tmp_path
+    ):
+        # It used to run one job and report jobs=1 in its execution line.
+        argv = [command, "--backend", "serial", "--jobs", jobs]
+        if command == "export":
+            argv.insert(1, str(tmp_path / "out"))
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err == (
+            f"gamma {command}: error: backend 'serial' runs one job, not jobs={jobs}\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_retry_policy_is_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["study", "--countries", "CA", "--on-error", "retry"])

@@ -11,6 +11,8 @@ runs.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 
 import pytest
@@ -21,26 +23,77 @@ from repro.study import StudyConfig
 from tests.conftest import SMALL_COUNTRIES
 
 
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _sites_with_traces(dataset_json: str) -> dict:
+    """URL → the site's stored entry, its trace references resolved."""
+    payload = json.loads(dataset_json)
+    traces = payload["traces"]
+    sites = payload["websites"]
+    for entry in sites.values():
+        entry["traceroutes"] = {
+            address: traces[slot] for address, slot in entry["traceroutes"].items()
+        }
+    return sites
+
+
+def _first_differing_key(a: dict, b: dict):
+    """The first key (in *a*'s order, then *b*'s) the two mappings
+    disagree on, or ``None`` when they are equal."""
+    for key in [*a, *(key for key in b if key not in a)]:
+        if key not in a or key not in b or a[key] != b[key]:
+            return key
+    return None
+
+
 def assert_outcomes_identical(reference, other) -> None:
-    """Every study artefact equal, field by field (timings excluded)."""
+    """Every study artefact equal, field by field (timings excluded).
+
+    Large artefacts are compared by digest or key by key, so a mismatch
+    names the first differing site, address or host at once instead of
+    asking pytest to diff megabytes of text.
+    """
     assert sorted(reference.datasets) == sorted(other.datasets)
     assert [r.country_code for r in reference.results] == [
         r.country_code for r in other.results
     ]
     assert reference.source_trace_origins == other.source_trace_origins
     for cc in reference.datasets:
-        assert reference.datasets[cc].to_json() == other.datasets[cc].to_json(), cc
+        ref_json = reference.datasets[cc].to_json()
+        other_json = other.datasets[cc].to_json()
+        if _digest(ref_json) != _digest(other_json):
+            site = _first_differing_key(
+                _sites_with_traces(ref_json), _sites_with_traces(other_json)
+            )
+            pytest.fail(
+                f"{cc}: datasets differ, first at site {site}"
+                if site is not None
+                else f"{cc}: datasets differ outside the sites (header or trace sharing)"
+            )
         a, b = reference.geolocations[cc], other.geolocations[cc]
         assert a.funnel == b.funnel, cc
-        assert a.host_to_address == b.host_to_address, cc
-        assert a.verdicts == b.verdicts, cc
+        host = _first_differing_key(a.host_to_address, b.host_to_address)
+        assert host is None, f"{cc}: host_to_address differs at host {host}"
+        address = _first_differing_key(a.verdicts, b.verdicts)
+        assert address is None, f"{cc}: verdicts differ at address {address}"
     assert reference.funnel() == other.funnel()
     for ref_result, other_result in zip(reference.results, other.results):
-        assert ref_result.sites == other_result.sites, ref_result.country_code
-        assert ref_result.tracker_verdicts == other_result.tracker_verdicts
+        cc = ref_result.country_code
+        assert [s.url for s in ref_result.sites] == [s.url for s in other_result.sites], cc
+        site = next(
+            (a.url for a, b in zip(ref_result.sites, other_result.sites) if a != b), None
+        )
+        assert site is None, f"{cc}: joined site records differ at site {site}"
+        host = _first_differing_key(ref_result.tracker_verdicts, other_result.tracker_verdicts)
+        assert host is None, f"{cc}: tracker verdicts differ at host {host}"
     # One structural check over every downstream analysis (flows, hosting,
     # organizations, policy, prevalence, funnel) in a single object.
-    assert summarize_study(reference).to_dict() == summarize_study(other).to_dict()
+    part = _first_differing_key(
+        summarize_study(reference).to_dict(), summarize_study(other).to_dict()
+    )
+    assert part is None, f"summaries differ at {part!r}"
 
 
 class TestBackendEquivalence:

@@ -156,3 +156,15 @@ class TestExecutorConstruction:
             ProcessPoolStudyExecutor(jobs=0)
         with pytest.raises(ValueError, match="expected one of auto, serial, process"):
             StudyConfig(backend="thread")
+
+    @pytest.mark.parametrize("jobs", [0, 2, 4])
+    def test_serial_backend_runs_exactly_one_job(self, jobs):
+        # A serial executor for jobs=N would run one job while the study
+        # reported N: both entry points refuse the combination.
+        with pytest.raises(ValueError, match=f"backend 'serial' runs one job, not jobs={jobs}"):
+            create_executor("serial", jobs)
+        with pytest.raises(ValueError, match=f"backend 'serial' runs one job, not jobs={jobs}"):
+            StudyConfig(backend="serial", jobs=jobs)
+        assert create_executor("serial", 1).name == "serial"
+        assert create_executor("serial").name == "serial"
+        assert StudyConfig(backend="serial", jobs=1).jobs == 1

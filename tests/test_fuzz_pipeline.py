@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from repro.atlas.measurements import AtlasMeasurementService
 from repro.core.gamma.output import VolunteerDataset, WebsiteMeasurement
-from repro.core.gamma.parsers import parse_linux_traceroute
 from repro.core.geoloc.latency_stats import default_stats_chain
 from repro.core.geoloc.pipeline import GeolocationPipeline, SourceTraces
 from repro.geodb.errors import GeoErrorModel
@@ -19,7 +18,7 @@ from repro.geodb.ipmap import IPMapService
 from repro.netsim.geography import MEASUREMENT_COUNTRIES, default_registry
 from repro.netsim.network import World
 from repro.netsim.servers import Deployment, Organization, PoP
-from repro.netsim.traceroute import render_linux
+from tests.trace_oracle import parse_linux_traceroute, render_linux
 
 REG = default_registry()
 ALL_COUNTRIES = [c.code for c in REG.countries]

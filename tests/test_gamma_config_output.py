@@ -1,8 +1,7 @@
-"""Gamma dataset model and OS adapters."""
+"""Gamma dataset model."""
 
 import pytest
 
-from repro.core.gamma.osadapt import DarwinAdapter, LinuxAdapter, WindowsAdapter, adapter_for
 from repro.core.gamma.output import (
     ANONYMIZED_IP,
     VolunteerDataset,
@@ -10,34 +9,6 @@ from repro.core.gamma.output import (
     anonymize,
 )
 from repro.core.gamma.parsers import NormalizedHop, NormalizedTraceroute
-
-
-class TestAdapters:
-    def test_adapter_for(self):
-        assert isinstance(adapter_for("linux"), LinuxAdapter)
-        assert isinstance(adapter_for("windows"), WindowsAdapter)
-        assert isinstance(adapter_for("darwin"), DarwinAdapter)
-
-    def test_unknown_os_rejected(self):
-        with pytest.raises(ValueError):
-            adapter_for("plan9")
-
-    def test_commands(self):
-        assert adapter_for("linux").traceroute_command == "traceroute"
-        assert adapter_for("windows").traceroute_command == "tracert"
-        assert adapter_for("darwin").traceroute_command == "traceroute"
-
-    def test_render_formats(self):
-        assert adapter_for("linux").render_format == "linux"
-        assert adapter_for("windows").render_format == "windows"
-        # macOS traceroute prints the Linux layout.
-        assert adapter_for("darwin").render_format == "linux"
-
-    def test_base_adapter_has_no_raw_tool(self):
-        from repro.core.gamma.osadapt import OSAdapter
-
-        with pytest.raises(NotImplementedError):
-            OSAdapter().raw_traceroute(None, None, "5.0.0.1", "k")
 
 
 def _measurement(url="x.co.th", loaded=True):

@@ -1,22 +1,18 @@
-"""Traceroute output parsers: the OS-normalisation layer of Gamma."""
+"""The oracle's traceroute text parsers and the normalised record they build."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.gamma.parsers import (
-    NormalizedHop,
-    NormalizedTraceroute,
-    parse_linux_traceroute,
-    parse_traceroute_output,
-    parse_windows_tracert,
-)
+from repro.core.gamma.parsers import NormalizedHop, NormalizedTraceroute
 from repro.netsim.geography import default_registry
 from repro.netsim.ip import IPSpace
 from repro.netsim.latency import LatencyModel
-from repro.netsim.traceroute import (
-    TracerouteBlocking,
-    TracerouteEngine,
+from repro.netsim.traceroute import TracerouteBlocking, TracerouteEngine
+from tests.trace_oracle import (
+    parse_linux_traceroute,
+    parse_traceroute_output,
+    parse_windows_tracert,
     render_linux,
     render_windows,
 )

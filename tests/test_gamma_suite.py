@@ -178,7 +178,9 @@ class TestRemovedApi:
         with pytest.raises(ImportError):
             from repro import GammaConfig  # noqa: F401
 
-    @pytest.mark.parametrize("module", ["repro.core.gamma.config", "repro.core.gamma.checkpoint"])
+    @pytest.mark.parametrize("module", [
+        "repro.core.gamma.config", "repro.core.gamma.checkpoint", "repro.core.gamma.osadapt",
+    ])
     def test_removed_module_is_gone(self, module):
         with pytest.raises(ImportError):
             importlib.import_module(module)
@@ -234,18 +236,18 @@ class TestProbeRunner:
 
         world = World(geo=REG)
         runner = ProbeRunner(world, os_name)
-        assert runner.adapter.name == os_name
         trace = runner.traceroute(REG.country("TH").capital, self._targets(world, 1)[0], "k")
         assert trace.tool == tool
 
-    def test_traceroute_is_the_adapters_normalised_trace(self):
+    def test_traceroute_is_the_os_normalised_engine_trace(self):
+        from repro.core.gamma.normalize import normalize_direct
         from repro.core.gamma.probes import ProbeRunner
 
         world = World(geo=REG)
         runner = ProbeRunner(world, "windows")
         city = REG.country("TH").capital
         target = self._targets(world, 1)[0]
-        direct = runner.adapter.normalized_traceroute(world.traceroute, city, target, "k")
+        direct = normalize_direct(world.traceroute.trace(city, target, "k"), "windows")
         assert runner.traceroute(city, target, "k").to_dict() == direct.to_dict()
 
     def test_traceroute_many_keys_follow_the_input_order(self):

@@ -1,11 +1,11 @@
 """Study-level equivalence of the probe-layer fast paths.
 
 Three fast paths accelerate component C3 — direct normalisation
-instead of the render → parse round trip, the per-country
+instead of the text render → parse round trip, the per-country
 first-observation trace memo, and the cross-country destination-probe
 memo.  The contract: none of them may change a study artefact.  Direct
-normalisation is checked against the round trip patched back into
-``ProbeRunner.traceroute``; it and the destination memo are
+normalisation is checked against the round trip of
+``tests/trace_oracle.py`` patched into ``ProbeRunner.traceroute``; it and the destination memo are
 *byte-invisible* everywhere (``assert_outcomes_identical``); the trace
 memo replays each address's first observation for later sites, so
 per-site duplicate entries carry the first site's RTT samples — while
@@ -19,9 +19,9 @@ import json
 
 from repro import StudyConfig, build_scenario, run_study
 from repro.atlas.measurements import DEST_TRACE_CACHE_NAME
-from repro.core.gamma.parsers import parse_traceroute_output
 from repro.core.gamma.probes import TRACE_CACHE_NAME, ProbeRunner
 from tests.test_exec_equivalence import assert_outcomes_identical
+from tests.trace_oracle import parse_traceroute_output, raw_traceroute
 
 #: Mixed-format sample: CA/NZ volunteers run Linux traceroute, AZ runs
 #: Windows tracert — both quantisations cross the study path.
@@ -45,12 +45,13 @@ class TestParserOracleEquivalence:
         parsed = []
 
         def render_then_parse(runner, source_city, target_ip, key=""):
-            # The historical probe path: OS-native text, then the parser.
-            raw = runner.adapter.raw_traceroute(
-                runner._world.traceroute, source_city, target_ip, key
+            # The text probe path: OS-native text, then the parser.
+            raw = raw_traceroute(
+                runner._os_name, runner._world.traceroute, source_city, target_ip, key
             )
-            parsed.append(runner.adapter.traceroute_command)
-            return parse_traceroute_output(raw)
+            trace = parse_traceroute_output(raw)
+            parsed.append(trace.tool)
+            return trace
 
         # A fresh scenario: on the session one, traces its volunteers'
         # earlier runs launched would be replayed from the carry unparsed.

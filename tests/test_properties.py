@@ -3,7 +3,6 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.gamma.parsers import parse_linux_traceroute, parse_windows_tracert
 from repro.core.geoloc.constraints import (
     ConstraintStatus,
     ReverseDNSConstraint,
@@ -16,9 +15,10 @@ from repro.netsim.geography import default_registry
 from repro.netsim.geohints import CITY_HINT_CODES
 from repro.netsim.ip import IPSpace
 from repro.netsim.latency import LatencyModel
-from repro.netsim.traceroute import (
-    TracerouteBlocking,
-    TracerouteEngine,
+from repro.netsim.traceroute import TracerouteBlocking, TracerouteEngine
+from tests.trace_oracle import (
+    parse_linux_traceroute,
+    parse_windows_tracert,
     render_linux,
     render_windows,
 )

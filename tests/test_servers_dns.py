@@ -167,11 +167,6 @@ class TestGeoDNS:
         answer = resolver.resolve("exact.testorg.com", REG.country("DE").capital)
         assert answer.org_name == "Special"
 
-    def test_owner_org(self):
-        resolver, _ = self._resolver()
-        assert resolver.owner_org("www.testorg.com") == "TestOrg"
-        assert resolver.owner_org("nope.example") is None
-
     def test_is_ip_literal(self):
         assert GeoDNSResolver.is_ip_literal("10.1.2.3")
         assert not GeoDNSResolver.is_ip_literal("example.com")

@@ -1,4 +1,4 @@
-"""Traceroute synthesis, blocking, and raw-output rendering."""
+"""Traceroute synthesis, blocking, and the oracle's raw-output rendering."""
 
 import pickle
 import re
@@ -15,9 +15,8 @@ from repro.netsim.traceroute import (
     TracerouteBlocking,
     TracerouteHop,
     TracerouteEngine,
-    render_linux,
-    render_windows,
 )
+from tests.trace_oracle import render_linux, render_windows
 
 REG = default_registry()
 

@@ -232,11 +232,11 @@ class TestOracle:
                     assert new_hop.address.startswith("62.")
         assert endpoints > 1000
 
-    @pytest.mark.parametrize("render_format", ["linux", "windows"])
-    def test_normalised_latency_is_unchanged(self, sweep, render_format):
+    @pytest.mark.parametrize("os_name", ["linux", "windows"])
+    def test_normalised_latency_is_unchanged(self, sweep, os_name):
         for _, _, _, new, ref in sweep:
-            new_norm = normalize_direct(new, render_format)
-            ref_norm = normalize_direct(ref, render_format)
+            new_norm = normalize_direct(new, os_name)
+            ref_norm = normalize_direct(ref, os_name)
             assert new_norm.reached == ref_norm.reached
             if ref_norm.reached:
                 assert adjusted_latency_ms(new_norm) == adjusted_latency_ms(ref_norm)
