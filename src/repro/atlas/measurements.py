@@ -15,10 +15,12 @@ from repro.exec.cache import ReadThroughCache
 from repro.netsim.network import World
 from repro.netsim.traceroute import TracerouteBlocking, TracerouteEngine, TracerouteResult
 
-__all__ = ["AtlasMeasurementService", "DEST_TRACE_CACHE_NAME"]
+__all__ = ["AtlasMeasurementService", "DEST_TRACE_CACHE_NAME", "SOURCE_TRACE_CACHE_NAME"]
 
 #: Name of the memoised destination-probe trace cache.
 DEST_TRACE_CACHE_NAME = "atlas.dest_traces"
+#: Name of the memoised fallback source-trace cache.
+SOURCE_TRACE_CACHE_NAME = "atlas.source_traces"
 
 
 class AtlasMeasurementService:
@@ -37,10 +39,15 @@ class AtlasMeasurementService:
         # Owned by this service, so two scenarios alive in one process
         # never serve each other's traces.
         self._dest_cache = ReadThroughCache(DEST_TRACE_CACHE_NAME, maxsize=65536)
+        self._source_cache = ReadThroughCache(SOURCE_TRACE_CACHE_NAME, maxsize=65536)
 
     @property
     def dest_trace_cache(self) -> ReadThroughCache:
         return self._dest_cache
+
+    @property
+    def source_trace_cache(self) -> ReadThroughCache:
+        return self._source_cache
 
     def traceroute(self, probe: Probe, target_ip: str, measurement_key: str = "") -> TracerouteResult:
         return self._engine.trace(probe.city, target_ip, f"atlas:{probe.probe_id}:{measurement_key}")
@@ -58,4 +65,18 @@ class AtlasMeasurementService:
         return self._dest_cache.get(
             (probe.probe_id, target_ip),
             lambda: self.traceroute(probe, target_ip, f"dest:{target_ip}"),
+        )
+
+    def source_traceroute(self, probe: Probe, target_ip: str) -> TracerouteResult:
+        """Fallback source-side trace, memoised across visits.
+
+        A country without usable volunteer traces launches
+        ``src-fallback:{address}`` from its nearest probe.  The key names
+        no visit, so the trace is a pure function of ``(probe,
+        address)``: a revisit is served the traces the first visit
+        launched instead of re-launching them.
+        """
+        return self._source_cache.get(
+            (probe.probe_id, target_ip),
+            lambda: self.traceroute(probe, target_ip, f"src-fallback:{target_ip}"),
         )

@@ -236,7 +236,9 @@ def build_source_traces(
     Prefers the volunteer's own traceroutes; when the volunteer opted out
     (Egypt) or every probe failed (Australia/India/Qatar/Jordan), launches
     traceroutes from the nearest Atlas-style probe — possibly in a
-    neighbouring country, as the paper did for Qatar and Jordan.
+    neighbouring country, as the paper did for Qatar and Jordan.  The
+    fallback traces come from the measurement service's
+    ``atlas.source_traces`` memo, so a revisit launches none again.
     """
     merged: Dict[str, object] = {}
     for measurement in dataset.websites.values():
@@ -257,7 +259,7 @@ def build_source_traces(
         for address in measurement.dns.values()
     })
     traces = {
-        address: scenario.atlas.traceroute(probe, address, f"src-fallback:{address}")
+        address: scenario.atlas.source_traceroute(probe, address)
         for address in addresses
     }
     return SourceTraces(city=probe.city, traces=traces, origin=f"atlas:{used_country}")

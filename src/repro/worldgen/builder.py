@@ -103,6 +103,7 @@ class Scenario:
             self.identifier.verdict_cache,
             self.directory.owner_cache,
             self.atlas.dest_trace_cache,
+            self.atlas.source_trace_cache,
             self.trace_carry,
             distance_cache,
         )

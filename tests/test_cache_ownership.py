@@ -4,9 +4,9 @@ Every memo cache belongs to the object that fills it: GeoDNS answers to
 the world's resolver, path inflation to its latency model, PTR records
 to its reverse-DNS service, verdicts to the scenario's tracker
 identifier, hostname owners to its organisation directory, destination
-traces to its measurement service, each volunteer's last run of traces
-to the scenario's trace carry, first-observation traces to one
-country's probe runner.  The study metrics fold per-country
+and fallback source traces to its measurement service, each volunteer's
+last run of traces to the scenario's trace carry, first-observation
+traces to one country's probe runner.  The study metrics fold per-country
 deltas of exactly those caches, the same way on every backend, so:
 
 * a study reports every memo its scenario owns, and its trace memo;
@@ -46,13 +46,15 @@ class TestEveryMemoReported:
     def test_ca_study_reports_all_scenario_memos(self, config):
         # A fresh scenario: once its verdict memo is warm, a study asks
         # the directory nothing and moves no ``trackers.orgs`` counter.
+        # QA's volunteer traces are blocked, so its source traces come
+        # from the ``atlas:AE`` probe through ``atlas.source_traces``.
         scenario = build_scenario()
-        outcome = run_study(scenario, countries=["CA"], config=config)
+        outcome = run_study(scenario, countries=["CA", "QA"], config=config)
         names = {cache.name for cache in scenario.caches}
         assert names == {
             "netsim.geodns", "latency.inflation[latency]", "netsim.rdns",
             "trackers.verdicts", "trackers.orgs", "atlas.dest_traces",
-            "gamma.carry", "netsim.distance",
+            "atlas.source_traces", "gamma.carry", "netsim.distance",
         }
         assert set(outcome.metrics.cache_infos) == names | {"gamma.traces"}
         for name in outcome.metrics.cache_infos:

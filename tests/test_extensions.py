@@ -208,6 +208,24 @@ class TestLongitudinal:
         lb_client = fresh_scenario.volunteers["LB"].city
         assert google.serve(lb_client).country_code != "JO"
 
+    def test_memos_stay_valid_across_an_enacted_localization(self, fresh_scenario):
+        # A warm scenario (every memo filled by a JO study, whose source
+        # traces fall back to the ``atlas:IL`` probe) must re-measure the
+        # localized world exactly as a scenario localized before any study.
+        study = LongitudinalStudy(fresh_scenario)
+        before = study.snapshot(["JO"])
+        assert before.source_trace_origins["JO"] == "atlas:IL"
+        assert study.enact_localization("JO", orgs=["Google"]) == ["Google"]
+        warm = study.snapshot(["JO"])
+        assert warm.metrics.cache_infos["atlas.source_traces"]["hits"] > 0
+
+        cold_study = LongitudinalStudy(build_scenario(seed="longitudinal-test"))
+        cold_study.enact_localization("JO", orgs=["Google"])
+        cold = cold_study.snapshot(["JO"])
+        assert warm.summary().to_dict() == cold.summary().to_dict()
+        assert warm.geolocations["JO"].verdicts == cold.geolocations["JO"].verdicts
+        assert warm.summary().to_dict() != before.summary().to_dict()
+
     def test_foreign_serving_orgs_listing(self, fresh_scenario):
         study = LongitudinalStudy(fresh_scenario)
         orgs = study.foreign_serving_orgs("JO")
